@@ -7,6 +7,7 @@ after construction and every operation is a pure function.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,20 +64,14 @@ def tensor(a, b) -> np.ndarray:
     return np.kron(as_matrix(a), as_matrix(b))
 
 
-def tensor_all(mats) -> np.ndarray:
-    out = np.eye(1, dtype=complex)
-    for m in mats:
-        out = np.kron(out, as_matrix(m))
-    return out
-
-
 @dataclass(frozen=True)
 class FactorPermutation:
-    """Reordering of tensor factors, made explicit as a permutation unitary.
+    """Reordering of tensor factors.
 
     ``order[j] = i`` means output slot j carries input factor i; the induced
     matrix P satisfies P (v_0 x ... x v_{n-1}) = v_{order[0]} x ... x
-    v_{order[n-1]}.
+    v_{order[n-1]}.  :meth:`permute` applies P by reshape and transpose;
+    :meth:`matrix` builds P densely and is its reference.
     """
 
     dims: tuple
@@ -85,14 +80,48 @@ class FactorPermutation:
     def __post_init__(self):
         if sorted(self.order) != list(range(len(self.dims))):
             raise BadPermutation(f"not a bijection on factor indices: {self.order}")
+        _check_total_dim(math.prod(self.dims))
+
+    @staticmethod
+    def between(now, want, dim) -> "FactorPermutation":
+        """The reordering that takes factors listed as ``now`` to the order
+        listed as ``want``; ``dim`` maps a factor to its dimension."""
+        return FactorPermutation(tuple(dim(x) for x in now),
+                                 tuple(now.index(x) for x in want))
 
     @property
     def out_dims(self) -> tuple:
         return tuple(self.dims[i] for i in self.order)
 
+    def permute(self, m, two_sided: bool = False) -> np.ndarray:
+        """P·m, or P·m·P† if ``two_sided``, without building P.
+
+        ``m`` has shape (..., n, k), or (..., n, n) if ``two_sided``, where n
+        is the product of ``dims``; leading axes are a batch.
+        """
+        m = np.asarray(m, dtype=complex)
+        n = math.prod(self.dims)
+        if m.ndim < 2 or m.shape[-2] != n or (two_sided and m.shape[-1] != n):
+            raise DimensionMismatch(
+                f"operator shape {m.shape} does not match factor dims {self.dims}")
+        # Factors of dim 1 do not move any entry; leaving them out keeps the
+        # axis count within numpy's limit for markings with many of them.
+        big = [i for i, d in enumerate(self.dims) if d > 1]
+        rank = {i: r for r, i in enumerate(big)}
+        dims = tuple(self.dims[i] for i in big)
+        order = [rank[i] for i in self.order if i in rank]
+        b, k = m.ndim - 2, len(dims)
+        axes = list(range(b)) + [b + i for i in order]
+        if two_sided:
+            shape = m.shape[:b] + dims + dims
+            axes += [b + k + i for i in order]
+        else:
+            shape = m.shape[:b] + dims + m.shape[-1:]
+            axes.append(b + k)
+        return m.reshape(shape).transpose(axes).reshape(m.shape)
+
     def matrix(self) -> np.ndarray:
         n = int(np.prod(self.dims)) if self.dims else 1
-        _check_total_dim(n)
         p = np.zeros((n, n), dtype=complex)
         if n == 0:
             return p
@@ -112,10 +141,6 @@ class FactorPermutation:
         for j, i in enumerate(self.order):
             inv[i] = j
         return FactorPermutation(self.out_dims, tuple(inv))
-
-
-def permutation_matrix(p: FactorPermutation) -> np.ndarray:
-    return p.matrix()
 
 
 @dataclass(frozen=True)
@@ -209,13 +234,6 @@ def kraus_tensor(f: Channel, g: Channel) -> Channel:
     return Channel(f.dim_in * g.dim_in, f.dim_out * g.dim_out, ks)
 
 
-def kraus_tensor_all(channels) -> Channel:
-    out = Channel.identity(1)
-    for c in channels:
-        out = kraus_tensor(out, c)
-    return out
-
-
 def partial_trace(m, dims, traced) -> np.ndarray:
     """Partial trace over the selected factors; remaining order preserved."""
     m = as_matrix(m)
@@ -272,43 +290,17 @@ def embed_operator(op, factor_dims, positions) -> np.ndarray:
     """
     op = as_matrix(op)
     positions = list(positions)
-    dims = [int(d) for d in factor_dims]
+    dims = tuple(int(d) for d in factor_dims)
     rest = [i for i in range(len(dims)) if i not in positions]
-    front = FactorPermutation(tuple(dims), tuple(positions + rest))
-    p = front.matrix()
-    rest_dim = int(np.prod([dims[i] for i in rest])) if rest else 1
-    local_dim = int(np.prod([dims[i] for i in positions])) if positions else 1
+    front = FactorPermutation(dims, tuple(positions + rest))
+    local_dim = math.prod(dims[i] for i in positions)
     if op.shape != (local_dim, local_dim):
         raise DimensionMismatch(
             f"local operator shape {op.shape} does not match factors {positions}"
         )
+    rest_dim = math.prod(dims[i] for i in rest)
     full = np.kron(op, np.eye(rest_dim, dtype=complex))
-    return p.conj().T @ full @ p
-
-
-def embed_channel(f: Channel, factor_dims, positions, out_factor_dims,
-                  out_positions) -> Channel:
-    """Channel acting on selected factors, identity on the rest.
-
-    The remaining factors keep their relative order; input and output
-    embeddings may differ in dims when the channel changes its local space.
-    """
-    dims = [int(d) for d in factor_dims]
-    odims = [int(d) for d in out_factor_dims]
-    positions = list(positions)
-    out_positions = list(out_positions)
-    rest_in = [i for i in range(len(dims)) if i not in positions]
-    rest_out = [i for i in range(len(odims)) if i not in out_positions]
-    rest_dim = int(np.prod([dims[i] for i in rest_in])) if rest_in else 1
-    p_in = FactorPermutation(tuple(dims), tuple(positions + rest_in)).matrix()
-    p_out = FactorPermutation(tuple(odims), tuple(out_positions + rest_out)).matrix()
-    ks = tuple(
-        p_out.conj().T @ np.kron(k, np.eye(rest_dim, dtype=complex)) @ p_in
-        for k in f.kraus
-    )
-    n_in = int(np.prod(dims)) if dims else 1
-    n_out = int(np.prod(odims)) if odims else 1
-    return Channel(n_in, n_out, ks)
+    return front.inverse().permute(full, two_sided=True)
 
 
 def channels_close(f: Channel, g: Channel, tol: float = 1e-10) -> CheckOutcome:
@@ -327,8 +319,3 @@ def channels_close(f: Channel, g: Channel, tol: float = 1e-10) -> CheckOutcome:
     return CheckOutcome(dev <= tol * max(1, d), "" if dev <= tol * max(1, d)
                         else f"channels differ by {dev:.3e}", {"max_deviation": dev})
 
-
-def is_identity_channel(f: Channel, tol: float = 1e-10) -> CheckOutcome:
-    if f.dim_in != f.dim_out:
-        return CheckOutcome.fail(f"non-square signature {f.dim_in}->{f.dim_out}")
-    return channels_close(f, Channel.identity(f.dim_in), tol)

@@ -199,7 +199,8 @@ def layer_graph(o: OccurrenceNet, ann: LocalAnnotation, iv: MarkingInterval) -> 
     layers = [tuple(wires)]
     for rnd in rounds:
         for e in rnd:
-            wires = _fire_wires(o, wires, e)
+            _, produced, rest = _fire_wires(o, wires, e)
+            wires = produced + rest
         layers.append(tuple(wires))
     final = [("p", p) for p in sorted(iv.to_marking)]
     final += [("h+", e) for e in sorted(iv.sigma) if o.pol(e) == POSITIVE]
@@ -212,6 +213,10 @@ def layer_graph(o: OccurrenceNet, ann: LocalAnnotation, iv: MarkingInterval) -> 
 
 
 def _fire_wires(o: OccurrenceNet, wires, e):
+    """The wire-threading rule: firing e consumes its sorted pre-set wires,
+    then its environment input if negative, and puts its sorted post-set
+    wires, then its signal output if positive, in front of the untouched
+    rest.  Returns (consumed, produced, rest)."""
     consumed = [("p", c) for c in sorted(o.pre(e))]
     if o.pol(e) == NEGATIVE:
         consumed.append(("h-", e))
@@ -219,7 +224,7 @@ def _fire_wires(o: OccurrenceNet, wires, e):
     if o.pol(e) == POSITIVE:
         produced.append(("h+", e))
     rest = [w for w in wires if w not in consumed]
-    return produced + rest
+    return consumed, produced, rest
 
 
 class GlobalValuation:
@@ -227,9 +232,10 @@ class GlobalValuation:
 
     Operators are evaluated by threading an ordered wire list through the
     events of the interval in layer order: each firing permutes the
-    consumed wires to the front and composes the event's channel tensored
-    with the identity on the remaining wires.  Results are cached per
-    (source marking, target marking) pair.
+    consumed wires to the front and applies the event's channel to them,
+    leaving the remaining wires alone.  The running Kraus list is one
+    stacked (n, dim_out, dim_in) array.  Results are cached per (source
+    marking, target marking) pair.
     """
 
     def __init__(self, o: OccurrenceNet, ann: LocalAnnotation):
@@ -257,42 +263,28 @@ class GlobalValuation:
         if dim > MAX_TOTAL_DIM:
             raise BoundExceeded(f"interval space dimension {dim} exceeds "
                                 f"{MAX_TOTAL_DIM}")
-        kraus = [np.eye(dim, dtype=complex)]
+        kraus = np.eye(dim, dtype=complex)[None]
 
         for rnd in graph.events:
             for e in rnd:
                 wires, kraus = self._fire(wires, kraus, e)
         final = list(graph.layers[-1])
-        kraus = _permute_kraus(ann, wires, final, kraus)
-        din = math.prod(_wire_dim(ann, w) for w in graph.layers[0])
+        kraus = FactorPermutation.between(
+            wires, final, lambda w: _wire_dim(ann, w)).permute(kraus)
         dout = math.prod(_wire_dim(ann, w) for w in final)
-        return Channel(din, dout, tuple(kraus))
+        return Channel(dim, dout, tuple(kraus))
 
     def _fire(self, wires, kraus, e):
-        o, ann = self.net, self.ann
-        consumed = [("p", c) for c in sorted(o.pre(e))]
-        if o.pol(e) == NEGATIVE:
-            consumed.append(("h-", e))
-        produced = [("p", c) for c in sorted(o.post(e))]
-        if o.pol(e) == POSITIVE:
-            produced.append(("h+", e))
-        rest = [w for w in wires if w not in consumed]
-
-        kraus = _permute_kraus(ann, wires, consumed + rest, kraus)
-        rest_dim = math.prod(_wire_dim(ann, w) for w in rest)
-        step = [np.kron(k, np.eye(rest_dim, dtype=complex))
-                for k in ann.channel(e).kraus]
-        kraus = [s @ k for s in step for k in kraus]
-        return produced + rest, kraus
-
-
-def _permute_kraus(ann, wires_now, wires_want, kraus):
-    if wires_now == wires_want:
-        return list(kraus)
-    dims = [_wire_dim(ann, w) for w in wires_now]
-    order = [wires_now.index(w) for w in wires_want]
-    u = FactorPermutation(tuple(dims), tuple(order)).matrix()
-    return [u @ k for k in kraus]
+        consumed, produced, rest = _fire_wires(self.net, wires, e)
+        kraus = FactorPermutation.between(
+            wires, consumed + rest, lambda w: _wire_dim(self.ann, w)).permute(kraus)
+        # K_s ⊗ I_rest without building it: with the consumed factors
+        # leading the row index, each operator reshapes to a matrix whose
+        # rows are K_s's input space.
+        step = np.stack(self.ann.channel(e).kraus)
+        n, _, din = kraus.shape
+        out = step[:, None] @ kraus.reshape(n, step.shape[2], -1)[None]
+        return produced + rest, out.reshape(len(step) * n, -1, din)
 
 
 def evaluate_operator(o: OccurrenceNet, ann: LocalAnnotation,

@@ -436,8 +436,8 @@ def cluster_factorization_check(net: Net, ann: LocalAnnotation, m,
     n = len(ids)
     order = [i + n if ids[i] in b_places else i for i in range(n)]
     order += [i - n if ids[i - n] in b_places else i for i in range(n, 2 * n)]
-    u = FactorPermutation(tuple(dims + dims), tuple(order)).matrix()
-    rhs = u.conj().T @ rhs @ u
+    u = FactorPermutation(tuple(dims + dims), tuple(order))
+    rhs = u.inverse().permute(rhs, two_sided=True)
     err = float(np.max(np.abs(lhs - rhs)))
     if err > tol * max(1, dim):
         return CheckOutcome.fail(f"factorization off by {err:.2e}", error=err)

@@ -10,6 +10,7 @@ conflict-preserving bijection, and provably keep the net a QPN.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,28 +104,24 @@ def _joined_channel(net: Net, ann: LocalAnnotation, p, n) -> Channel:
     dims = {c: ann.dim(c) for c in pre_p + pre_n + post_p + post_n}
 
     def perm(now, want):
-        d = tuple(h if w == "H" else dims[w] for w in now)
-        return FactorPermutation(d, tuple(now.index(w) for w in want)).matrix()
+        return FactorPermutation.between(now, want, lambda w: h if w == "H" else dims[w])
 
     pre_all = sorted(pre_p + pre_n)
-    u0 = perm(pre_all, pre_p + pre_n)          # sorted union -> [•p | •n]
-    rest_in = int(np.prod([dims[c] for c in pre_n])) if pre_n else 1
-    step1 = [np.kron(k, np.eye(rest_in, dtype=complex))
-             for k in ann.channel(p).kraus]    # -> [p• | H | •n]
-    u1 = perm(post_p + ["H"] + pre_n, post_p + pre_n + ["H"])
-    rest_mid = int(np.prod([dims[c] for c in post_p])) if post_p else 1
-    step2 = [np.kron(np.eye(rest_mid, dtype=complex), k)
-             for k in ann.channel(n).kraus]    # -> [p• | n•]
     post_all = sorted(post_p + post_n)
-    u2 = perm(post_p + post_n, post_all)
-
-    kraus = [u0]
-    kraus = [s @ k for s in step1 for k in kraus]
-    kraus = [u1 @ k for k in kraus]
-    kraus = [s @ k for s in step2 for k in kraus]
-    kraus = [u2 @ k for k in kraus]
-    din = int(np.prod([dims[c] for c in pre_all])) if pre_all else 1
-    dout = int(np.prod([dims[c] for c in post_all])) if post_all else 1
+    eye_in = np.eye(math.prod(dims[c] for c in pre_n), dtype=complex)
+    step1 = np.stack([np.kron(k, eye_in)
+                      for k in ann.channel(p).kraus])  # [•p | •n] -> [p• | H | •n]
+    # precompose with sorted union -> [•p | •n]: K·P = (P⁻¹·Kᵀ)ᵀ, as P is real
+    kraus = perm(pre_p + pre_n, pre_all).permute(
+        step1.transpose(0, 2, 1)).transpose(0, 2, 1)
+    kraus = perm(post_p + ["H"] + pre_n, post_p + pre_n + ["H"]).permute(kraus)
+    eye_mid = np.eye(math.prod(dims[c] for c in post_p), dtype=complex)
+    step2 = np.stack([np.kron(eye_mid, k)
+                      for k in ann.channel(n).kraus])  # -> [p• | n•]
+    kraus = (step2[:, None] @ kraus[None]).reshape(-1, step2.shape[1], kraus.shape[2])
+    kraus = perm(post_p + post_n, post_all).permute(kraus)
+    din = math.prod(dims[c] for c in pre_all)
+    dout = math.prod(dims[c] for c in post_all)
     return Channel(din, dout, tuple(kraus))
 
 

@@ -125,22 +125,19 @@ def _fire_state(net: Net, ann: LocalAnnotation, m, e, rho, env=None):
     """Apply the channel of e on the full marking space and return
     (new marking, new state); positive signal outputs are traced out."""
     m2 = fire(net, m, e)
-    in_factors = marking_factors(ann, m)
+    ids = sorted(m)
     pre = sorted(net.pre(e))
-    rest = [p for p, _ in in_factors if p not in pre]
-    dims_in = [d for _, d in in_factors]
-    ids_in = [p for p, _ in in_factors]
-    order = [ids_in.index(p) for p in pre + rest]
-    u = FactorPermutation(tuple(dims_in), tuple(order)).matrix()
-    rho1 = u @ rho @ u.conj().T  # factors now [pre..., rest...]
+    rest = [p for p in ids if p not in pre]
+    rho1 = FactorPermutation.between(ids, pre + rest, ann.dim).permute(
+        rho, two_sided=True)  # [pre, rest]
 
     rest_dim = math.prod(ann.dim(p) for p in rest)
     if net.pol(e) == NEGATIVE:
         h = ann.signal_dim(e)
         pre_dim = math.prod(ann.dim(p) for p in pre)
         rho1 = np.kron(rho1, as_matrix(env))  # [pre, rest, H]
-        v = FactorPermutation((pre_dim, rest_dim, h), (0, 2, 1)).matrix()
-        rho1 = v @ rho1 @ v.conj().T  # [pre, H, rest]
+        rho1 = FactorPermutation((pre_dim, rest_dim, h), (0, 2, 1)).permute(
+            rho1, two_sided=True)  # [pre, H, rest]
     ks = [np.kron(k, np.eye(rest_dim, dtype=complex))
           for k in ann.channel(e).kraus]
     rho2 = sum(k @ rho1 @ k.conj().T for k in ks)
@@ -151,12 +148,9 @@ def _fire_state(net: Net, ann: LocalAnnotation, m, e, rho, env=None):
         h = ann.signal_dim(e)
         # output factors [post, H, rest]; drop the signal
         rho2 = partial_trace(rho2, [post_dim, h, rest_dim], [1])
-    # reorder [post..., rest...] into sorted(m2)
-    cur = post + rest
-    dims_cur = [ann.dim(p) for p in cur]
-    order = [cur.index(p) for p in sorted(m2)]
-    w = FactorPermutation(tuple(dims_cur), tuple(order)).matrix()
-    return m2, w @ rho2 @ w.conj().T
+    # reorder [post, rest] into sorted(m2)
+    return m2, FactorPermutation.between(post + rest, sorted(m2), ann.dim).permute(
+        rho2, two_sided=True)
 
 
 def sample_execution(net: Net, ann: LocalAnnotation, rho0,

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -64,6 +67,42 @@ class TestFactorPermutation:
         want = np.kron(vs[2], np.kron(vs[0], vs[1]))
         got = p.matrix() @ np.kron(vs[0], np.kron(vs[1], vs[2]))
         assert np.allclose(got, want)
+
+
+@st.composite
+def reorderings(draw):
+    """A factor permutation, an operator for it, and the kernel's form."""
+    dims = tuple(draw(st.lists(st.integers(1, 4), max_size=5)))
+    order = tuple(draw(st.permutations(range(len(dims)))))
+    two_sided = draw(st.booleans())
+    batch = draw(st.sampled_from([(), (3,)]))
+    n = math.prod(dims)
+    cols = n if two_sided else draw(st.integers(1, 3))
+    r = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = r.normal(size=batch + (n, cols)) + 1j * r.normal(size=batch + (n, cols))
+    return FactorPermutation(dims, order), m, two_sided
+
+
+class TestPermuteKernel:
+    @given(reorderings())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_dense_permutation_matrix(self, case):
+        p, m, two_sided = case
+        u = p.matrix()
+        want = u @ m @ u.conj().T if two_sided else u @ m
+        np.testing.assert_allclose(p.permute(m, two_sided), want, rtol=0, atol=1e-12)
+
+    def test_many_unit_factors(self):
+        # more axes than numpy allows, were every dim-1 factor kept
+        dims = (1,) * 40 + (2, 3)
+        m = rng.normal(size=(6, 6))
+        p = FactorPermutation(dims, tuple(reversed(range(42))))
+        u = FactorPermutation((2, 3), (1, 0)).matrix()
+        assert np.allclose(p.permute(m, two_sided=True), u @ m @ u.T)
+
+    def test_rejects_wrong_operator_shape(self):
+        with pytest.raises(DimensionMismatch):
+            FactorPermutation((2, 3), (1, 0)).permute(np.eye(5))
 
 
 class TestHermitian:
@@ -181,6 +220,17 @@ class TestEmbedding:
         eb = embed_operator(b, [2, 2, 3], [2])
         assert np.allclose(ea @ eb, eb @ ea)
         assert np.allclose(ea @ eb, np.kron(a, np.kron(np.eye(2), b)))
+
+
+    def test_dimension_cap_raises_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionMismatch, match="exceeds the supported maximum"):
+                embed_operator(np.eye(2), [2] * 13, [0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # the 8192-dim operator would take 1 GiB
 
 
 class TestChannelsClose:
