@@ -17,7 +17,6 @@ from .annotation import (
     LayerGraph,
     LocalAnnotation,
     check_local_obliviousness,
-    evaluate_operator,
     layer_graph,
     validate_signatures,
 )

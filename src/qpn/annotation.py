@@ -286,9 +286,3 @@ class GlobalValuation:
         out = step[:, None] @ kraus.reshape(n, step.shape[2], -1)[None]
         return produced + rest, out.reshape(len(step) * n, -1, din)
 
-
-def evaluate_operator(o: OccurrenceNet, ann: LocalAnnotation,
-                      m, m2) -> Channel:
-    """One-shot interval operator Q[m; m'] (for repeated use, keep a
-    :class:`GlobalValuation` around instead)."""
-    return GlobalValuation(o, ann).q(m, m2)

@@ -49,10 +49,11 @@ from .nets import (
     DEFAULT_MARKING_BOUND,
     Net,
     OccurrenceNet,
-    as_occurrence_net,
+    is_clique,
     is_occurrence_net,
     marking_clusters,
     marking_of_configuration,
+    race_free,
     reachable_markings,
     verify_safety,
 )
@@ -277,9 +278,8 @@ def clique_drop(net: Net, ann: LocalAnnotation, m, clique) -> np.ndarray:
             raise NotEnabled(f"{e} is not enabled at {sorted(m)}")
         if net.pol(e) == NEGATIVE:
             raise NegativeEventInCluster(f"{e} is negative")
-    for a, b in itertools.combinations(clique, 2):
-        if not net.pre(a) & net.pre(b):
-            raise NotAClique(f"{a} and {b} are not in conflict")
+    if not is_clique(net, clique):
+        raise NotAClique(f"{clique} are not pairwise in conflict")
     dim = math.prod(d for _, d in marking_factors(ann, m))
     total = np.eye(dim, dtype=complex)
     for e in clique:
@@ -365,8 +365,7 @@ def check_local_drop(net: Net, ann: LocalAnnotation,
                 raise BoundExceeded(
                     f"cluster of {len(cl)} events at marking {sorted(m)} "
                     f"exceeds cap {cluster_cap}")
-            if len(cl) > 1 and all(net.pre(a) & net.pre(b) for a, b in
-                                   itertools.combinations(cl, 2)):
+            if len(cl) > 1 and is_clique(net, cl):
                 cliques += 1
                 report.add(_instance_key(m, cl), "clique",
                            clique_drop(net, ann, m, cl))
@@ -448,45 +447,68 @@ def cluster_factorization_check(net: Net, ann: LocalAnnotation, m,
 # top-level verdicts
 
 
+def _drop_stage(net, ann, marking_bound, cluster_cap, tol) -> CheckOutcome:
+    report = check_local_drop(net, ann, marking_bound, cluster_cap, tol)
+    if report.passed:
+        return CheckOutcome.ok(report=report)
+    worst = report.failures()[0]
+    return CheckOutcome.fail(
+        f"condition fails at marking {list(worst.key[0])} on "
+        f"{list(worst.key[1])} (min eigenvalue {worst.min_eig:.3e})", report=report)
+
+
+# The QPN verdict as ordered (name, check) stages; each check takes
+# (net, ann, marking_bound, cluster_cap, tol).  `qpn validate` runs the
+# prefix up to "cptni".
+STAGES = (
+    ("safety", lambda net, ann, bound, *_: (
+        CheckOutcome.ok() if net.safety_verified else verify_safety(net, bound))),
+    ("signatures", lambda net, ann, *_: validate_signatures(net, ann)),
+    ("cptni", lambda net, ann, *_: annotation_is_cptni(net, ann)),
+    ("obliviousness", lambda net, ann, *_: check_local_obliviousness(net, ann)),
+    ("race-free", lambda net, ann, *_: race_free(net)),
+    ("drop", _drop_stage),
+)
+
+
+def run_stages(stages, net: Net, ann: LocalAnnotation, marking_bound: int,
+               cluster_cap: int, tol: float):
+    """Yield (name, outcome) per stage in order, up to the first failure."""
+    for name, check in stages:
+        out = check(net, ann, marking_bound, cluster_cap, tol)
+        yield name, out
+        if not out:
+            return
+
+
+def _verdict(stages, net, ann, *limits) -> CheckOutcome:
+    for name, out in run_stages(stages, net, ann, *limits):
+        if not out:
+            return CheckOutcome.fail(f"{name}: {out.reason}", stage=name, **out.data)
+    return CheckOutcome.ok(stage="all", **out.data)
+
+
 def is_qpn(net: Net, ann: LocalAnnotation,
            marking_bound: int = DEFAULT_MARKING_BOUND,
            cluster_cap: int = DEFAULT_CLUSTER_CAP,
            tol: float = TOL_PSD) -> CheckOutcome:
     """Full certification of an annotated safe Petri net.
 
-    Signature validity, complete positivity and trace non-increase of all
-    channels, identity behaviour of negative transitions, and drop
-    positivity over reachable markings.  No unfolding is built: the local
-    conditions on the net itself are equivalent to the unfolding-based
-    definition.
+    Runs :data:`STAGES`: safety, signature validity, complete positivity
+    and trace non-increase of all channels, identity behaviour of negative
+    transitions, race-freeness of minimal conflicts, and drop positivity
+    over reachable markings.  The first failing stage decides the verdict
+    and is named in ``data["stage"]``; the drop stage's ``DropReport`` is
+    ``data["report"]``.  No unfolding is built: the local conditions on
+    the net itself are equivalent to the unfolding-based definition.
     """
-    if not net.safety_verified:
-        out = verify_safety(net, marking_bound)
-        if not out:
-            return CheckOutcome.fail(f"safety: {out.reason}", **out.data)
-    for name, out in (
-        ("signatures", validate_signatures(net, ann)),
-        ("cptni", annotation_is_cptni(net, ann)),
-        ("obliviousness", check_local_obliviousness(net, ann)),
-    ):
-        if not out:
-            return CheckOutcome.fail(f"{name}: {out.reason}", stage=name, **out.data)
-    report = check_local_drop(net, ann, marking_bound, cluster_cap, tol)
-    if not report.passed:
-        worst = report.failures()[0]
-        return CheckOutcome.fail(
-            f"drop condition fails at marking {list(worst.key[0])} on "
-            f"{list(worst.key[1])} (min eigenvalue {worst.min_eig:.3e})",
-            stage="drop", report=report.to_dict())
-    return CheckOutcome.ok(stage="all", drop_stats=report.stats)
+    return _verdict(STAGES, net, ann, marking_bound, cluster_cap, tol)
 
 
 def is_local_qon(o: Net, ann: LocalAnnotation,
                  marking_bound: int = DEFAULT_MARKING_BOUND,
                  cluster_cap: int = DEFAULT_CLUSTER_CAP,
                  tol: float = TOL_PSD) -> CheckOutcome:
-    """is_qpn plus the occurrence-net axioms."""
-    out = is_occurrence_net(o)
-    if not out:
-        return CheckOutcome.fail(f"occurrence net: {out.reason}", stage="occurrence")
-    return is_qpn(as_occurrence_net(o), ann, marking_bound, cluster_cap, tol)
+    """is_qpn with the occurrence-net axioms as its first stage."""
+    occurrence = ("occurrence", lambda net, ann, *_: is_occurrence_net(net))
+    return _verdict((occurrence,) + STAGES, o, ann, marking_bound, cluster_cap, tol)

@@ -13,21 +13,9 @@ import sys
 import numpy as np
 
 from . import checker, netfile, semantics
-from .annotation import (
-    annotation_is_cptni,
-    check_local_obliviousness,
-    validate_signatures,
-)
 from .compose import AnnotatedNet, drop_preserving_join, parallel, validate_drop_preserving
 from .errors import BoundExceeded, NetFileError, QpnError
-from .nets import (
-    DEFAULT_MARKING_BOUND,
-    as_occurrence_net,
-    is_occurrence_net,
-    race_free,
-    to_dot,
-    verify_safety,
-)
+from .nets import DEFAULT_MARKING_BOUND, as_occurrence_net, to_dot, verify_safety
 from .unfolding import UnfoldBudget, transfer_annotation, unfold, verify_branching_process
 
 EXIT_OK = 0
@@ -48,54 +36,59 @@ def _load(path, bound):
     return net, ann, meta, labels, safe
 
 
+def _run_stages(stages, args):
+    """Load the net and print one line per stage run; returns the net, its
+    annotation and the last stage's (name, outcome)."""
+    net, ann, _, _ = netfile.load_net(args.path)
+    for name, out in checker.run_stages(stages, net, ann, args.marking_bound,
+                                        args.cluster_cap, args.tol_psd):
+        if name != "drop":
+            _p(name, out)
+            continue
+        report = out.data["report"]
+        worst = report.worst
+        print(f"{'PASS' if out else 'FAIL'} drop"
+              f" (instances={len(report.instances)},"
+              f" min_eig={worst if worst != float('inf') else 'n/a'})")
+    return net, ann, name, out
+
+
+def _exit_code(out) -> int:
+    if out:
+        return EXIT_OK
+    return EXIT_BOUND if out.data.get("bound_exceeded") else EXIT_CHECK_FAILED
+
+
 def cmd_validate(args) -> int:
-    net, ann, _, _, safe = _load(args.path, args.marking_bound)
-    ok = _p("safety", safe)
-    ok &= _p("signatures", validate_signatures(net, ann))
-    ok &= _p("cptni", annotation_is_cptni(net, ann))
-    if not safe and safe.data.get("bound_exceeded"):
-        return EXIT_BOUND
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    *_, out = _run_stages(checker.STAGES[:3], args)  # safety, signatures, cptni
+    return _exit_code(out)
 
 
 def cmd_check(args) -> int:
-    net, ann, _, _, safe = _load(args.path, args.marking_bound)
-    if not _p("safety", safe):
-        return EXIT_BOUND if safe.data.get("bound_exceeded") else EXIT_CHECK_FAILED
-    run_all = not (args.drop or args.obliviousness or args.race_free)
-    ok = _p("signatures", validate_signatures(net, ann))
-    ok &= _p("cptni", annotation_is_cptni(net, ann))
-    report_doc = {}
-    if run_all or args.obliviousness:
-        ok &= _p("obliviousness", check_local_obliviousness(net, ann))
-    if run_all or args.race_free:
-        ok &= _p("race-free", race_free(net))
-    if ok and (run_all or args.drop or args.oracle):
-        report = checker.check_local_drop(net, ann, args.marking_bound,
-                                          args.cluster_cap, args.tol_psd)
-        report_doc = report.to_dict()
-        worst = report.worst
-        print(f"{'PASS' if report.passed else 'FAIL'} drop"
-              f" (instances={len(report.instances)},"
-              f" min_eig={worst if worst != float('inf') else 'n/a'})")
-        ok &= report.passed
-    if ok and args.oracle:
-        occ = is_occurrence_net(net)
-        if not occ:
-            print(f"FAIL oracle: input is not an occurrence net ({occ.reason})")
-            ok = False
-        else:
+    net, ann, name, out = _run_stages(checker.STAGES, args)
+    code = _exit_code(out)
+    if name != "drop":
+        return code
+    report = out.data["report"]
+    report_doc = report.to_dict()
+    if args.oracle:
+        try:
             o = as_occurrence_net(net)
+        except QpnError as exc:
+            print(f"FAIL oracle: input is not an occurrence net ({exc})")
+            code = EXIT_CHECK_FAILED
+        else:
             brute = checker.brute_force_global_drop(o, ann, tol=args.tol_psd)
             agree = brute.passed == report.passed
             print(f"{'PASS' if agree else 'FAIL'} oracle agreement: "
                   f"{'yes' if agree else 'no'} (brute={brute.passed}, "
                   f"local={report.passed})")
             report_doc["oracle"] = brute.to_dict()
-            ok &= agree
-    if args.report and report_doc:
+            if not agree:
+                code = EXIT_CHECK_FAILED
+    if args.report:
         netfile.save_report(args.report, report_doc)
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return code
 
 
 def cmd_unfold(args) -> int:
@@ -226,19 +219,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol-psd", type=float, default=checker.TOL_PSD)
         p.add_argument("--cluster-cap", type=int, default=checker.DEFAULT_CLUSTER_CAP)
 
-    p = sub.add_parser("validate", help="structure, safety, signatures, CPTNI")
+    p = sub.add_parser("validate", help="the verdict stages up to CPTNI")
     p.add_argument("path")
     common(p)
     p.set_defaults(fn=cmd_validate)
 
-    p = sub.add_parser("check", help="full certification checks")
+    p = sub.add_parser("check", help="every verdict stage, in order")
     p.add_argument("path")
-    p.add_argument("--drop", action="store_true")
-    p.add_argument("--obliviousness", action="store_true")
-    p.add_argument("--race-free", action="store_true")
     p.add_argument("--oracle", action="store_true",
-                   help="also run the drop check and cross-check it against "
-                        "the brute-force oracle (occurrence nets)")
+                   help="cross-check the drop stage against the brute-force "
+                        "oracle (occurrence nets)")
     p.add_argument("--report", help="write a JSON report here")
     common(p)
     p.set_defaults(fn=cmd_check)

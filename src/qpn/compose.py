@@ -28,6 +28,7 @@ from .nets import (
     NEUTRAL,
     POSITIVE,
     Net,
+    conflict_components,
     marking_clusters,
     race_free,
     reachable_markings,
@@ -190,29 +191,6 @@ class JoinSpec:
         raise KeyError(n)
 
 
-def _conflict_components(net: Net, members):
-    members = sorted(members)
-    adj = {t: set() for t in members}
-    for a, b in itertools.combinations(members, 2):
-        if net.pre(a) & net.pre(b):
-            adj[a].add(b)
-            adj[b].add(a)
-    comps, todo = [], set(members)
-    for t in members:
-        if t not in todo:
-            continue
-        comp, stack = {t}, [t]
-        todo.discard(t)
-        while stack:
-            for s in adj[stack.pop()]:
-                if s in todo:
-                    todo.discard(s)
-                    comp.add(s)
-                    stack.append(s)
-        comps.append(frozenset(comp))
-    return comps
-
-
 def validate_drop_preserving(x: AnnotatedNet, spec: JoinSpec) -> CheckOutcome:
     """Check the join spec against the cluster-matching clauses.
 
@@ -236,12 +214,12 @@ def validate_drop_preserving(x: AnnotatedNet, spec: JoinSpec) -> CheckOutcome:
             return CheckOutcome.fail(
                 f"signal dimensions differ on pair ({p}, {n})", witness=(p, n))
     neg_all = [t for t in net.transitions if net.pol(t) == NEGATIVE]
-    neg_comps = _conflict_components(net, neg_all)
+    neg_comps = conflict_components(net, neg_all)
     if spec.negatives not in neg_comps:
         return CheckOutcome.fail(
             f"{sorted(spec.negatives)} is not a maximal negative cluster")
     non_neg = [t for t in net.transitions if net.pol(t) != NEGATIVE]
-    if not any(spec.positives <= comp for comp in _conflict_components(net, non_neg)):
+    if not any(spec.positives <= comp for comp in conflict_components(net, non_neg)):
         return CheckOutcome.fail(
             f"{sorted(spec.positives)} does not sit inside one cluster")
     for (p1, n1), (p2, n2) in itertools.combinations(spec.pairs, 2):

@@ -45,10 +45,6 @@ class NotReachableFrom(QpnError):
     pass
 
 
-class DisconnectedRestriction(QpnError):
-    pass
-
-
 class SignatureMismatch(QpnError):
     pass
 
@@ -77,19 +73,11 @@ class SignalSpaceMismatch(QpnError):
     pass
 
 
-class NotRaceFree(QpnError):
-    pass
-
-
 class NotAQpn(QpnError):
     pass
 
 
 class MissingEnvInput(QpnError):
-    pass
-
-
-class IdCollision(QpnError):
     pass
 
 

@@ -9,7 +9,7 @@ and cached, so all queries are read-only.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import (
     BoundExceeded,
@@ -251,9 +251,6 @@ class OccurrenceNet(Net):
     def lt(self, a, b) -> bool:
         return a in self._below[b]
 
-    def leq(self, a, b) -> bool:
-        return a == b or a in self._below[b]
-
     def cone(self, e) -> frozenset:
         """Events causally below or equal to e."""
         return frozenset({e} | {n for n in self._below[e] if n in self.transitions})
@@ -298,10 +295,12 @@ class OccurrenceNet(Net):
 
 
 def is_occurrence_net(net: Net) -> CheckOutcome:
-    """Check the five occurrence-net clauses on an arbitrary net."""
+    """Check the five occurrence-net clauses on an arbitrary net.
+
+    An :class:`OccurrenceNet` passes at once: its constructor checked them.
+    """
     try:
-        OccurrenceNet(net.places, net.transitions, net.flow,
-                      net.initial_marking, net.polarity)
+        as_occurrence_net(net)
     except QpnError as exc:
         return CheckOutcome.fail(str(exc))
     return CheckOutcome.ok()
@@ -398,55 +397,45 @@ def restriction(o: OccurrenceNet, iv: MarkingInterval) -> Restriction:
     return Restriction(iv.conditions, iv.sigma, fl, iv.from_marking, iv.to_marking)
 
 
-def marking_clusters(net: Net, m: Marking):
-    """Conflict clusters of enabled non-negative transitions at marking m.
+def conflict_components(net: Net, events) -> list:
+    """Connected components of the shared-pre-place graph on ``events``.
 
-    Connected components of the minimal-conflict graph (shared pre-place)
-    restricted to the enabled non-negative transitions; sorted for
-    determinism, singletons allowed.
+    Each component is a frozenset; the list is sorted for determinism and
+    singletons are allowed.
     """
-    evs = sorted(t for t in enabled(net, m) if net.non_negative(t))
+    evs = sorted(events)
     adj = {e: set() for e in evs}
     for a, b in itertools.combinations(evs, 2):
         if net.pre(a) & net.pre(b):
             adj[a].add(b)
             adj[b].add(a)
-    clusters = []
-    todo = set(evs)
-    for e in evs:
+    comps, todo = [], set(evs)
+    for e in evs:  # components appear in order of their least event
         if e not in todo:
             continue
-        comp = {e}
-        stack = [e]
+        comp, stack = {e}, [e]
         todo.discard(e)
         while stack:
-            cur = stack.pop()
-            for nb in adj[cur]:
+            for nb in adj[stack.pop()]:
                 if nb in todo:
                     todo.discard(nb)
                     comp.add(nb)
                     stack.append(nb)
-        clusters.append(frozenset(comp))
-    return sorted(clusters, key=lambda c: sorted(c))
+        comps.append(frozenset(comp))
+    return comps
 
 
-def conflict_clusters(o: OccurrenceNet, x) -> list:
-    """Clusters of non-negative events enabled by configuration x."""
-    m = marking_of_configuration(o, x)
-    return marking_clusters(o, m)
+def is_clique(net: Net, events) -> bool:
+    """True iff every two of ``events`` share a pre-place (so fewer than
+    two events always form a clique)."""
+    return all(net.pre(a) & net.pre(b)
+               for a, b in itertools.combinations(sorted(events), 2))
 
 
-def is_clique(cluster, conflict) -> bool:
-    """True iff every pair of the cluster is related by ``conflict``."""
-    cluster = sorted(cluster)
-    return all(conflict(a, b) for a, b in itertools.combinations(cluster, 2))
-
-
-def shares_pre_place(net: Net):
-    """Minimal structural conflict predicate for :func:`is_clique`."""
-    def rel(a, b):
-        return a != b and bool(net.pre(a) & net.pre(b))
-    return rel
+def marking_clusters(net: Net, m: Marking):
+    """Conflict clusters of enabled non-negative transitions at marking m:
+    the shared-pre-place components among them."""
+    return conflict_components(net, (t for t in enabled(net, m) if net.non_negative(t)))
 
 
 def to_dot(net: Net, labels=None) -> str:

@@ -9,7 +9,6 @@ frequencies converge to those values.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -26,6 +25,7 @@ from .nets import (
     Net,
     OccurrenceNet,
     fire,
+    is_clique,
     marking_clusters,
 )
 from .outcome import CheckOutcome
@@ -80,23 +80,18 @@ def sub_probability_check(net: Net, ann: LocalAnnotation, m, cluster,
     branch = {e: float(np.real(np.trace(
         _embedded_effect(net, ann, m, e) @ rho))) for e in cluster}
     total = sum(branch.values())
-    is_clique = len(cluster) >= 2 and all(
-        net.pre(a) & net.pre(b) for a, b in itertools.combinations(cluster, 2))
-    if is_clique or len(cluster) == 1:
-        d = clique_drop(net, ann, m, cluster) if is_clique else \
-            single_extension_drop(net, ann, m, cluster)
-        residue = float(np.real(np.trace(d @ rho)))
-        if abs((1.0 - residue) - total) > 1e-10 * max(1, dim):
-            return CheckOutcome.fail(
-                f"branch sum {total} != 1 - residue {1 - residue}",
-                branches=branch, residue=residue)
-    else:
-        d = single_extension_drop(net, ann, m, cluster)
-        residue = float(np.real(np.trace(d @ rho)))
+    clique = bool(cluster) and is_clique(net, cluster)  # a singleton is one
+    d = clique_drop(net, ann, m, cluster) if clique else \
+        single_extension_drop(net, ann, m, cluster)
+    residue = float(np.real(np.trace(d @ rho)))
+    if clique and abs((1.0 - residue) - total) > 1e-10 * max(1, dim):
+        return CheckOutcome.fail(
+            f"branch sum {total} != 1 - residue {1 - residue}",
+            branches=branch, residue=residue)
     if residue < -tol:
         return CheckOutcome.fail(f"negative halting residue {residue}",
                                  branches=branch, residue=residue)
-    if total > 1 + tol and (is_clique or len(cluster) == 1):
+    if total > 1 + tol and clique:
         return CheckOutcome.fail(f"branch probabilities sum to {total}",
                                  branches=branch, residue=residue)
     return CheckOutcome.ok(branches=branch, residue=residue, total=total)

@@ -17,6 +17,7 @@ from .errors import SafetyUnverified
 from .nets import (
     Net,
     OccurrenceNet,
+    is_occurrence_net,
     marking_clusters,
     marking_of_configuration,
 )
@@ -40,9 +41,6 @@ class BranchingProcess:
     label_event: dict
     budget: UnfoldBudget
     exhausted: bool  # True if the budget cut off possible extensions
-
-    def label_of(self, node):
-        return self.label_place.get(node) or self.label_event.get(node)
 
 
 def _cond_id(label: str, producer, index: int) -> str:
@@ -153,8 +151,6 @@ def unfold(net: Net, budget: UnfoldBudget = UnfoldBudget()) -> BranchingProcess:
 
 def verify_branching_process(bp: BranchingProcess, net: Net) -> CheckOutcome:
     """The four homomorphism clauses plus the occurrence-net axioms."""
-    from .nets import is_occurrence_net
-
     out = is_occurrence_net(bp.occ)
     if not out:
         return CheckOutcome.fail(f"underlying net: {out.reason}")

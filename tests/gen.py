@@ -286,3 +286,18 @@ def joinable_net(rng, conflicting_negatives: bool, matched: bool) -> AnnotatedNe
     return AnnotatedNet(net, LocalAnnotation(dims, channels,
                                              {"n1": 2, "n2": 2,
                                               "p1": 2, "p2": 2}))
+
+
+def racy_net() -> AnnotatedNet:
+    """Place p consumed by a neutral event a and a negative event n.
+
+    Every stage but race-freeness passes: the channels are 0.5·I on a and
+    I on n (dim 2), so the drop condition holds at every marking.
+    """
+    dims = {"p": 2, "pa": 2, "pn": 2}
+    pol = {"a": "0", "n": "-"}
+    flow = {("p", "a"), ("a", "pa"), ("p", "n"), ("n", "pn")}
+    net = OccurrenceNet(set(dims), set(pol), flow, {"p"}, pol)
+    verify_safety(net)
+    return AnnotatedNet(net, LocalAnnotation(
+        dims, {"a": Channel.identity(2).scaled(0.5), "n": Channel.identity(2)}))

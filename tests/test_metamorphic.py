@@ -4,16 +4,26 @@ Every operator on a marking orders its factors lexicographically by place
 id, signal factors last by event id.  Renaming the places so that this
 order reverses, and optionally the transitions too, must leave verdicts,
 worst drop eigenvalues, run probabilities and sampled runs unchanged.
+A parallel composition is a QPN exactly when both of its parts are.
 """
+
+import itertools
 
 import numpy as np
 import pytest
 
-from gen import clique_net, random_density, random_occurrence_annotated, random_state_machine
+from gen import (
+    clique_net,
+    racy_net,
+    random_density,
+    random_occurrence_annotated,
+    random_state_machine,
+)
 from qpn.algebra import Channel, FactorPermutation
 from qpn.annotation import LocalAnnotation
 from qpn.checker import check_local_drop, is_qpn
-from qpn.compose import AnnotatedNet
+from qpn.compose import AnnotatedNet, parallel
+from qpn.demo import branching_demo, two_phase_cycle
 from qpn.nets import (
     NEGATIVE,
     POSITIVE,
@@ -144,3 +154,18 @@ def test_sampled_run_survives_renaming(name, an):
             [r["event"] for r in got.log]
         assert got.halted == want.halted
         assert got.marking == {ren[p] for p in want.marking}
+
+
+def test_parallel_verdict_is_the_conjunction():
+    """is_qpn(A ∥ B) == is_qpn(A) and is_qpn(B), failing components included."""
+    # two-dimensional places keep every product marking space within the
+    # operator dimension cap
+    parts = [random_occurrence_annotated(np.random.default_rng(s), max_dim=2)
+             for s in range(4)]
+    parts += [random_state_machine(np.random.default_rng(s), max_dim=2) for s in range(2)]
+    parts += [clique_net(None, 3), two_phase_cycle(), branching_demo(scaled=False), racy_net()]
+    verdicts = [bool(is_qpn(an.net, an.ann)) for an in parts]
+    assert any(verdicts) and not all(verdicts)
+    for (a, ok_a), (b, ok_b) in itertools.combinations(zip(parts, verdicts), 2):
+        both, _ = parallel(a, b)
+        assert bool(is_qpn(both.net, both.ann)) == (ok_a and ok_b)
