@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadIndex, BadPermutation, DimensionMismatch
+from .errors import BadIndex, BadPermutation, BoundExceeded, DimensionMismatch
 from .outcome import CheckOutcome
 
 # Absolute eigenvalue tolerance for positivity verdicts (double precision
@@ -26,7 +26,7 @@ MAX_TOTAL_DIM = 4096
 
 def _check_total_dim(n: int) -> None:
     if n > MAX_TOTAL_DIM:
-        raise DimensionMismatch(
+        raise BoundExceeded(
             f"operator dimension {n} exceeds the supported maximum {MAX_TOTAL_DIM}"
         )
 

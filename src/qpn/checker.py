@@ -3,10 +3,14 @@
 The drop function of a configuration x against extensions y1..yn is the
 inclusion-exclusion sum over compatible sub-families of the effects of the
 corresponding interval channels.  Positivity of every such effect is what
-makes trace-of-evaluation a sub-probability over runs.  This module holds
-the general evaluator, the single-extension and clique fast paths, the
-local check over reachable markings, the brute-force global oracle used to
-cross-validate it, and the top-level net verdicts.
+makes trace-of-evaluation a sub-probability over runs.  For single-event
+extensions it is one deletion-contraction recurrence on branch effects,
+which on a clique reduces to the identity minus their sum; the local check
+evaluates it once per distinct conflict cluster, each family on its own
+pre-places, and serves every reachable marking from that.  This module
+also holds the general evaluator and its inductive forms, the brute-force
+global oracle used to cross-validate the local check, and the top-level
+net verdicts.
 """
 
 from __future__ import annotations
@@ -235,13 +239,29 @@ def _embedded_effect(net: Net, ann: LocalAnnotation, m, e) -> np.ndarray:
     return embed_operator(effect(ann.channel(e)), dims, positions)
 
 
-def single_extension_drop(net: Net, ann: LocalAnnotation, m, events) -> np.ndarray:
-    """d at marking m for single-event extensions, without interval channels.
-
-    Compatible index sets are exactly the families with pairwise-disjoint
-    pre-sets; each term is a product of commuting embedded effects, so no
-    target markings ever need to be constructed.
+def _drop_recurrence(events, pre, effs, dim: int) -> np.ndarray:
+    """Drop of ``events`` as single-event extensions: the independence
+    polynomial of their conflict graph at -E (Scott & Sokal 2005), by
+    deletion-contraction memoized over sub-families,
+    d(F) = d(F∖v) - E_v·d(F∖N[v]), for v least in F and N[v] v with the
+    events of F sharing a pre-place (per ``pre``) with it.  E_v and
+    d(F∖N[v]) act on disjoint factors, so every term is Hermitian.
+    ``effs`` maps each event to its effect on one space of dimension dim.
     """
+    memo = {(): np.eye(dim, dtype=complex)}
+
+    def d(fam):
+        if fam not in memo:
+            far = tuple(e for e in fam[1:] if not pre(e) & pre(fam[0]))
+            memo[fam] = d(fam[1:]) - effs[fam[0]] @ d(far)
+        return memo[fam]
+
+    return hermitize(d(tuple(sorted(events))))
+
+
+def single_extension_drop(net: Net, ann: LocalAnnotation, m, events) -> np.ndarray:
+    """d at marking m for single-event extensions, by :func:`_drop_recurrence`
+    on the embedded branch effects: no interval channels are needed."""
     m = frozenset(m)
     events = sorted(events)
     for e in events:
@@ -251,40 +271,16 @@ def single_extension_drop(net: Net, ann: LocalAnnotation, m, events) -> np.ndarr
             raise NegativeEventInCluster(f"{e} is negative")
     effs = {e: _embedded_effect(net, ann, m, e) for e in events}
     dim = math.prod(d for _, d in marking_factors(ann, m))
-    total = np.eye(dim, dtype=complex)
-    for r in range(1, len(events) + 1):
-        for combo in itertools.combinations(events, r):
-            if any(net.pre(a) & net.pre(b)
-                   for a, b in itertools.combinations(combo, 2)):
-                continue
-            term = np.eye(dim, dtype=complex)
-            for e in combo:
-                term = term @ effs[e]
-            total = total + (-1) ** r * term
-    return hermitize(total)
+    return _drop_recurrence(events, net.pre, effs, dim)
 
 
 def clique_drop(net: Net, ann: LocalAnnotation, m, clique) -> np.ndarray:
-    """d at marking m when the extension events are pairwise in conflict.
-
-    Only the empty and singleton index sets survive, so the drop is the
-    identity minus the sum of embedded branch effects: linear in the size
-    of the clique.
-    """
-    m = frozenset(m)
-    clique = sorted(clique)
-    for e in clique:
-        if not net.pre(e) <= m:
-            raise NotEnabled(f"{e} is not enabled at {sorted(m)}")
-        if net.pol(e) == NEGATIVE:
-            raise NegativeEventInCluster(f"{e} is negative")
+    """d at marking m when the extension events are pairwise in conflict:
+    the recurrence gives the identity minus the sum of embedded branch
+    effects, linear in the size of the clique."""
     if not is_clique(net, clique):
-        raise NotAClique(f"{clique} are not pairwise in conflict")
-    dim = math.prod(d for _, d in marking_factors(ann, m))
-    total = np.eye(dim, dtype=complex)
-    for e in clique:
-        total = total - _embedded_effect(net, ann, m, e)
-    return hermitize(total)
+        raise NotAClique(f"{sorted(clique)} are not pairwise in conflict")
+    return single_extension_drop(net, ann, m, clique)
 
 
 # --------------------------------------------------------------------------
@@ -321,8 +317,7 @@ class DropReport:
     def worst(self):
         return min((r.min_eig for r in self.instances), default=float("inf"))
 
-    def add(self, key, method, eff: np.ndarray):
-        lo = min_eigenvalue(eff)
+    def add(self, key, method, lo: float):
         self.instances.append(
             DropInstanceResult(key, method, lo, lo >= -self.tol))
 
@@ -337,44 +332,49 @@ class DropReport:
                 "instances": [r.to_dict() for r in self.instances]}
 
 
-def _instance_key(m, events):
-    return (tuple(sorted(m)), tuple(sorted(events)))
-
-
 def check_local_drop(net: Net, ann: LocalAnnotation,
                      marking_bound: int = DEFAULT_MARKING_BOUND,
                      cluster_cap: int = DEFAULT_CLUSTER_CAP,
                      tol: float = TOL_PSD) -> DropReport:
     """Drop positivity over every conflict cluster at every reachable marking.
 
-    Cliques take the linear fast path (positivity on the full clique implies
-    it on every sub-family, since branch effects are PSD); other clusters
-    enumerate all their compatible sub-families explicitly.
+    A family's drop depends only on its events, so each distinct cluster
+    is evaluated once, every reported family on the union of its own
+    pre-sets: on Q(m) its drop is that local effect ⊗ I, with the same
+    spectrum.  Cliques report the whole clique (positivity on it implies it
+    on every sub-family, since branch effects are PSD); other clusters
+    report every sub-family.
     """
     if not net.safety_verified:
         raise SafetyUnverified("run verify_safety before checking the drop condition")
     report = DropReport(tol=tol)
     markings = sorted(reachable_markings(net, marking_bound),
                       key=lambda m: sorted(m))
+    evaluated = {}  # sorted cluster -> (method, {family: min eigenvalue})
     clusters_checked = cliques = 0
     for m in markings:
         for cluster in marking_clusters(net, m):
             clusters_checked += 1
-            cl = sorted(cluster)
+            cl = tuple(sorted(cluster))
             if len(cl) > cluster_cap:
                 raise BoundExceeded(
                     f"cluster of {len(cl)} events at marking {sorted(m)} "
                     f"exceeds cap {cluster_cap}")
-            if len(cl) > 1 and is_clique(net, cl):
-                cliques += 1
-                report.add(_instance_key(m, cl), "clique",
-                           clique_drop(net, ann, m, cl))
-                continue
-            for r in range(1, len(cl) + 1):
-                for fam in itertools.combinations(cl, r):
-                    report.add(_instance_key(m, fam), "single",
-                               single_extension_drop(net, ann, m, fam))
+            if cl not in evaluated:
+                clique = len(cl) > 1 and is_clique(net, cl)
+                fams = [cl] if clique else [
+                    fam for r in range(1, len(cl) + 1)
+                    for fam in itertools.combinations(cl, r)]
+                evaluated[cl] = ("clique" if clique else "single", {
+                    fam: min_eigenvalue(single_extension_drop(
+                        net, ann, frozenset().union(*map(net.pre, fam)), fam))
+                    for fam in fams})
+            method, mins = evaluated[cl]
+            cliques += method == "clique"
+            for fam, lo in mins.items():
+                report.add((tuple(sorted(m)), fam), method, lo)
     report.stats = {"markings": len(markings), "clusters": clusters_checked,
+                    "clusters_evaluated": len(evaluated),
                     "clique_fast_paths": cliques}
     report.sort()
     return report
@@ -401,7 +401,8 @@ def brute_force_global_drop(o: OccurrenceNet, ann: LocalAnnotation,
             for combo in itertools.combinations(exts, r):
                 families += 1
                 eff = drop_effect(gv, x, [x | {e} for e in combo])
-                report.add((tuple(sorted(x)), tuple(combo)), "general", eff)
+                report.add((tuple(sorted(x)), tuple(combo)), "general",
+                           min_eigenvalue(eff))
     report.stats = {"configurations": len(configs), "families": families}
     report.sort()
     return report

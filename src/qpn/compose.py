@@ -17,7 +17,7 @@ import numpy as np
 
 from .algebra import Channel, FactorPermutation, effect, embed_operator
 from .annotation import LocalAnnotation, marking_factors, validate_signatures
-from .checker import TOL_DROP_EQ, single_extension_drop
+from .checker import TOL_DROP_EQ, _drop_recurrence, single_extension_drop
 from .errors import (
     PolarityMismatch,
     QpnError,
@@ -279,9 +279,10 @@ def check_join_preservation(before: AnnotatedNet, after: AnnotatedNet,
 
 
 def _preimage_drop(before: AnnotatedNet, after_net: Net, m, fam, joined):
-    """Inclusion-exclusion drop using the original channels, with each
-    joined event contributing its positive member's effect and identity on
-    the rest of its pre-set (the negative member is oblivious)."""
+    """The drop recurrence on the original channels, with each joined event
+    contributing its positive member's effect and identity on the rest of
+    its pre-set (the negative member is oblivious); conflict is read off
+    the joined net."""
     ann = before.ann
     factors = marking_factors(ann, m)
     ids = [p for p, _ in factors]
@@ -291,15 +292,4 @@ def _preimage_drop(before: AnnotatedNet, after_net: Net, m, fam, joined):
         src = joined.get(e, (e, None))[0]
         pos = [ids.index(c) for c in sorted(before.net.pre(src))]
         effs[e] = embed_operator(effect(ann.channel(src)), dims, pos)
-    dim = int(np.prod(dims)) if dims else 1
-    total = np.eye(dim, dtype=complex)
-    for r in range(1, len(fam) + 1):
-        for combo in itertools.combinations(fam, r):
-            if any(after_net.pre(a) & after_net.pre(b)
-                   for a, b in itertools.combinations(combo, 2)):
-                continue
-            term = np.eye(dim, dtype=complex)
-            for e in combo:
-                term = term @ effs[e]
-            total = total + (-1) ** r * term
-    return (total + total.conj().T) / 2
+    return _drop_recurrence(fam, after_net.pre, effs, math.prod(dims))

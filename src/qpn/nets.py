@@ -58,6 +58,7 @@ class Net:
         self._post = {n: frozenset(s) for n, s in post.items()}
         # Set by verify_safety; downstream checkers refuse unverified nets.
         self.safety_verified = False
+        self._reachable = None  # kept by reachable_markings
 
     def _validate_structure(self):
         if self.places & self.transitions:
@@ -107,20 +108,25 @@ def fire(net: Net, m: Marking, t) -> Marking:
     return frozenset(left | net.post(t))
 
 
-def reachable_markings(net: Net, bound: int = DEFAULT_MARKING_BOUND) -> set:
-    """BFS closure under firing from m0; raises BoundExceeded past bound."""
-    seen = {net.initial_marking}
-    frontier = [net.initial_marking]
-    while frontier:
-        m = frontier.pop()
-        for t in enabled(net, m):
-            m2 = fire(net, m, t)
-            if m2 not in seen:
-                if len(seen) >= bound:
-                    raise BoundExceeded(f"more than {bound} reachable markings")
-                seen.add(m2)
-                frontier.append(m2)
-    return seen
+def reachable_markings(net: Net, bound: int = DEFAULT_MARKING_BOUND) -> frozenset:
+    """BFS closure under firing from m0; raises BoundExceeded past bound.
+    A complete exploration is kept on the (immutable) net and reused."""
+    if net._reachable is None:
+        seen = {net.initial_marking}
+        frontier = [net.initial_marking]
+        while frontier:
+            m = frontier.pop()
+            for t in enabled(net, m):
+                m2 = fire(net, m, t)
+                if m2 not in seen:
+                    if len(seen) >= bound:
+                        raise BoundExceeded(f"more than {bound} reachable markings")
+                    seen.add(m2)
+                    frontier.append(m2)
+        net._reachable = frozenset(seen)
+    if len(net._reachable) > bound:
+        raise BoundExceeded(f"more than {bound} reachable markings")
+    return net._reachable
 
 
 def verify_safety(net: Net, bound: int = DEFAULT_MARKING_BOUND) -> CheckOutcome:

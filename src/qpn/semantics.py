@@ -16,7 +16,7 @@ import numpy as np
 
 from .algebra import TOL_PSD, FactorPermutation, apply, as_matrix, effect, partial_trace
 from .annotation import GlobalValuation, LocalAnnotation, marking_factors
-from .checker import _embedded_effect, clique_drop, single_extension_drop
+from .checker import _embedded_effect, single_extension_drop
 from .errors import DimensionMismatch, MissingEnvInput, NotAQpn
 from .nets import (
     NEGATIVE,
@@ -81,8 +81,7 @@ def sub_probability_check(net: Net, ann: LocalAnnotation, m, cluster,
         _embedded_effect(net, ann, m, e) @ rho))) for e in cluster}
     total = sum(branch.values())
     clique = bool(cluster) and is_clique(net, cluster)  # a singleton is one
-    d = clique_drop(net, ann, m, cluster) if clique else \
-        single_extension_drop(net, ann, m, cluster)
+    d = single_extension_drop(net, ann, m, cluster)
     residue = float(np.real(np.trace(d @ rho)))
     if clique and abs((1.0 - residue) - total) > 1e-10 * max(1, dim):
         return CheckOutcome.fail(

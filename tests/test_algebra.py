@@ -22,7 +22,7 @@ from qpn.algebra import (
     min_eigenvalue,
     partial_trace,
 )
-from qpn.errors import BadPermutation, DimensionMismatch
+from qpn.errors import BadPermutation, BoundExceeded, DimensionMismatch
 
 rng = np.random.default_rng(42)
 
@@ -225,7 +225,7 @@ class TestEmbedding:
     def test_dimension_cap_raises_before_allocating(self):
         tracemalloc.start()
         try:
-            with pytest.raises(DimensionMismatch, match="exceeds the supported maximum"):
+            with pytest.raises(BoundExceeded, match="exceeds the supported maximum"):
                 embed_operator(np.eye(2), [2] * 13, [0])
             peak = tracemalloc.get_traced_memory()[1]
         finally:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gen import clique_net, random_occurrence_annotated
-from qpn.algebra import Channel
+from qpn.algebra import Channel, min_eigenvalue
 from qpn.annotation import GlobalValuation, LocalAnnotation
 from qpn.checker import (
     brute_force_global_drop,
@@ -33,6 +33,7 @@ from qpn.nets import (
     Net,
     OccurrenceNet,
     as_occurrence_net,
+    configuration_of_marking,
     marking_of_configuration,
     verify_safety,
 )
@@ -311,6 +312,46 @@ class TestLocalDrop:
         ann = LocalAnnotation({"p": 2, "q": 2}, {"t": Channel.identity(2)})
         report = check_local_drop(net, ann)
         assert report.passed and not report.instances
+
+    @staticmethod
+    def _path_clusters(copies):
+        """Disjoint copies of marked dim-2 places a, b, c with events on
+        {a}, {a, b} and {b, c} (identity scaled by 0.3): one connected,
+        non-clique cluster per copy."""
+        places, flow, dims, chans = set(), set(), {}, {}
+        for i in range(copies):
+            pre = {f"x{i}": (f"a{i}",), f"y{i}": (f"a{i}", f"b{i}"),
+                   f"z{i}": (f"b{i}", f"c{i}")}
+            for t, ps in pre.items():
+                out = f"{t}o"
+                places |= set(ps) | {out}
+                flow |= {(p, t) for p in ps} | {(t, out)}
+                dims |= {p: 2 for p in ps} | {out: 2 ** len(ps)}
+                chans[t] = Channel.identity(2 ** len(ps)).scaled(0.3)
+        marked = {p for p in places if p[0] in "abc"}
+        o = OccurrenceNet(places, set(chans), flow, marked, {t: "0" for t in chans})
+        verify_safety(o)
+        return o, LocalAnnotation(dims, chans)
+
+    def test_every_instance_matches_drop_effect(self):
+        """Per-cluster evaluation on pre-places reports, at every marking,
+        the eigenvalue and verdict of the full-space drop of that family."""
+        nets = [self._path_clusters(2)]
+        for seed in range(12):
+            x = random_occurrence_annotated(np.random.default_rng(seed))
+            nets.append((x.net, x.ann))
+        checked = 0
+        for o, ann in nets:
+            report = check_local_drop(o, ann)
+            gv = GlobalValuation(o, ann)
+            for inst in report.instances:
+                m, fam = inst.key
+                x = configuration_of_marking(o, m)
+                lo = min_eigenvalue(drop_effect(gv, x, [x | {e} for e in fam]))
+                assert abs(lo - inst.min_eig) <= 1e-9, (inst.key, lo, inst.min_eig)
+                assert (lo >= -report.tol) == inst.passed
+                checked += 1
+        assert checked >= 60
 
     def test_cluster_cap_enforced(self):
         x = clique_net(None, 4, dim=1)

@@ -158,10 +158,12 @@ def test_sampled_run_survives_renaming(name, an):
 
 def test_parallel_verdict_is_the_conjunction():
     """is_qpn(A ∥ B) == is_qpn(A) and is_qpn(B), failing components included."""
-    # two-dimensional places keep every product marking space within the
-    # operator dimension cap
+    # the drop stage works on each cluster's pre-places, so the default
+    # dimensions give product marking spaces past the operator dimension
+    # cap (five pairs of seeds 0-4 above 4096) that still get a verdict
     parts = [random_occurrence_annotated(np.random.default_rng(s), max_dim=2)
              for s in range(4)]
+    parts += [random_occurrence_annotated(np.random.default_rng(s)) for s in range(5)]
     parts += [random_state_machine(np.random.default_rng(s), max_dim=2) for s in range(2)]
     parts += [clique_net(None, 3), two_phase_cycle(), branching_demo(scaled=False), racy_net()]
     verdicts = [bool(is_qpn(an.net, an.ann)) for an in parts]

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from gen import joinable_net
-from qpn.algebra import channels_close
+from qpn.algebra import Channel, channels_close
+from qpn.annotation import LocalAnnotation
 from qpn.cli import main
 from qpn.demo import branching_demo, two_phase_cycle
 from qpn.errors import NetFileError
+from qpn.nets import Net
 from qpn.netfile import (
     from_document,
     load_net,
@@ -156,6 +158,30 @@ class TestCli:
         assert main(["check", str(path), "--marking-bound", "1"]) == 3
         assert main(["check", str(path)]) == 0
 
+    def test_operator_cap_exits_three(self, tmp_path, capsys):
+        # the 64 -> 128 channel's Choi matrix is 8192-dimensional
+        net = Net({"p", "q"}, {"t"}, {("p", "t"), ("t", "q")}, {"p"}, {"t": "0"})
+        ann = LocalAnnotation({"p": 64, "q": 128},
+                              {"t": Channel(64, 128, (np.eye(128, 64),))})
+        path = tmp_path / "wide.json"
+        save_net(path, net, ann)
+        assert main(["validate", str(path)]) == 3
+        assert "exceeds the supported maximum" in capsys.readouterr().err
+
+    def test_marking_past_the_operator_cap_gets_a_verdict(self, tmp_path, capsys):
+        # one 2-dim event beside two idle marked 64-dim places: the marking
+        # space is 8192-dimensional, the event's pre-place 2-dimensional
+        net = Net({"p", "q", "i1", "i2"}, {"t"}, {("p", "t"), ("t", "q")},
+                  {"p", "i1", "i2"}, {"t": "0"})
+        ann = LocalAnnotation({"p": 2, "q": 2, "i1": 64, "i2": 64},
+                              {"t": Channel.identity(2).scaled(0.5)})
+        path = tmp_path / "idle.json"
+        save_net(path, net, ann)
+        assert main(["check", str(path)]) == 0
+        drop = capsys.readouterr().out.splitlines()[-1]
+        assert drop.startswith("PASS drop (instances=1, min_eig=")
+        assert float(drop.split("min_eig=")[1].rstrip(")")) == pytest.approx(0.5)
+
     def test_check_report_written(self, demo_path, tmp_path):
         report = tmp_path / "report.json"
         assert main(["check", str(demo_path), "--report", str(report)]) == 0
@@ -163,6 +189,13 @@ class TestCli:
         assert doc["passed"] is True
         assert doc["stats"]["markings"] >= 1
         assert all("min_eig" in inst for inst in doc["instances"])
+
+    def test_report_counts_the_clusters_evaluated(self, demo_path, tmp_path):
+        report = tmp_path / "report.json"
+        assert main(["check", str(demo_path), "--report", str(report)]) == 0
+        stats = json.loads(report.read_text())["stats"]
+        assert list(stats)[:3] == ["markings", "clusters", "clusters_evaluated"]
+        assert stats["clusters_evaluated"] == 1  # the clique {b, c}
 
     def test_check_oracle_on_occurrence_net(self, demo_path, capsys):
         assert main(["check", str(demo_path), "--oracle"]) == 0

@@ -62,6 +62,20 @@ class TestTokenGame:
         with pytest.raises(BoundExceeded):
             reachable_markings(simple_cycle(), bound=1)
 
+    def test_smaller_bound_after_a_kept_exploration_still_raises(self):
+        net = simple_cycle()
+        assert len(reachable_markings(net)) == 2
+        with pytest.raises(BoundExceeded):
+            reachable_markings(net, bound=1)
+        assert len(reachable_markings(net, bound=2)) == 2
+
+    def test_safety_violation_is_not_kept(self):
+        net = Net({"p", "q"}, {"t"}, {("p", "t"), ("t", "q")},
+                  {"p", "q"}, {"t": "0"})
+        for _ in range(2):
+            with pytest.raises(SafetyViolation):
+                reachable_markings(net)
+
     def test_unsafe_firing_detected(self):
         net = Net({"p", "q"}, {"t"}, {("p", "t"), ("t", "q")},
                   {"p", "q"}, {"t": "0"})

@@ -17,7 +17,7 @@ from qpn.cli import main
 from qpn.compose import AnnotatedNet
 from qpn.demo import branching_demo, two_phase_cycle
 from qpn.netfile import save_net
-from qpn.nets import Net, OccurrenceNet
+from qpn.nets import Net, OccurrenceNet, fire, reachable_markings
 
 STAGE_NAMES = [name for name, _ in STAGES]
 STAGE_LINE = re.compile(r"^(PASS|FAIL) ([a-z-]+)(?::|$| \()")
@@ -146,3 +146,21 @@ def test_is_local_qon_builds_one_occurrence_net(occurrence_net_builds):
     bd = branching_demo()
     assert is_local_qon(bd.net, bd.ann)
     assert len(occurrence_net_builds) == 1
+
+
+def test_check_explores_the_reachable_markings_once(tmp_path, monkeypatch):
+    bd = branching_demo()
+    firings = []
+
+    def counting(net, m, t):
+        firings.append(t)
+        return fire(net, m, t)
+
+    monkeypatch.setattr("qpn.nets.fire", counting)
+    reachable_markings(Net(bd.net.places, bd.net.transitions, bd.net.flow,
+                           bd.net.initial_marking, bd.net.polarity))
+    one_exploration = len(firings)
+    assert one_exploration > 0
+    firings.clear()
+    assert _check(tmp_path, bd) == 0  # a net loaded afresh from its file
+    assert len(firings) == one_exploration
