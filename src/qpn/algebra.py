@@ -197,6 +197,32 @@ def apply(f: Channel, rho) -> np.ndarray:
     return out
 
 
+def apply_leading(f: Channel, rho) -> np.ndarray:
+    """Sum_k (K⊗I) rho (K⊗I)† for rho whose leading factors are f's input,
+    without building K⊗I: K acts on the row index by one batched matmul,
+    then K̄ on the column index after one transpose."""
+    rho = as_matrix(rho)
+    n, rest = rho.shape[0], rho.shape[0] // f.dim_in
+    if rho.shape != (n, n) or rest * f.dim_in != n:
+        raise DimensionMismatch(
+            f"state shape {rho.shape} does not lead with channel input dim {f.dim_in}")
+    _check_total_dim(f.dim_out * rest)
+    ks = np.stack(f.kraus)  # (k, out, in)
+    rows = (ks @ rho.reshape(f.dim_in, -1)).reshape(len(ks), -1, f.dim_in, rest)
+    cols = (ks.conj() @ rows.transpose(0, 2, 1, 3).reshape(len(ks), f.dim_in, -1)).sum(0)
+    m = f.dim_out * rest
+    return cols.reshape(f.dim_out, m, rest).transpose(1, 0, 2).reshape(m, m)
+
+
+def compose_leading(f: Channel, kraus) -> np.ndarray:
+    """Kraus stack of (f⊗id)∘g for g's stack (n, d, d_g) whose row index
+    leads with f's input, as the (K⊗I)·G by one broadcast matmul."""
+    ks = np.stack(f.kraus)
+    n, _, d_g = kraus.shape
+    out = ks[:, None] @ kraus.reshape(n, f.dim_in, -1)[None]
+    return out.reshape(len(ks) * n, -1, d_g)
+
+
 def effect(f: Channel) -> np.ndarray:
     """The effect operator sum_k K^dagger K; tr(f(rho)) = tr(effect . rho)."""
     out = np.zeros((f.dim_in, f.dim_in), dtype=complex)

@@ -19,6 +19,7 @@ from .algebra import (
     Channel,
     FactorPermutation,
     channels_close,
+    compose_leading,
     is_cptni,
 )
 from .errors import BoundExceeded, SignatureMismatch
@@ -227,13 +228,37 @@ def _fire_wires(o: OccurrenceNet, wires, e):
     return consumed, produced, rest
 
 
+def walk_interval(o: OccurrenceNet, ann: LocalAnnotation, iv: MarkingInterval,
+                  start, fire):
+    """Thread a value through the events of iv in layer order.
+
+    ``start(dim)`` builds the value on layer 0 once its dimension is within
+    the bound; ``fire(x, e, perm)`` applies e's channel to x after ``perm``,
+    which takes the current wires to e's consumed wires followed by the
+    rest.  Returns (value, its wires, the interval's final wires).
+    """
+    graph = layer_graph(o, ann, iv)
+    wires = list(graph.layers[0])
+    dim = math.prod(_wire_dim(ann, w) for w in wires)
+    if dim > MAX_TOTAL_DIM:
+        raise BoundExceeded(f"interval space dimension {dim} exceeds "
+                            f"{MAX_TOTAL_DIM}")
+    x = start(dim)
+    for rnd in graph.events:
+        for e in rnd:
+            consumed, produced, rest = _fire_wires(o, wires, e)
+            x = fire(x, e, FactorPermutation.between(
+                wires, consumed + rest, lambda w: _wire_dim(ann, w)))
+            wires = produced + rest
+    return x, wires, list(graph.layers[-1])
+
+
 class GlobalValuation:
     """Interval operators of an annotated occurrence net, with memoization.
 
-    Operators are evaluated by threading an ordered wire list through the
-    events of the interval in layer order: each firing permutes the
-    consumed wires to the front and applies the event's channel to them,
-    leaving the remaining wires alone.  The running Kraus list is one
+    Operators are evaluated by :func:`walk_interval`: each firing permutes
+    the consumed wires to the front and applies the event's channel to
+    them, leaving the remaining wires alone.  The running Kraus list is one
     stacked (n, dim_out, dim_in) array.  Results are cached per (source
     marking, target marking) pair.
     """
@@ -255,34 +280,11 @@ class GlobalValuation:
         return chan
 
     def _evaluate(self, iv: MarkingInterval) -> Channel:
-        o, ann = self.net, self.ann
-        graph = layer_graph(o, ann, iv)
-
-        wires = list(graph.layers[0])
-        dim = math.prod(_wire_dim(ann, w) for w in wires)
-        if dim > MAX_TOTAL_DIM:
-            raise BoundExceeded(f"interval space dimension {dim} exceeds "
-                                f"{MAX_TOTAL_DIM}")
-        kraus = np.eye(dim, dtype=complex)[None]
-
-        for rnd in graph.events:
-            for e in rnd:
-                wires, kraus = self._fire(wires, kraus, e)
-        final = list(graph.layers[-1])
+        ann = self.ann
+        kraus, wires, final = walk_interval(
+            self.net, ann, iv, lambda dim: np.eye(dim, dtype=complex)[None],
+            lambda ks, e, perm: compose_leading(ann.channel(e), perm.permute(ks)))
         kraus = FactorPermutation.between(
             wires, final, lambda w: _wire_dim(ann, w)).permute(kraus)
-        dout = math.prod(_wire_dim(ann, w) for w in final)
-        return Channel(dim, dout, tuple(kraus))
-
-    def _fire(self, wires, kraus, e):
-        consumed, produced, rest = _fire_wires(self.net, wires, e)
-        kraus = FactorPermutation.between(
-            wires, consumed + rest, lambda w: _wire_dim(self.ann, w)).permute(kraus)
-        # K_s ⊗ I_rest without building it: with the consumed factors
-        # leading the row index, each operator reshapes to a matrix whose
-        # rows are K_s's input space.
-        step = np.stack(self.ann.channel(e).kraus)
-        n, _, din = kraus.shape
-        out = step[:, None] @ kraus.reshape(n, step.shape[2], -1)[None]
-        return produced + rest, out.reshape(len(step) * n, -1, din)
-
+        _, dout, din = kraus.shape
+        return Channel(din, dout, tuple(kraus))

@@ -121,11 +121,11 @@ def drop_effect(gv: GlobalValuation, x, ys, *, validate: bool = True) -> np.ndar
 def _compose_effect(chan: Channel, d_target: np.ndarray, h_dim: int) -> np.ndarray:
     """Effect of [tr_{H} ⊗ d] ∘ Φ, where d acts on the condition factors of
     the output of Φ and H gathers its trailing signal factors."""
-    op = np.kron(d_target, np.eye(h_dim, dtype=complex))
-    acc = np.zeros((chan.dim_in, chan.dim_in), dtype=complex)
-    for k in chan.kraus:
-        acc += k.conj().T @ op @ k
-    return acc
+    # Σ_k K†(d ⊗ I_H)K: the signal index of each K joins the Kraus index
+    ks = np.stack(chan.kraus)
+    ks = ks.reshape(len(ks), -1, h_dim, chan.dim_in).transpose(0, 2, 1, 3).reshape(
+        -1, d_target.shape[0], chan.dim_in)
+    return (ks.conj().transpose(0, 2, 1) @ d_target @ ks).sum(0)
 
 
 def _positive_signal_dim(o: OccurrenceNet, ann: LocalAnnotation, events) -> int:

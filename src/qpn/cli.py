@@ -157,7 +157,7 @@ def _load_matrix(path):
 
 
 def cmd_prob(args) -> int:
-    from .annotation import GlobalValuation, marking_factors
+    from .annotation import marking_factors
     from .nets import interval
 
     net, ann, _, _, safe = _load(args.path, args.marking_bound)

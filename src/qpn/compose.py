@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Channel, FactorPermutation, effect, embed_operator
+from .algebra import Channel, FactorPermutation, compose_leading, effect, embed_operator
 from .annotation import LocalAnnotation, marking_factors, validate_signatures
 from .checker import TOL_DROP_EQ, _drop_recurrence, single_extension_drop
 from .errors import (
@@ -107,23 +107,14 @@ def _joined_channel(net: Net, ann: LocalAnnotation, p, n) -> Channel:
     def perm(now, want):
         return FactorPermutation.between(now, want, lambda w: h if w == "H" else dims[w])
 
-    pre_all = sorted(pre_p + pre_n)
-    post_all = sorted(post_p + post_n)
-    eye_in = np.eye(math.prod(dims[c] for c in pre_n), dtype=complex)
-    step1 = np.stack([np.kron(k, eye_in)
-                      for k in ann.channel(p).kraus])  # [•p | •n] -> [p• | H | •n]
-    # precompose with sorted union -> [•p | •n]: K·P = (P⁻¹·Kᵀ)ᵀ, as P is real
-    kraus = perm(pre_p + pre_n, pre_all).permute(
-        step1.transpose(0, 2, 1)).transpose(0, 2, 1)
-    kraus = perm(post_p + ["H"] + pre_n, post_p + pre_n + ["H"]).permute(kraus)
-    eye_mid = np.eye(math.prod(dims[c] for c in post_p), dtype=complex)
-    step2 = np.stack([np.kron(eye_mid, k)
-                      for k in ann.channel(n).kraus])  # -> [p• | n•]
-    kraus = (step2[:, None] @ kraus[None]).reshape(-1, step2.shape[1], kraus.shape[2])
-    kraus = perm(post_p + post_n, post_all).permute(kraus)
+    pre_all, post_all = sorted(pre_p + pre_n), sorted(post_p + post_n)
     din = math.prod(dims[c] for c in pre_all)
-    dout = math.prod(dims[c] for c in post_all)
-    return Channel(din, dout, tuple(kraus))
+    kraus = perm(pre_all, pre_p + pre_n).permute(np.eye(din, dtype=complex)[None])
+    kraus = compose_leading(ann.channel(p), kraus)  # -> [p• | H | •n]
+    kraus = perm(post_p + ["H"] + pre_n, pre_n + ["H"] + post_p).permute(kraus)
+    kraus = compose_leading(ann.channel(n), kraus)  # -> [n• | p•]
+    kraus = perm(post_n + post_p, post_all).permute(kraus)
+    return Channel(din, kraus.shape[1], tuple(kraus))
 
 
 def joined_id(p, n) -> str:
@@ -250,8 +241,9 @@ def check_join_preservation(before: AnnotatedNet, after: AnnotatedNet,
                             spec: JoinSpec, tol: float = TOL_DROP_EQ) -> CheckOutcome:
     """Numerically compare drop structure across a join.
 
-    At every reachable marking of the joined net, the drop effect of the
-    enabled non-negative events must equal the drop computed in the
+    At every reachable marking of the joined net, the drop effect of each
+    cluster of enabled non-negative events, on its own pre-places, must
+    equal the drop computed in the
     original net from the pre-image family, where each joined event stands
     for its positive member extended by the identity on the negative
     member's pre-places.  Also checks the marking correspondence and that
@@ -268,8 +260,9 @@ def check_join_preservation(before: AnnotatedNet, after: AnnotatedNet,
                 f"marking {sorted(m)} unreachable before the join")
         for cluster in marking_clusters(after.net, m):
             fam = sorted(cluster)
-            d_after = single_extension_drop(after.net, after.ann, m, fam)
-            d_before = _preimage_drop(before, after.net, m, fam, joined)
+            local = frozenset().union(*(after.net.pre(e) for e in fam))
+            d_after = single_extension_drop(after.net, after.ann, local, fam)
+            d_before = _preimage_drop(before, after.net, local, fam, joined)
             err = float(np.max(np.abs(d_after - d_before)))
             if err > tol * max(1, d_after.shape[0]):
                 return CheckOutcome.fail(

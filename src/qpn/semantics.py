@@ -9,13 +9,15 @@ frequencies converge to those values.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import TOL_PSD, FactorPermutation, apply, as_matrix, effect, partial_trace
-from .annotation import GlobalValuation, LocalAnnotation, marking_factors
+from .algebra import (TOL_PSD, FactorPermutation, apply_leading, as_matrix, effect,
+                      partial_trace)
+from .annotation import LocalAnnotation, marking_factors, space_dim, walk_interval
 from .checker import _embedded_effect, single_extension_drop
 from .errors import DimensionMismatch, MissingEnvInput, NotAQpn
 from .nets import (
@@ -35,22 +37,21 @@ MIN_BRANCH_PROB = 1e-12
 
 
 def run_probability(o: OccurrenceNet, ann: LocalAnnotation, iv: MarkingInterval,
-                    rho0, env_inputs: dict | None = None,
-                    gv: GlobalValuation | None = None) -> float:
+                    rho0, env_inputs: dict | None = None) -> float:
     """Probability that all events of the interval fire, starting from rho0.
 
     env_inputs must give a unit-trace state for every negative event of the
     interval; they are tensored after the marking factors in sorted event
-    order, matching the interval channel's input signature.
+    order, matching the interval channel's input signature.  The state is
+    pushed forward event by event; no interval channel is built.
     """
     env_inputs = env_inputs or {}
-    gv = gv or GlobalValuation(o, ann)
-    chan = gv.q_interval(iv)
     rho = as_matrix(rho0)
     dim_m = math.prod(d for _, d in marking_factors(ann, iv.from_marking))
     if rho.shape != (dim_m, dim_m):
         raise DimensionMismatch(
             f"initial state has shape {rho.shape}, marking space is {dim_m}")
+    envs = []
     for e in sorted(iv.sigma):
         if o.pol(e) != NEGATIVE:
             continue
@@ -61,8 +62,11 @@ def run_probability(o: OccurrenceNet, ann: LocalAnnotation, iv: MarkingInterval,
         if env.shape != (h, h):
             raise DimensionMismatch(
                 f"environment state for {e} has shape {env.shape}, expected {h}")
-        rho = np.kron(rho, env)
-    return float(np.real(np.trace(apply(chan, rho))))
+        envs.append(env)
+    rho, _, _ = walk_interval(
+        o, ann, iv, lambda dim: functools.reduce(np.kron, envs, rho),
+        lambda r, e, perm: apply_leading(ann.channel(e), perm.permute(r, two_sided=True)))
+    return float(np.real(np.trace(rho)))
 
 
 def sub_probability_check(net: Net, ann: LocalAnnotation, m, cluster,
@@ -115,33 +119,34 @@ def maximally_mixed_policy(ann: LocalAnnotation):
     return policy
 
 
+def _pre_first(net: Net, ann: LocalAnnotation, m, e, rho):
+    """rho on Q(m) with e's sorted pre-places moved in front of the rest;
+    returns (state, pre, rest)."""
+    ids = sorted(m)
+    pre = sorted(net.pre(e))
+    rest = [p for p in ids if p not in pre]
+    return FactorPermutation.between(ids, pre + rest, ann.dim).permute(
+        rho, two_sided=True), pre, rest
+
+
 def _fire_state(net: Net, ann: LocalAnnotation, m, e, rho, env=None):
     """Apply the channel of e on the full marking space and return
     (new marking, new state); positive signal outputs are traced out."""
     m2 = fire(net, m, e)
-    ids = sorted(m)
-    pre = sorted(net.pre(e))
-    rest = [p for p in ids if p not in pre]
-    rho1 = FactorPermutation.between(ids, pre + rest, ann.dim).permute(
-        rho, two_sided=True)  # [pre, rest]
-
-    rest_dim = math.prod(ann.dim(p) for p in rest)
+    rho1, pre, rest = _pre_first(net, ann, m, e, rho)  # [pre, rest]
+    rest_dim = space_dim(ann, rest)
     if net.pol(e) == NEGATIVE:
         h = ann.signal_dim(e)
-        pre_dim = math.prod(ann.dim(p) for p in pre)
         rho1 = np.kron(rho1, as_matrix(env))  # [pre, rest, H]
-        rho1 = FactorPermutation((pre_dim, rest_dim, h), (0, 2, 1)).permute(
+        rho1 = FactorPermutation((space_dim(ann, pre), rest_dim, h), (0, 2, 1)).permute(
             rho1, two_sided=True)  # [pre, H, rest]
-    ks = [np.kron(k, np.eye(rest_dim, dtype=complex))
-          for k in ann.channel(e).kraus]
-    rho2 = sum(k @ rho1 @ k.conj().T for k in ks)
+    rho2 = apply_leading(ann.channel(e), rho1)
 
     post = sorted(net.post(e))
-    post_dim = math.prod(ann.dim(p) for p in post)
     if net.pol(e) == POSITIVE:
         h = ann.signal_dim(e)
         # output factors [post, H, rest]; drop the signal
-        rho2 = partial_trace(rho2, [post_dim, h, rest_dim], [1])
+        rho2 = partial_trace(rho2, [space_dim(ann, post), h, rest_dim], [1])
     # reorder [post, rest] into sorted(m2)
     return m2, FactorPermutation.between(post + rest, sorted(m2), ann.dim).permute(
         rho2, two_sided=True)
@@ -186,8 +191,10 @@ def sample_execution(net: Net, ann: LocalAnnotation, rho0,
         tr = st.trace
         probs = []
         for e in cluster:
-            eff = _embedded_effect(net, ann, st.marking, e)
-            p = float(np.real(np.trace(eff @ st.state))) / tr
+            # tr(E_e · rho) on the reduced state of e's pre-places
+            rho1, pre, rest = _pre_first(net, ann, st.marking, e, st.state)
+            rho_pre = partial_trace(rho1, [space_dim(ann, pre), space_dim(ann, rest)], [1])
+            p = float(np.real(np.trace(effect(ann.channel(e)) @ rho_pre))) / tr
             probs.append(max(p, 0.0) if p >= MIN_BRANCH_PROB else 0.0)
         residual = max(1.0 - sum(probs), 0.0)
         choice = rng.choice(len(cluster) + 1, p=_normalize(probs + [residual]))

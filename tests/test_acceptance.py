@@ -351,7 +351,7 @@ def test_criterion_8_probability_semantics():
         probs = {cfg: run_probability(
             o, ann, interval(o, o.initial_marking,
                              marking_of_configuration(o, cfg)),
-            rho, env, gv) for cfg in configs}
+            rho, env) for cfg in configs}
         for c1, c2 in itertools.combinations(configs, 2):
             if c1 < c2:
                 if probs[c2] > probs[c1] + 1e-9:

@@ -10,8 +10,10 @@ from qpn.algebra import (
     Channel,
     FactorPermutation,
     apply,
+    apply_leading,
     channels_close,
     choi,
+    compose_leading,
     effect,
     embed_operator,
     hermitize,
@@ -152,6 +154,43 @@ class TestChannel:
         rho, sig = rand_state(2), rand_state(3)
         assert np.allclose(apply(kraus_tensor(f, g), np.kron(rho, sig)),
                            0.7 * 0.2 * np.kron(rho, sig))
+
+
+class TestLeadingKernels:
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 8),
+           st.integers(1, 4), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_match_kron_by_identity(self, d_in, d_out, rest, n_kraus, seed):
+        r = np.random.default_rng(seed)
+        ks = r.normal(size=(n_kraus, d_out, d_in)) + 1j * r.normal(size=(n_kraus, d_out, d_in))
+        f = Channel(d_in, d_out, tuple(ks))
+        n = d_in * rest
+        rho = r.normal(size=(n, n)) + 1j * r.normal(size=(n, n))  # not Hermitian
+        lifted = [np.kron(k, np.eye(rest)) for k in ks]
+        np.testing.assert_allclose(apply_leading(f, rho),
+                                   sum(k @ rho @ k.conj().T for k in lifted),
+                                   rtol=1e-12, atol=1e-12)
+        g = r.normal(size=(2, n, 3)) + 1j * r.normal(size=(2, n, 3))
+        np.testing.assert_allclose(compose_leading(f, g),
+                                   np.stack([k @ x for k in lifted for x in g]),
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_rejects_a_state_that_does_not_lead_with_the_input(self):
+        with pytest.raises(DimensionMismatch):
+            apply_leading(Channel.identity(2), np.eye(3))
+        with pytest.raises(DimensionMismatch):
+            apply_leading(Channel.identity(2), np.ones((4, 2)))
+
+    def test_output_past_the_cap_raises_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BoundExceeded, match="exceeds the supported maximum"):
+                # a 64-dim output beside 128 untouched dims is 8192-dim
+                apply_leading(Channel(1, 64, (np.ones((64, 1)),)), np.eye(128))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestCptni:

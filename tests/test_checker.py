@@ -3,10 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
-from gen import clique_net, random_occurrence_annotated
+from gen import clique_net, random_cptni, random_occurrence_annotated
 from qpn.algebra import Channel, min_eigenvalue
 from qpn.annotation import GlobalValuation, LocalAnnotation
 from qpn.checker import (
+    _compose_effect,
     brute_force_global_drop,
     check_local_drop,
     clique_drop,
@@ -229,6 +230,16 @@ class TestDropIdentities:
             assert steps >= 1
             count += 1
         assert count >= 30
+
+    @pytest.mark.parametrize("d_t, h", [(1, 1), (2, 1), (3, 2), (2, 4)])
+    def test_composed_effect_matches_kron_by_identity(self, d_t, h):
+        rng = np.random.default_rng(d_t * 10 + h)
+        chan = random_cptni(rng, 3, d_t * h)
+        a = rng.normal(size=(d_t, d_t)) + 1j * rng.normal(size=(d_t, d_t))
+        d = a + a.conj().T
+        op = np.kron(d, np.eye(h))
+        want = sum(k.conj().T @ op @ k for k in chan.kraus)
+        np.testing.assert_allclose(_compose_effect(chan, d, h), want, rtol=1e-12, atol=1e-12)
 
 
 class TestClusterFactorization:

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from gen import joinable_net
-from qpn.algebra import Channel, channels_close
+from gen import joinable_net, random_cptni
+from qpn.algebra import Channel, FactorPermutation, channels_close
+from qpn.annotation import LocalAnnotation
 from qpn.checker import is_qpn
 from qpn.compose import (
     AnnotatedNet,
     JoinSpec,
+    _joined_channel,
     check_join_preservation,
     drop_preserving_join,
     joined_id,
@@ -109,6 +111,28 @@ class TestSingleJoin:
         y = single_join(x, "p1", "n1")
         oracle = Channel.from_unitary(np.kron(np.eye(2), X))
         assert channels_close(y.ann.channel(joined_id("p1", "n1")), oracle)
+
+    def test_joined_channel_matches_the_kron_formula(self):
+        # factor orders interleave: sorted(•p + •n) = [b, c, x] and
+        # sorted(p• + n•) = [q, r, z]
+        dims = {"b": 2, "x": 3, "c": 2, "q": 3, "z": 2, "r": 4}
+        pol = {"p": "+", "n": "-"}
+        flow = {("b", "p"), ("x", "p"), ("p", "q"), ("p", "z"), ("c", "n"), ("n", "r")}
+        net = Net(set(dims), set(pol), flow, {"b", "x", "c"}, pol)
+        rng = np.random.default_rng(5)
+        ann = LocalAnnotation(dims, {"p": random_cptni(rng, 6, 12),
+                                     "n": random_cptni(rng, 4, 4)}, {"p": 2, "n": 2})
+
+        def mat(now, want):
+            d = dims | {"H": 2}
+            return FactorPermutation.between(now, want, d.get).matrix()
+
+        # (P_out · (I_{p•} ⊗ N) · P_mid · (P ⊗ I_{•n}) · P_in) for every pair
+        kraus = [mat(["q", "z", "r"], ["q", "r", "z"])
+                 @ np.kron(np.eye(6), kn) @ mat(["q", "z", "H", "c"], ["q", "z", "c", "H"])
+                 @ np.kron(kp, np.eye(2)) @ mat(["b", "c", "x"], ["b", "x", "c"])
+                 for kn in ann.channel("n").kraus for kp in ann.channel("p").kraus]
+        assert channels_close(_joined_channel(net, ann, "p", "n"), Channel(12, 24, tuple(kraus)))
 
     def test_join_preserves_qpn(self):
         x = joinable_net(np.random.default_rng(0), False, False)
@@ -213,6 +237,16 @@ class TestJoinPreservation:
         spec = JoinSpec(pairs)
         y = drop_preserving_join(x, spec)
         assert check_join_preservation(x, y, spec)
+
+    def test_idle_wide_places_stay_out_of_the_drop(self):
+        # the full marking space is 2^15 dims, past the operator cap; each
+        # cluster's own pre-places are small
+        idle = Net({"i1", "i2"}, set(), set(), {"i1", "i2"}, {})
+        verify_safety(idle)
+        x, _ = parallel(joinable_net(None, True, True),
+                        AnnotatedNet(idle, LocalAnnotation({"i1": 64, "i2": 64}, {})))
+        spec = JoinSpec((("p1", "n1"), ("p2", "n2")))
+        assert check_join_preservation(x, drop_preserving_join(x, spec), spec)
 
     def test_race_freeness_survives(self):
         x = joinable_net(np.random.default_rng(0), True, True)

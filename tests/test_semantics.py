@@ -1,19 +1,25 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from gen import random_density, random_occurrence_annotated, clique_net
-from qpn.annotation import GlobalValuation, marking_factors
+from gen import random_cptni, random_density, random_occurrence_annotated, clique_net
+from qpn.algebra import Channel, apply
+from qpn.annotation import GlobalValuation, LocalAnnotation, marking_factors
+from qpn.checker import _embedded_effect
 from qpn.demo import branching_demo, two_phase_cycle
-from qpn.errors import DimensionMismatch, MissingEnvInput, NotAQpn
+from qpn.errors import BoundExceeded, DimensionMismatch, MissingEnvInput, NotAQpn
 from qpn.nets import (
     Net,
+    OccurrenceNet,
     as_occurrence_net,
     interval,
     marking_of_configuration,
+    verify_safety,
 )
 from qpn.semantics import (
+    _fire_state,
     maximally_mixed_policy,
     run_probability,
     sample_execution,
@@ -36,11 +42,11 @@ class TestRunProbability:
         env = {"a": MIXED2}
         gv = GlobalValuation(o, ann)
         p_a = run_probability(o, ann, interval(o, {"p0"}, {"p1", "p2"}),
-                              rho, env, gv)
+                              rho, env)
         p_ab = run_probability(o, ann, interval(o, {"p0"}, {"p2", "p4"}),
-                               rho, env, gv)
+                               rho, env)
         p_ac = run_probability(o, ann, interval(o, {"p0"}, {"p2", "p3"}),
-                               rho, env, gv)
+                               rho, env)
         assert abs(p_a - 1.0) < 1e-12
         assert abs(p_ab - 0.5) < 1e-12
         assert abs(p_ac - 0.5) < 1e-12
@@ -84,13 +90,94 @@ class TestRunProbability:
             for x in configs:
                 m = marking_of_configuration(o, x)
                 probs[x] = run_probability(o, ann, interval(o, o.initial_marking, m),
-                                           rho, env, gv)
+                                           rho, env)
             for x in configs:
                 for y in configs:
                     if x < y:
                         assert probs[y] <= probs[x] + 1e-9
                         checked += 1
         assert checked >= 20
+
+
+def _chains(rng, w, k, dim=2, pol="0", h=1):
+    """w disjoint chains of k events on dim-dim places; channels are
+    random_cptni of weight p (effect p * I), or the trace map dim*h -> 1
+    for negative events.  Returns the occurrence net, its annotation, the
+    source and target markings and the product of the weights."""
+    dims, flow, pols, chans, hs, product = {}, set(), {}, {}, {}, 1.0
+    for j in range(w):
+        cs = [f"w{j}c{i}" for i in range(k + 1)]
+        dims |= {c: dim for c in cs}
+        for i in range(k):
+            e = f"w{j}e{i}"
+            flow |= {(cs[i], e), (e, cs[i + 1])}
+            pols[e] = pol
+            if pol == "-":
+                hs[e] = h
+                chans[e] = Channel(dim * h, dim, tuple(
+                    np.eye(dim * h)[i::h] for i in range(h)))
+            else:
+                p = float(rng.uniform(0.5, 1.0))
+                product *= p
+                chans[e] = random_cptni(rng, dim, dim, weight=p)
+    o = OccurrenceNet(set(dims), set(pols), flow, {f"w{j}c0" for j in range(w)}, pols)
+    verify_safety(o)
+    end = frozenset(f"w{j}c{k}" for j in range(w))
+    return o, LocalAnnotation(dims, chans, hs), o.initial_marking, end, product
+
+
+def _channel_oracle(o, ann, iv, rho, env):
+    for e in sorted(iv.sigma):
+        if o.pol(e) == "-":
+            rho = np.kron(rho, env[e])
+    return float(np.real(np.trace(apply(GlobalValuation(o, ann).q_interval(iv), rho))))
+
+
+class TestPushForward:
+    @pytest.mark.parametrize("case", range(14))
+    def test_matches_the_interval_channel(self, case):
+        rng = np.random.default_rng(case)
+        an = branching_demo(scaled=case == 12) if case >= 12 \
+            else random_occurrence_annotated(rng)
+        o = as_occurrence_net(an.net) if case >= 12 else an.net
+        ann = an.ann
+        rho = random_density(rng, math.prod(d for _, d in marking_factors(ann, o.initial_marking)))
+        env = {e: random_density(rng, ann.signal_dim(e))
+               for e in sorted(o.transitions) if o.pol(e) == "-"}
+        for cfg in sorted(o.all_configurations(), key=sorted):
+            iv = interval(o, o.initial_marking, marking_of_configuration(o, cfg))
+            assert abs(run_probability(o, ann, iv, rho, env)
+                       - _channel_oracle(o, ann, iv, rho, env)) <= 1e-12
+
+    def test_six_wires_of_three_events_stay_small(self):
+        rng = np.random.default_rng(0)
+        o, ann, start, end, product = _chains(rng, 6, 3)
+        rho = random_density(rng, 64)
+        tracemalloc.start()
+        try:
+            p = run_probability(o, ann, interval(o, start, end), rho)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(p - product) <= 1e-12
+        assert peak < 50 * 2**20  # the Kraus product carries 2^18 operators
+
+    def test_layer_zero_past_the_cap_raises_before_allocating(self):
+        # seven environment inputs of dimension 4 on a one-dimensional
+        # chain: layer 0 is 4^7 = 16384-dimensional
+        o, ann, start, end, _ = _chains(None, 1, 7, dim=1, pol="-", h=4)
+        iv = interval(o, start, end)
+        env = {e: np.eye(4) / 4 for e in o.transitions}
+        tracemalloc.start()
+        try:
+            with pytest.raises(BoundExceeded, match="interval space dimension 16384"):
+                run_probability(o, ann, iv, np.eye(1), env)
+            with pytest.raises(BoundExceeded, match="interval space dimension 16384"):
+                GlobalValuation(o, ann).q_interval(iv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # a 16384-dim state would take 4 GiB
 
 
 class TestSubProbability:
@@ -156,6 +243,36 @@ class TestSampler:
         halts = sum(sample_execution(x.net, x.ann, rho, seed=s).halted
                     == "residual" for s in range(runs))
         assert abs(halts / runs - 0.4) < 3 * math.sqrt(0.4 * 0.6 / runs)
+
+    def test_branch_probabilities_match_the_embedded_effect(self):
+        """Replaying each sampled run, every recorded prob is
+        tr(E_e · rho)/tr(rho) with E_e embedded in the full marking space."""
+        nets = [branching_demo(), clique_net(np.random.default_rng(0), 3, weights=[0.2, 0.3, 0.1])]
+        nets += [random_occurrence_annotated(np.random.default_rng(s)) for s in range(8)]
+        checked = 0
+        for an in nets:
+            net, ann = an.net, an.ann
+            policy = maximally_mixed_policy(ann)
+            dim = math.prod(d for _, d in marking_factors(ann, net.initial_marking))
+            rho0 = random_density(np.random.default_rng(dim), dim)
+            for seed in range(5):
+                m, rho = frozenset(net.initial_marking), rho0
+                for rec in sample_execution(net, ann, rho0, seed=seed).log:
+                    e = rec["event"]
+                    if rec.get("kind") == "env":
+                        m, rho = _fire_state(net, ann, m, e, rho, policy(None, e))
+                        continue
+                    tr = np.real(np.trace(rho))
+                    want = {f: np.real(np.trace(_embedded_effect(net, ann, m, f) @ rho)) / tr
+                            for f in rec["cluster"]}
+                    if e == "HALT":
+                        assert abs(rec["prob"] - max(1 - sum(want.values()), 0)) <= 1e-12
+                        break
+                    assert abs(rec["prob"] - want[e]) <= 1e-12
+                    m, rho = _fire_state(net, ann, m, e, rho)
+                    rho = rho / rec["prob"]
+                    checked += 1
+        assert checked >= 40
 
     def test_cycle_hits_step_limit(self):
         tc = two_phase_cycle()
