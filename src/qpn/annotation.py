@@ -29,6 +29,7 @@ from .nets import (
     MarkingInterval,
     Net,
     OccurrenceNet,
+    causal_heights,
     interval,
 )
 from .outcome import CheckOutcome
@@ -171,29 +172,11 @@ class LayerGraph:
         return [tuple(_wire_dim(ann, w) for w in layer) for layer in self.layers]
 
 
-def _event_depths(o: OccurrenceNet, sigma):
-    """Causal height of each event within the fired set sigma."""
-    depth = {}
-    for e in sorted(sigma):
-        _depth_of(o, sigma, e, depth)
-    return depth
-
-
-def _depth_of(o, sigma, e, depth):
-    if e in depth:
-        return depth[e]
-    preds = [f for f in sigma if f != e and o.lt(f, e)]
-    d = 1 + max((_depth_of(o, sigma, f, depth) for f in preds), default=-1)
-    depth[e] = d
-    return d
-
-
 def layer_graph(o: OccurrenceNet, ann: LocalAnnotation, iv: MarkingInterval) -> LayerGraph:
     """Slice the interval [m; m'] into layers of parallel events."""
-    depth = _event_depths(o, iv.sigma)
-    rounds = []
-    for d in range(max(depth.values(), default=-1) + 1):
-        rounds.append(sorted(e for e in iv.sigma if depth[e] == d))
+    height = causal_heights(o, iv.sigma)
+    rounds = [sorted(e for e in iv.sigma if height[e] == d)
+              for d in range(1, max(height.values(), default=0) + 1)]
 
     wires = [("p", p) for p in sorted(iv.from_marking)]
     wires += [("h-", e) for e in sorted(iv.sigma) if o.pol(e) == NEGATIVE]

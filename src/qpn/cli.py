@@ -31,9 +31,14 @@ def _p(name, outcome):
 
 
 def _load(path, bound):
-    net, ann, meta, labels = netfile.load_net(path)
+    """Load a net file and verify its safety: (net, annotation, 0), or
+    (None, None, exit code) after printing why safety failed."""
+    net, ann, _, _ = netfile.load_net(path)
     safe = verify_safety(net, bound)
-    return net, ann, meta, labels, safe
+    if not safe:
+        print(f"FAIL safety: {safe.reason}")
+        return None, None, _exit_code(safe)
+    return net, ann, EXIT_OK
 
 
 def _run_stages(stages, args):
@@ -92,10 +97,9 @@ def cmd_check(args) -> int:
 
 
 def cmd_unfold(args) -> int:
-    net, ann, _, _, safe = _load(args.path, args.marking_bound)
-    if not safe:
-        print(f"FAIL safety: {safe.reason}")
-        return EXIT_BOUND if safe.data.get("bound_exceeded") else EXIT_CHECK_FAILED
+    net, ann, code = _load(args.path, args.marking_bound)
+    if code:
+        return code
     bp = unfold(net, UnfoldBudget(args.depth, args.max_events))
     out = verify_branching_process(bp, net)
     _p("branching-process", out)
@@ -119,21 +123,18 @@ def cmd_unfold(args) -> int:
 def cmd_compose(args) -> int:
     bound = args.marking_bound
     if args.mode == "par":
-        n1, a1, _, _, s1 = _load(args.inputs[0], bound)
-        n2, a2, _, _, s2 = _load(args.inputs[1], bound)
-        if not (s1 and s2):
-            print("FAIL safety on an input")
-            return EXIT_CHECK_FAILED
+        (n1, a1, c1), (n2, a2, c2) = (_load(path, bound) for path in args.inputs)
+        if c1 or c2:
+            return c1 or c2
         composite, provenance = parallel(AnnotatedNet(n1, a1), AnnotatedNet(n2, a2))
         netfile.save_net(args.out, composite.net, composite.ann,
                          {"composition": "parallel",
                           "provenance": {k: list(v) for k, v in provenance.items()}})
         print(f"wrote {args.out}")
         return EXIT_OK
-    net, ann, _, _, safe = _load(args.inputs[0], bound)
-    if not safe:
-        print(f"FAIL safety: {safe.reason}")
-        return EXIT_CHECK_FAILED
+    net, ann, code = _load(args.inputs[0], bound)
+    if code:
+        return code
     spec = netfile.load_join_spec(args.inputs[1])
     x = AnnotatedNet(net, ann)
     valid = validate_drop_preserving(x, spec)
@@ -160,10 +161,9 @@ def cmd_prob(args) -> int:
     from .annotation import marking_factors
     from .nets import interval
 
-    net, ann, _, _, safe = _load(args.path, args.marking_bound)
-    if not safe:
-        print(f"FAIL safety: {safe.reason}")
-        return EXIT_CHECK_FAILED
+    net, ann, code = _load(args.path, args.marking_bound)
+    if code:
+        return code
     o = as_occurrence_net(net)
     m_from = _parse_marking(args.from_marking)
     m_to = _parse_marking(args.to_marking)
@@ -186,10 +186,9 @@ def cmd_prob(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    net, ann, _, _, safe = _load(args.path, args.marking_bound)
-    if not safe:
-        print(f"FAIL safety: {safe.reason}")
-        return EXIT_CHECK_FAILED
+    net, ann, code = _load(args.path, args.marking_bound)
+    if code:
+        return code
     from .annotation import marking_factors
 
     dim = int(np.prod([d for _, d in marking_factors(ann, net.initial_marking)]))
@@ -216,12 +215,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--marking-bound", type=int, default=DEFAULT_MARKING_BOUND)
+
+    def verdict_limits(p):  # read only by the verdict stages
+        common(p)
         p.add_argument("--tol-psd", type=float, default=checker.TOL_PSD)
         p.add_argument("--cluster-cap", type=int, default=checker.DEFAULT_CLUSTER_CAP)
 
     p = sub.add_parser("validate", help="the verdict stages up to CPTNI")
     p.add_argument("path")
-    common(p)
+    verdict_limits(p)
     p.set_defaults(fn=cmd_validate)
 
     p = sub.add_parser("check", help="every verdict stage, in order")
@@ -230,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cross-check the drop stage against the brute-force "
                         "oracle (occurrence nets)")
     p.add_argument("--report", help="write a JSON report here")
-    common(p)
+    verdict_limits(p)
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("unfold", help="depth-bounded unfolding")

@@ -141,19 +141,11 @@ def verify_safety(net: Net, bound: int = DEFAULT_MARKING_BOUND) -> CheckOutcome:
     return CheckOutcome.ok(markings=n)
 
 
-def structural_conflict_pairs(net: Net):
-    """Distinct transitions sharing a pre-place (minimal structural conflict)."""
-    pairs = set()
-    for p in net.places:
-        consumers = sorted(net.post(p) & net.transitions)
-        for a, b in itertools.combinations(consumers, 2):
-            pairs.add((a, b))
-    return pairs
-
-
 def race_free(net: Net) -> CheckOutcome:
     """Minimal conflicts must not mix negative with non-negative events."""
-    for a, b in sorted(structural_conflict_pairs(net)):
+    pairs = {pair for p in net.places
+             for pair in itertools.combinations(sorted(net.post(p) & net.transitions), 2)}
+    for a, b in sorted(pairs):
         if (net.pol(a) == NEGATIVE) != (net.pol(b) == NEGATIVE):
             return CheckOutcome.fail(
                 f"race: {a}({net.pol(a)}) ~ {b}({net.pol(b)})", witness=(a, b)
@@ -165,8 +157,10 @@ class OccurrenceNet(Net):
     """An acyclic safe net with the usual occurrence-net axioms.
 
     Use :func:`is_occurrence_net` to get a verdict instead of an exception.
-    Causality (< over nodes), conflict (#) and the minimal conflict relation
-    on events are computed eagerly and cached.
+    Causality and conflict are Python-int bitmasks, one per node, over bit
+    positions in a topological order: ``_below[n]`` holds the nodes strictly
+    below n and ``_conflict[n]`` the nodes in conflict with n.  Every
+    relation query is a mask test.
     """
 
     def __init__(self, places, transitions, flow, initial_marking, polarity):
@@ -177,20 +171,9 @@ class OccurrenceNet(Net):
 
     def _compute_relations(self) -> CheckOutcome:
         nodes = self.places | self.transitions
-        # strict causality: DFS transitive closure of the flow relation
-        below = {}  # node -> set of strictly smaller nodes
-
         order = self._topological_order()
         if order is None:
             return CheckOutcome.fail("flow relation is cyclic")
-        for n in order:
-            acc = set()
-            for p in self._pre[n]:
-                acc.add(p)
-                acc |= below[p]
-            below[n] = acc
-        self._below = below
-
         for c in self.places:
             if len(self._pre[c] & self.transitions) > 1:
                 return CheckOutcome.fail(f"backward branching at condition {c}",
@@ -207,35 +190,30 @@ class OccurrenceNet(Net):
                 "initial marking is not the set of minimal conditions",
                 expected=sorted(min_places), got=sorted(self.initial_marking))
 
-        # conflict: base pairs propagated down the causal order
-        events_below = {n: ({n} if n in self.transitions else set())
-                        | {e for e in below[n] if e in self.transitions}
-                        for n in nodes}
-        base = structural_conflict_pairs(self)
-        conflict = set()
-        node_list = sorted(nodes)
-        for x, y in itertools.combinations_with_replacement(node_list, 2):
-            ex, ey = events_below[x], events_below[y]
-            for a, b in base:
-                if (a in ex and b in ey) or (b in ex and a in ey):
-                    conflict.add((x, y))
-                    conflict.add((y, x))
-                    break
-        self._conflict = conflict
-        for n in node_list:
-            if (n, n) in conflict:
+        self._order = order
+        bit = self._bit = {n: 1 << i for i, n in enumerate(order)}
+        self._events = sum(bit[e] for e in self.transitions)
+        up = {}  # node -> itself and every node above it
+        for n in reversed(order):
+            up[n] = bit[n]
+            for s in self._post[n]:
+                up[n] |= up[s]
+        # x # y iff distinct events e <= x, f <= y share a pre-condition:
+        # an event conflicts with its rival consumers' up-closures, and
+        # every node inherits the conflicts of the nodes below it
+        below, conflict = {}, {}
+        for n in order:
+            below[n] = conflict[n] = 0
+            for p in self._pre[n]:
+                below[n] |= bit[p] | below[p]
+                conflict[n] |= conflict[p]
+                if n in self.transitions:
+                    for rival in self._post[p] - {n}:
+                        conflict[n] |= up[rival]
+        self._below, self._conflict = below, conflict
+        for n in sorted(nodes):
+            if conflict[n] & bit[n]:
                 return CheckOutcome.fail(f"self-conflict at {n}", witness=n)
-
-        # minimal conflict on events
-        mc = set()
-        for a, b in conflict:
-            if a in self.transitions and b in self.transitions and a != b:
-                if any((a2, b) in conflict for a2 in below[a] if a2 in self.transitions):
-                    continue
-                if any((a, b2) in conflict for b2 in below[b] if b2 in self.transitions):
-                    continue
-                mc.add((a, b))
-        self._minimal_conflict = mc
         return CheckOutcome.ok()
 
     def _topological_order(self):
@@ -252,20 +230,34 @@ class OccurrenceNet(Net):
                     ready.append(s)
         return out if len(out) == len(nodes) else None
 
+    def _nodes(self, mask) -> frozenset:
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(self._order[low.bit_length() - 1])
+            mask ^= low
+        return frozenset(out)
+
     # -- derived relations ------------------------------------------------
 
     def lt(self, a, b) -> bool:
-        return a in self._below[b]
+        return bool(self._below[b] & self._bit[a])
 
     def cone(self, e) -> frozenset:
         """Events causally below or equal to e."""
-        return frozenset({e} | {n for n in self._below[e] if n in self.transitions})
+        return self._nodes(self._below[e] & self._events | self._bit[e])
 
     def in_conflict(self, a, b) -> bool:
-        return (a, b) in self._conflict
+        return bool(self._conflict[a] & self._bit[b])
 
     def minimal_conflict(self, a, b) -> bool:
-        return (a, b) in self._minimal_conflict or (b, a) in self._minimal_conflict
+        """a # b for distinct events, with no event strictly below either
+        in conflict with the other."""
+        ev = self._events
+        return (a != b and bool(self._bit[a] & ev and self._bit[b] & ev)
+                and self.in_conflict(a, b)
+                and not self._conflict[b] & self._below[a] & ev
+                and not self._conflict[a] & self._below[b] & ev)
 
     # -- configurations, cuts, markings ------------------------------------
 
@@ -273,31 +265,31 @@ class OccurrenceNet(Net):
         x = frozenset(x)
         if not x <= self.transitions:
             return False
-        for e in x:
-            if not self.cone(e) <= x:
-                return False
-        return not any(self.in_conflict(a, b) for a, b in itertools.combinations(x, 2))
+        mask = sum(self._bit[e] for e in x)
+        return not any(self._below[e] & self._events & ~mask or self._conflict[e] & mask
+                       for e in x)
 
     def enables(self, x, e) -> bool:
         """x |- e : e not in x and x together with e is still a configuration."""
         return e not in x and self.is_configuration(frozenset(x) | {e})
 
     def all_configurations(self, bound: int = 100_000) -> set:
-        """Every finite configuration, by BFS over single-event extensions."""
-        seen = {frozenset()}
-        frontier = [frozenset()]
+        """Every finite configuration, by search over single-event extensions."""
+        ext = [(self._bit[e], self._below[e] & self._events, self._conflict[e])
+               for e in self.transitions]
+        seen = {0}
+        frontier = [0]
         while frontier:
             x = frontier.pop()
-            for e in self.transitions - x:
-                if self.cone(e) - {e} <= x and not any(
-                        self.in_conflict(e, a) for a in x):
-                    y = x | {e}
+            for b, causes, rivals in ext:
+                if not (x & b or causes & ~x or rivals & x):
+                    y = x | b
                     if y not in seen:
                         if len(seen) >= bound:
                             raise BoundExceeded(f"more than {bound} configurations")
                         seen.add(y)
                         frontier.append(y)
-        return seen
+        return {self._nodes(x) for x in seen}
 
 
 def is_occurrence_net(net: Net) -> CheckOutcome:
@@ -357,6 +349,18 @@ def configuration_of_marking(o: OccurrenceNet, m: Marking) -> frozenset:
     if not o.is_configuration(x) or marking_of_configuration(o, x) != m:
         raise Unreachable(f"marking {sorted(m)} is not reachable")
     return x
+
+
+def causal_heights(o: OccurrenceNet, events) -> dict:
+    """Each event's height in ``events``: the number of events on the
+    longest causal chain inside ``events`` that ends at it.  ``events``
+    must be convex (configurations and the events of an interval are), so
+    such a chain steps from each event to an immediate cause."""
+    height = {}
+    for e in sorted(events, key=o._bit.__getitem__):  # causes come first
+        height[e] = 1 + max((height.get(f, 0) for c in o.pre(e) for f in o.pre(c)),
+                            default=0)
+    return height
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from .algebra import (TOL_PSD, FactorPermutation, apply_leading, as_matrix, effe
                       partial_trace)
 from .annotation import LocalAnnotation, marking_factors, space_dim, walk_interval
 from .checker import _embedded_effect, single_extension_drop
-from .errors import DimensionMismatch, MissingEnvInput, NotAQpn
+from .errors import DimensionMismatch, MissingEnvInput, NotAQpn, NotEnabled
 from .nets import (
     NEGATIVE,
     POSITIVE,
@@ -75,17 +75,29 @@ def sub_probability_check(net: Net, ann: LocalAnnotation, m, cluster,
 
     For a clique the branch probabilities add up to exactly
     1 - tr(drop * rho); for general clusters only the positivity of the
-    drop expectation (the halting residue) is asserted.
+    drop expectation (the halting residue) is asserted.  Both are read on
+    the reduced state of the cluster's pre-places; rho defaults to the
+    maximally mixed state.
     """
     m = frozenset(m)
     cluster = sorted(cluster)
-    dim = math.prod(d for _, d in marking_factors(ann, m))
-    rho = as_matrix(rho) if rho is not None else np.eye(dim, dtype=complex) / dim
+    for e in cluster:
+        if not net.pre(e) <= m:
+            raise NotEnabled(f"{e} is not enabled at {sorted(m)}")
+    pre = sorted(set().union(*(net.pre(e) for e in cluster)))
+    dim = space_dim(ann, m)
+    if rho is None:
+        rho = np.eye(space_dim(ann, pre), dtype=complex) / space_dim(ann, pre)
+    else:
+        rho = as_matrix(rho)
+        if rho.shape != (dim, dim):
+            raise DimensionMismatch(f"state has shape {rho.shape}, marking space is {dim}")
+        rho = _reduced(ann, m, pre, rho)
     branch = {e: float(np.real(np.trace(
-        _embedded_effect(net, ann, m, e) @ rho))) for e in cluster}
+        _embedded_effect(net, ann, pre, e) @ rho))) for e in cluster}
     total = sum(branch.values())
     clique = bool(cluster) and is_clique(net, cluster)  # a singleton is one
-    d = single_extension_drop(net, ann, m, cluster)
+    d = single_extension_drop(net, ann, pre, cluster)
     residue = float(np.real(np.trace(d @ rho)))
     if clique and abs((1.0 - residue) - total) > 1e-10 * max(1, dim):
         return CheckOutcome.fail(
@@ -119,21 +131,27 @@ def maximally_mixed_policy(ann: LocalAnnotation):
     return policy
 
 
-def _pre_first(net: Net, ann: LocalAnnotation, m, e, rho):
-    """rho on Q(m) with e's sorted pre-places moved in front of the rest;
-    returns (state, pre, rest)."""
+def _pre_first(ann: LocalAnnotation, m, pre, rho):
+    """rho on Q(m) with the sorted places ``pre`` moved in front of the
+    rest; returns (state, rest)."""
     ids = sorted(m)
-    pre = sorted(net.pre(e))
     rest = [p for p in ids if p not in pre]
     return FactorPermutation.between(ids, pre + rest, ann.dim).permute(
-        rho, two_sided=True), pre, rest
+        rho, two_sided=True), rest
+
+
+def _reduced(ann: LocalAnnotation, m, pre, rho):
+    """The reduced state on the sorted places ``pre`` of rho on Q(m)."""
+    rho1, rest = _pre_first(ann, m, pre, rho)
+    return partial_trace(rho1, [space_dim(ann, pre), space_dim(ann, rest)], [1])
 
 
 def _fire_state(net: Net, ann: LocalAnnotation, m, e, rho, env=None):
     """Apply the channel of e on the full marking space and return
     (new marking, new state); positive signal outputs are traced out."""
     m2 = fire(net, m, e)
-    rho1, pre, rest = _pre_first(net, ann, m, e, rho)  # [pre, rest]
+    pre = sorted(net.pre(e))
+    rho1, rest = _pre_first(ann, m, pre, rho)  # [pre, rest]
     rest_dim = space_dim(ann, rest)
     if net.pol(e) == NEGATIVE:
         h = ann.signal_dim(e)
@@ -192,8 +210,7 @@ def sample_execution(net: Net, ann: LocalAnnotation, rho0,
         probs = []
         for e in cluster:
             # tr(E_e · rho) on the reduced state of e's pre-places
-            rho1, pre, rest = _pre_first(net, ann, st.marking, e, st.state)
-            rho_pre = partial_trace(rho1, [space_dim(ann, pre), space_dim(ann, rest)], [1])
+            rho_pre = _reduced(ann, st.marking, sorted(net.pre(e)), st.state)
             p = float(np.real(np.trace(effect(ann.channel(e)) @ rho_pre))) / tr
             probs.append(max(p, 0.0) if p >= MIN_BRANCH_PROB else 0.0)
         residual = max(1.0 - sum(probs), 0.0)

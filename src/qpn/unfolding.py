@@ -17,6 +17,7 @@ from .errors import SafetyUnverified
 from .nets import (
     Net,
     OccurrenceNet,
+    causal_heights,
     is_occurrence_net,
     marking_clusters,
     marking_of_configuration,
@@ -210,10 +211,8 @@ def cluster_bijection_check(net: Net, bp: BranchingProcess) -> CheckOutcome:
     corresponding net marking.
     """
     o = bp.occ
-    depth_of = {}
     for x in sorted(o.all_configurations(), key=lambda s: (len(s), sorted(s))):
-        d = _config_height(o, x)
-        if d >= bp.budget.max_depth:
+        if max(causal_heights(o, x).values(), default=0) >= bp.budget.max_depth:
             continue  # frontier may be truncated here
         mb = marking_of_configuration(o, x)
         m = frozenset(bp.label_place[c] for c in mb)
@@ -227,19 +226,3 @@ def cluster_bijection_check(net: Net, bp: BranchingProcess) -> CheckOutcome:
                 f"{sorted(map(sorted, occ_clusters))}",
                 marking=sorted(m))
     return CheckOutcome.ok()
-
-
-def _config_height(o: OccurrenceNet, x) -> int:
-    height = {}
-    for e in sorted(x):
-        _h(o, x, e, height)
-    return max(height.values(), default=0)
-
-
-def _h(o, x, e, height):
-    if e in height:
-        return height[e]
-    v = 1 + max((_h(o, x, f, height) for f in x if f != e and o.lt(f, e)),
-                default=0)
-    height[e] = v
-    return v

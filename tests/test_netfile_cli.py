@@ -158,6 +158,31 @@ class TestCli:
         assert main(["check", str(path), "--marking-bound", "1"]) == 3
         assert main(["check", str(path)]) == 0
 
+    def test_marking_bound_exits_three_from_every_subcommand(self, tmp_path, capsys):
+        tc = two_phase_cycle()
+        path = str(tmp_path / "cycle.json")
+        save_net(path, tc.net, tc.ann)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"pairs": []}))
+        out = str(tmp_path / "out.json")
+        for argv in (["validate", path], ["check", path], ["unfold", path],
+                     ["prob", path, "--from", "s0", "--to", "s0"],
+                     ["sample", path, "--runs", "1"],
+                     ["compose", "par", path, path, "--out", out],
+                     ["compose", "join", path, str(spec), "--out", out]):
+            assert main(argv + ["--marking-bound", "1"]) == 3, argv
+            assert "FAIL safety: more than 1 reachable markings" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", [
+        ["unfold", "x.json"], ["prob", "x.json", "--from", "p", "--to", "q"],
+        ["sample", "x.json"], ["compose", "par", "a.json", "b.json", "--out", "c.json"]])
+    @pytest.mark.parametrize("option", ["--tol-psd", "--cluster-cap"])
+    def test_verdict_limits_belong_to_validate_and_check(self, command, option, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(command + [option, "0"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+
     def test_operator_cap_exits_three(self, tmp_path, capsys):
         # the 64 -> 128 channel's Choi matrix is 8192-dimensional
         net = Net({"p", "q"}, {"t"}, {("p", "t"), ("t", "q")}, {"p"}, {"t": "0"})

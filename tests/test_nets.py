@@ -1,7 +1,11 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from gen import random_occurrence_annotated
+from gen import random_occurrence_annotated, random_state_machine
+from qpn.demo import branching_demo
 from qpn.errors import (
     BoundExceeded,
     NotAConfiguration,
@@ -13,6 +17,8 @@ from qpn.errors import (
 from qpn.nets import (
     Net,
     OccurrenceNet,
+    as_occurrence_net,
+    causal_heights,
     configuration_of_marking,
     cut_of_configuration,
     enabled,
@@ -27,6 +33,7 @@ from qpn.nets import (
     to_dot,
     verify_safety,
 )
+from qpn.unfolding import UnfoldBudget, unfold
 
 
 def simple_cycle():
@@ -205,6 +212,130 @@ class TestClustersAndRaces:
     def test_all_same_polarity_conflicts_are_fine(self):
         o = branching_occ()
         assert race_free(o)
+
+
+def _textbook(o):
+    """<, #, minimal conflict and the configurations of an occurrence net,
+    from the flow relation alone."""
+    nodes = sorted(o.places | o.transitions)
+    succ = {n: {b for a, b in o.flow if a == n} for n in nodes}
+    above = {}
+    for n in nodes:  # < is the transitive closure of the flow relation
+        seen, todo = set(), list(succ[n])
+        while todo:
+            m = todo.pop()
+            if m not in seen:
+                seen.add(m)
+                todo.extend(succ[m])
+        above[n] = seen
+    lt = {(a, b) for a in nodes for b in above[a]}
+    upto = {n: {e for e in o.transitions if e == n or (e, n) in lt} for n in nodes}
+    # two distinct events sharing a pre-condition conflict, and so does
+    # everything above them
+    rivals = {(a, b) for a in o.transitions for b in o.transitions
+              if a != b and o.pre(a) & o.pre(b)}
+    conflict = {(x, y) for x in nodes for y in nodes
+                if any(a in upto[x] and b in upto[y] for a, b in rivals)}
+    minimal = {(a, b) for a, b in conflict
+               if a in o.transitions and b in o.transitions
+               and all((a2, b2) == (a, b) or (a2, b2) not in conflict
+                       for a2 in upto[a] for b2 in upto[b])}
+    # configurations: down-closed, conflict-free sets of events, built by
+    # deciding each event in a causal order
+    order = sorted(o.transitions, key=lambda e: len(upto[e]))
+    configs = set()
+
+    def grow(i, x):
+        if i == len(order):
+            configs.add(frozenset(x))
+            return
+        e = order[i]
+        grow(i + 1, x)
+        if upto[e] - {e} <= x and not any((e, f) in conflict for f in x):
+            grow(i + 1, x | {e})
+
+    grow(0, frozenset())
+    return nodes, lt, upto, conflict, minimal, configs
+
+
+def _ring():
+    """Three places in a ring; the first has a binary choice."""
+    arcs = {"ra": ("r0", "r1"), "rb": ("r0", "r1"), "rc": ("r1", "r2"),
+            "rd": ("r2", "r0")}
+    net = Net({"r0", "r1", "r2"}, set(arcs),
+              {arc for t, (a, b) in arcs.items() for arc in ((a, t), (t, b))},
+              {"r0"}, {t: "0" for t in arcs})
+    verify_safety(net)
+    return net
+
+
+def _relation_cases():
+    cases = {f"occ{s}": random_occurrence_annotated(np.random.default_rng(s)).net
+             for s in range(30)}
+    for s in range(10):
+        net = random_state_machine(np.random.default_rng(s)).net
+        cases[f"sm{s}"] = unfold(net, UnfoldBudget(4)).occ
+    bd = branching_demo()
+    verify_safety(bd.net)
+    cases["demo"] = as_occurrence_net(bd.net)
+    cases["demo-unfolded"] = unfold(bd.net).occ
+    cases["branching"] = branching_occ()
+    cases["ring"] = unfold(_ring(), UnfoldBudget(7)).occ
+    return cases
+
+
+CASES = _relation_cases()
+
+
+class TestRelationsMatchTheirDefinitions:
+    @pytest.mark.parametrize("o", CASES.values(), ids=CASES.keys())
+    def test_every_query(self, o):
+        nodes, lt, upto, conflict, minimal, configs = _textbook(o)
+        for a, b in itertools.product(nodes, nodes):
+            assert o.lt(a, b) == ((a, b) in lt), (a, b)
+            assert o.in_conflict(a, b) == ((a, b) in conflict), (a, b)
+            assert o.minimal_conflict(a, b) == ((a, b) in minimal), (a, b)
+        for n in nodes:
+            assert o.cone(n) == upto[n] | {n}
+        assert o.all_configurations() == configs
+        events = sorted(o.transitions)
+        subsets = (itertools.chain.from_iterable(
+            itertools.combinations(events, k) for k in range(len(events) + 1))
+            if len(events) <= 10 else configs | {x | {e} for x in configs for e in events})
+        for x in subsets:
+            assert o.is_configuration(x) == (frozenset(x) in configs), x
+        assert not o.is_configuration(o.places)
+
+    @pytest.mark.parametrize("o", CASES.values(), ids=CASES.keys())
+    def test_causal_heights_match_the_longest_chain(self, o):
+        def recursion(s):
+            height = {}
+
+            def h(e):
+                if e not in height:
+                    height[e] = 1 + max((h(f) for f in s if f != e and o.lt(f, e)),
+                                        default=0)
+                return height[e]
+
+            for e in s:
+                h(e)
+            return height
+
+        configs = sorted(o.all_configurations(), key=sorted)[:150]
+        for x, y in itertools.product(configs, configs):
+            if x <= y:
+                assert causal_heights(o, y - x) == recursion(y - x), (x, y)
+
+    def test_deep_ring_unfolds_in_little_memory(self):
+        net = _ring()
+        tracemalloc.start()
+        try:
+            bp = unfold(net, UnfoldBudget(20))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(bp.occ.transitions) == 634
+        assert peak < 16 * 2**20  # a conflict set of node pairs took 22 MiB at depth 16
 
 
 def test_dot_export_mentions_every_node():

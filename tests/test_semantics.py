@@ -203,6 +203,26 @@ class TestSubProbability:
         assert "residue" in out.reason
 
 
+def test_sub_probability_stays_on_the_cluster_pre_places():
+    # one 2-dim event beside two idle marked 32-dim places: the marking
+    # space is 2048-dimensional, the cluster's pre-places 2-dimensional
+    net = Net({"p", "q", "i1", "i2"}, {"t"}, {("p", "t"), ("t", "q")},
+              {"p", "i1", "i2"}, {"t": "0"})
+    ann = LocalAnnotation({"p": 2, "q": 2, "i1": 32, "i2": 32},
+                          {"t": Channel.identity(2).scaled(0.5)})
+    tracemalloc.start()
+    try:
+        out = sub_probability_check(net, ann, {"p", "i1", "i2"}, ["t"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out and out.data["branches"]["t"] == pytest.approx(0.5)
+    assert out.data["residue"] == pytest.approx(0.5)
+    assert peak < 2**20  # the maximally mixed 2048-dim state alone takes 64 MiB
+    with pytest.raises(DimensionMismatch, match="marking space is 2048"):
+        sub_probability_check(net, ann, {"p", "i1", "i2"}, ["t"], np.eye(2) / 2)
+
+
 class TestSampler:
     def test_requires_verified_net(self):
         bd = branching_demo()
