@@ -8,11 +8,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import checker, netfile, semantics
+from .algebra import _check_total_dim
+from .annotation import marking_factors
 from .compose import AnnotatedNet, drop_preserving_join, parallel, validate_drop_preserving
 from .errors import BoundExceeded, NetFileError, QpnError
 from .nets import DEFAULT_MARKING_BOUND, as_occurrence_net, to_dot, verify_safety
@@ -129,7 +132,7 @@ def cmd_compose(args) -> int:
         composite, provenance = parallel(AnnotatedNet(n1, a1), AnnotatedNet(n2, a2))
         netfile.save_net(args.out, composite.net, composite.ann,
                          {"composition": "parallel",
-                          "provenance": {k: list(v) for k, v in provenance.items()}})
+                          "provenance": {k: list(v) for k, v in sorted(provenance.items())}})
         print(f"wrote {args.out}")
         return EXIT_OK
     net, ann, code = _load(args.inputs[0], bound)
@@ -157,8 +160,17 @@ def _load_matrix(path):
         return netfile.matrix_from_json(json.load(fh), str(path))
 
 
+def _initial_state(args, ann, m):
+    """The --rho matrix, or the maximally mixed state on marking m, whose
+    dimension is checked against the operator cap before it is built."""
+    if args.rho:
+        return _load_matrix(args.rho)
+    dim = math.prod(d for _, d in marking_factors(ann, m))
+    _check_total_dim(dim)
+    return np.eye(dim, dtype=complex) / dim
+
+
 def cmd_prob(args) -> int:
-    from .annotation import marking_factors
     from .nets import interval
 
     net, ann, code = _load(args.path, args.marking_bound)
@@ -168,8 +180,7 @@ def cmd_prob(args) -> int:
     m_from = _parse_marking(args.from_marking)
     m_to = _parse_marking(args.to_marking)
     iv = interval(o, m_from, m_to)
-    dim = int(np.prod([d for _, d in marking_factors(ann, m_from)]))
-    rho = _load_matrix(args.rho) if args.rho else np.eye(dim, dtype=complex) / dim
+    rho = _initial_state(args, ann, m_from)
     env = {}
     if args.env:
         with open(args.env) as fh:
@@ -189,10 +200,7 @@ def cmd_sample(args) -> int:
     net, ann, code = _load(args.path, args.marking_bound)
     if code:
         return code
-    from .annotation import marking_factors
-
-    dim = int(np.prod([d for _, d in marking_factors(ann, net.initial_marking)]))
-    rho = _load_matrix(args.rho) if args.rho else np.eye(dim, dtype=complex) / dim
+    rho = _initial_state(args, ann, net.initial_marking)
     counts = {}
     for i in range(args.runs):
         st = semantics.sample_execution(net, ann, rho, seed=args.seed + i,
@@ -274,8 +282,14 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+_PARSER = None  # built by the first call of main
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.fn(args)
     except NetFileError as exc:

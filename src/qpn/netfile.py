@@ -4,6 +4,8 @@ Sections: metadata, places (id, dim, label?), transitions (id, polarity,
 h, kraus, label?), flow, initial_marking.  Matrices are nested lists of
 [re, im] pairs.  Serialization is canonical (sorted ids, fixed field
 order), so load -> save -> load is the identity and files diff cleanly.
+Files are written with one line per top-level key and per entry of
+places, transitions, flow and initial_marking; any JSON layout loads.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ def _fail(loc, msg):
 
 def matrix_to_json(m):
     m = np.asarray(m, dtype=complex)
-    return [[[float(v.real), float(v.imag)] for v in row] for row in m]
+    return np.stack([m.real, m.imag], axis=-1).tolist()
 
 
 def matrix_from_json(data, loc):
@@ -53,7 +55,11 @@ def matrix_from_json(data, loc):
 
 def to_document(net: Net, ann: LocalAnnotation, metadata: dict | None = None,
                 labels: dict | None = None) -> dict:
+    """The canonical document of an annotated net.  Transitions that share
+    one ``Channel`` object (the events of one label in an unfolded prefix)
+    share one converted Kraus list."""
     labels = labels or {}
+    kraus = {}  # id(channel) -> its Kraus list in JSON form
     places = []
     for p in sorted(net.places):
         entry = {"id": p, "dim": ann.dim(p)}
@@ -62,8 +68,11 @@ def to_document(net: Net, ann: LocalAnnotation, metadata: dict | None = None,
         places.append(entry)
     transitions = []
     for t in sorted(net.transitions):
+        ch = ann.channel(t)
+        if id(ch) not in kraus:
+            kraus[id(ch)] = [matrix_to_json(k) for k in ch.kraus]
         entry = {"id": t, "polarity": net.pol(t), "h": ann.signal_dim(t),
-                 "kraus": [matrix_to_json(k) for k in ann.channel(t).kraus]}
+                 "kraus": kraus[id(ch)]}
         if t in labels:
             entry["label"] = labels[t]
         transitions.append(entry)
@@ -160,11 +169,42 @@ def from_document(doc: dict):
     return net, ann, dict(doc.get("metadata") or {}), labels
 
 
-def save_net(path, net: Net, ann: LocalAnnotation, metadata=None, labels=None):
-    doc = to_document(net, ann, metadata, labels)
+def _write_json(path, doc: dict, default=None) -> None:
+    """Write ``doc`` with one line per top-level key and, for a list value,
+    one line per entry, in a single write.  Every piece goes through the C
+    encoder (no indent); a list-valued field that entries share by object
+    (a channel's Kraus list) is encoded once."""
+    encode = json.JSONEncoder(default=default).encode
+    shared = {}  # id(list) -> its encoding; doc keeps every list alive
+
+    def entry_text(entry):
+        if not (isinstance(entry, dict)
+                and any(isinstance(v, list) for v in entry.values())):
+            return encode(entry)
+        fields = []
+        for k, v in entry.items():
+            if isinstance(v, list):
+                if id(v) not in shared:
+                    shared[id(v)] = encode(v)
+                text = shared[id(v)]
+            else:
+                text = encode(v)
+            fields.append(f"{encode(k)}: {text}")
+        return "{" + ", ".join(fields) + "}"
+
+    lines = []
+    for key, value in doc.items():
+        if isinstance(value, list) and value:
+            body = ",\n".join(map(entry_text, value))
+            lines.append(f"{encode(key)}: [\n{body}\n]")
+        else:
+            lines.append(f"{encode(key)}: {encode(value)}")
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write("{\n" + ",\n".join(lines) + "\n}\n")
+
+
+def save_net(path, net: Net, ann: LocalAnnotation, metadata=None, labels=None):
+    _write_json(path, to_document(net, ann, metadata, labels))
 
 
 def load_net(path):
@@ -201,6 +241,4 @@ def load_join_spec(path):
 
 
 def save_report(path, report_dict: dict):
-    with open(path, "w") as fh:
-        json.dump(report_dict, fh, indent=1, default=float)
-        fh.write("\n")
+    _write_json(path, report_dict, default=float)

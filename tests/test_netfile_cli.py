@@ -1,15 +1,28 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from gen import joinable_net
+import qpn
+from gen import (
+    clique_net,
+    joinable_net,
+    random_occurrence_annotated,
+    random_state_machine,
+)
+from qpn import cli, netfile
 from qpn.algebra import Channel, channels_close
 from qpn.annotation import LocalAnnotation
 from qpn.cli import main
 from qpn.demo import branching_demo, two_phase_cycle
 from qpn.errors import NetFileError
-from qpn.nets import Net
+from qpn.nets import Net, verify_safety
+from qpn.unfolding import UnfoldBudget, transfer_annotation, unfold
 from qpn.netfile import (
     from_document,
     load_net,
@@ -34,6 +47,13 @@ class TestMatrices:
         m = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
         back = matrix_from_json(matrix_to_json(m), "m")
         assert np.allclose(back, m)
+
+    def test_matches_the_entrywise_conversion(self):
+        rng = np.random.default_rng(1)
+        m = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+        m[0, 0], m[1, 2] = complex(-0.0, 0.0), complex(0.5, -0.0)
+        entrywise = [[[float(v.real), float(v.imag)] for v in row] for row in m]
+        assert json.dumps(matrix_to_json(m)) == json.dumps(entrywise)
 
     def test_bad_entry_is_located(self):
         with pytest.raises(NetFileError) as exc:
@@ -61,10 +81,17 @@ class TestRoundTrip:
             assert channels_close(ann.channel(t), bd.ann.channel(t))
 
     def test_serialization_is_canonical(self, demo_path, tmp_path):
-        net, ann, meta, labels = load_net(demo_path)
-        again = tmp_path / "again.json"
-        save_net(again, net, ann, meta, labels)
-        assert demo_path.read_bytes() == again.read_bytes()
+        prefix, par = tmp_path / "prefix.json", tmp_path / "par.json"
+        assert main(["unfold", str(demo_path), "--out", str(prefix)]) == 0
+        assert main(["compose", "par", str(demo_path), str(prefix),
+                     "--out", str(par)]) == 0
+        for path in (demo_path, prefix, par):
+            net, ann, meta, labels = load_net(path)
+            again = tmp_path / "again.json"
+            save_net(again, net, ann, meta, labels)
+            assert path.read_bytes() == again.read_bytes(), path.name
+        _, _, meta, labels = load_net(prefix)
+        assert meta["depth"] == 4 and set(labels.values()) >= {"p0", "a"}
 
     def test_labels_round_trip(self, tmp_path):
         bd = branching_demo()
@@ -72,6 +99,71 @@ class TestRoundTrip:
         save_net(path, bd.net, bd.ann, None, {"p0": "input", "a": "split"})
         _, _, _, labels = load_net(path)
         assert labels == {"p0": "input", "a": "split"}
+
+
+def _signed_zero_net():
+    """Two places and one event whose two Kraus operators have complex
+    entries and signed zeros in both parts."""
+    k0 = np.array([[complex(-0.0, 0.5), complex(0.25, -0.0)],
+                   [complex(0.0, -0.0), complex(-0.5, 1e-300)]])
+    k1 = np.array([[complex(-0.0, -0.0), 0.5], [0.125j, complex(0.5, -0.25)]])
+    net = Net({"p", "q"}, {"t"}, {("p", "t"), ("t", "q")}, {"p"}, {"t": "0"})
+    return net, LocalAnnotation({"p": 2, "q": 2}, {"t": Channel(2, 2, (k0, k1))})
+
+
+def _writer_cases():
+    """(name, net, annotation, metadata, labels): tests/gen.py nets, their
+    depth-4 prefixes, and the signed-zero net."""
+    rng = np.random.default_rng(11)
+    generated = [(f"occurrence-{i}", random_occurrence_annotated(rng)) for i in range(4)]
+    generated += [(f"state-machine-{i}", random_state_machine(rng)) for i in range(4)]
+    generated += [("clique", clique_net(rng, 3)),
+                  ("joinable", joinable_net(rng, True, True))]
+    nets = [("signed-zero", *_signed_zero_net())]
+    nets += [(name, an.net, an.ann) for name, an in generated]
+    out = []
+    for name, net, ann in nets:
+        out.append((name, net, ann, {"name": name, "zero": -0.0}, {}))
+        verify_safety(net)
+        bp = unfold(net, UnfoldBudget(4, 10_000))
+        out.append((f"{name}-prefix", bp.occ, transfer_annotation(bp, ann),
+                    {"unfolded_from": name, "depth": 4},
+                    dict(bp.label_place) | dict(bp.label_event)))
+    return out
+
+
+class TestWriter:
+    def test_file_parses_to_the_document(self, tmp_path):
+        path = tmp_path / "net.json"
+        for name, net, ann, meta, labels in _writer_cases():
+            save_net(path, net, ann, meta, labels)
+            text = path.read_text()
+            written = json.loads(text)
+            doc = json.loads(json.dumps(to_document(net, ann, meta, labels)))
+            assert written == doc, name
+            # signs of zeros and key order
+            assert json.dumps(written) == json.dumps(doc), name
+            # one line per top-level key and per entry of each nonempty list
+            lists = [v for v in doc.values() if isinstance(v, list) and v]
+            assert len(text.splitlines()) == (
+                2 + len(doc) + sum(len(v) + 1 for v in lists)), name
+
+    def test_each_channel_is_converted_once(self, tmp_path, monkeypatch):
+        an = random_state_machine(np.random.default_rng(3))
+        bp = unfold(an.net, UnfoldBudget(6, 10_000))
+        ann = transfer_annotation(bp, an.ann)
+        used = set(bp.label_event.values())
+        assert len(bp.occ.transitions) > len(used)
+        calls = []
+        convert = netfile.matrix_to_json
+
+        def counting(m):
+            calls.append(1)
+            return convert(m)
+
+        monkeypatch.setattr(netfile, "matrix_to_json", counting)
+        save_net(tmp_path / "prefix.json", bp.occ, ann)
+        assert len(calls) == sum(len(an.ann.channel(t).kraus) for t in used)
 
 
 class TestSchemaDiagnostics:
@@ -207,6 +299,55 @@ class TestCli:
         assert drop.startswith("PASS drop (instances=1, min_eig=")
         assert float(drop.split("min_eig=")[1].rstrip(")")) == pytest.approx(0.5)
 
+    def test_default_state_past_the_operator_cap_exits_three(self, tmp_path, capsys):
+        # the default state on p, i1, i2 would be an 8192-dim identity (1 GiB)
+        net = Net({"p", "q", "i1", "i2"}, {"t"}, {("p", "t"), ("t", "q")},
+                  {"p", "i1", "i2"}, {"t": "0"})
+        ann = LocalAnnotation({"p": 2, "q": 2, "i1": 64, "i2": 64},
+                              {"t": Channel.identity(2).scaled(0.5)})
+        path = str(tmp_path / "idle.json")
+        save_net(path, net, ann)
+        for argv in (["prob", path, "--from", "p,i1,i2", "--to", "q,i1,i2"],
+                     ["sample", path, "--runs", "1"]):
+            tracemalloc.start()
+            try:
+                code = main(argv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 3, argv
+            assert peak < 1 << 20, argv
+            assert capsys.readouterr().err == (
+                "error: operator dimension 8192 exceeds the supported maximum 4096\n")
+
+    def test_one_parser_per_process(self, demo_path, tmp_path, capsys, monkeypatch):
+        src = str(pathlib.Path(qpn.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        builds = []
+        build = cli.build_parser
+
+        def counting():
+            builds.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "_PARSER", None)
+        monkeypatch.setattr(cli, "build_parser", counting)
+        out = str(tmp_path / "prefix.json")
+        for argv in (["check", str(demo_path)],
+                     ["unfold", "x.json", "--tol-psd", "1"],
+                     ["unfold", str(demo_path), "--out", out],
+                     ["validate", str(demo_path)]):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            fresh = subprocess.run([sys.executable, "-m", "qpn.cli", *argv],
+                                   capture_output=True, text=True, env=env)
+            assert (code, capsys.readouterr().out) == (fresh.returncode, fresh.stdout), argv
+        assert code == 0 and fresh.returncode == 0
+        assert len(builds) == 1
+
     def test_check_report_written(self, demo_path, tmp_path):
         report = tmp_path / "report.json"
         assert main(["check", str(demo_path), "--report", str(report)]) == 0
@@ -258,6 +399,7 @@ class TestCli:
         net, _, meta, _ = load_net(out)
         assert len(net.places) == 7
         assert meta["provenance"]["s0"] == ["R", "s0"]
+        assert list(meta["provenance"]) == sorted(meta["provenance"])
         assert main(["check", str(out)]) == 0
 
     def test_compose_join(self, tmp_path):

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+import gen
 from gen import clique_net, racy_net, random_occurrence_annotated, random_state_machine
 from qpn.algebra import Channel
 from qpn.annotation import LocalAnnotation
@@ -24,9 +25,10 @@ STAGE_LINE = re.compile(r"^(PASS|FAIL) ([a-z-]+)(?::|$| \()")
 
 
 @pytest.fixture(scope="module")
-def perfbench_check_output():
-    """The benchmark's own parser of `qpn check` output (perfbench sits
-    outside testpaths, so it is loaded from its file)."""
+def perfbench_workloads():
+    """The benchmark's workloads module, with its own parsers of `qpn`
+    output (perfbench sits outside testpaths, so it is loaded from its
+    file)."""
     path = pathlib.Path(__file__).parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
     module = importlib.util.module_from_spec(spec)
@@ -35,7 +37,12 @@ def perfbench_check_output():
         spec.loader.exec_module(module)
     finally:
         del sys.modules[spec.name]
-    return module._check_output
+    return module
+
+
+@pytest.fixture(scope="module")
+def perfbench_check_output(perfbench_workloads):
+    return perfbench_workloads._check_output
 
 
 def _check(tmp_path, an, *flags, name="net.json", command="check"):
@@ -89,6 +96,20 @@ def test_drop_line_parses_for_the_benchmark(tmp_path, capsys, perfbench_check_ou
     worst = is_qpn(bd.net, bd.ann).data["report"].worst
     assert perfbench_check_output((code, capsys.readouterr().out), (code, worst))
     assert code == (0 if scaled else 1)
+
+
+@pytest.mark.parametrize("depth", [3, 12])
+def test_unfold_prefix_passes_the_benchmark_gate(tmp_path, capsys, perfbench_workloads,
+                                                 depth):
+    wl = perfbench_workloads
+    an = wl.ring(gen, np.random.default_rng(depth))
+    path, prefix = tmp_path / "ring.json", tmp_path / "prefix.json"
+    save_net(path, an.net, an.ann)
+    code = main(["unfold", str(path), "--depth", str(depth), "--out", str(prefix)])
+    out = (code, capsys.readouterr().out, str(prefix))
+    events, conds = wl.expected_prefix(an.net, depth)
+    assert wl._unfold_output(out, (events, conds))
+    assert not wl._unfold_output(out, (events | {"ra[not-unfolded]"}, conds))
 
 
 def test_check_prints_every_stage_in_order(tmp_path, capsys):
