@@ -7,6 +7,7 @@ after construction and every operation is a pure function.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -147,27 +148,43 @@ class FactorPermutation:
 class Channel:
     """A CPTNI-map candidate in Kraus form.
 
-    ``kraus`` is a nonempty tuple of (dim_out x dim_in) matrices.  The Kraus
-    list is never pruned or canonicalized; channel equality is always tested
-    extensionally (see :func:`channels_close`).
+    ``kraus`` is given as a nonempty sequence of (dim_out x dim_in)
+    matrices, or as one (k, dim_out, dim_in) array.  It is kept once, as
+    the read-only array ``stack``; ``kraus`` becomes a tuple of views into
+    it.  The Kraus list is never pruned or canonicalized; channel equality
+    is always tested extensionally (see :func:`channels_close`).
     """
 
     dim_in: int
     dim_out: int
     kraus: tuple = field(default_factory=tuple)
+    stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.kraus:
+        if len(self.kraus) == 0:
             raise DimensionMismatch("a channel needs at least one Kraus operator")
         _check_total_dim(max(self.dim_in, self.dim_out))
-        ks = tuple(as_matrix(k) for k in self.kraus)
-        for k in ks:
-            if k.shape != (self.dim_out, self.dim_in):
-                raise DimensionMismatch(
-                    f"Kraus operator shape {k.shape} does not match "
-                    f"({self.dim_out}, {self.dim_in})"
-                )
-        object.__setattr__(self, "kraus", ks)
+        want = (self.dim_out, self.dim_in)
+        try:
+            stack = np.asarray(self.kraus, dtype=complex)
+        except ValueError:  # operators of unequal shapes
+            stack = None
+        if stack is self.kraus:  # the caller's array: share it, read-only here
+            stack = stack.view()
+        if stack is None or stack.shape[1:] != want:
+            raise DimensionMismatch(
+                f"Kraus operators do not all have shape {want}")
+        stack.flags.writeable = False
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "kraus", tuple(stack))
+
+    @functools.cached_property
+    def _effect(self) -> np.ndarray:
+        out = np.zeros((self.dim_in, self.dim_in), dtype=complex)
+        for k in self.kraus:
+            out += k.conj().T @ k
+        out.flags.writeable = False
+        return out
 
     @staticmethod
     def identity(dim: int) -> "Channel":
@@ -180,8 +197,7 @@ class Channel:
 
     def scaled(self, factor: float) -> "Channel":
         """Channel with every Kraus operator scaled by sqrt(factor)."""
-        s = np.sqrt(factor)
-        return Channel(self.dim_in, self.dim_out, tuple(s * k for k in self.kraus))
+        return Channel(self.dim_in, self.dim_out, np.sqrt(factor) * self.stack)
 
 
 def apply(f: Channel, rho) -> np.ndarray:
@@ -207,7 +223,7 @@ def apply_leading(f: Channel, rho) -> np.ndarray:
         raise DimensionMismatch(
             f"state shape {rho.shape} does not lead with channel input dim {f.dim_in}")
     _check_total_dim(f.dim_out * rest)
-    ks = np.stack(f.kraus)  # (k, out, in)
+    ks = f.stack
     rows = (ks @ rho.reshape(f.dim_in, -1)).reshape(len(ks), -1, f.dim_in, rest)
     cols = (ks.conj() @ rows.transpose(0, 2, 1, 3).reshape(len(ks), f.dim_in, -1)).sum(0)
     m = f.dim_out * rest
@@ -217,18 +233,16 @@ def apply_leading(f: Channel, rho) -> np.ndarray:
 def compose_leading(f: Channel, kraus) -> np.ndarray:
     """Kraus stack of (f⊗id)∘g for g's stack (n, d, d_g) whose row index
     leads with f's input, as the (K⊗I)·G by one broadcast matmul."""
-    ks = np.stack(f.kraus)
+    ks = f.stack
     n, _, d_g = kraus.shape
     out = ks[:, None] @ kraus.reshape(n, f.dim_in, -1)[None]
     return out.reshape(len(ks) * n, -1, d_g)
 
 
 def effect(f: Channel) -> np.ndarray:
-    """The effect operator sum_k K^dagger K; tr(f(rho)) = tr(effect . rho)."""
-    out = np.zeros((f.dim_in, f.dim_in), dtype=complex)
-    for k in f.kraus:
-        out += k.conj().T @ k
-    return out
+    """The effect operator sum_k K^dagger K; tr(f(rho)) = tr(effect . rho).
+    Computed once per channel and read-only."""
+    return f._effect
 
 
 def choi(f: Channel) -> np.ndarray:

@@ -270,4 +270,4 @@ class GlobalValuation:
         kraus = FactorPermutation.between(
             wires, final, lambda w: _wire_dim(ann, w)).permute(kraus)
         _, dout, din = kraus.shape
-        return Channel(din, dout, tuple(kraus))
+        return Channel(din, dout, kraus)

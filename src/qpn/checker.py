@@ -122,7 +122,7 @@ def _compose_effect(chan: Channel, d_target: np.ndarray, h_dim: int) -> np.ndarr
     """Effect of [tr_{H} ⊗ d] ∘ Φ, where d acts on the condition factors of
     the output of Φ and H gathers its trailing signal factors."""
     # Σ_k K†(d ⊗ I_H)K: the signal index of each K joins the Kraus index
-    ks = np.stack(chan.kraus)
+    ks = chan.stack
     ks = ks.reshape(len(ks), -1, h_dim, chan.dim_in).transpose(0, 2, 1, 3).reshape(
         -1, d_target.shape[0], chan.dim_in)
     return (ks.conj().transpose(0, 2, 1) @ d_target @ ks).sum(0)

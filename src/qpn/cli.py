@@ -78,7 +78,7 @@ def cmd_check(args) -> int:
     if name != "drop":
         return code
     report = out.data["report"]
-    report_doc = report.to_dict()
+    brute = None
     if args.oracle:
         try:
             o = as_occurrence_net(net)
@@ -91,11 +91,13 @@ def cmd_check(args) -> int:
             print(f"{'PASS' if agree else 'FAIL'} oracle agreement: "
                   f"{'yes' if agree else 'no'} (brute={brute.passed}, "
                   f"local={report.passed})")
-            report_doc["oracle"] = brute.to_dict()
             if not agree:
                 code = EXIT_CHECK_FAILED
     if args.report:
-        netfile.save_report(args.report, report_doc)
+        doc = report.to_dict()
+        if brute is not None:
+            doc["oracle"] = brute.to_dict()
+        netfile.save_report(args.report, doc)
     return code
 
 

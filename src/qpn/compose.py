@@ -114,7 +114,7 @@ def _joined_channel(net: Net, ann: LocalAnnotation, p, n) -> Channel:
     kraus = perm(post_p + ["H"] + pre_n, pre_n + ["H"] + post_p).permute(kraus)
     kraus = compose_leading(ann.channel(n), kraus)  # -> [n• | p•]
     kraus = perm(post_n + post_p, post_all).permute(kraus)
-    return Channel(din, kraus.shape[1], tuple(kraus))
+    return Channel(din, kraus.shape[1], kraus)
 
 
 def joined_id(p, n) -> str:

@@ -92,7 +92,7 @@ def sub_probability_check(net: Net, ann: LocalAnnotation, m, cluster,
         rho = as_matrix(rho)
         if rho.shape != (dim, dim):
             raise DimensionMismatch(f"state has shape {rho.shape}, marking space is {dim}")
-        rho = _reduced(ann, m, pre, rho)
+        _, _, rho = _reduced(ann, sorted(m), pre, rho)
     branch = {e: float(np.real(np.trace(
         _embedded_effect(net, ann, pre, e) @ rho))) for e in cluster}
     total = sum(branch.values())
@@ -131,43 +131,59 @@ def maximally_mixed_policy(ann: LocalAnnotation):
     return policy
 
 
-def _pre_first(ann: LocalAnnotation, m, pre, rho):
-    """rho on Q(m) with the sorted places ``pre`` moved in front of the
-    rest; returns (state, rest)."""
-    ids = sorted(m)
-    rest = [p for p in ids if p not in pre]
-    return FactorPermutation.between(ids, pre + rest, ann.dim).permute(
-        rho, two_sided=True), rest
+# Stands for a negative event's environment factor in a factor order.
+_ENV = object()
 
 
-def _reduced(ann: LocalAnnotation, m, pre, rho):
-    """The reduced state on the sorted places ``pre`` of rho on Q(m)."""
-    rho1, rest = _pre_first(ann, m, pre, rho)
-    return partial_trace(rho1, [space_dim(ann, pre), space_dim(ann, rest)], [1])
+def _moved(order, want, rho, dim):
+    """rho on the factors listed as ``order``, reordered to ``want``; rho
+    itself when the two orders agree."""
+    if order == want:
+        return rho
+    return FactorPermutation.between(order, want, dim).permute(rho, two_sided=True)
+
+
+def _reduced(ann: LocalAnnotation, order, pre, rho):
+    """Bring the sorted places ``pre`` of rho, a state on the places listed
+    in ``order``, in front of the rest; returns the new order, the state on
+    it and the reduced state on ``pre``."""
+    front = set(pre)
+    rest = [p for p in order if p not in front]
+    rho = _moved(order, pre + rest, rho, ann.dim)
+    return pre + rest, rho, partial_trace(
+        rho, [space_dim(ann, pre), space_dim(ann, rest)], [1])
+
+
+def _fire(net: Net, ann: LocalAnnotation, order, e, rho, env=None):
+    """Fire e on rho, a state on the places listed in ``order``.
+
+    The sorted pre-places of e are brought in front of the rest, with a
+    negative event's environment state between them, and e's channel acts
+    on those leading factors; positive signal outputs are traced out.
+    Returns the new factor order, [post, rest], and the state on it.
+    """
+    pre = sorted(net.pre(e))
+    rest = [p for p in order if p not in net.pre(e)]
+    now, want = list(order), pre + rest
+    h = ann.signal_dim(e)
+    if net.pol(e) == NEGATIVE:
+        rho = np.kron(rho, as_matrix(env))
+        now, want = now + [_ENV], pre + [_ENV] + rest
+    rho = _moved(now, want, rho, lambda x: h if x is _ENV else ann.dim(x))
+    rho = apply_leading(ann.channel(e), rho)
+    post = sorted(net.post(e))
+    if net.pol(e) == POSITIVE:
+        # output factors [post, H, rest]; drop the signal
+        rho = partial_trace(rho, [space_dim(ann, post), h, space_dim(ann, rest)], [1])
+    return post + rest, rho
 
 
 def _fire_state(net: Net, ann: LocalAnnotation, m, e, rho, env=None):
-    """Apply the channel of e on the full marking space and return
-    (new marking, new state); positive signal outputs are traced out."""
+    """`_fire` on the marking space Q(m) in its sorted factor order:
+    returns (new marking, new state on its sorted factors)."""
     m2 = fire(net, m, e)
-    pre = sorted(net.pre(e))
-    rho1, rest = _pre_first(ann, m, pre, rho)  # [pre, rest]
-    rest_dim = space_dim(ann, rest)
-    if net.pol(e) == NEGATIVE:
-        h = ann.signal_dim(e)
-        rho1 = np.kron(rho1, as_matrix(env))  # [pre, rest, H]
-        rho1 = FactorPermutation((space_dim(ann, pre), rest_dim, h), (0, 2, 1)).permute(
-            rho1, two_sided=True)  # [pre, H, rest]
-    rho2 = apply_leading(ann.channel(e), rho1)
-
-    post = sorted(net.post(e))
-    if net.pol(e) == POSITIVE:
-        h = ann.signal_dim(e)
-        # output factors [post, H, rest]; drop the signal
-        rho2 = partial_trace(rho2, [space_dim(ann, post), h, rest_dim], [1])
-    # reorder [post, rest] into sorted(m2)
-    return m2, FactorPermutation.between(post + rest, sorted(m2), ann.dim).permute(
-        rho2, two_sided=True)
+    order, rho = _fire(net, ann, sorted(m), e, rho, env)
+    return m2, _moved(order, sorted(m2), rho, ann.dim)
 
 
 def sample_execution(net: Net, ann: LocalAnnotation, rho0,
@@ -180,54 +196,59 @@ def sample_execution(net: Net, ann: LocalAnnotation, rho0,
     canonically least conflict cluster is resolved by sampling a branch
     with its effect's expectation, or halting with the residual
     probability.  The state is renormalized after each sampled branch.
+
+    Between steps the state keeps the factor order its last firing left
+    (post-places first); each cluster's pre-places are brought to the
+    front once and all its branch probabilities read off their reduced
+    state.  The returned state is on the sorted marking.
     """
     if not net.safety_verified:
         raise NotAQpn("net must be safety-verified before sampling")
     env_policy = env_policy or maximally_mixed_policy(ann)
     rng = np.random.Generator(np.random.Philox(seed))
-    st = RunState(frozenset(net.initial_marking), as_matrix(rho0).copy())
+    negatives = [t for t in sorted(net.transitions) if net.pol(t) == NEGATIVE]
+    m = frozenset(net.initial_marking)
+    order, rho = sorted(m), as_matrix(rho0).copy()
+    log, halted = [], "max_steps"
 
     for step in range(max_steps):
-        fired_negative = False
-        for t in sorted(net.transitions):
-            if net.pol(t) == NEGATIVE and net.pre(t) <= st.marking:
-                env = env_policy(st.log, t)
-                st.marking, st.state = _fire_state(net, ann, st.marking, t,
-                                                   st.state, env)
-                st.log.append({"step": step, "event": t, "prob": 1.0,
-                               "kind": "env"})
-                fired_negative = True
-                break
-        if fired_negative:
+        t = next((t for t in negatives if net.pre(t) <= m), None)
+        if t is not None:
+            env = env_policy(log, t)
+            m, (order, rho) = fire(net, m, t), _fire(net, ann, order, t, rho, env)
+            log.append({"step": step, "event": t, "prob": 1.0, "kind": "env"})
             continue
 
-        clusters = marking_clusters(net, st.marking)
+        clusters = marking_clusters(net, m)
         if not clusters:
-            st.halted = "deadlock"
-            return st
+            halted = "deadlock"
+            break
         cluster = sorted(clusters[0])
-        tr = st.trace
+        pre_set = set().union(*(net.pre(e) for e in cluster))
+        pre = sorted(pre_set)
+        order, rho, rho_pre = _reduced(ann, order, pre, rho)
+        tr = float(np.real(np.trace(rho_pre)))
         probs = []
         for e in cluster:
-            # tr(E_e · rho) on the reduced state of e's pre-places
-            rho_pre = _reduced(ann, st.marking, sorted(net.pre(e)), st.state)
-            p = float(np.real(np.trace(effect(ann.channel(e)) @ rho_pre))) / tr
+            # tr(E_e · rho) with E_e on the cluster's pre-places
+            eff = (effect(ann.channel(e)) if net.pre(e) == pre_set
+                   else _embedded_effect(net, ann, pre, e))
+            p = float(np.real(np.trace(eff @ rho_pre))) / tr
             probs.append(max(p, 0.0) if p >= MIN_BRANCH_PROB else 0.0)
         residual = max(1.0 - sum(probs), 0.0)
         choice = rng.choice(len(cluster) + 1, p=_normalize(probs + [residual]))
         if choice == len(cluster):
-            st.halted = "residual"
-            st.log.append({"step": step, "cluster": cluster, "event": "HALT",
-                           "prob": residual})
-            return st
+            halted = "residual"
+            log.append({"step": step, "cluster": cluster, "event": "HALT",
+                        "prob": residual})
+            break
         e = cluster[choice]
-        st.log.append({"step": step, "cluster": cluster, "event": e,
-                       "prob": probs[choice]})
-        st.marking, st.state = _fire_state(net, ann, st.marking, e, st.state)
-        st.state = st.state / probs[choice]
+        log.append({"step": step, "cluster": cluster, "event": e,
+                    "prob": probs[choice]})
+        m, (order, rho) = fire(net, m, e), _fire(net, ann, order, e, rho)
+        rho = rho / probs[choice]
 
-    st.halted = "max_steps"
-    return st
+    return RunState(m, _moved(order, sorted(m), rho, ann.dim), log, halted)
 
 
 def _normalize(ps):

@@ -138,6 +138,32 @@ class TestChannel:
         assert np.trace(apply(f, rho)) == pytest.approx(
             np.trace(effect(f) @ rho))
 
+    def test_kraus_of_unequal_shapes_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            Channel(2, 2, (np.eye(2), np.eye(3)))
+        with pytest.raises(DimensionMismatch):
+            Channel(2, 2, np.eye(2))  # one matrix, not a sequence of them
+
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 5), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_effect_is_the_sum_of_kraus_products(self, d_in, d_out, n_kraus, as_stack,
+                                                 seed):
+        r = np.random.default_rng(seed)
+        ks = r.normal(size=(n_kraus, d_out, d_in)) + 1j * r.normal(size=(n_kraus, d_out, d_in))
+        f = Channel(d_in, d_out, ks if as_stack else tuple(ks))
+        np.testing.assert_allclose(effect(f), sum(k.conj().T @ k for k in ks),
+                                   rtol=1e-12, atol=1e-12)
+        assert effect(f) is effect(f)
+        assert f.stack.shape == (n_kraus, d_out, d_in)
+        assert all(np.shares_memory(k, f.stack) for k in f.kraus)
+
+    def test_stored_operators_are_read_only(self):
+        f = Channel(2, 3, (rng.normal(size=(3, 2)), rng.normal(size=(3, 2))))
+        for arr in (f.stack, f.kraus[1], effect(f)):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = 1.0
+
     def test_scaled_halves_the_effect(self):
         f = Channel.identity(2).scaled(0.5)
         assert np.allclose(effect(f), 0.5 * np.eye(2))

@@ -15,7 +15,7 @@ from gen import (
     random_occurrence_annotated,
     random_state_machine,
 )
-from qpn import cli, netfile
+from qpn import checker, cli, netfile
 from qpn.algebra import Channel, channels_close
 from qpn.annotation import LocalAnnotation
 from qpn.cli import main
@@ -362,6 +362,20 @@ class TestCli:
         stats = json.loads(report.read_text())["stats"]
         assert list(stats)[:3] == ["markings", "clusters", "clusters_evaluated"]
         assert stats["clusters_evaluated"] == 1  # the clique {b, c}
+
+    def test_report_document_is_built_only_for_a_report(self, demo_path, tmp_path,
+                                                         monkeypatch):
+        rows = []
+        to_dict = checker.DropInstanceResult.to_dict
+        monkeypatch.setattr(checker.DropInstanceResult, "to_dict",
+                            lambda self: rows.append(self) or to_dict(self))
+        assert main(["check", str(demo_path)]) == 0
+        assert main(["check", str(demo_path), "--oracle"]) == 0
+        assert rows == []
+        report = tmp_path / "report.json"
+        assert main(["check", str(demo_path), "--oracle", "--report", str(report)]) == 0
+        doc = json.loads(report.read_text())
+        assert len(rows) == len(doc["instances"]) + len(doc["oracle"]["instances"]) > 0
 
     def test_check_oracle_on_occurrence_net(self, demo_path, capsys):
         assert main(["check", str(demo_path), "--oracle"]) == 0

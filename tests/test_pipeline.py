@@ -5,6 +5,8 @@ import importlib.util
 import pathlib
 import re
 import sys
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -110,6 +112,24 @@ def test_unfold_prefix_passes_the_benchmark_gate(tmp_path, capsys, perfbench_wor
     events, conds = wl.expected_prefix(an.net, depth)
     assert wl._unfold_output(out, (events, conds))
     assert not wl._unfold_output(out, (events | {"ra[not-unfolded]"}, conds))
+
+
+def test_sampled_runs_pass_the_benchmark_gate(tmp_path, perfbench_workloads):
+    wl = perfbench_workloads
+    ops = {op.label: op for op in wl.build_sample(gen, 501, str(tmp_path)).ops}
+    op = ops["bd+K3d2+K2d2"]  # branching_demo beside two cliques
+    weights, classes, fixed = op.expected
+    off = ({e: w + 0.01 for e, w in weights.items()}, classes, fixed)
+    records = []
+    for i in range(200):
+        out = op.run(i)  # sample_execution with seed 501 + i
+        assert wl._sample_output(out, op.expected)
+        assert not wl._sample_output(out, off)
+        records.append(SimpleNamespace(op=op, out=wl._fired(out)))
+    assert wl._sample_frequencies(records) == set()
+    first = min(classes, key=sorted)
+    skewed = replace(op, expected=(weights, {c: float(c == first) for c in classes}, fixed))
+    assert wl._sample_frequencies([SimpleNamespace(op=skewed, out=r.out) for r in records])
 
 
 def test_check_prints_every_stage_in_order(tmp_path, capsys):

@@ -4,10 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gen import random_cptni, random_density, random_occurrence_annotated, clique_net
-from qpn.algebra import Channel, apply
+from gen import (clique_net, joinable_net, random_cptni, random_density,
+                 random_occurrence_annotated)
+from qpn.algebra import Channel, FactorPermutation, apply
 from qpn.annotation import GlobalValuation, LocalAnnotation, marking_factors
 from qpn.checker import _embedded_effect
+from qpn.compose import parallel
 from qpn.demo import branching_demo, two_phase_cycle
 from qpn.errors import BoundExceeded, DimensionMismatch, MissingEnvInput, NotAQpn
 from qpn.nets import (
@@ -265,19 +267,28 @@ class TestSampler:
         assert abs(halts / runs - 0.4) < 3 * math.sqrt(0.4 * 0.6 / runs)
 
     def test_branch_probabilities_match_the_embedded_effect(self):
-        """Replaying each sampled run, every recorded prob is
-        tr(E_e · rho)/tr(rho) with E_e embedded in the full marking space."""
-        nets = [branching_demo(), clique_net(np.random.default_rng(0), 3, weights=[0.2, 0.3, 0.1])]
-        nets += [random_occurrence_annotated(np.random.default_rng(s)) for s in range(8)]
-        checked = 0
+        """Replaying each sampled run on the sorted marking space, every
+        recorded prob is tr(E_e · rho)/tr(rho) with E_e embedded in the full
+        marking space, and the run ends in the replayed marking and state,
+        whichever way it halts."""
+        nets = [branching_demo(), two_phase_cycle(),
+                clique_net(np.random.default_rng(0), 3, weights=[0.2, 0.3, 0.1])]
+        # seeds 16 and 30 fire events with generic effects on part of
+        # their cluster's pre-places
+        nets += [random_occurrence_annotated(np.random.default_rng(s))
+                 for s in (*range(8), 16, 30)]
+        # positive events sharing a pre-place, after two negative ones
+        nets += [joinable_net(np.random.default_rng(0), neg, True) for neg in (False, True)]
+        checked, narrower, halts = 0, 0, set()
         for an in nets:
             net, ann = an.net, an.ann
             policy = maximally_mixed_policy(ann)
             dim = math.prod(d for _, d in marking_factors(ann, net.initial_marking))
             rho0 = random_density(np.random.default_rng(dim), dim)
             for seed in range(5):
+                run = sample_execution(net, ann, rho0, seed=seed, max_steps=12)
                 m, rho = frozenset(net.initial_marking), rho0
-                for rec in sample_execution(net, ann, rho0, seed=seed).log:
+                for rec in run.log:
                     e = rec["event"]
                     if rec.get("kind") == "env":
                         m, rho = _fire_state(net, ann, m, e, rho, policy(None, e))
@@ -289,10 +300,39 @@ class TestSampler:
                         assert abs(rec["prob"] - max(1 - sum(want.values()), 0)) <= 1e-12
                         break
                     assert abs(rec["prob"] - want[e]) <= 1e-12
+                    # e's effect is embedded on the cluster's pre-places
+                    narrower += net.pre(e) < set().union(*map(net.pre, rec["cluster"]))
                     m, rho = _fire_state(net, ann, m, e, rho)
                     rho = rho / rec["prob"]
                     checked += 1
-        assert checked >= 40
+                assert run.marking == m
+                np.testing.assert_allclose(run.state, rho, rtol=0, atol=1e-12)
+                halts.add(run.halted)
+        assert checked >= 40 and narrower >= 1
+        assert halts == {"deadlock", "residual", "max_steps"}
+
+    def test_one_permute_per_step_and_one_at_return(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        an = clique_net(rng, 3, weights=[0.3, 0.3, 0.3])
+        for k in (2, 4):
+            an, _ = parallel(an, clique_net(rng, k, weights=[0.9 / k] * k))
+        verify_safety(an.net)
+        rho0 = random_density(rng, 8)
+        calls = []
+        permute = FactorPermutation.permute
+
+        def counting(self, *args, **kwargs):
+            calls.append(self)
+            return permute(self, *args, **kwargs)
+
+        monkeypatch.setattr(FactorPermutation, "permute", counting)
+        steps = 0
+        for seed in range(10):
+            calls.clear()
+            run = sample_execution(an.net, an.ann, rho0, seed=seed)
+            assert 0 < len(calls) <= len(run.log) + 1
+            steps += len(run.log)
+        assert steps > 10  # some runs resolve more than one clique
 
     def test_cycle_hits_step_limit(self):
         tc = two_phase_cycle()
