@@ -211,39 +211,14 @@ def _fire_wires(o: OccurrenceNet, wires, e):
     return consumed, produced, rest
 
 
-def walk_interval(o: OccurrenceNet, ann: LocalAnnotation, iv: MarkingInterval,
-                  start, fire):
-    """Thread a value through the events of iv in layer order.
-
-    ``start(dim)`` builds the value on layer 0 once its dimension is within
-    the bound; ``fire(x, e, perm)`` applies e's channel to x after ``perm``,
-    which takes the current wires to e's consumed wires followed by the
-    rest.  Returns (value, its wires, the interval's final wires).
-    """
-    graph = layer_graph(o, ann, iv)
-    wires = list(graph.layers[0])
-    dim = math.prod(_wire_dim(ann, w) for w in wires)
-    if dim > MAX_TOTAL_DIM:
-        raise BoundExceeded(f"interval space dimension {dim} exceeds "
-                            f"{MAX_TOTAL_DIM}")
-    x = start(dim)
-    for rnd in graph.events:
-        for e in rnd:
-            consumed, produced, rest = _fire_wires(o, wires, e)
-            x = fire(x, e, FactorPermutation.between(
-                wires, consumed + rest, lambda w: _wire_dim(ann, w)))
-            wires = produced + rest
-    return x, wires, list(graph.layers[-1])
-
-
 class GlobalValuation:
     """Interval operators of an annotated occurrence net, with memoization.
 
-    Operators are evaluated by :func:`walk_interval`: each firing permutes
-    the consumed wires to the front and applies the event's channel to
-    them, leaving the remaining wires alone.  The running Kraus list is one
-    stacked (n, dim_out, dim_in) array.  Results are cached per (source
-    marking, target marking) pair.
+    Operators are evaluated on the layer graph, starting from the identity
+    on layer 0: each firing permutes the consumed wires to the front and
+    applies the event's channel to them, leaving the remaining wires alone.
+    The running Kraus list is one stacked (n, dim_out, dim_in) array.
+    Results are cached per (source marking, target marking) pair.
     """
 
     def __init__(self, o: OccurrenceNet, ann: LocalAnnotation):
@@ -263,11 +238,25 @@ class GlobalValuation:
         return chan
 
     def _evaluate(self, iv: MarkingInterval) -> Channel:
-        ann = self.ann
-        kraus, wires, final = walk_interval(
-            self.net, ann, iv, lambda dim: np.eye(dim, dtype=complex)[None],
-            lambda ks, e, perm: compose_leading(ann.channel(e), perm.permute(ks)))
-        kraus = FactorPermutation.between(
-            wires, final, lambda w: _wire_dim(ann, w)).permute(kraus)
+        o, ann = self.net, self.ann
+
+        def wire_dim(w):
+            return _wire_dim(ann, w)
+
+        graph = layer_graph(o, ann, iv)
+        wires = list(graph.layers[0])
+        dim = math.prod(map(wire_dim, wires))
+        if dim > MAX_TOTAL_DIM:
+            raise BoundExceeded(f"interval space dimension {dim} exceeds "
+                                f"{MAX_TOTAL_DIM}")
+        kraus = np.eye(dim, dtype=complex)[None]
+        for rnd in graph.events:
+            for e in rnd:
+                consumed, produced, rest = _fire_wires(o, wires, e)
+                perm = FactorPermutation.between(wires, consumed + rest, wire_dim)
+                kraus = compose_leading(ann.channel(e), perm.permute(kraus))
+                wires = produced + rest
+        kraus = FactorPermutation.between(wires, list(graph.layers[-1]),
+                                          wire_dim).permute(kraus)
         _, dout, din = kraus.shape
         return Channel(din, dout, kraus)

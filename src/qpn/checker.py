@@ -36,6 +36,7 @@ from .annotation import (
     annotation_is_cptni,
     check_local_obliviousness,
     marking_factors,
+    space_dim,
     validate_signatures,
 )
 from .errors import (
@@ -106,8 +107,7 @@ def drop_effect(gv: GlobalValuation, x, ys, *, validate: bool = True) -> np.ndar
     if validate:
         _check_extensions(o, x, ys)
     m = marking_of_configuration(o, x)
-    dim = math.prod(d for _, d in marking_factors(gv.ann, m))
-    total = np.eye(dim, dtype=complex)
+    total = np.eye(space_dim(gv.ann, m), dtype=complex)
     for r in range(1, len(ys) + 1):
         for idx in itertools.combinations(range(len(ys)), r):
             y_union = _union_config(o, [ys[i] for i in idx])
@@ -145,9 +145,8 @@ def drop_inductive(gv: GlobalValuation, x, ys) -> np.ndarray:
     x = frozenset(x)
     ys = [frozenset(y) for y in ys]
     _check_extensions(o, x, ys)
-    m = marking_factors(gv.ann, marking_of_configuration(o, x))
     if not ys:
-        return np.eye(math.prod(d for _, d in m), dtype=complex)
+        return np.eye(space_dim(gv.ann, marking_of_configuration(o, x)), dtype=complex)
     head, yn = ys[:-1], ys[-1]
     d_head = drop_inductive(gv, x, head)
     shifted = [y | yn for y in head if o.is_configuration(y | yn)]
@@ -201,8 +200,8 @@ def expand_drop(gv: GlobalValuation, x, ys):
         nonlocal steps
         steps += 1
         if any(y == base for y in fam):
-            m = marking_factors(gv.ann, marking_of_configuration(o, base))
-            return np.zeros((math.prod(d for _, d in m),) * 2, dtype=complex)
+            dim = space_dim(gv.ann, marking_of_configuration(o, base))
+            return np.zeros((dim, dim), dtype=complex)
         big = next((i for i, y in enumerate(fam) if len(y - base) > 1), None)
         if big is None:
             return drop_effect(gv, base, fam, validate=False)
@@ -270,8 +269,7 @@ def single_extension_drop(net: Net, ann: LocalAnnotation, m, events) -> np.ndarr
         if net.pol(e) == NEGATIVE:
             raise NegativeEventInCluster(f"{e} is negative")
     effs = {e: _embedded_effect(net, ann, m, e) for e in events}
-    dim = math.prod(d for _, d in marking_factors(ann, m))
-    return _drop_recurrence(events, net.pre, effs, dim)
+    return _drop_recurrence(events, net.pre, effs, space_dim(ann, m))
 
 
 def clique_drop(net: Net, ann: LocalAnnotation, m, clique) -> np.ndarray:

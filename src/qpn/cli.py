@@ -8,17 +8,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
 
 from . import checker, netfile, semantics
 from .algebra import _check_total_dim
-from .annotation import marking_factors
+from .annotation import space_dim
 from .compose import AnnotatedNet, drop_preserving_join, parallel, validate_drop_preserving
 from .errors import BoundExceeded, NetFileError, QpnError
-from .nets import DEFAULT_MARKING_BOUND, as_occurrence_net, to_dot, verify_safety
+from .nets import (DEFAULT_MARKING_BOUND, NEGATIVE, as_occurrence_net, interval, to_dot,
+                   verify_safety)
 from .unfolding import UnfoldBudget, transfer_annotation, unfold, verify_branching_process
 
 EXIT_OK = 0
@@ -167,14 +167,12 @@ def _initial_state(args, ann, m):
     dimension is checked against the operator cap before it is built."""
     if args.rho:
         return _load_matrix(args.rho)
-    dim = math.prod(d for _, d in marking_factors(ann, m))
+    dim = space_dim(ann, m)
     _check_total_dim(dim)
     return np.eye(dim, dtype=complex) / dim
 
 
 def cmd_prob(args) -> int:
-    from .nets import interval
-
     net, ann, code = _load(args.path, args.marking_bound)
     if code:
         return code
@@ -183,16 +181,13 @@ def cmd_prob(args) -> int:
     m_to = _parse_marking(args.to_marking)
     iv = interval(o, m_from, m_to)
     rho = _initial_state(args, ann, m_from)
-    env = {}
     if args.env:
         with open(args.env) as fh:
             doc = json.load(fh)
         env = {e: netfile.matrix_from_json(m, f"env.{e}") for e, m in doc.items()}
     else:
-        for e in iv.sigma:
-            if o.pol(e) == "-":
-                h = ann.signal_dim(e)
-                env[e] = np.eye(h, dtype=complex) / h
+        policy = semantics.maximally_mixed_policy(ann)
+        env = {e: policy(None, e) for e in iv.sigma if o.pol(e) == NEGATIVE}
     p = semantics.run_probability(o, ann, iv, rho, env)
     print(f"probability {p:.12f}")
     return EXIT_OK

@@ -9,15 +9,13 @@ frequencies converge to those values.
 
 from __future__ import annotations
 
-import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import (TOL_PSD, FactorPermutation, apply_leading, as_matrix, effect,
-                      partial_trace)
-from .annotation import LocalAnnotation, marking_factors, space_dim, walk_interval
+from .algebra import (TOL_PSD, FactorPermutation, _check_total_dim, apply_leading,
+                      as_matrix, effect, partial_trace)
+from .annotation import LocalAnnotation, space_dim
 from .checker import _embedded_effect, single_extension_drop
 from .errors import DimensionMismatch, MissingEnvInput, NotAQpn, NotEnabled
 from .nets import (
@@ -26,6 +24,7 @@ from .nets import (
     MarkingInterval,
     Net,
     OccurrenceNet,
+    causal_heights,
     fire,
     is_clique,
     marking_clusters,
@@ -41,17 +40,17 @@ def run_probability(o: OccurrenceNet, ann: LocalAnnotation, iv: MarkingInterval,
     """Probability that all events of the interval fire, starting from rho0.
 
     env_inputs must give a unit-trace state for every negative event of the
-    interval; they are tensored after the marking factors in sorted event
-    order, matching the interval channel's input signature.  The state is
-    pushed forward event by event; no interval channel is built.
+    interval.  The state is pushed forward through `_fire`, event by event
+    in layer order: a negative event's environment state joins it when the
+    event fires and a positive event's signal is traced out at once, since
+    no later event acts on either.  No interval channel is built.
     """
     env_inputs = env_inputs or {}
     rho = as_matrix(rho0)
-    dim_m = math.prod(d for _, d in marking_factors(ann, iv.from_marking))
+    dim_m = space_dim(ann, iv.from_marking)
     if rho.shape != (dim_m, dim_m):
         raise DimensionMismatch(
             f"initial state has shape {rho.shape}, marking space is {dim_m}")
-    envs = []
     for e in sorted(iv.sigma):
         if o.pol(e) != NEGATIVE:
             continue
@@ -62,10 +61,10 @@ def run_probability(o: OccurrenceNet, ann: LocalAnnotation, iv: MarkingInterval,
         if env.shape != (h, h):
             raise DimensionMismatch(
                 f"environment state for {e} has shape {env.shape}, expected {h}")
-        envs.append(env)
-    rho, _, _ = walk_interval(
-        o, ann, iv, lambda dim: functools.reduce(np.kron, envs, rho),
-        lambda r, e, perm: apply_leading(ann.channel(e), perm.permute(r, two_sided=True)))
+    order = sorted(iv.from_marking)
+    height = causal_heights(o, iv.sigma)
+    for e in sorted(iv.sigma, key=lambda e: (height[e], e)):
+        order, rho = _fire(o, ann, order, e, rho, env_inputs.get(e))
     return float(np.real(np.trace(rho)))
 
 
@@ -93,8 +92,7 @@ def sub_probability_check(net: Net, ann: LocalAnnotation, m, cluster,
         if rho.shape != (dim, dim):
             raise DimensionMismatch(f"state has shape {rho.shape}, marking space is {dim}")
         _, _, rho = _reduced(ann, sorted(m), pre, rho)
-    branch = {e: float(np.real(np.trace(
-        _embedded_effect(net, ann, pre, e) @ rho))) for e in cluster}
+    branch = dict(zip(cluster, _branch_weights(net, ann, pre, cluster, rho)))
     total = sum(branch.values())
     clique = bool(cluster) and is_clique(net, cluster)  # a singleton is one
     d = single_extension_drop(net, ann, pre, cluster)
@@ -154,12 +152,22 @@ def _reduced(ann: LocalAnnotation, order, pre, rho):
         rho, [space_dim(ann, pre), space_dim(ann, rest)], [1])
 
 
+def _branch_weights(net: Net, ann: LocalAnnotation, pre, cluster, rho_pre):
+    """tr(E_e · rho_pre) for each e of the cluster, with E_e e's effect on
+    the sorted places ``pre`` that rho_pre lives on; an effect whose
+    pre-set is all of ``pre`` is read as it is, without embedding."""
+    return [float(np.real(np.trace(
+        (effect(ann.channel(e)) if len(net.pre(e)) == len(pre)
+         else _embedded_effect(net, ann, pre, e)) @ rho_pre))) for e in cluster]
+
+
 def _fire(net: Net, ann: LocalAnnotation, order, e, rho, env=None):
     """Fire e on rho, a state on the places listed in ``order``.
 
     The sorted pre-places of e are brought in front of the rest, with a
     negative event's environment state between them, and e's channel acts
-    on those leading factors; positive signal outputs are traced out.
+    on those leading factors; positive signal outputs are traced out.  The
+    joined state's dimension is checked against the cap before it is built.
     Returns the new factor order, [post, rest], and the state on it.
     """
     pre = sorted(net.pre(e))
@@ -167,6 +175,7 @@ def _fire(net: Net, ann: LocalAnnotation, order, e, rho, env=None):
     now, want = list(order), pre + rest
     h = ann.signal_dim(e)
     if net.pol(e) == NEGATIVE:
+        _check_total_dim(rho.shape[0] * h)
         rho = np.kron(rho, as_matrix(env))
         now, want = now + [_ENV], pre + [_ENV] + rest
     rho = _moved(now, want, rho, lambda x: h if x is _ENV else ann.dim(x))
@@ -224,17 +233,11 @@ def sample_execution(net: Net, ann: LocalAnnotation, rho0,
             halted = "deadlock"
             break
         cluster = sorted(clusters[0])
-        pre_set = set().union(*(net.pre(e) for e in cluster))
-        pre = sorted(pre_set)
+        pre = sorted(set().union(*(net.pre(e) for e in cluster)))
         order, rho, rho_pre = _reduced(ann, order, pre, rho)
         tr = float(np.real(np.trace(rho_pre)))
-        probs = []
-        for e in cluster:
-            # tr(E_e · rho) with E_e on the cluster's pre-places
-            eff = (effect(ann.channel(e)) if net.pre(e) == pre_set
-                   else _embedded_effect(net, ann, pre, e))
-            p = float(np.real(np.trace(eff @ rho_pre))) / tr
-            probs.append(max(p, 0.0) if p >= MIN_BRANCH_PROB else 0.0)
+        probs = [w / tr for w in _branch_weights(net, ann, pre, cluster, rho_pre)]
+        probs = [p if p >= MIN_BRANCH_PROB else 0.0 for p in probs]
         residual = max(1.0 - sum(probs), 0.0)
         choice = rng.choice(len(cluster) + 1, p=_normalize(probs + [residual]))
         if choice == len(cluster):

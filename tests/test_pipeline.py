@@ -26,13 +26,11 @@ STAGE_NAMES = [name for name, _ in STAGES]
 STAGE_LINE = re.compile(r"^(PASS|FAIL) ([a-z-]+)(?::|$| \()")
 
 
-@pytest.fixture(scope="module")
-def perfbench_workloads():
-    """The benchmark's workloads module, with its own parsers of `qpn`
-    output (perfbench sits outside testpaths, so it is loaded from its
-    file)."""
-    path = pathlib.Path(__file__).parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+def _load_perfbench(name):
+    """A module of the benchmark (perfbench sits outside testpaths, so it
+    is loaded from its file)."""
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up here
     try:
@@ -40,6 +38,13 @@ def perfbench_workloads():
     finally:
         del sys.modules[spec.name]
     return module
+
+
+@pytest.fixture(scope="module")
+def perfbench_workloads():
+    """The benchmark's workloads module, with its own parsers of `qpn`
+    output."""
+    return _load_perfbench("workloads")
 
 
 @pytest.fixture(scope="module")
@@ -205,3 +210,30 @@ def test_check_explores_the_reachable_markings_once(tmp_path, monkeypatch):
     firings.clear()
     assert _check(tmp_path, bd) == 0  # a net loaded afresh from its file
     assert len(firings) == one_exploration
+
+
+def test_benchmark_tracer_resolves_every_traced_name():
+    """Every callable the benchmark's tracer wraps still exists in `qpn`,
+    is replaced by `install` and put back by `uninstall`."""
+    tracing = _load_perfbench("tracing")
+
+    def current():
+        out = {}
+        for mod_name, attr in tracing.TRACED:
+            mod = sys.modules[f"qpn.{mod_name}"]
+            if "." in attr or attr == "OccurrenceNet":
+                cls_name, meth = attr.split(".") if "." in attr else (attr, "__init__")
+                out[mod_name, attr] = vars(getattr(mod, cls_name))[meth]
+            else:
+                out[mod_name, attr] = getattr(mod, attr)
+        return out
+
+    before = current()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        wrapped = current()
+    finally:
+        tracer.uninstall()
+    assert [k for k in before if wrapped[k] is before[k]] == []
+    assert current() == before

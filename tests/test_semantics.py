@@ -6,7 +6,7 @@ import pytest
 
 from gen import (clique_net, joinable_net, random_cptni, random_density,
                  random_occurrence_annotated)
-from qpn.algebra import Channel, FactorPermutation, apply
+from qpn.algebra import MAX_TOTAL_DIM, Channel, FactorPermutation, apply
 from qpn.annotation import GlobalValuation, LocalAnnotation, marking_factors
 from qpn.checker import _embedded_effect
 from qpn.compose import parallel
@@ -166,20 +166,54 @@ class TestPushForward:
 
     def test_layer_zero_past_the_cap_raises_before_allocating(self):
         # seven environment inputs of dimension 4 on a one-dimensional
-        # chain: layer 0 is 4^7 = 16384-dimensional
+        # chain: the channel's layer 0 is 4^7 = 16384-dimensional, while
+        # the pushed state joins one input at a time and never exceeds 4
         o, ann, start, end, _ = _chains(None, 1, 7, dim=1, pol="-", h=4)
         iv = interval(o, start, end)
         env = {e: np.eye(4) / 4 for e in o.transitions}
         tracemalloc.start()
         try:
-            with pytest.raises(BoundExceeded, match="interval space dimension 16384"):
-                run_probability(o, ann, iv, np.eye(1), env)
+            assert abs(run_probability(o, ann, iv, np.eye(1), env) - 1) <= 1e-12
             with pytest.raises(BoundExceeded, match="interval space dimension 16384"):
                 GlobalValuation(o, ann).q_interval(iv)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2**20  # a 16384-dim state would take 4 GiB
+
+
+def _idle_beside_negative():
+    """Marked p (dim 2) beside an idle marked r (dim 512), and a negative
+    identity event t on p with an 8-dim environment input: joining that
+    input to the 1024-dim marking state would make it 8192-dimensional."""
+    net = as_occurrence_net(Net({"p", "q", "r"}, {"t"}, {("p", "t"), ("t", "q")},
+                                {"p", "r"}, {"t": "-"}))
+    verify_safety(net)
+    ann = LocalAnnotation({"p": 2, "q": 16, "r": 512}, {"t": Channel.identity(16)},
+                          {"t": 8})
+    return net, ann
+
+
+@pytest.mark.parametrize("run", ["sample", "probability"])
+def test_environment_join_past_the_cap_raises_before_kron(monkeypatch, run):
+    net, ann = _idle_beside_negative()
+    rho = np.eye(1024, dtype=complex) / 1024
+    asked, kron = [], np.kron
+
+    def recording(a, b):
+        asked.append(np.shape(a)[0] * np.shape(b)[0])
+        if asked[-1] > MAX_TOTAL_DIM:
+            raise MemoryError(f"np.kron asked for a {asked[-1]}-dim matrix")
+        return kron(a, b)
+
+    monkeypatch.setattr("qpn.semantics.np.kron", recording)
+    with pytest.raises(BoundExceeded, match="8192"):
+        if run == "sample":
+            sample_execution(net, ann, rho)
+        else:
+            run_probability(net, ann, interval(net, {"p", "r"}, {"q", "r"}), rho,
+                            {"t": np.eye(8) / 8})
+    assert asked == []
 
 
 class TestSubProbability:
