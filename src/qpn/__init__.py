@@ -14,10 +14,8 @@ from .algebra import (
 )
 from .annotation import (
     GlobalValuation,
-    LayerGraph,
     LocalAnnotation,
     check_local_obliviousness,
-    layer_graph,
     validate_signatures,
 )
 from .checker import (

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadIndex, BadPermutation, BoundExceeded, DimensionMismatch
+from .errors import BadIndex, BadPermutation, BoundExceeded, DimensionMismatch, SignatureMismatch
 from .outcome import CheckOutcome
 
 # Absolute eigenvalue tolerance for positivity verdicts (double precision
@@ -237,6 +237,33 @@ def compose_leading(f: Channel, kraus) -> np.ndarray:
     n, _, d_g = kraus.shape
     out = ks[:, None] @ kraus.reshape(n, f.dim_in, -1)[None]
     return out.reshape(len(ks) * n, -1, d_g)
+
+
+def thread(wires, steps, out_wires, dim) -> Channel:
+    """The channel of ``steps`` fired in order on the factors listed as
+    ``wires``, as one Kraus stack grown from the identity.
+
+    Each step (channel, consumed, produced) brings its consumed factors in
+    front of the untouched rest and applies the channel to them; its
+    produced factors then lead.  The factors left are permuted to
+    ``out_wires``.  All factor orders are lists; ``dim`` maps a factor to
+    its dimension.  The input dimension is checked against the cap before
+    the identity is built.
+    """
+    n = math.prod(map(dim, wires))
+    if n > MAX_TOTAL_DIM:
+        raise BoundExceeded(f"interval space dimension {n} exceeds {MAX_TOTAL_DIM}")
+    kraus = np.eye(n, dtype=complex)[None]
+    for chan, consumed, produced in steps:
+        rest = [w for w in wires if w not in consumed]
+        perm = FactorPermutation.between(wires, consumed + rest, dim)
+        kraus = compose_leading(chan, perm.permute(kraus))
+        wires = produced + rest
+    if len(wires) != len(out_wires) or set(wires) != set(out_wires):
+        raise SignatureMismatch(f"factors {wires} do not close on {out_wires}")
+    kraus = FactorPermutation.between(wires, out_wires, dim).permute(kraus)
+    _, dout, din = kraus.shape
+    return Channel(din, dout, kraus)
 
 
 def effect(f: Channel) -> np.ndarray:

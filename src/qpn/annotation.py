@@ -12,17 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .algebra import (
-    MAX_TOTAL_DIM,
-    Channel,
-    FactorPermutation,
-    channels_close,
-    compose_leading,
-    is_cptni,
-)
-from .errors import BoundExceeded, SignatureMismatch
+from .algebra import Channel, channels_close, is_cptni, thread
 from .nets import (
     NEGATIVE,
     POSITIVE,
@@ -142,82 +132,20 @@ def check_local_obliviousness(net: Net, ann: LocalAnnotation) -> CheckOutcome:
 
 
 # --------------------------------------------------------------------------
-# wires and layer graphs
+# interval operators
 
 # A wire is ("p", place) carrying dims[place], ("h-", event) carrying the
 # environment input of a negative event, or ("h+", event) carrying the
 # signal output of a positive event.
 
 
-def _wire_dim(ann: LocalAnnotation, wire) -> int:
-    kind, ident = wire
-    return ann.dim(ident) if kind == "p" else ann.signal_dim(ident)
-
-
-@dataclass(frozen=True)
-class LayerGraph:
-    """The interval operator as a string diagram sliced into layers.
-
-    ``layers[i]`` is the ordered wire list between the i-th and (i+1)-th
-    rounds of events; ``events[i]`` are the events fired between layer i
-    and layer i+1.  Layer 0 carries the source marking and all environment
-    inputs of the interval's negative events; the last layer carries the
-    target marking and all signal outputs, in normalized order.
-    """
-
-    layers: tuple
-    events: tuple
-
-    def wire_dims(self, ann: LocalAnnotation):
-        return [tuple(_wire_dim(ann, w) for w in layer) for layer in self.layers]
-
-
-def layer_graph(o: OccurrenceNet, ann: LocalAnnotation, iv: MarkingInterval) -> LayerGraph:
-    """Slice the interval [m; m'] into layers of parallel events."""
-    height = causal_heights(o, iv.sigma)
-    rounds = [sorted(e for e in iv.sigma if height[e] == d)
-              for d in range(1, max(height.values(), default=0) + 1)]
-
-    wires = [("p", p) for p in sorted(iv.from_marking)]
-    wires += [("h-", e) for e in sorted(iv.sigma) if o.pol(e) == NEGATIVE]
-    layers = [tuple(wires)]
-    for rnd in rounds:
-        for e in rnd:
-            _, produced, rest = _fire_wires(o, wires, e)
-            wires = produced + rest
-        layers.append(tuple(wires))
-    final = [("p", p) for p in sorted(iv.to_marking)]
-    final += [("h+", e) for e in sorted(iv.sigma) if o.pol(e) == POSITIVE]
-    if set(final) != set(wires):
-        raise SignatureMismatch("layer graph does not close on the target marking")
-    if layers[-1] != tuple(final):
-        layers.append(tuple(final))
-        rounds.append([])
-    return LayerGraph(tuple(layers), tuple(tuple(r) for r in rounds))
-
-
-def _fire_wires(o: OccurrenceNet, wires, e):
-    """The wire-threading rule: firing e consumes its sorted pre-set wires,
-    then its environment input if negative, and puts its sorted post-set
-    wires, then its signal output if positive, in front of the untouched
-    rest.  Returns (consumed, produced, rest)."""
-    consumed = [("p", c) for c in sorted(o.pre(e))]
-    if o.pol(e) == NEGATIVE:
-        consumed.append(("h-", e))
-    produced = [("p", c) for c in sorted(o.post(e))]
-    if o.pol(e) == POSITIVE:
-        produced.append(("h+", e))
-    rest = [w for w in wires if w not in consumed]
-    return consumed, produced, rest
-
-
 class GlobalValuation:
     """Interval operators of an annotated occurrence net, with memoization.
 
-    Operators are evaluated on the layer graph, starting from the identity
-    on layer 0: each firing permutes the consumed wires to the front and
-    applies the event's channel to them, leaving the remaining wires alone.
-    The running Kraus list is one stacked (n, dim_out, dim_in) array.
+    An interval's events fire through `thread` in causal order (height,
+    then id) on the source marking's wires followed by the environment
+    inputs of its negative events; the result is put on the target
+    marking's wires followed by the signal outputs of its positive events.
     Results are cached per (source marking, target marking) pair.
     """
 
@@ -240,23 +168,21 @@ class GlobalValuation:
     def _evaluate(self, iv: MarkingInterval) -> Channel:
         o, ann = self.net, self.ann
 
-        def wire_dim(w):
-            return _wire_dim(ann, w)
+        def dim(wire):
+            kind, ident = wire
+            return ann.dim(ident) if kind == "p" else ann.signal_dim(ident)
 
-        graph = layer_graph(o, ann, iv)
-        wires = list(graph.layers[0])
-        dim = math.prod(map(wire_dim, wires))
-        if dim > MAX_TOTAL_DIM:
-            raise BoundExceeded(f"interval space dimension {dim} exceeds "
-                                f"{MAX_TOTAL_DIM}")
-        kraus = np.eye(dim, dtype=complex)[None]
-        for rnd in graph.events:
-            for e in rnd:
-                consumed, produced, rest = _fire_wires(o, wires, e)
-                perm = FactorPermutation.between(wires, consumed + rest, wire_dim)
-                kraus = compose_leading(ann.channel(e), perm.permute(kraus))
-                wires = produced + rest
-        kraus = FactorPermutation.between(wires, list(graph.layers[-1]),
-                                          wire_dim).permute(kraus)
-        _, dout, din = kraus.shape
-        return Channel(din, dout, kraus)
+        def wires(places, events, pol):
+            """The sorted place wires, then the signal wires of those
+            ``events`` whose polarity is ``pol``."""
+            kind = "h-" if pol == NEGATIVE else "h+"
+            return ([("p", p) for p in sorted(places)]
+                    + [(kind, e) for e in events if o.pol(e) == pol])
+
+        height = causal_heights(o, iv.sigma)
+        steps = [(ann.channel(e), wires(o.pre(e), [e], NEGATIVE),
+                  wires(o.post(e), [e], POSITIVE))
+                 for e in sorted(iv.sigma, key=lambda e: (height[e], e))]
+        events = sorted(iv.sigma)
+        return thread(wires(iv.from_marking, events, NEGATIVE), steps,
+                      wires(iv.to_marking, events, POSITIVE), dim)

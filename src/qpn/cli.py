@@ -7,7 +7,6 @@ Exit codes are a stable contract: 0 all checks pass, 1 a check failed,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -119,8 +118,7 @@ def cmd_unfold(args) -> int:
         print(f"wrote {args.out}")
     if args.dot:
         labels = dict(bp.label_place) | dict(bp.label_event)
-        with open(args.dot, "w") as fh:
-            fh.write(to_dot(bp.occ, labels) + "\n")
+        netfile.write_text(args.dot, to_dot(bp.occ, labels) + "\n")
         print(f"wrote {args.dot}")
     return EXIT_OK if out else EXIT_CHECK_FAILED
 
@@ -158,8 +156,7 @@ def _parse_marking(s):
 
 
 def _load_matrix(path):
-    with open(path) as fh:
-        return netfile.matrix_from_json(json.load(fh), str(path))
+    return netfile.matrix_from_json(netfile.read_json(path), str(path))
 
 
 def _initial_state(args, ann, m):
@@ -182,8 +179,10 @@ def cmd_prob(args) -> int:
     iv = interval(o, m_from, m_to)
     rho = _initial_state(args, ann, m_from)
     if args.env:
-        with open(args.env) as fh:
-            doc = json.load(fh)
+        doc = netfile.read_json(args.env)
+        if not isinstance(doc, dict):
+            raise NetFileError("must map negative event ids to matrices",
+                               location=str(args.env))
         env = {e: netfile.matrix_from_json(m, f"env.{e}") for e, m in doc.items()}
     else:
         policy = semantics.maximally_mixed_policy(ann)

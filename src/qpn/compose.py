@@ -10,14 +10,13 @@ conflict-preserving bijection, and provably keep the net a QPN.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Channel, FactorPermutation, compose_leading, effect, embed_operator
-from .annotation import LocalAnnotation, marking_factors, validate_signatures
-from .checker import TOL_DROP_EQ, _drop_recurrence, single_extension_drop
+from .algebra import Channel, thread
+from .annotation import LocalAnnotation, space_dim, validate_signatures
+from .checker import TOL_DROP_EQ, _drop_recurrence, _embedded_effect, single_extension_drop
 from .errors import (
     PolarityMismatch,
     QpnError,
@@ -97,24 +96,16 @@ def _has_path(net: Net, src, dst) -> bool:
 
 
 def _joined_channel(net: Net, ann: LocalAnnotation, p, n) -> Channel:
-    """Channel of the fused event: run the positive side, feed its signal
-    into the negative side, with all factor shuffles made explicit."""
+    """Channel of the fused event: run the positive side, then feed its
+    signal into the negative side."""
+    signal = object()  # the signal factor; equal to no place id
     pre_p, pre_n = sorted(net.pre(p)), sorted(net.pre(n))
     post_p, post_n = sorted(net.post(p)), sorted(net.post(n))
     h = ann.signal_dim(p)
-    dims = {c: ann.dim(c) for c in pre_p + pre_n + post_p + post_n}
-
-    def perm(now, want):
-        return FactorPermutation.between(now, want, lambda w: h if w == "H" else dims[w])
-
-    pre_all, post_all = sorted(pre_p + pre_n), sorted(post_p + post_n)
-    din = math.prod(dims[c] for c in pre_all)
-    kraus = perm(pre_all, pre_p + pre_n).permute(np.eye(din, dtype=complex)[None])
-    kraus = compose_leading(ann.channel(p), kraus)  # -> [p• | H | •n]
-    kraus = perm(post_p + ["H"] + pre_n, pre_n + ["H"] + post_p).permute(kraus)
-    kraus = compose_leading(ann.channel(n), kraus)  # -> [n• | p•]
-    kraus = perm(post_n + post_p, post_all).permute(kraus)
-    return Channel(din, kraus.shape[1], kraus)
+    steps = [(ann.channel(p), pre_p, post_p + [signal]),
+             (ann.channel(n), pre_n + [signal], post_n)]
+    return thread(sorted(pre_p + pre_n), steps, sorted(post_p + post_n),
+                  lambda w: h if w is signal else ann.dim(w))
 
 
 def joined_id(p, n) -> str:
@@ -276,13 +267,6 @@ def _preimage_drop(before: AnnotatedNet, after_net: Net, m, fam, joined):
     contributing its positive member's effect and identity on the rest of
     its pre-set (the negative member is oblivious); conflict is read off
     the joined net."""
-    ann = before.ann
-    factors = marking_factors(ann, m)
-    ids = [p for p, _ in factors]
-    dims = [d for _, d in factors]
-    effs = {}
-    for e in fam:
-        src = joined.get(e, (e, None))[0]
-        pos = [ids.index(c) for c in sorted(before.net.pre(src))]
-        effs[e] = embed_operator(effect(ann.channel(src)), dims, pos)
-    return _drop_recurrence(fam, after_net.pre, effs, math.prod(dims))
+    effs = {e: _embedded_effect(before.net, before.ann, m, joined.get(e, (e, None))[0])
+            for e in fam}
+    return _drop_recurrence(fam, after_net.pre, effs, space_dim(before.ann, m))

@@ -199,36 +199,44 @@ def _write_json(path, doc: dict, default=None) -> None:
             lines.append(f"{encode(key)}: [\n{body}\n]")
         else:
             lines.append(f"{encode(key)}: {encode(value)}")
-    with open(path, "w") as fh:
-        fh.write("{\n" + ",\n".join(lines) + "\n}\n")
+    write_text(path, "{\n" + ",\n".join(lines) + "\n}\n")
 
 
 def save_net(path, net: Net, ann: LocalAnnotation, metadata=None, labels=None):
     _write_json(path, to_document(net, ann, metadata, labels))
 
 
-def load_net(path):
-    """Load a net file; returns (Net, LocalAnnotation, metadata, labels)."""
+def read_json(path):
+    """The JSON document in the file at ``path``; an unreadable file or
+    invalid JSON raises a NetFileError located at the path."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise NetFileError(str(exc), location=str(path))
     except json.JSONDecodeError as exc:
         raise NetFileError(f"invalid JSON: {exc}", location=f"{path}:{exc.lineno}")
-    return from_document(doc)
+
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` to the file at ``path``; a failed open or write raises
+    a NetFileError located at the path."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise NetFileError(str(exc), location=str(path))
+
+
+def load_net(path):
+    """Load a net file; returns (Net, LocalAnnotation, metadata, labels)."""
+    return from_document(read_json(path))
 
 
 def load_join_spec(path):
     from .compose import JoinSpec
 
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise NetFileError(str(exc), location=str(path))
-    except json.JSONDecodeError as exc:
-        raise NetFileError(f"invalid JSON: {exc}", location=f"{path}:{exc.lineno}")
+    doc = read_json(path)
     pairs = doc.get("pairs") if isinstance(doc, dict) else None
     if not isinstance(pairs, list):
         _fail("pairs", "join spec needs a list of [positive, negative] pairs")

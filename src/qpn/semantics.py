@@ -35,22 +35,29 @@ from .outcome import CheckOutcome
 MIN_BRANCH_PROB = 1e-12
 
 
+def _checked_state(ann: LocalAnnotation, m, rho0) -> np.ndarray:
+    """rho0 as a matrix, checked to be an operator on the marking space Q(m)."""
+    rho = as_matrix(rho0)
+    dim = space_dim(ann, m)
+    if rho.shape != (dim, dim):
+        raise DimensionMismatch(
+            f"initial state has shape {rho.shape}, marking space is {dim}")
+    return rho
+
+
 def run_probability(o: OccurrenceNet, ann: LocalAnnotation, iv: MarkingInterval,
                     rho0, env_inputs: dict | None = None) -> float:
     """Probability that all events of the interval fire, starting from rho0.
 
     env_inputs must give a unit-trace state for every negative event of the
     interval.  The state is pushed forward through `_fire`, event by event
-    in layer order: a negative event's environment state joins it when the
+    in causal order (height, then id), the order `GlobalValuation` fires
+    them in: a negative event's environment state joins it when the
     event fires and a positive event's signal is traced out at once, since
     no later event acts on either.  No interval channel is built.
     """
     env_inputs = env_inputs or {}
-    rho = as_matrix(rho0)
-    dim_m = space_dim(ann, iv.from_marking)
-    if rho.shape != (dim_m, dim_m):
-        raise DimensionMismatch(
-            f"initial state has shape {rho.shape}, marking space is {dim_m}")
+    rho = _checked_state(ann, iv.from_marking, rho0)
     for e in sorted(iv.sigma):
         if o.pol(e) != NEGATIVE:
             continue
@@ -217,7 +224,7 @@ def sample_execution(net: Net, ann: LocalAnnotation, rho0,
     rng = np.random.Generator(np.random.Philox(seed))
     negatives = [t for t in sorted(net.transitions) if net.pol(t) == NEGATIVE]
     m = frozenset(net.initial_marking)
-    order, rho = sorted(m), as_matrix(rho0).copy()
+    order, rho = sorted(m), _checked_state(ann, m, rho0).copy()
     log, halted = [], "max_steps"
 
     for step in range(max_steps):

@@ -23,8 +23,9 @@ from qpn.algebra import (
     loewner_geq,
     min_eigenvalue,
     partial_trace,
+    thread,
 )
-from qpn.errors import BadPermutation, BoundExceeded, DimensionMismatch
+from qpn.errors import BadPermutation, BoundExceeded, DimensionMismatch, SignatureMismatch
 
 rng = np.random.default_rng(42)
 
@@ -217,6 +218,13 @@ class TestLeadingKernels:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    def test_thread_rejects_output_factors_it_does_not_leave(self):
+        dims = {"x": 2, "y": 3, "z": 2}
+        steps = [(Channel(2, 3, (np.eye(3, 2),)), ["x"], ["y"])]
+        assert thread(["x", "z"], steps, ["z", "y"], dims.get).dim_out == 6
+        with pytest.raises(SignatureMismatch):
+            thread(["x", "z"], steps, ["x", "z"], dims.get)
 
 
 class TestCptni:

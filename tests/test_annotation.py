@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from gen import random_density, random_occurrence_annotated
-from qpn.algebra import Channel, apply, channels_close, effect
+from qpn.algebra import Channel, FactorPermutation, apply, channels_close, effect
 from qpn.annotation import (
     GlobalValuation,
     LocalAnnotation,
     check_local_obliviousness,
-    layer_graph,
     signature,
     validate_signatures,
 )
@@ -84,26 +83,6 @@ class TestObliviousness:
         assert not out and "dimension" in out.reason
 
 
-class TestLayerGraph:
-    def test_layer_zero_carries_marking_and_env_wires(self):
-        bd = branching_demo()
-        o = as_occurrence_net(bd.net)
-        iv = interval(o, frozenset({"p0"}),
-                      marking_of_configuration(o, {"a", "c"}))
-        g = layer_graph(o, bd.ann, iv)
-        assert g.layers[0] == (("p", "p0"), ("h-", "a"))
-        assert g.layers[-1] == (("p", "p2"), ("p", "p3"), ("h+", "c"))
-        assert [w for layer in g.wire_dims(bd.ann) for w in layer]
-
-    def test_empty_interval_one_layer(self):
-        bd = branching_demo()
-        o = as_occurrence_net(bd.net)
-        iv = interval(o, frozenset({"p0"}), frozenset({"p0"}))
-        g = layer_graph(o, bd.ann, iv)
-        assert g.events == ()
-        assert g.layers == ((("p", "p0"),),)
-
-
 class TestEvaluation:
     def test_collapsed_interval_is_identity(self):
         bd = branching_demo()
@@ -111,6 +90,19 @@ class TestEvaluation:
         gv = GlobalValuation(o, bd.ann)
         chan = gv.q(frozenset({"p0"}), frozenset({"p0"}))
         assert channels_close(chan, Channel.identity(4))
+
+    def test_interval_channel_matches_a_dense_reference(self):
+        """[p0; {a, c}] reads its input as (p0, h-a) and writes its output
+        as (p2, p3, h+c): a maps p0 (x) h-a onto p1 (x) p2, c acts on p1
+        and leaves (p3, h+c, p2), which is reordered last."""
+        bd = branching_demo()
+        o = as_occurrence_net(bd.net)
+        iv = interval(o, frozenset({"p0"}), marking_of_configuration(o, {"a", "c"}))
+        out = FactorPermutation((1, 2, 4), (2, 0, 1)).matrix()
+        want = [out @ np.kron(kc, np.eye(4)) @ ka
+                for kc in bd.ann.channel("c").kraus for ka in bd.ann.channel("a").kraus]
+        chan = GlobalValuation(o, bd.ann).q_interval(iv)
+        assert channels_close(chan, Channel(8, 8, tuple(want)))
 
     def test_memoization_reuses_channels(self):
         bd = branching_demo()

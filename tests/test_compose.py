@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from qpn.compose import (
     validate_drop_preserving,
 )
 from qpn.demo import branching_demo, two_phase_cycle
-from qpn.errors import PolarityMismatch, QpnError, SignalSpaceMismatch
+from qpn.errors import BoundExceeded, PolarityMismatch, QpnError, SignalSpaceMismatch
 from qpn.nets import Net, race_free, verify_safety
 
 
@@ -133,6 +135,38 @@ class TestSingleJoin:
                  @ np.kron(kp, np.eye(2)) @ mat(["b", "c", "x"], ["b", "x", "c"])
                  for kn in ann.channel("n").kraus for kp in ann.channel("p").kraus]
         assert channels_close(_joined_channel(net, ann, "p", "n"), Channel(12, 24, tuple(kraus)))
+
+    def test_a_place_named_H_joins(self):
+        # •n = {H}: the signal factor is a fresh object, so no place id
+        # aliases it
+        dims = {"u": 2, "v": 1, "H": 3, "d": 6}
+        pol = {"p": "+", "n": "-"}
+        net = Net(set(dims), set(pol), {("u", "p"), ("p", "v"), ("H", "n"), ("n", "d")},
+                  {"u", "H"}, pol)
+        ann = LocalAnnotation(dims, {"p": Channel.from_unitary(X), "n": Channel.identity(6)},
+                              {"p": 2, "n": 2})
+        y = single_join(AnnotatedNet(net, ann), "p", "n")
+        assert channels_close(y.ann.channel(joined_id("p", "n")),
+                              Channel.from_unitary(np.kron(np.eye(3), X)))
+
+    def test_pre_places_past_the_cap_raise_before_allocating(self):
+        # a 64-dim •p beside a 128-dim •n: the joined input is 8192-dim,
+        # whose identity Kraus stack would take 1 GiB
+        dims = {"a": 64, "b": 1, "c": 128, "d": 1}
+        pol = {"p": "+", "n": "-"}
+        net = Net(set(dims), set(pol), {("a", "p"), ("p", "b"), ("c", "n"), ("n", "d")},
+                  {"a", "c"}, pol)
+        ann = LocalAnnotation(dims, {"p": Channel(64, 2, (np.eye(2, 64),)),
+                                     "n": Channel(256, 1, (np.eye(1, 256),))},
+                              {"p": 2, "n": 2})
+        tracemalloc.start()
+        try:
+            with pytest.raises(BoundExceeded, match="dimension 8192 exceeds"):
+                single_join(AnnotatedNet(net, ann), "p", "n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_join_preserves_qpn(self):
         x = joinable_net(np.random.default_rng(0), False, False)

@@ -320,6 +320,29 @@ class TestCli:
             assert capsys.readouterr().err == (
                 "error: operator dimension 8192 exceeds the supported maximum 4096\n")
 
+    @pytest.mark.parametrize("argv, option, name, content", [
+        (["prob", "--from", "p0", "--to", "p2,p4"], "--rho", "missing.json", None),
+        (["prob", "--from", "p0", "--to", "p2,p4"], "--rho", "bad.json", "{not json"),
+        (["prob", "--from", "p0", "--to", "p2,p4"], "--env", "bad.json", "{not json"),
+        (["prob", "--from", "p0", "--to", "p2,p4"], "--env", "list.json", "[]"),
+        (["sample", "--runs", "1"], "--rho", "missing.json", None),
+        (["unfold"], "--out", "no-dir/prefix.json", None),
+        (["unfold"], "--dot", "no-dir/prefix.dot", None),
+        (["check"], "--report", "no-dir/report.json", None),
+    ], ids=["prob-rho-missing", "prob-rho-invalid", "prob-env-invalid", "prob-env-list",
+            "sample-rho-missing", "unfold-out-no-dir", "unfold-dot-no-dir",
+            "check-report-no-dir"])
+    def test_side_file_errors_exit_two(self, demo_path, tmp_path, capsys,
+                                       argv, option, name, content):
+        """Input side files and output paths are files too: an unreadable
+        or malformed one gets a located error line and exit code 2."""
+        side = tmp_path / name
+        if content is not None:
+            side.write_text(content)
+        assert main([argv[0], str(demo_path), *argv[1:], option, str(side)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {side}") and err.count("\n") == 1
+
     def test_one_parser_per_process(self, demo_path, tmp_path, capsys, monkeypatch):
         src = str(pathlib.Path(qpn.__file__).parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -267,6 +267,12 @@ class TestSampler:
         with pytest.raises(NotAQpn):
             sample_execution(fresh, bd.ann, np.eye(4) / 4)
 
+    def test_rejects_a_state_off_the_initial_marking_space(self):
+        bd = branching_demo()
+        with pytest.raises(DimensionMismatch,
+                           match=r"initial state has shape \(2, 2\), marking space is 4"):
+            sample_execution(bd.net, bd.ann, np.eye(2) / 2)
+
     def test_seed_determinism(self):
         bd = branching_demo()
         rho = np.eye(4, dtype=complex) / 4
