@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,6 +46,7 @@ from .errors import (
     NegativeEventInCluster,
     NotAClique,
     NotEnabled,
+    QpnError,
     SafetyUnverified,
 )
 from .nets import (
@@ -54,6 +55,8 @@ from .nets import (
     DEFAULT_MARKING_BOUND,
     Net,
     OccurrenceNet,
+    component_markings,
+    flow_components,
     is_clique,
     is_occurrence_net,
     marking_clusters,
@@ -298,32 +301,75 @@ class DropInstanceResult:
                 "passed": self.passed}
 
 
-@dataclass
 class DropReport:
-    instances: list = field(default_factory=list)
-    stats: dict = field(default_factory=dict)
-    tol: float = TOL_PSD
+    """Drop results, one :class:`DropInstanceResult` per (marking, family).
+
+    ``parts`` holds the results of each flow component of the net (or of
+    the whole net as one part) as {sorted marking: its results}, with every
+    reachable marking of the part present.  A marking of the net is one
+    marking per part and carries the union of their results, so the
+    verdict, the worst value and the counts come from the parts; the
+    product list ``instances``, in key order, is built when first read.
+    """
+
+    def __init__(self, parts, stats: dict, tol: float = TOL_PSD):
+        self.parts = parts
+        self.stats = stats
+        self.tol = tol
+        self._instances = None
+
+    def _results(self):
+        return (r for part in self.parts for rs in part.values() for r in rs)
 
     @property
     def passed(self) -> bool:
-        return all(r.passed for r in self.instances)
+        return all(r.passed for r in self._results())
 
     def __bool__(self):
         return self.passed
 
     @property
     def worst(self):
-        return min((r.min_eig for r in self.instances), default=float("inf"))
+        return min((r.min_eig for r in self._results()), default=float("inf"))
 
-    def add(self, key, method, lo: float):
-        self.instances.append(
-            DropInstanceResult(key, method, lo, lo >= -self.tol))
+    def instance_count(self) -> int:
+        """len(instances), without building them."""
+        sizes = [len(part) for part in self.parts]
+        total = math.prod(sizes)
+        return sum(total // n * sum(map(len, part.values()))
+                   for n, part in zip(sizes, self.parts))
 
-    def sort(self):
-        self.instances.sort(key=lambda r: r.key)
+    @property
+    def instances(self) -> list:
+        if self._instances is None:
+            out = []
+            for combo in itertools.product(*(part.items() for part in self.parts)):
+                m = tuple(sorted(itertools.chain.from_iterable(k for k, _ in combo)))
+                out += [DropInstanceResult((m, r.key[1]), r.method, r.min_eig, r.passed)
+                        for _, rs in combo for r in rs]
+            out.sort(key=lambda r: r.key)
+            self._instances = out
+        return self._instances
 
     def failures(self):
         return [r for r in self.instances if not r.passed]
+
+    def first_failure(self):
+        """failures()[0], or None, from one pass over the product markings
+        that reads only the parts' failures."""
+        least = [{k: min(bad, key=lambda r: r.key) for k, rs in part.items()
+                  if (bad := [r for r in rs if not r.passed])} for part in self.parts]
+        if not any(least):
+            return None
+        best = None
+        for combo in itertools.product(*(part.keys() for part in self.parts)):
+            fails = [lf[k] for lf, k in zip(least, combo) if k in lf]
+            if fails:
+                m = tuple(sorted(itertools.chain.from_iterable(combo)))
+                if best is None or m < best[0]:
+                    best = m, min(fails, key=lambda r: r.key[1])
+        m, r = best
+        return DropInstanceResult((m, r.key[1]), r.method, r.min_eig, r.passed)
 
     def to_dict(self):
         return {"passed": self.passed, "tol": self.tol, "stats": self.stats,
@@ -342,40 +388,62 @@ def check_local_drop(net: Net, ann: LocalAnnotation,
     spectrum.  Cliques report the whole clique (positivity on it implies it
     on every sub-family, since branch effects are PSD); other clusters
     report every sub-family.
+
+    Events share pre-places only within a flow component, so the clusters
+    at a marking of the net are those of its components' markings: each
+    component is checked on its own markings, and the report keeps the
+    results per component.  Should a component raise, the whole net's
+    markings are checked in order, so that the error is the one met first
+    there.
     """
     if not net.safety_verified:
         raise SafetyUnverified("run verify_safety before checking the drop condition")
-    report = DropReport(tol=tol)
-    markings = sorted(reachable_markings(net, marking_bound),
-                      key=lambda m: sorted(m))
     evaluated = {}  # sorted cluster -> (method, {family: min eigenvalue})
-    clusters_checked = cliques = 0
-    for m in markings:
-        for cluster in marking_clusters(net, m):
-            clusters_checked += 1
-            cl = tuple(sorted(cluster))
-            if len(cl) > cluster_cap:
-                raise BoundExceeded(
-                    f"cluster of {len(cl)} events at marking {sorted(m)} "
-                    f"exceeds cap {cluster_cap}")
-            if cl not in evaluated:
-                clique = len(cl) > 1 and is_clique(net, cl)
-                fams = [cl] if clique else [
-                    fam for r in range(1, len(cl) + 1)
-                    for fam in itertools.combinations(cl, r)]
-                evaluated[cl] = ("clique" if clique else "single", {
-                    fam: min_eigenvalue(single_extension_drop(
-                        net, ann, frozenset().union(*map(net.pre, fam)), fam))
-                    for fam in fams})
-            method, mins = evaluated[cl]
-            cliques += method == "clique"
-            for fam, lo in mins.items():
-                report.add((tuple(sorted(m)), fam), method, lo)
-    report.stats = {"markings": len(markings), "clusters": clusters_checked,
-                    "clusters_evaluated": len(evaluated),
-                    "clique_fast_paths": cliques}
-    report.sort()
-    return report
+
+    def check(transitions, markings):
+        """({sorted marking: results}, clusters, clique clusters) of one part."""
+        part, clusters, cliques = {}, 0, 0
+        for m in sorted(markings, key=sorted):
+            mkey = tuple(sorted(m))
+            rows = part[mkey] = []
+            for cluster in marking_clusters(net, m, transitions):
+                clusters += 1
+                cl = tuple(sorted(cluster))
+                if len(cl) > cluster_cap:
+                    raise BoundExceeded(
+                        f"cluster of {len(cl)} events at marking {sorted(m)} "
+                        f"exceeds cap {cluster_cap}")
+                if cl not in evaluated:
+                    clique = len(cl) > 1 and is_clique(net, cl)
+                    fams = [cl] if clique else [
+                        fam for r in range(1, len(cl) + 1)
+                        for fam in itertools.combinations(cl, r)]
+                    evaluated[cl] = ("clique" if clique else "single", {
+                        fam: min_eigenvalue(single_extension_drop(
+                            net, ann, frozenset().union(*map(net.pre, fam)), fam))
+                        for fam in fams})
+                method, mins = evaluated[cl]
+                cliques += method == "clique"
+                rows += [DropInstanceResult((mkey, fam), method, lo, lo >= -tol)
+                         for fam, lo in mins.items()]
+        return part, clusters, cliques
+
+    comps = flow_components(net)
+    markings = component_markings(net, marking_bound)
+    try:
+        checked = [check(ts, ms) for (_, ts), ms in zip(comps, markings)]
+    except QpnError:
+        if len(comps) == 1:
+            raise
+        checked = [check(None, reachable_markings(net, marking_bound))]
+    parts = [part for part, _, _ in checked]
+    total = math.prod(map(len, parts))
+    scale = [total // len(part) for part in parts]
+    stats = {"markings": total,
+             "clusters": sum(n * c for n, (_, c, _) in zip(scale, checked)),
+             "clusters_evaluated": len(evaluated),
+             "clique_fast_paths": sum(n * k for n, (_, _, k) in zip(scale, checked))}
+    return DropReport(parts, stats, tol)
 
 
 def brute_force_global_drop(o: OccurrenceNet, ann: LocalAnnotation,
@@ -390,20 +458,19 @@ def brute_force_global_drop(o: OccurrenceNet, ann: LocalAnnotation,
     """
     gv = GlobalValuation(o, ann)
     configs = sorted(o.all_configurations(config_bound), key=lambda x: sorted(x))
-    report = DropReport(tol=tol)
+    part = {}  # one part: keys are configurations, not markings
     families = 0
     for x in configs:
+        xkey = tuple(sorted(x))
+        rows = part[xkey] = []
         exts = sorted(e for e in o.transitions - x
                       if o.pol(e) != NEGATIVE and o.enables(x, e))
         for r in range(1, min(len(exts), family_cap) + 1):
             for combo in itertools.combinations(exts, r):
                 families += 1
-                eff = drop_effect(gv, x, [x | {e} for e in combo])
-                report.add((tuple(sorted(x)), tuple(combo)), "general",
-                           min_eigenvalue(eff))
-    report.stats = {"configurations": len(configs), "families": families}
-    report.sort()
-    return report
+                lo = min_eigenvalue(drop_effect(gv, x, [x | {e} for e in combo]))
+                rows.append(DropInstanceResult((xkey, combo), "general", lo, lo >= -tol))
+    return DropReport([part], {"configurations": len(configs), "families": families}, tol)
 
 
 def cluster_factorization_check(net: Net, ann: LocalAnnotation, m,
@@ -450,7 +517,7 @@ def _drop_stage(net, ann, marking_bound, cluster_cap, tol) -> CheckOutcome:
     report = check_local_drop(net, ann, marking_bound, cluster_cap, tol)
     if report.passed:
         return CheckOutcome.ok(report=report)
-    worst = report.failures()[0]
+    worst = report.first_failure()
     return CheckOutcome.fail(
         f"condition fails at marking {list(worst.key[0])} on "
         f"{list(worst.key[1])} (min eigenvalue {worst.min_eig:.3e})", report=report)

@@ -7,17 +7,19 @@ Exit codes are a stable contract: 0 all checks pass, 1 a check failed,
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 import numpy as np
 
 from . import checker, netfile, semantics
-from .algebra import _check_total_dim
+from .algebra import TOL_PSD, _check_total_dim, is_hermitian, min_eigenvalue
 from .annotation import space_dim
 from .compose import AnnotatedNet, drop_preserving_join, parallel, validate_drop_preserving
 from .errors import BoundExceeded, NetFileError, QpnError
 from .nets import (DEFAULT_MARKING_BOUND, NEGATIVE, as_occurrence_net, interval, to_dot,
                    verify_safety)
+from .outcome import CheckOutcome
 from .unfolding import UnfoldBudget, transfer_annotation, unfold, verify_branching_process
 
 EXIT_OK = 0
@@ -43,10 +45,17 @@ def _load(path, bound):
     return net, ann, EXIT_OK
 
 
+def _loaded(net, ann, *_):
+    """The signatures stage of a net from `netfile.load_net`, which has
+    validated them (a misfit is a located parse error there)."""
+    return CheckOutcome.ok()
+
+
 def _run_stages(stages, args):
     """Load the net and print one line per stage run; returns the net, its
     annotation and the last stage's (name, outcome)."""
     net, ann, _, _ = netfile.load_net(args.path)
+    stages = [(name, _loaded if name == "signatures" else check) for name, check in stages]
     for name, out in checker.run_stages(stages, net, ann, args.marking_bound,
                                         args.cluster_cap, args.tol_psd):
         if name != "drop":
@@ -55,7 +64,7 @@ def _run_stages(stages, args):
         report = out.data["report"]
         worst = report.worst
         print(f"{'PASS' if out else 'FAIL'} drop"
-              f" (instances={len(report.instances)},"
+              f" (instances={report.instance_count()},"
               f" min_eig={worst if worst != float('inf') else 'n/a'})")
     return net, ann, name, out
 
@@ -169,6 +178,38 @@ def _initial_state(args, ann, m):
     return np.eye(dim, dtype=complex) / dim
 
 
+def _not_a_state(m):
+    """Why ``m`` is not a state (Hermitian, positive semidefinite, unit
+    trace) within TOL_PSD, or None."""
+    if not is_hermitian(m, TOL_PSD):
+        return "not a Hermitian matrix"
+    lo = min_eigenvalue(m)
+    if lo < -TOL_PSD:
+        return f"not positive semidefinite (min eigenvalue {lo:.3e})"
+    trace = float(np.trace(m).real)
+    if abs(trace - 1) > TOL_PSD:
+        return f"trace {trace:.12g}, expected 1"
+    return None
+
+
+def _load_env(path, negatives):
+    """The --env file: a state per negative event of the interval, each
+    error located at the file and the event's key."""
+    doc = netfile.read_json(path)
+    if not isinstance(doc, dict):
+        raise NetFileError("must map negative event ids to matrices", location=str(path))
+    env = {}
+    for e, data in doc.items():
+        loc = f"{path}[{json.dumps(e)}]"
+        if e not in negatives:
+            raise NetFileError("not a negative event of the interval", location=loc)
+        env[e] = netfile.matrix_from_json(data, loc)
+        why = _not_a_state(env[e])
+        if why:
+            raise NetFileError(why, location=loc)
+    return env
+
+
 def cmd_prob(args) -> int:
     net, ann, code = _load(args.path, args.marking_bound)
     if code:
@@ -178,15 +219,12 @@ def cmd_prob(args) -> int:
     m_to = _parse_marking(args.to_marking)
     iv = interval(o, m_from, m_to)
     rho = _initial_state(args, ann, m_from)
+    negatives = {e for e in iv.sigma if o.pol(e) == NEGATIVE}
     if args.env:
-        doc = netfile.read_json(args.env)
-        if not isinstance(doc, dict):
-            raise NetFileError("must map negative event ids to matrices",
-                               location=str(args.env))
-        env = {e: netfile.matrix_from_json(m, f"env.{e}") for e, m in doc.items()}
+        env = _load_env(args.env, negatives)
     else:
         policy = semantics.maximally_mixed_policy(ann)
-        env = {e: policy(None, e) for e in iv.sigma if o.pol(e) == NEGATIVE}
+        env = {e: policy(None, e) for e in negatives}
     p = semantics.run_probability(o, ann, iv, rho, env)
     print(f"probability {p:.12f}")
     return EXIT_OK

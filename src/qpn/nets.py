@@ -9,6 +9,7 @@ and cached, so all queries are read-only.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import (
@@ -58,7 +59,8 @@ class Net:
         self._post = {n: frozenset(s) for n, s in post.items()}
         # Set by verify_safety; downstream checkers refuse unverified nets.
         self.safety_verified = False
-        self._reachable = None  # kept by reachable_markings
+        self._components = None  # kept by flow_components
+        self._reachable = None  # kept by component_markings
 
     def _validate_structure(self):
         if self.places & self.transitions:
@@ -91,9 +93,10 @@ class Net:
         return self.polarity[t] != NEGATIVE
 
 
-def enabled(net: Net, m: Marking) -> frozenset:
-    """Transitions t with pre-set contained in m."""
-    return frozenset(t for t in net.transitions if net.pre(t) <= m)
+def enabled(net: Net, m: Marking, transitions=None) -> frozenset:
+    """Transitions t (of ``transitions``, default all) with pre-set contained in m."""
+    ts = net.transitions if transitions is None else transitions
+    return frozenset(t for t in ts if net.pre(t) <= m)
 
 
 def fire(net: Net, m: Marking, t) -> Marking:
@@ -108,31 +111,86 @@ def fire(net: Net, m: Marking, t) -> Marking:
     return frozenset(left | net.post(t))
 
 
-def reachable_markings(net: Net, bound: int = DEFAULT_MARKING_BOUND) -> frozenset:
-    """BFS closure under firing from m0; raises BoundExceeded past bound.
-    A complete exploration is kept on the (immutable) net and reused."""
+def flow_components(net: Net) -> tuple:
+    """The flow-connected components of ``net`` as (places, transitions)
+    pairs, in order of their least id; computed once and kept on the net.
+    A transition fires on its own component's places only, so a marking of
+    the net is one marking per component, each reachable on its own."""
+    if net._components is None:
+        todo = set(net.places | net.transitions)
+        comps = []
+        for n in sorted(todo):
+            if n not in todo:
+                continue
+            todo.discard(n)
+            comp, stack = [n], [n]
+            while stack:
+                x = stack.pop()
+                for y in (net.pre(x) | net.post(x)) & todo:
+                    todo.discard(y)
+                    comp.append(y)
+                    stack.append(y)
+            comps.append((net.places.intersection(comp),
+                          net.transitions.intersection(comp)))
+        net._components = ((net.places, net.transitions),) if len(comps) == 1 \
+            else tuple(comps)
+    return net._components
+
+
+def _explore(net: Net, m0: Marking, transitions, bound: int) -> frozenset:
+    """DFS closure of m0 under firing ``transitions`` (default all);
+    raises BoundExceeded past bound markings."""
+    seen = {m0}
+    frontier = [m0]
+    while frontier:
+        m = frontier.pop()
+        for t in enabled(net, m, transitions):
+            m2 = fire(net, m, t)
+            if m2 not in seen:
+                if len(seen) >= bound:
+                    raise BoundExceeded(f"more than {bound} reachable markings")
+                seen.add(m2)
+                frontier.append(m2)
+    return frozenset(seen)
+
+
+def component_markings(net: Net, bound: int = DEFAULT_MARKING_BOUND) -> tuple:
+    """The reachable markings of each flow component, explored from m0 on
+    its places with its own transitions: the net's reachable markings are
+    their product, which is never enumerated here.
+
+    Raises what exploring the whole net would: past ``bound`` product
+    markings, BoundExceeded; when a component alone is unsafe or exceeds
+    the bound, the whole net is explored so that the error names its
+    marking.  A complete exploration is kept on the (immutable) net."""
     if net._reachable is None:
-        seen = {net.initial_marking}
-        frontier = [net.initial_marking]
-        while frontier:
-            m = frontier.pop()
-            for t in enabled(net, m):
-                m2 = fire(net, m, t)
-                if m2 not in seen:
-                    if len(seen) >= bound:
-                        raise BoundExceeded(f"more than {bound} reachable markings")
-                    seen.add(m2)
-                    frontier.append(m2)
-        net._reachable = frozenset(seen)
-    if len(net._reachable) > bound:
+        comps = flow_components(net)
+        try:
+            net._reachable = tuple(_explore(net, net.initial_marking & ps, ts, bound)
+                                   for ps, ts in comps)
+        except (SafetyViolation, BoundExceeded):
+            if len(comps) > 1:
+                _explore(net, net.initial_marking, None, bound)
+            raise
+    if math.prod(map(len, net._reachable)) > bound:
         raise BoundExceeded(f"more than {bound} reachable markings")
     return net._reachable
 
 
+def reachable_markings(net: Net, bound: int = DEFAULT_MARKING_BOUND) -> frozenset:
+    """Every reachable marking: the product of :func:`component_markings`;
+    raises BoundExceeded past bound."""
+    parts = component_markings(net, bound)
+    if len(parts) == 1:
+        return parts[0]
+    return frozenset(frozenset().union(*ms) for ms in itertools.product(*parts))
+
+
 def verify_safety(net: Net, bound: int = DEFAULT_MARKING_BOUND) -> CheckOutcome:
-    """Bounded exhaustive safety exploration; marks the net verified on pass."""
+    """Bounded exhaustive safety exploration, per flow component; marks the
+    net verified on pass.  ``markings`` counts the whole net's markings."""
     try:
-        n = len(reachable_markings(net, bound))
+        n = math.prod(map(len, component_markings(net, bound)))
     except SafetyViolation as exc:
         return CheckOutcome.fail(str(exc))
     except BoundExceeded as exc:
@@ -442,10 +500,12 @@ def is_clique(net: Net, events) -> bool:
                for a, b in itertools.combinations(sorted(events), 2))
 
 
-def marking_clusters(net: Net, m: Marking):
-    """Conflict clusters of enabled non-negative transitions at marking m:
-    the shared-pre-place components among them."""
-    return conflict_components(net, (t for t in enabled(net, m) if net.non_negative(t)))
+def marking_clusters(net: Net, m: Marking, transitions=None):
+    """Conflict clusters of enabled non-negative transitions (of
+    ``transitions``, default all) at marking m: the shared-pre-place
+    components among them."""
+    return conflict_components(net, (t for t in enabled(net, m, transitions)
+                                     if net.non_negative(t)))
 
 
 def to_dot(net: Net, labels=None) -> str:

@@ -1,0 +1,191 @@
+"""Flow components: `verify_safety` and `check_local_drop` work on each
+flow-connected component of a net, and every result equals the one
+computed on the product of the components' markings."""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from gen import clique_net, random_occurrence_annotated, random_state_machine
+from qpn.algebra import Channel, min_eigenvalue
+from qpn.annotation import LocalAnnotation
+from qpn.checker import DropInstanceResult, check_local_drop, single_extension_drop
+from qpn.cli import main
+from qpn.compose import AnnotatedNet, parallel
+from qpn.demo import branching_demo, two_phase_cycle
+from qpn.errors import BoundExceeded
+from qpn.netfile import save_net
+from qpn.nets import (
+    Net,
+    component_markings,
+    enabled,
+    fire,
+    flow_components,
+    is_clique,
+    marking_clusters,
+    reachable_markings,
+    verify_safety,
+)
+
+
+def _compose(parts):
+    acc = parts[0]
+    for part in parts[1:]:
+        acc, _ = parallel(acc, part)
+    return acc
+
+
+def _fresh(net):
+    """An unexplored copy of ``net``."""
+    return Net(net.places, net.transitions, net.flow, net.initial_marking, net.polarity)
+
+
+def product_markings(net):
+    """The reachable markings by exploring the whole net."""
+    seen, frontier = {net.initial_marking}, [net.initial_marking]
+    while frontier:
+        m = frontier.pop()
+        for t in enabled(net, m):
+            m2 = fire(net, m, t)
+            if m2 not in seen:
+                seen.add(m2)
+                frontier.append(m2)
+    return seen
+
+
+def product_drop(net, ann, cluster_cap=12, tol=1e-9):
+    """The drop check on the product: every cluster at every reachable
+    marking of the whole net, each family by `single_extension_drop` on
+    its pre-places; the instances in key order and the report's stats."""
+    instances, clusters, cliques, evaluated = [], 0, 0, set()
+    for m in sorted(reachable_markings(net), key=sorted):
+        for cluster in marking_clusters(net, m):
+            cl = tuple(sorted(cluster))
+            if len(cl) > cluster_cap:
+                raise BoundExceeded(f"cluster of {len(cl)} events at marking {sorted(m)} "
+                                    f"exceeds cap {cluster_cap}")
+            clusters += 1
+            evaluated.add(cl)
+            clique = len(cl) > 1 and is_clique(net, cl)
+            cliques += clique
+            fams = [cl] if clique else [
+                fam for r in range(1, len(cl) + 1) for fam in itertools.combinations(cl, r)]
+            for fam in fams:
+                lo = min_eigenvalue(single_extension_drop(
+                    net, ann, frozenset().union(*map(net.pre, fam)), fam))
+                instances.append(DropInstanceResult(
+                    (tuple(sorted(m)), fam), "clique" if clique else "single", lo, lo >= -tol))
+    instances.sort(key=lambda r: r.key)
+    stats = {"markings": len(reachable_markings(net)), "clusters": clusters,
+             "clusters_evaluated": len(evaluated), "clique_fast_paths": cliques}
+    return instances, stats
+
+
+def _idle_parts():
+    """An isolated transition (empty pre- and post-set, effect 0.4), and
+    an isolated place, marked and not."""
+    net = Net({"iso", "idle"}, {"t0"}, set(), {"iso"}, {"t0": "0"})
+    ann = LocalAnnotation({"iso": 2, "idle": 3}, {"t0": Channel.identity(1).scaled(0.4)})
+    verify_safety(net)
+    return AnnotatedNet(net, ann)
+
+
+def _part_pool():
+    rng = np.random.default_rng(11)
+    pool = [random_state_machine(np.random.default_rng(s), max_dim=2) for s in range(4)]
+    pool += [random_occurrence_annotated(np.random.default_rng(s), max_dim=2)
+             for s in range(4)]
+    pool += [clique_net(None, 3), clique_net(None, 2, weights=[0.7, 0.6]),
+             branching_demo(), branching_demo(scaled=False), two_phase_cycle()]
+    compositions = [[pool[i] for i in rng.choice(len(pool), size=k, replace=False)]
+                    for k in (2, 2, 3, 3, 3, 4, 4)]
+    compositions += [[clique_net(None, 3), _idle_parts()],
+                     [_idle_parts(), branching_demo(scaled=False), random_state_machine(
+                         np.random.default_rng(2), max_dim=2)]]
+    return compositions
+
+
+COMPOSITIONS = _part_pool()
+
+
+@pytest.mark.parametrize("parts", COMPOSITIONS, ids=range(len(COMPOSITIONS)))
+def test_component_drop_equals_the_product_check(parts):
+    an = _compose(parts)
+    net = _fresh(an.net)
+    assert verify_safety(net).data["markings"] == len(product_markings(net))
+    assert reachable_markings(net) == product_markings(net)
+    assert len(flow_components(net)) >= len(parts)
+    want, stats = product_drop(net, an.ann)
+    report = check_local_drop(net, an.ann)
+    assert [(r.key, r.method, r.passed, r.min_eig) for r in report.instances] == \
+        [(r.key, r.method, r.passed, r.min_eig) for r in want]
+    assert report.stats == stats
+    assert report.instance_count() == len(want)
+    assert report.worst == min((r.min_eig for r in want), default=float("inf"))
+    assert report.passed == all(r.passed for r in want)
+    failures = [r for r in want if not r.passed]
+    assert report.failures() == failures
+    assert check_local_drop(net, an.ann).first_failure() == (failures[0] if failures else None)
+
+
+def test_some_compositions_fail_and_some_pass():
+    verdicts = {bool(check_local_drop(an.net, an.ann))
+                for an in map(_compose, COMPOSITIONS) if verify_safety(an.net)}
+    assert verdicts == {True, False}
+
+
+def test_cluster_cap_error_names_the_product_marking():
+    an = _compose([two_phase_cycle(), clique_net(None, 3)])
+    with pytest.raises(BoundExceeded) as want:
+        product_drop(an.net, an.ann, cluster_cap=2)
+    with pytest.raises(BoundExceeded) as got:
+        check_local_drop(an.net, an.ann, cluster_cap=2)
+    assert str(got.value) == str(want.value)
+    assert "'hub'" in str(got.value) and "'s0'" in str(got.value)
+
+
+def test_one_component_keeps_the_nets_own_sets():
+    bd = branching_demo()
+    assert flow_components(bd.net) == ((bd.net.places, bd.net.transitions),)
+    assert component_markings(bd.net) == (reachable_markings(bd.net),)
+
+
+def _counting_fire(monkeypatch):
+    firings = []
+
+    def counting(net, m, t):
+        firings.append(t)
+        return fire(net, m, t)
+
+    monkeypatch.setattr("qpn.nets.fire", counting)
+    return firings
+
+
+def test_product_past_the_bound_exits_three_from_the_components(tmp_path, capsys,
+                                                                 monkeypatch):
+    parts = [clique_net(None, 3), clique_net(None, 3), clique_net(None, 2)]
+    an = _compose(parts)  # 4 * 4 * 3 = 48 markings, at most 4 per part
+    path = tmp_path / "net.json"
+    save_net(path, an.net, an.ann)
+    firings = _counting_fire(monkeypatch)
+    for part in parts:
+        assert len(reachable_markings(_fresh(part.net))) <= 4
+    own = len(firings)
+    firings.clear()
+    assert main(["check", str(path), "--marking-bound", "20"]) == 3
+    assert capsys.readouterr().out == "FAIL safety: more than 20 reachable markings\n"
+    assert 0 < len(firings) <= own
+    with pytest.raises(BoundExceeded, match="^more than 20 reachable markings$"):
+        reachable_markings(_fresh(an.net), 20)
+
+
+def test_unsafe_part_keeps_the_products_safety_text(tmp_path, capsys):
+    unsafe = Net({"a", "b"}, {"t"}, {("a", "t"), ("t", "b")}, {"a", "b"}, {"t": "0"})
+    ann = LocalAnnotation({"a": 1, "b": 1}, {"t": Channel.identity(1)})
+    an = _compose([AnnotatedNet(unsafe, ann), clique_net(None, 3)])
+    path = tmp_path / "net.json"
+    save_net(path, an.net, an.ann)
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().out == (
+        "FAIL safety: firing t at ['a', 'b', 'hub'] puts a second token on ['b']\n")

@@ -343,6 +343,31 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {side}") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("env, message", [
+        ({"a": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]], "zz": [[[1, 0]]]},
+         '["zz"]: not a negative event of the interval'),
+        ({"a": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}, '["a"]: trace 2, expected 1'),
+        ({"a": [[[0.5, 0], [0.5, 0]], [[0, 0], [0.5, 0]]]}, '["a"]: not a Hermitian matrix'),
+        ({"a": [[[1.5, 0], [0, 0]], [[0, 0], [-0.5, 0]]]},
+         '["a"]: not positive semidefinite (min eigenvalue -5.000e-01)'),
+        ({"a": [[1]]}, '["a"][0][0]: entry must be an [re, im] pair'),
+    ], ids=["unknown-event", "trace-two", "not-hermitian", "not-psd", "bad-entry"])
+    def test_env_states_are_checked(self, demo_path, tmp_path, capsys, env, message):
+        """Each --env key names a negative event of the interval and each
+        value is a state; an error line starts with the file's path."""
+        side = tmp_path / "env.json"
+        side.write_text(json.dumps(env))
+        assert main(["prob", str(demo_path), "--from", "p0", "--to", "p2,p4",
+                     "--env", str(side)]) == 2
+        assert capsys.readouterr().err == f"error: {side}{message}\n"
+
+    def test_env_state_is_accepted(self, demo_path, tmp_path, capsys):
+        side = tmp_path / "env.json"
+        side.write_text(json.dumps({"a": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}))
+        assert main(["prob", str(demo_path), "--from", "p0", "--to", "p2,p4",
+                     "--env", str(side)]) == 0
+        assert capsys.readouterr().out == "probability 0.500000000000\n"
+
     def test_one_parser_per_process(self, demo_path, tmp_path, capsys, monkeypatch):
         src = str(pathlib.Path(qpn.__file__).parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(

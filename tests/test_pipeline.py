@@ -14,10 +14,10 @@ import pytest
 import gen
 from gen import clique_net, racy_net, random_occurrence_annotated, random_state_machine
 from qpn.algebra import Channel
-from qpn.annotation import LocalAnnotation
+from qpn.annotation import LocalAnnotation, validate_signatures
 from qpn.checker import STAGES, is_local_qon, is_qpn
 from qpn.cli import main
-from qpn.compose import AnnotatedNet
+from qpn.compose import AnnotatedNet, parallel
 from qpn.demo import branching_demo, two_phase_cycle
 from qpn.netfile import save_net
 from qpn.nets import Net, OccurrenceNet, fire, reachable_markings
@@ -137,6 +137,30 @@ def test_sampled_runs_pass_the_benchmark_gate(tmp_path, perfbench_workloads):
     assert wl._sample_frequencies([SimpleNamespace(op=skewed, out=r.out) for r in records])
 
 
+def test_check_validates_signatures_once(tmp_path, capsys, monkeypatch):
+    """The loader's check stands for the signatures stage of `qpn check`;
+    `is_qpn` still runs the stage, and a misfit file exits 2."""
+    calls = []
+
+    def counting(net, ann):
+        calls.append(1)
+        return validate_signatures(net, ann)
+
+    monkeypatch.setattr("qpn.netfile.validate_signatures", counting)
+    monkeypatch.setattr("qpn.checker.validate_signatures", counting)
+    bd = branching_demo()
+    assert _check(tmp_path, bd) == 0
+    assert ("PASS", "signatures") in _stage_lines(capsys.readouterr().out)
+    assert len(calls) == 1
+    misfit = LocalAnnotation(bd.ann.dims | {"p4": 3}, bd.ann.channels, bd.ann.h)
+    out = is_qpn(bd.net, misfit)
+    assert not out and out.data["stage"] == "signatures"
+    assert len(calls) == 2
+    assert _check(tmp_path, AnnotatedNet(bd.net, misfit)) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: $: annotation does not fit the net: channel on b")
+
+
 def test_check_prints_every_stage_in_order(tmp_path, capsys):
     assert _check(tmp_path, branching_demo()) == 0
     assert _stage_lines(capsys.readouterr().out) == [("PASS", s) for s in STAGE_NAMES]
@@ -194,8 +218,7 @@ def test_is_local_qon_builds_one_occurrence_net(occurrence_net_builds):
     assert len(occurrence_net_builds) == 1
 
 
-def test_check_explores_the_reachable_markings_once(tmp_path, monkeypatch):
-    bd = branching_demo()
+def _explores_once(tmp_path, monkeypatch, an):
     firings = []
 
     def counting(net, m, t):
@@ -203,13 +226,23 @@ def test_check_explores_the_reachable_markings_once(tmp_path, monkeypatch):
         return fire(net, m, t)
 
     monkeypatch.setattr("qpn.nets.fire", counting)
-    reachable_markings(Net(bd.net.places, bd.net.transitions, bd.net.flow,
-                           bd.net.initial_marking, bd.net.polarity))
+    reachable_markings(Net(an.net.places, an.net.transitions, an.net.flow,
+                           an.net.initial_marking, an.net.polarity))
     one_exploration = len(firings)
     assert one_exploration > 0
     firings.clear()
-    assert _check(tmp_path, bd) == 0  # a net loaded afresh from its file
+    assert _check(tmp_path, an) == 0  # a net loaded afresh from its file
     assert len(firings) == one_exploration
+
+
+def test_check_explores_the_reachable_markings_once(tmp_path, monkeypatch):
+    _explores_once(tmp_path, monkeypatch, branching_demo())
+
+
+def test_check_explores_a_three_part_composition_once(tmp_path, monkeypatch):
+    both, _ = parallel(clique_net(None, 3), branching_demo())
+    three, _ = parallel(both, two_phase_cycle())
+    _explores_once(tmp_path, monkeypatch, three)
 
 
 def test_benchmark_tracer_resolves_every_traced_name():
