@@ -60,11 +60,6 @@ def min_eigenvalue(m: np.ndarray, tol: float = TOL_HERM) -> float:
     return float(np.linalg.eigvalsh(h).min())
 
 
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product; the matrix form of every tensor in this library."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
 @dataclass(frozen=True)
 class FactorPermutation:
     """Reordering of tensor factors.

@@ -527,8 +527,7 @@ def _drop_stage(net, ann, marking_bound, cluster_cap, tol) -> CheckOutcome:
 # (net, ann, marking_bound, cluster_cap, tol).  `qpn validate` runs the
 # prefix up to "cptni".
 STAGES = (
-    ("safety", lambda net, ann, bound, *_: (
-        CheckOutcome.ok() if net.safety_verified else verify_safety(net, bound))),
+    ("safety", lambda net, ann, bound, *_: verify_safety(net, bound)),
     ("signatures", lambda net, ann, *_: validate_signatures(net, ann)),
     ("cptni", lambda net, ann, *_: annotation_is_cptni(net, ann)),
     ("obliviousness", lambda net, ann, *_: check_local_obliviousness(net, ann)),

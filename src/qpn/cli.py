@@ -164,15 +164,15 @@ def _parse_marking(s):
     return frozenset(p for p in s.split(",") if p)
 
 
-def _load_matrix(path):
-    return netfile.matrix_from_json(netfile.read_json(path), str(path))
-
-
 def _initial_state(args, ann, m):
-    """The --rho matrix, or the maximally mixed state on marking m, whose
+    """The --rho state, or the maximally mixed state on marking m, whose
     dimension is checked against the operator cap before it is built."""
     if args.rho:
-        return _load_matrix(args.rho)
+        rho = netfile.matrix_from_json(netfile.read_json(args.rho), str(args.rho))
+        why = _not_a_state(rho)
+        if why:
+            raise NetFileError(why, location=str(args.rho))
+        return rho
     dim = space_dim(ann, m)
     _check_total_dim(dim)
     return np.eye(dim, dtype=complex) / dim

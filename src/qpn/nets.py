@@ -111,29 +111,44 @@ def fire(net: Net, m: Marking, t) -> Marking:
     return frozenset(left | net.post(t))
 
 
+def bits(mask: int):
+    """The positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _connected_components(nodes, neighbours) -> list:
+    """The connected components of the graph on ``nodes`` whose edges are
+    given by ``neighbours`` (which may name nodes outside it), as lists in
+    order of their least node."""
+    todo = set(nodes)
+    comps = []
+    for n in sorted(todo):
+        if n in todo:
+            todo.discard(n)
+            comp = [n]
+            for x in comp:  # visits the nodes appended below too
+                for y in neighbours(x):
+                    if y in todo:
+                        todo.discard(y)
+                        comp.append(y)
+            comps.append(comp)
+    return comps
+
+
 def flow_components(net: Net) -> tuple:
     """The flow-connected components of ``net`` as (places, transitions)
     pairs, in order of their least id; computed once and kept on the net.
     A transition fires on its own component's places only, so a marking of
     the net is one marking per component, each reachable on its own."""
     if net._components is None:
-        todo = set(net.places | net.transitions)
-        comps = []
-        for n in sorted(todo):
-            if n not in todo:
-                continue
-            todo.discard(n)
-            comp, stack = [n], [n]
-            while stack:
-                x = stack.pop()
-                for y in (net.pre(x) | net.post(x)) & todo:
-                    todo.discard(y)
-                    comp.append(y)
-                    stack.append(y)
-            comps.append((net.places.intersection(comp),
-                          net.transitions.intersection(comp)))
+        comps = _connected_components(net.places | net.transitions,
+                                      lambda x: net.pre(x) | net.post(x))
         net._components = ((net.places, net.transitions),) if len(comps) == 1 \
-            else tuple(comps)
+            else tuple((net.places.intersection(c), net.transitions.intersection(c))
+                       for c in comps)
     return net._components
 
 
@@ -289,12 +304,7 @@ class OccurrenceNet(Net):
         return out if len(out) == len(nodes) else None
 
     def _nodes(self, mask) -> frozenset:
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(self._order[low.bit_length() - 1])
-            mask ^= low
-        return frozenset(out)
+        return frozenset(self._order[i] for i in bits(mask))
 
     # -- derived relations ------------------------------------------------
 
@@ -468,29 +478,11 @@ def restriction(o: OccurrenceNet, iv: MarkingInterval) -> Restriction:
 def conflict_components(net: Net, events) -> list:
     """Connected components of the shared-pre-place graph on ``events``.
 
-    Each component is a frozenset; the list is sorted for determinism and
-    singletons are allowed.
+    Each component is a frozenset; the list is in order of each
+    component's least event, and singletons are allowed.
     """
-    evs = sorted(events)
-    adj = {e: set() for e in evs}
-    for a, b in itertools.combinations(evs, 2):
-        if net.pre(a) & net.pre(b):
-            adj[a].add(b)
-            adj[b].add(a)
-    comps, todo = [], set(evs)
-    for e in evs:  # components appear in order of their least event
-        if e not in todo:
-            continue
-        comp, stack = {e}, [e]
-        todo.discard(e)
-        while stack:
-            for nb in adj[stack.pop()]:
-                if nb in todo:
-                    todo.discard(nb)
-                    comp.add(nb)
-                    stack.append(nb)
-        comps.append(frozenset(comp))
-    return comps
+    return [frozenset(c) for c in _connected_components(
+        events, lambda e: [f for p in net.pre(e) for f in net.post(p)])]
 
 
 def is_clique(net: Net, events) -> bool:

@@ -17,6 +17,7 @@ from .errors import SafetyUnverified
 from .nets import (
     Net,
     OccurrenceNet,
+    bits,
     causal_heights,
     is_occurrence_net,
     marking_clusters,
@@ -56,96 +57,79 @@ def unfold(net: Net, budget: UnfoldBudget = UnfoldBudget()) -> BranchingProcess:
     """Canonical prefix of the unfolding of a verified safe net.
 
     Saturates all extensions of causal height ≤ max_depth, up to
-    max_events.  Candidates are processed in sorted (label, pre-set)
-    order, so the construction is deterministic.
+    max_events, one height at a time; each height's extensions are added
+    in sorted (label, pre-set) order, so the construction is deterministic.
+
+    Conditions are bit positions in creation order, and ``co[i]`` is the
+    mask of the conditions concurrent with condition i.  A pre-set choice
+    picks one condition per pre-place, each inside the co-set of the picks
+    before it.  An event's post-conditions are concurrent with one another
+    and with every condition concurrent with its whole pre-set.
     """
     if not net.safety_verified:
         raise SafetyUnverified("run verify_safety before unfolding")
 
-    label_place, label_event = {}, {}
-    hist = {}     # condition -> frozenset of events strictly below it
-    depth = {}    # condition/event -> causal height
-    consumers = {}  # condition -> set of events consuming it
-    pre_e, post_e = {}, {}
+    conds, co = [], []  # condition ids and co-set masks, by bit position
+    at = {p: 0 for p in net.places}  # place -> mask of its conditions
+    label_place, label_event, flow = {}, {}, set()
 
-    conds = []
-    for p in sorted(net.initial_marking):
-        c = _cond_id(p, None, 0)
-        label_place[c] = p
-        hist[c] = frozenset()
-        depth[c] = 0
-        consumers[c] = set()
-        conds.append(c)
+    def add_conditions(labelled, base):
+        """Create the (id, place) conditions, concurrent with ``base`` and
+        with one another; returns their mask."""
+        first = len(conds)
+        mask = ((1 << len(labelled)) - 1) << first
+        for i, (c, p) in enumerate(labelled, first):
+            conds.append(c)
+            co.append(base | mask & ~(1 << i))
+            label_place[c] = p
+            at[p] |= 1 << i
+        return mask
 
-    def concurrent(c1, c2):
-        if c1 == c2:
-            return False
-        if any(e in hist[c2] for e in consumers[c1]):
-            return False
-        if any(e in hist[c1] for e in consumers[c2]):
-            return False
-        for e1 in hist[c1] - hist[c2]:
-            for e2 in hist[c2] - hist[c1]:
-                if pre_e[e1] & pre_e[e2]:
-                    return False
-        return True
+    def co_sets(pools, allowed):
+        """Tuples of one condition per pool mask, pairwise concurrent."""
+        if not pools:
+            yield ()
+            return
+        for i in bits(pools[0] & allowed):
+            for rest in co_sets(pools[1:], allowed & co[i]):
+                yield (i,) + rest
 
-    exhausted = False
-    while True:
-        candidates = []
-        for t in sorted(net.transitions):
-            pre_places = sorted(net.pre(t))
-            pools = [[c for c in conds if label_place[c] == p] for p in pre_places]
-            for combo in itertools.product(*pools):
-                if not all(concurrent(a, b)
-                           for a, b in itertools.combinations(combo, 2)):
-                    continue
-                eid = _event_id(t, combo)
-                if eid in label_event:
-                    continue
-                d = 1 + max((depth[c] for c in combo), default=0)
-                if d > budget.max_depth:
-                    exhausted = True
-                    continue
-                candidates.append((t, tuple(sorted(combo)), eid, d))
-        if not candidates:
-            break
-        candidates.sort()
-        grew = False
-        for t, combo, eid, d in candidates:
-            if eid in label_event:
-                continue
-            if len(label_event) >= budget.max_events:
-                exhausted = True
-                break
-            label_event[eid] = t
-            depth[eid] = d
-            pre_e[eid] = frozenset(combo)
-            h = frozenset().union(*(hist[c] for c in combo)) | {eid}
-            post = []
-            for i, p in enumerate(sorted(net.post(t))):
-                c = _cond_id(p, eid, i)
-                label_place[c] = p
-                hist[c] = h
-                depth[c] = d
-                consumers[c] = set()
-                conds.append(c)
-                post.append(c)
-            post_e[eid] = frozenset(post)
-            for c in combo:
-                consumers[c].add(eid)
-            grew = True
-        if not grew:
+    pre_places = {t: sorted(net.pre(t)) for t in net.transitions}
+    older = 0  # conditions of height below h - 1
+    new = add_conditions([(_cond_id(p, None, 0), p)
+                          for p in sorted(net.initial_marking)], 0)
+    initial = set(conds)
+    for height in itertools.count(1):
+        # the choices with a condition of height h - 1, each found once:
+        # the k-th pick is the first such condition
+        candidates = [(t, (), ()) for t, ps in pre_places.items()
+                      if not ps and height == 1]
+        for t, ps in pre_places.items():
+            pools = [at[p] for p in ps]
+            for k, pool in enumerate(pools):
+                split = [m & older for m in pools[:k]] + [pool & new] + pools[k + 1:]
+                candidates += [(t, tuple(sorted(conds[i] for i in pick)), pick)
+                               for pick in co_sets(split, -1)]  # -1: every condition
+        room = budget.max_events - len(label_event) if height <= budget.max_depth else 0
+        exhausted = len(candidates) > room
+        older, new = older | new, 0
+        for t, pre, pick in sorted(candidates)[:room]:
+            e = _event_id(t, pre)
+            label_event[e] = t
+            base = (1 << len(conds)) - 1
+            for i in pick:
+                base &= co[i]
+            post = [(_cond_id(p, e, i), p) for i, p in enumerate(sorted(net.post(t)))]
+            mask = add_conditions(post, base)
+            for i in bits(base):
+                co[i] |= mask
+            new |= mask
+            flow |= {(c, e) for c in pre} | {(e, c) for c, _ in post}
+        if exhausted or not candidates:
             break
 
-    flow = set()
-    for e, cs in pre_e.items():
-        flow |= {(c, e) for c in cs}
-    for e, cs in post_e.items():
-        flow |= {(e, c) for c in cs}
-    polarity = {e: net.pol(label_event[e]) for e in label_event}
-    occ = OccurrenceNet(set(label_place), set(label_event), flow,
-                        {c for c in conds if depth[c] == 0}, polarity)
+    polarity = {e: net.pol(t) for e, t in label_event.items()}
+    occ = OccurrenceNet(set(conds), set(label_event), flow, initial, polarity)
     occ.safety_verified = True
     return BranchingProcess(occ, label_place, label_event, budget, exhausted)
 

@@ -27,6 +27,7 @@ from qpn.demo import branching_demo, two_phase_cycle
 from qpn.nets import (
     NEGATIVE,
     POSITIVE,
+    Net,
     OccurrenceNet,
     interval,
     marking_of_configuration,
@@ -171,3 +172,20 @@ def test_parallel_verdict_is_the_conjunction():
     for (a, ok_a), (b, ok_b) in itertools.combinations(zip(parts, verdicts), 2):
         both, _ = parallel(a, b)
         assert bool(is_qpn(both.net, both.ann)) == (ok_a and ok_b)
+
+
+def test_composite_and_its_rebuilt_copy_get_the_same_verdict():
+    """The safety stage explores a composite's markings like any other
+    net's: its marking bound applies, whatever the parts were verified to."""
+    rng = np.random.default_rng(3)
+    an = random_state_machine(rng)
+    for _ in range(2):
+        an, _ = parallel(an, random_state_machine(rng))
+    net = an.net
+    copy = Net(net.places, net.transitions, net.flow, net.initial_marking, net.polarity)
+    for bound in (5, 100_000):
+        got, want = is_qpn(net, an.ann, marking_bound=bound), \
+            is_qpn(copy, an.ann, marking_bound=bound)
+        assert (got.passed, got.reason) == (want.passed, want.reason)
+    assert is_qpn(net, an.ann, marking_bound=5).reason == \
+        "safety: more than 5 reachable markings"

@@ -368,6 +368,20 @@ class TestCli:
                      "--env", str(side)]) == 0
         assert capsys.readouterr().out == "probability 0.500000000000\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["prob", "--from", "p0", "--to", "p2,p4"],
+        ["sample", "--runs", "1"],
+    ], ids=["prob", "sample"])
+    def test_rho_must_be_a_state(self, demo_path, tmp_path, capsys, argv):
+        """--rho holds a state: a trace-4 identity on the dim-4 marking p0
+        is a located error, not a probability of 2."""
+        side = tmp_path / "rho.json"
+        side.write_text(json.dumps(matrix_to_json(np.eye(4))))
+        assert main([argv[0], str(demo_path), *argv[1:], "--rho", str(side)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {side}: trace 4, expected 1\n"
+        assert captured.out == ""
+
     def test_one_parser_per_process(self, demo_path, tmp_path, capsys, monkeypatch):
         src = str(pathlib.Path(qpn.__file__).parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -1,12 +1,27 @@
 import numpy as np
 import pytest
 
-from gen import random_occurrence_annotated, random_state_machine
+from gen import (
+    clique_net,
+    joinable_net,
+    racy_net,
+    random_occurrence_annotated,
+    random_state_machine,
+)
 from qpn.annotation import validate_signatures
 from qpn.checker import is_local_qon, is_qpn
+from qpn.compose import parallel
 from qpn.demo import branching_demo, two_phase_cycle
 from qpn.errors import SafetyUnverified
-from qpn.nets import Net, as_occurrence_net
+from qpn.nets import (
+    Net,
+    as_occurrence_net,
+    causal_heights,
+    enabled,
+    marking_of_configuration,
+    reachable_markings,
+    verify_safety,
+)
 from qpn.unfolding import (
     BranchingProcess,
     UnfoldBudget,
@@ -69,6 +84,82 @@ class TestUnfold:
         bp = unfold(tc.net, UnfoldBudget(50, 3))
         assert len(bp.occ.transitions) == 3
         assert bp.exhausted
+
+
+def _ring(n: int) -> Net:
+    """n places in a ring, with a choice of two transitions out of r0."""
+    arcs = {f"t{i}": (f"r{i}", f"r{(i + 1) % n}") for i in range(n)} | {"b": ("r0", "r1")}
+    net = Net({f"r{i}" for i in range(n)}, set(arcs),
+              {(a, t) for t, (a, _) in arcs.items()} | {(t, b) for t, (_, b) in arcs.items()},
+              {"r0"}, {t: "0" for t in arcs})
+    verify_safety(net)
+    return net
+
+
+def _pair(rng) -> Net:
+    return parallel(random_state_machine(rng), random_state_machine(rng))[0].net
+
+
+def _oracle_nets():
+    """(name, net, depth): library nets, products of state machines, and
+    rings at depths below and above their length."""
+    rng = np.random.default_rng(21)
+    for i in range(6):
+        yield f"sm{i}", random_state_machine(rng).net, 4
+    for i in range(6):
+        yield f"occ{i}", random_occurrence_annotated(rng).net, 8
+    yield "clique", clique_net(rng, 3).net, 3
+    yield "joinable", joinable_net(rng, True, True).net, 3
+    yield "racy", racy_net().net, 3
+    yield "demo", branching_demo().net, 5
+    yield "cycle", two_phase_cycle().net, 5
+    for i in range(4):
+        yield f"pair{i}", _pair(rng), 3
+    for n in (5, 6, 7, 8):
+        for depth in (n - 2, n + 2):
+            yield f"ring{n}", _ring(n), depth
+
+
+class TestOracle:
+    """The prefix against the token game of the net, not another unfolding."""
+
+    @pytest.mark.parametrize("net, depth", [pytest.param(net, d, id=f"{name}-d{d}")
+                                            for name, net, d in _oracle_nets()])
+    def test_configurations_match_the_token_game(self, net, depth):
+        """At every configuration whose events all lie below the depth
+        budget, the labels of its marking form a reachable marking of the
+        net, and each transition enabled there has exactly one event on
+        conditions of that marking."""
+        bp = unfold(net, UnfoldBudget(depth))
+        o = bp.occ
+        height = causal_heights(o, o.transitions)
+        reachable = reachable_markings(net)
+        checked = 0
+        for x in o.all_configurations():
+            if max((height[e] for e in x), default=0) >= depth:
+                continue
+            mb = marking_of_configuration(o, x)
+            m = frozenset(bp.label_place[c] for c in mb)
+            assert len(m) == len(mb) and m in reachable
+            on_m = sorted(bp.label_event[e] for e in o.transitions if o.pre(e) <= mb)
+            assert on_m == sorted(enabled(net, m))
+            checked += 1
+        assert checked >= 1
+
+    def test_event_budget_takes_events_in_height_label_preset_order(self):
+        """max_events=k keeps the first k events of the uncut prefix in
+        (height, label, pre-condition ids) order."""
+        net = _pair(np.random.default_rng(4))
+        full = unfold(net, UnfoldBudget(4))
+        o = full.occ
+        height = causal_heights(o, o.transitions)
+        order = sorted(o.transitions,
+                       key=lambda e: (height[e], full.label_event[e], sorted(o.pre(e))))
+        assert len(order) > 5
+        for k in range(len(order) + 1):
+            cut = unfold(net, UnfoldBudget(4, k))
+            assert cut.occ.transitions == set(order[:k])
+            assert cut.exhausted == (k < len(order) or full.exhausted)
 
 
 class TestVerifyBranchingProcess:
