@@ -6,7 +6,6 @@ from .algebra import (
     Channel,
     FactorPermutation,
     apply,
-    choi,
     effect,
     is_cptni,
     loewner_geq,

@@ -1,8 +1,9 @@
 """Finite-dimensional complex linear algebra and quantum-channel primitives.
 
-Channels are kept in Kraus form throughout; the Choi matrix is only built
-on demand for complete-positivity validation.  All values are immutable
-after construction and every operation is a pure function.
+Channels are kept in Kraus form throughout, so every channel is
+completely positive by construction (Choi 1975): validating one is the
+trace non-increase check I - sum_k K^dagger K >= 0 alone.  All values are
+immutable after construction and every operation is a pure function.
 """
 
 from __future__ import annotations
@@ -267,17 +268,6 @@ def effect(f: Channel) -> np.ndarray:
     return f._effect
 
 
-def choi(f: Channel) -> np.ndarray:
-    """Choi matrix sum_k vec(K) vec(K)^dagger; PSD iff f is completely positive."""
-    n = f.dim_in * f.dim_out
-    _check_total_dim(n)
-    out = np.zeros((n, n), dtype=complex)
-    for k in f.kraus:
-        v = k.reshape(-1, 1)
-        out += v @ v.conj().T
-    return out
-
-
 def kraus_compose(g: Channel, f: Channel) -> Channel:
     """Sequential composition g after f, as the Kraus set {G_j K_i}."""
     if f.dim_out != g.dim_in:
@@ -319,19 +309,16 @@ def partial_trace(m, dims, traced) -> np.ndarray:
 
 
 def is_cptni(f: Channel, tol_psd: float = TOL_PSD) -> CheckOutcome:
-    """Verdict on complete positivity and trace non-increase.
+    """Verdict on trace non-increase: min-eig(I - effect) >= -tol.
 
-    Passes iff min-eig(Choi) >= -tol and min-eig(I - effect) >= -tol; the
-    outcome carries both eigenvalues for caller-side re-judging.
+    A Kraus-form channel is completely positive by construction, so this
+    is the whole CPTNI verdict; the outcome carries the eigenvalue for
+    caller-side re-judging.
     """
-    choi_min = min_eigenvalue(choi(f), tol=1e-7)
-    tni = np.eye(f.dim_in, dtype=complex) - effect(f)
-    tni_min = min_eigenvalue(tni, tol=1e-7)
-    passed = choi_min >= -tol_psd and tni_min >= -tol_psd
-    reason = "" if passed else (
-        "not completely positive" if choi_min < -tol_psd else "trace increasing"
-    )
-    return CheckOutcome(passed, reason, {"choi_min_eig": choi_min, "tni_min_eig": tni_min})
+    tni_min = min_eigenvalue(np.eye(f.dim_in, dtype=complex) - effect(f), tol=1e-7)
+    passed = tni_min >= -tol_psd
+    return CheckOutcome(passed, "" if passed else "trace increasing",
+                        {"tni_min_eig": tni_min})
 
 
 def loewner_geq(a, b, tol_psd: float = TOL_PSD) -> CheckOutcome:

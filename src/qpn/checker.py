@@ -233,11 +233,15 @@ def expand_drop(gv: GlobalValuation, x, ys):
 
 
 def _embedded_effect(net: Net, ann: LocalAnnotation, m, e) -> np.ndarray:
-    """effect(Q0(e)) placed on the pre-set factors inside Q(m)."""
+    """effect(Q0(e)) placed on the pre-set factors inside Q(m); the effect
+    itself, read-only, when the pre-set is all of m."""
+    pre = net.pre(e)
+    if len(pre) == len(m) and pre.issuperset(m):
+        return effect(ann.channel(e))
     factors = marking_factors(ann, m)
     ids = [p for p, _ in factors]
     dims = [d for _, d in factors]
-    positions = [ids.index(c) for c in sorted(net.pre(e))]
+    positions = [ids.index(c) for c in sorted(pre)]
     return embed_operator(effect(ann.channel(e)), dims, positions)
 
 
@@ -247,8 +251,10 @@ def _drop_recurrence(events, pre, effs, dim: int) -> np.ndarray:
     deletion-contraction memoized over sub-families,
     d(F) = d(F∖v) - E_v·d(F∖N[v]), for v least in F and N[v] v with the
     events of F sharing a pre-place (per ``pre``) with it.  E_v and
-    d(F∖N[v]) act on disjoint factors, so every term is Hermitian.
-    ``effs`` maps each event to its effect on one space of dimension dim.
+    d(F∖N[v]) act on disjoint factors, so every term is Hermitian up to
+    rounding; :func:`min_eigenvalue` guards and symmetrizes it where a
+    verdict is read.  ``effs`` maps each event to its effect on one space
+    of dimension dim.
     """
     memo = {(): np.eye(dim, dtype=complex)}
 
@@ -258,7 +264,7 @@ def _drop_recurrence(events, pre, effs, dim: int) -> np.ndarray:
             memo[fam] = d(fam[1:]) - effs[fam[0]] @ d(far)
         return memo[fam]
 
-    return hermitize(d(tuple(sorted(events))))
+    return d(tuple(sorted(events)))
 
 
 def single_extension_drop(net: Net, ann: LocalAnnotation, m, events) -> np.ndarray:

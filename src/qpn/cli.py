@@ -51,13 +51,13 @@ def _loaded(net, ann, *_):
     return CheckOutcome.ok()
 
 
-def _run_stages(stages, args):
+def _run_stages(stages, args, cluster_cap, tol):
     """Load the net and print one line per stage run; returns the net, its
     annotation and the last stage's (name, outcome)."""
     net, ann, _, _ = netfile.load_net(args.path)
     stages = [(name, _loaded if name == "signatures" else check) for name, check in stages]
     for name, out in checker.run_stages(stages, net, ann, args.marking_bound,
-                                        args.cluster_cap, args.tol_psd):
+                                        cluster_cap, tol):
         if name != "drop":
             _p(name, out)
             continue
@@ -76,12 +76,13 @@ def _exit_code(out) -> int:
 
 
 def cmd_validate(args) -> int:
-    *_, out = _run_stages(checker.STAGES[:3], args)  # safety, signatures, cptni
+    # safety, signatures, cptni: none reads the drop stage's limits
+    *_, out = _run_stages(checker.STAGES[:3], args, checker.DEFAULT_CLUSTER_CAP, TOL_PSD)
     return _exit_code(out)
 
 
 def cmd_check(args) -> int:
-    net, ann, name, out = _run_stages(checker.STAGES, args)
+    net, ann, name, out = _run_stages(checker.STAGES, args, args.cluster_cap, args.tol_psd)
     code = _exit_code(out)
     if name != "drop":
         return code
@@ -258,14 +259,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--marking-bound", type=int, default=DEFAULT_MARKING_BOUND)
 
-    def verdict_limits(p):  # read only by the verdict stages
-        common(p)
-        p.add_argument("--tol-psd", type=float, default=checker.TOL_PSD)
-        p.add_argument("--cluster-cap", type=int, default=checker.DEFAULT_CLUSTER_CAP)
-
     p = sub.add_parser("validate", help="the verdict stages up to CPTNI")
     p.add_argument("path")
-    verdict_limits(p)
+    common(p)
     p.set_defaults(fn=cmd_validate)
 
     p = sub.add_parser("check", help="every verdict stage, in order")
@@ -274,7 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cross-check the drop stage against the brute-force "
                         "oracle (occurrence nets)")
     p.add_argument("--report", help="write a JSON report here")
-    verdict_limits(p)
+    common(p)
+    # read only by the drop stage
+    p.add_argument("--tol-psd", type=float, default=checker.TOL_PSD)
+    p.add_argument("--cluster-cap", type=int, default=checker.DEFAULT_CLUSTER_CAP)
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("unfold", help="depth-bounded unfolding")

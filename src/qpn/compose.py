@@ -166,12 +166,6 @@ class JoinSpec:
     def positives(self):
         return frozenset(p for p, _ in self.pairs)
 
-    def match(self, n):
-        for p, m in self.pairs:
-            if m == n:
-                return p
-        raise KeyError(n)
-
 
 def validate_drop_preserving(x: AnnotatedNet, spec: JoinSpec) -> CheckOutcome:
     """Check the join spec against the cluster-matching clauses.

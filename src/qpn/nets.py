@@ -48,8 +48,6 @@ class Net:
         self.initial_marking = frozenset(initial_marking)
         self.polarity = dict(polarity)
         self._validate_structure()
-        self._pre = {n: frozenset() for n in self.places | self.transitions}
-        self._post = {n: frozenset() for n in self.places | self.transitions}
         pre = {n: set() for n in self.places | self.transitions}
         post = {n: set() for n in self.places | self.transitions}
         for a, b in self.flow:

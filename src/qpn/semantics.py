@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import (TOL_PSD, FactorPermutation, _check_total_dim, apply_leading,
-                      as_matrix, effect, partial_trace)
+                      as_matrix, partial_trace)
 from .annotation import LocalAnnotation, space_dim
 from .checker import _embedded_effect, single_extension_drop
 from .errors import DimensionMismatch, MissingEnvInput, NotAQpn, NotEnabled
@@ -124,10 +124,6 @@ class RunState:
     log: list = field(default_factory=list)
     halted: str = ""  # "", "residual", "deadlock", "max_steps"
 
-    @property
-    def trace(self) -> float:
-        return float(np.real(np.trace(self.state)))
-
 
 def maximally_mixed_policy(ann: LocalAnnotation):
     def policy(log, event):
@@ -161,11 +157,9 @@ def _reduced(ann: LocalAnnotation, order, pre, rho):
 
 def _branch_weights(net: Net, ann: LocalAnnotation, pre, cluster, rho_pre):
     """tr(E_e · rho_pre) for each e of the cluster, with E_e e's effect on
-    the sorted places ``pre`` that rho_pre lives on; an effect whose
-    pre-set is all of ``pre`` is read as it is, without embedding."""
-    return [float(np.real(np.trace(
-        (effect(ann.channel(e)) if len(net.pre(e)) == len(pre)
-         else _embedded_effect(net, ann, pre, e)) @ rho_pre))) for e in cluster]
+    the sorted places ``pre`` that rho_pre lives on."""
+    return [float(np.real(np.trace(_embedded_effect(net, ann, pre, e) @ rho_pre)))
+            for e in cluster]
 
 
 def _fire(net: Net, ann: LocalAnnotation, order, e, rho, env=None):

@@ -8,6 +8,9 @@ same families.
 
 from __future__ import annotations
 
+import functools
+import operator
+
 import numpy as np
 
 from qpn.algebra import Channel
@@ -41,48 +44,44 @@ def random_density(rng, dim: int) -> np.ndarray:
 
 class _Builder:
     """Incremental occurrence-net builder tracking just enough structure
-    to keep pre-set choices concurrent and clusters small."""
+    to keep pre-set choices concurrent and clusters small.
 
-    def __init__(self, rng, max_dim):
-        self.rng = rng
-        self.max_dim = max_dim
+    Conditions are bit positions in creation order, and ``co[i]`` is the
+    mask of the conditions concurrent with condition i, by the rule of
+    ``qpn.unfolding.unfold``: an event's post-conditions are concurrent
+    with one another and with every condition concurrent with its whole
+    pre-set; the initial conditions are pairwise concurrent.
+    """
+
+    def __init__(self):
         self.dims = {}
         self.pre_e, self.post_e = {}, {}
-        self.hist = {}       # condition -> events strictly below
-        self.consumers = {}  # condition -> consuming events
+        self.bit = {}  # condition -> bit position
+        self.co = []  # co-set mask per bit position
+        self.base = {None: 0}  # producer -> mask its next condition is co with
         self.pol = {}
-        self.initial = []
-        self.counter = 0
 
     def new_condition(self, dim, producer=None):
-        c = f"c{len(self.dims)}"
+        i = len(self.dims)
+        c = f"c{i}"
         self.dims[c] = dim
-        self.consumers[c] = set()
-        if producer is None:
-            self.hist[c] = frozenset()
-            self.initial.append(c)
-        else:
-            self.hist[c] = self.hist_of_event(producer)
+        self.bit[c] = i
+        if producer not in self.base:
+            self.base[producer] = functools.reduce(
+                operator.and_, (self.co[self.bit[p]] for p in self.pre_e[producer]))
+        base = self.base[producer]
+        self.co.append(base)
+        for j in range(i):
+            if base >> j & 1:
+                self.co[j] |= 1 << i
+        self.base[producer] = base | 1 << i
         return c
 
-    def hist_of_event(self, e):
-        h = frozenset({e})
-        for c in self.pre_e[e]:
-            h |= self.hist[c]
-        return h
+    def consumers(self, c):
+        return {e for e, pre in self.pre_e.items() if c in pre}
 
     def concurrent(self, c1, c2):
-        if c1 == c2:
-            return False
-        if any(e in self.hist[c2] for e in self.consumers[c1]):
-            return False
-        if any(e in self.hist[c1] for e in self.consumers[c2]):
-            return False
-        for e1 in self.hist[c1] - self.hist[c2]:
-            for e2 in self.hist[c2] - self.hist[c1]:
-                if self.pre_e[e1] & self.pre_e[e2]:
-                    return False
-        return True
+        return bool(self.co[self.bit[c1]] >> self.bit[c2] & 1)
 
     def cluster_of(self, event_set, seed_events):
         """Connected component of the shared-pre-place graph seeded at
@@ -108,7 +107,7 @@ def random_occurrence_annotated(rng, max_events: int = 6, max_dim: int = 4,
     construction); other channels are random CPTNI, so the drop verdict is
     genuinely random across instances.
     """
-    b = _Builder(rng, max_dim)
+    b = _Builder()
     for _ in range(int(rng.integers(2, 4))):
         b.new_condition(int(rng.integers(1, max_dim + 1)))
 
@@ -118,7 +117,7 @@ def random_occurrence_annotated(rng, max_events: int = 6, max_dim: int = 4,
         e = f"e{k}"
         placed = False
         for _ in range(12):  # retries with fresh picks
-            pool = [c for c in b.dims if len(b.consumers[c]) < 2]
+            pool = [c for c in b.dims if len(b.consumers(c)) < 2]
             if not pool:
                 break
             size = 1 if rng.random() < 0.7 else 2
@@ -126,7 +125,7 @@ def random_occurrence_annotated(rng, max_events: int = 6, max_dim: int = 4,
                                     replace=False))
             if len(picks) == 2 and not b.concurrent(picks[0], picks[1]):
                 continue
-            rivals = set().union(*(b.consumers[c] for c in picks))
+            rivals = set().union(*(b.consumers(c) for c in picks))
             # race-freeness: polarity class must match existing consumers
             if rivals:
                 neg = all(b.pol[r] == "-" for r in rivals)
@@ -167,8 +166,6 @@ def random_occurrence_annotated(rng, max_events: int = 6, max_dim: int = 4,
                     h[e] = hd
             b.pol[e] = polarity
             b.post_e[e] = frozenset(post)
-            for c in picks:
-                b.consumers[c].add(e)
             placed = True
             break
         if not placed:

@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpn.algebra import (
+    TOL_PSD,
     Channel,
     FactorPermutation,
     apply,
     apply_leading,
     channels_close,
-    choi,
     compose_leading,
     effect,
     embed_operator,
@@ -239,11 +239,24 @@ class TestCptni:
         assert not out
         assert "trace increasing" in out.reason
 
-    def test_choi_of_unitary_is_rank_one(self):
-        u = np.array([[0, 1], [1, 0]], dtype=complex)
-        c = choi(Channel.from_unitary(u))
-        evs = np.linalg.eigvalsh(c)
-        assert np.sum(evs > 1e-9) == 1
+    @pytest.mark.parametrize("scale", [0.5, 1.0, 2.0, 1e6])
+    def test_kraus_form_is_cp_and_verdict_is_trace_non_increase(self, scale):
+        # a Kraus list's Choi matrix sum_k vec(K) vec(K)^dagger is PSD by
+        # construction, so the verdict rests on I - sum_k K^dagger K alone
+        r = np.random.default_rng(int(scale * 10))
+        for _ in range(40):
+            n, din, dout = (int(x) for x in r.integers(1, [7, 9, 9]))
+            ks = r.normal(size=(n, dout, din)) + 1j * r.normal(size=(n, dout, din))
+            e = np.einsum("kij,kil->jl", ks.conj(), ks)
+            ks *= np.sqrt(scale / np.linalg.eigvalsh(e).max())
+            vecs = ks.reshape(n, -1)
+            c = vecs.T @ vecs.conj()
+            assert np.linalg.eigvalsh(c).min() >= -1e-12 * max(1, np.linalg.norm(c, 2))
+            f = Channel(din, dout, ks)
+            tni = np.linalg.eigvalsh(np.eye(din) - effect(f)).min()
+            out = is_cptni(f)
+            assert bool(out) == (tni >= -TOL_PSD)
+            assert out.reason == ("" if out else "trace increasing")
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None)

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from gen import clique_net, random_cptni, random_occurrence_annotated
-from qpn.algebra import Channel, min_eigenvalue
+from qpn.algebra import Channel, effect, min_eigenvalue
 from qpn.annotation import GlobalValuation, LocalAnnotation
 from qpn.checker import (
     _compose_effect,
+    _embedded_effect,
     brute_force_global_drop,
     check_local_drop,
     clique_drop,
@@ -104,6 +105,16 @@ class TestSingleExtension:
         m = marking_of_configuration(o, {"a"})
         assert np.allclose(single_extension_drop(o, ann, m, ["b"]), 0,
                            atol=1e-12)
+
+    def test_whole_support_effect_is_the_effect(self):
+        o, ann, _ = demo_parts()
+        for e in ("b", "c"):
+            eff = effect(ann.channel(e))
+            assert np.array_equal(_embedded_effect(o, ann, o.pre(e), e), eff)
+            assert np.array_equal(_embedded_effect(o, ann, ["p1"], e), eff)
+            # beside p2 (dim 4) the effect is embedded as E ⊗ I
+            assert np.allclose(_embedded_effect(o, ann, {"p1", "p2"}, e),
+                               np.kron(eff, np.eye(4)), atol=0)
 
     def test_disabled_event_rejected(self):
         o, ann, _ = demo_parts()

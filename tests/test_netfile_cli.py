@@ -266,24 +266,30 @@ class TestCli:
             assert "FAIL safety: more than 1 reachable markings" in capsys.readouterr().out
 
     @pytest.mark.parametrize("command", [
+        ["validate", "x.json"],
         ["unfold", "x.json"], ["prob", "x.json", "--from", "p", "--to", "q"],
         ["sample", "x.json"], ["compose", "par", "a.json", "b.json", "--out", "c.json"]])
     @pytest.mark.parametrize("option", ["--tol-psd", "--cluster-cap"])
-    def test_verdict_limits_belong_to_validate_and_check(self, command, option, capsys):
+    def test_drop_limits_belong_to_check(self, command, option, capsys):
         with pytest.raises(SystemExit) as exc:
             main(command + [option, "0"])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {option}" in capsys.readouterr().err
 
-    def test_operator_cap_exits_three(self, tmp_path, capsys):
-        # the 64 -> 128 channel's Choi matrix is 8192-dimensional
+    def test_channel_past_the_operator_cap_gets_a_verdict(self, tmp_path, capsys):
+        # dim_in * dim_out of the 64 -> 128 isometry is 8192, but its
+        # verdict needs only the 64-dim effect
         net = Net({"p", "q"}, {"t"}, {("p", "t"), ("t", "q")}, {"p"}, {"t": "0"})
         ann = LocalAnnotation({"p": 64, "q": 128},
                               {"t": Channel(64, 128, (np.eye(128, 64),))})
-        path = tmp_path / "wide.json"
+        path = str(tmp_path / "wide.json")
         save_net(path, net, ann)
-        assert main(["validate", str(path)]) == 3
-        assert "exceeds the supported maximum" in capsys.readouterr().err
+        assert main(["validate", path]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "PASS cptni"
+        assert main(["check", path]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines()[-1].startswith("PASS drop (instances=1,")
 
     def test_marking_past_the_operator_cap_gets_a_verdict(self, tmp_path, capsys):
         # one 2-dim event beside two idle marked 64-dim places: the marking
