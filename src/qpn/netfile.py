@@ -1,16 +1,20 @@
 """JSON net files: the on-disk form of an annotated net.
 
 Sections: metadata, places (id, dim, label?), transitions (id, polarity,
-h, kraus, label?), flow, initial_marking.  Matrices are nested lists of
-[re, im] pairs.  Serialization is canonical (sorted ids, fixed field
-order), so load -> save -> load is the identity and files diff cleanly.
-Files are written with one line per top-level key and per entry of
-places, transitions, flow and initial_marking; any JSON layout loads.
+h, kraus, label?), flow, initial_marking.  Ids are strings; matrices are
+nested lists of [re, im] pairs.  Serialization is canonical (sorted ids,
+fixed field order), so load -> save -> load is the identity and files
+diff cleanly.  Files are written with one line per top-level key and per
+entry of places, transitions, flow and initial_marking (`_layout`); any
+JSON layout loads.  `save_net` formats each line straight from the net;
+`_write_json` of `to_document` writes the same bytes through a document
+and is the writer's reference (and the writer of `--report` files).
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -20,6 +24,8 @@ from .nets import NEUTRAL, POLARITIES, Net
 
 FORMAT = "qpn-net"
 VERSION = 1
+
+_encode = json.JSONEncoder().encode
 
 
 def _fail(loc, msg):
@@ -55,11 +61,8 @@ def matrix_from_json(data, loc):
 
 def to_document(net: Net, ann: LocalAnnotation, metadata: dict | None = None,
                 labels: dict | None = None) -> dict:
-    """The canonical document of an annotated net.  Transitions that share
-    one ``Channel`` object (the events of one label in an unfolded prefix)
-    share one converted Kraus list."""
+    """The canonical document of an annotated net."""
     labels = labels or {}
-    kraus = {}  # id(channel) -> its Kraus list in JSON form
     places = []
     for p in sorted(net.places):
         entry = {"id": p, "dim": ann.dim(p)}
@@ -68,11 +71,8 @@ def to_document(net: Net, ann: LocalAnnotation, metadata: dict | None = None,
         places.append(entry)
     transitions = []
     for t in sorted(net.transitions):
-        ch = ann.channel(t)
-        if id(ch) not in kraus:
-            kraus[id(ch)] = [matrix_to_json(k) for k in ch.kraus]
         entry = {"id": t, "polarity": net.pol(t), "h": ann.signal_dim(t),
-                 "kraus": kraus[id(ch)]}
+                 "kraus": [matrix_to_json(k) for k in ann.channel(t).kraus]}
         if t in labels:
             entry["label"] = labels[t]
         transitions.append(entry)
@@ -97,6 +97,9 @@ def from_document(doc: dict):
     for section in ("places", "transitions", "flow", "initial_marking"):
         if not isinstance(doc.get(section), list):
             _fail(section, "missing or not a list")
+    metadata = doc.get("metadata") or {}
+    if not isinstance(metadata, dict):
+        _fail("metadata", "must be an object")
 
     dims, labels = {}, {}
     for i, entry in enumerate(doc["places"]):
@@ -104,10 +107,12 @@ def from_document(doc: dict):
         if not isinstance(entry, dict) or "id" not in entry:
             _fail(loc, "place entry needs an id")
         pid = entry["id"]
+        if not isinstance(pid, str):
+            _fail(f"{loc}.id", f"id must be a string, got {pid!r}")
         if pid in dims:
             _fail(loc, f"duplicate place id {pid!r}")
         dim = entry.get("dim", 1)
-        if not isinstance(dim, int) or dim < 1:
+        if type(dim) is not int or dim < 1:  # JSON true is no dimension
             _fail(f"{loc}.dim", f"dimension must be a positive integer, got {dim!r}")
         dims[pid] = dim
         if "label" in entry:
@@ -121,6 +126,8 @@ def from_document(doc: dict):
         if not isinstance(entry, dict) or "id" not in entry:
             _fail(loc, "transition entry needs an id")
         tid = entry["id"]
+        if not isinstance(tid, str):
+            _fail(f"{loc}.id", f"id must be a string, got {tid!r}")
         if tid in polarity or tid in dims:
             _fail(loc, f"duplicate id {tid!r}")
         pol = entry.get("polarity", NEUTRAL)
@@ -128,7 +135,7 @@ def from_document(doc: dict):
             _fail(f"{loc}.polarity", f"must be one of {POLARITIES}, got {pol!r}")
         polarity[tid] = pol
         hd = entry.get("h", 1)
-        if not isinstance(hd, int) or hd < 1:
+        if type(hd) is not int or hd < 1:
             _fail(f"{loc}.h", f"signal dimension must be a positive integer, got {hd!r}")
         if hd != 1:
             h[tid] = hd
@@ -145,15 +152,19 @@ def from_document(doc: dict):
             labels[tid] = entry["label"]
 
     flow = []
+    known = dims.keys() | polarity.keys()
     for i, arc in enumerate(doc["flow"]):
         if not (isinstance(arc, list) and len(arc) == 2):
             _fail(f"flow[{i}]", "arc must be a [from, to] pair")
         a, b = arc
-        known = set(dims) | set(polarity)
+        if not (isinstance(a, str) and isinstance(b, str)):
+            _fail(f"flow[{i}]", f"arc ends must be strings, got {arc!r}")
         if a not in known or b not in known:
             _fail(f"flow[{i}]", f"unknown id in arc {arc}")
         flow.append((a, b))
     for i, p in enumerate(doc["initial_marking"]):
+        if not isinstance(p, str):
+            _fail(f"initial_marking[{i}]", f"place id must be a string, got {p!r}")
         if p not in dims:
             _fail(f"initial_marking[{i}]", f"unknown place {p!r}")
 
@@ -166,44 +177,65 @@ def from_document(doc: dict):
     sig = validate_signatures(net, ann)
     if not sig:
         _fail("$", f"annotation does not fit the net: {sig.reason}")
-    return net, ann, dict(doc.get("metadata") or {}), labels
+    return net, ann, dict(metadata), labels
+
+
+def _layout(sections) -> str:
+    """The file text of ``sections``, (key text, body) pairs in order: one
+    line per key, where a str body is the value's text and a list body
+    holds the texts of the value's entries, one line each."""
+    lines = []
+    for key, body in sections:
+        if isinstance(body, str):
+            lines.append(f"{key}: {body}")
+        elif body:
+            lines.append(f"{key}: [\n" + ",\n".join(body) + "\n]")
+        else:
+            lines.append(f"{key}: []")
+    return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
 def _write_json(path, doc: dict, default=None) -> None:
-    """Write ``doc`` with one line per top-level key and, for a list value,
-    one line per entry, in a single write.  Every piece goes through the C
-    encoder (no indent); a list-valued field that entries share by object
-    (a channel's Kraus list) is encoded once."""
+    """Write ``doc`` in the file layout, every value and every entry of a
+    list value through the C encoder."""
     encode = json.JSONEncoder(default=default).encode
-    shared = {}  # id(list) -> its encoding; doc keeps every list alive
-
-    def entry_text(entry):
-        if not (isinstance(entry, dict)
-                and any(isinstance(v, list) for v in entry.values())):
-            return encode(entry)
-        fields = []
-        for k, v in entry.items():
-            if isinstance(v, list):
-                if id(v) not in shared:
-                    shared[id(v)] = encode(v)
-                text = shared[id(v)]
-            else:
-                text = encode(v)
-            fields.append(f"{encode(k)}: {text}")
-        return "{" + ", ".join(fields) + "}"
-
-    lines = []
-    for key, value in doc.items():
-        if isinstance(value, list) and value:
-            body = ",\n".join(map(entry_text, value))
-            lines.append(f"{encode(key)}: [\n{body}\n]")
-        else:
-            lines.append(f"{encode(key)}: {encode(value)}")
-    write_text(path, "{\n" + ",\n".join(lines) + "\n}\n")
+    write_text(path, _layout(
+        (encode(key), list(map(encode, value)) if isinstance(value, list) else encode(value))
+        for key, value in doc.items()))
 
 
 def save_net(path, net: Net, ann: LocalAnnotation, metadata=None, labels=None):
-    _write_json(path, to_document(net, ann, metadata, labels))
+    """Write the net file of an annotated net: the bytes `_write_json`
+    writes for `to_document`, formatted line by line from the net.  Ids
+    (strings) take the encoder's string fast path, dimensions are ints,
+    and each distinct channel's Kraus list is converted and encoded once
+    (the events of one label in an unfolded prefix share it)."""
+    labels = labels or {}
+    ident = encode_basestring_ascii
+
+    def with_label(text, n):
+        return f'{text}, "label": {_encode(labels[n])}}}' if n in labels else text + "}"
+
+    places = [with_label(f'{{"id": {ident(p)}, "dim": {ann.dim(p)}', p)
+              for p in sorted(net.places)]
+    kraus = {}  # id(channel) -> its encoded Kraus list
+    transitions = []
+    for t in sorted(net.transitions):
+        ch = ann.channel(t)
+        if id(ch) not in kraus:
+            kraus[id(ch)] = _encode([matrix_to_json(k) for k in ch.kraus])
+        transitions.append(with_label(
+            f'{{"id": {ident(t)}, "polarity": {ident(net.pol(t))}, '
+            f'"h": {ann.signal_dim(t)}, "kraus": {kraus[id(ch)]}', t))
+    write_text(path, _layout([
+        ('"format"', ident(FORMAT)),
+        ('"version"', str(VERSION)),
+        ('"metadata"', _encode(dict(metadata or {}))),
+        ('"places"', places),
+        ('"transitions"', transitions),
+        ('"flow"', [f"[{ident(a)}, {ident(b)}]" for a, b in sorted(net.flow)]),
+        ('"initial_marking"', [ident(p) for p in sorted(net.initial_marking)]),
+    ]))
 
 
 def read_json(path):

@@ -246,7 +246,7 @@ class OccurrenceNet(Net):
         if order is None:
             return CheckOutcome.fail("flow relation is cyclic")
         for c in self.places:
-            if len(self._pre[c] & self.transitions) > 1:
+            if len(self._pre[c]) > 1:  # the flow is bipartite
                 return CheckOutcome.fail(f"backward branching at condition {c}",
                                          witness=c)
         minimal = {n for n in nodes if not self._pre[n]}
@@ -282,9 +282,10 @@ class OccurrenceNet(Net):
                     for rival in self._post[p] - {n}:
                         conflict[n] |= up[rival]
         self._below, self._conflict = below, conflict
-        for n in sorted(nodes):
-            if conflict[n] & bit[n]:
-                return CheckOutcome.fail(f"self-conflict at {n}", witness=n)
+        selfish = [n for n in order if conflict[n] & bit[n]]
+        if selfish:
+            n = min(selfish)
+            return CheckOutcome.fail(f"self-conflict at {n}", witness=n)
         return CheckOutcome.ok()
 
     def _topological_order(self):

@@ -151,15 +151,14 @@ def verify_branching_process(bp: BranchingProcess, net: Net) -> CheckOutcome:
         if o.pol(e) != net.pol(t):
             return CheckOutcome.fail(f"event {e} changes polarity of {t}")
     # clause 2: label restricted to pre/post-sets is a bijection
+    expected = {t: (sorted(net.pre(t)), sorted(net.post(t))) for t in net.transitions}
     for e in sorted(o.transitions):
-        t = bp.label_event[e]
-        for side, here, there in (("pre", o.pre(e), net.pre(t)),
-                                  ("post", o.post(e), net.post(t))):
+        pre, post = expected[bp.label_event[e]]
+        for side, here, there in (("pre", o.pre(e), pre), ("post", o.post(e), post)):
             labels = sorted(bp.label_place[c] for c in here)
-            if labels != sorted(there):
+            if labels != there:
                 return CheckOutcome.fail(
-                    f"{side}-set of {e} maps to {labels}, expected "
-                    f"{sorted(there)}", event=e)
+                    f"{side}-set of {e} maps to {labels}, expected {there}", event=e)
     # clause 3: minimal conditions biject onto the initial marking
     labels = sorted(bp.label_place[c] for c in o.initial_marking)
     if labels != sorted(net.initial_marking):

@@ -19,6 +19,7 @@ from qpn import checker, cli, netfile
 from qpn.algebra import Channel, channels_close
 from qpn.annotation import LocalAnnotation
 from qpn.cli import main
+from qpn.compose import parallel
 from qpn.demo import branching_demo, two_phase_cycle
 from qpn.errors import NetFileError
 from qpn.nets import Net, verify_safety
@@ -132,7 +133,71 @@ def _writer_cases():
     return out
 
 
+def _gate_cases():
+    """(name, net, annotation, metadata, labels) beyond `_writer_cases`:
+    depth-6 prefixes of state machines, a parallel composition, non-ASCII
+    ids and labels, label and metadata values that are not strings, and
+    empty sections."""
+    out = []
+    for seed in range(20):
+        an = random_state_machine(np.random.default_rng(seed))
+        bp = unfold(an.net, UnfoldBudget(6, 10_000))
+        out.append((f"state-machine-{seed}-d6", bp.occ, transfer_annotation(bp, an.ann),
+                    {"unfolded_from": f"sm{seed}.json", "depth": 6},
+                    dict(bp.label_place) | dict(bp.label_event)))
+    composite, provenance = parallel(branching_demo(), two_phase_cycle())
+    out.append(("compose-par", composite.net, composite.ann,
+                {"composition": "parallel",
+                 "provenance": {k: list(v) for k, v in sorted(provenance.items())}}, {}))
+    net = Net({"ψ0", "ψ→1"}, {"τ"}, {("ψ0", "τ"), ("τ", "ψ→1")}, {"ψ0"}, {"τ": "+"})
+    ann = LocalAnnotation({"ψ0": 2, "ψ→1": 1}, {"τ": Channel.identity(2)}, {"τ": 2})
+    out.append(("non-ascii", net, ann, {"název": "síť ✓"},
+                {"ψ0": "вход", "τ": "\U0001d70f\x00\"\\"}))
+    odd = {"int": 3, "float": -0.0, "inf": float("inf"), "nan": float("nan"),
+           "none": None, "bool": True, "list": [1, "a", [2.5]], "nested": {"k": [{}]}}
+    bd = branching_demo()
+    out.append(("odd-values", bd.net, bd.ann, odd,
+                {"p0": 1, "p1": [1.5, None], "p2": {"x": [True]}, "a": 2.0,
+                 "b": ["b", "β"], "c": None}))
+    out.append(("empty", Net({"p"}, set(), set(), set(), {}),
+                LocalAnnotation({"p": 3}, {}), None, None))
+    return out
+
+
+def _reference_bytes(tmp_path, net, ann, meta, labels):
+    """The file the reference writer makes: `_write_json` of `to_document`."""
+    path = tmp_path / "reference.json"
+    netfile._write_json(path, to_document(net, ann, meta, labels))
+    return path.read_bytes()
+
+
 class TestWriter:
+    @pytest.mark.parametrize("cases", [_writer_cases, _gate_cases])
+    def test_file_is_the_reference_text(self, tmp_path, cases):
+        path = tmp_path / "net.json"
+        for name, net, ann, meta, labels in cases():
+            save_net(path, net, ann, meta, labels)
+            assert path.read_bytes() == _reference_bytes(tmp_path, net, ann, meta,
+                                                         labels), name
+
+    def test_empty_sections_stay_on_their_key_line(self, tmp_path):
+        path = tmp_path / "net.json"
+        save_net(path, Net({"p"}, set(), set(), set(), {}), LocalAnnotation({"p": 3}, {}))
+        assert path.read_text() == (
+            '{\n"format": "qpn-net",\n"version": 1,\n"metadata": {},\n'
+            '"places": [\n{"id": "p", "dim": 3}\n],\n"transitions": [],\n"flow": [],\n'
+            '"initial_marking": []\n}\n')
+
+    def test_writes_without_the_document(self, tmp_path, monkeypatch):
+        def no_document(*_):
+            raise AssertionError("save_net built the document")
+
+        name, net, ann, meta, labels = _writer_cases()[1]
+        expected = _reference_bytes(tmp_path, net, ann, meta, labels)
+        monkeypatch.setattr(netfile, "to_document", no_document)
+        save_net(tmp_path / "net.json", net, ann, meta, labels)
+        assert (tmp_path / "net.json").read_bytes() == expected, name
+
     def test_file_parses_to_the_document(self, tmp_path):
         path = tmp_path / "net.json"
         for name, net, ann, meta, labels in _writer_cases():
@@ -198,6 +263,18 @@ class TestSchemaDiagnostics:
             from_document(doc)
         assert exc.value.location.endswith(".dim")
 
+    @pytest.mark.parametrize("section, field, name", [("places", "dim", "dimension"),
+                                                      ("transitions", "h", "signal dimension")])
+    def test_boolean_dimension_rejected(self, section, field, name):
+        """JSON true is not a dimension: loaded as one, it would be
+        written back as Python's True, which is not JSON."""
+        doc = self._doc()
+        doc[section][0][field] = True
+        with pytest.raises(NetFileError) as exc:
+            from_document(doc)
+        assert str(exc.value) == (f"{section}[0].{field}: {name} must be a positive "
+                                  f"integer, got True")
+
     def test_unknown_id_in_arc(self):
         doc = self._doc()
         doc["flow"].append(["ghost", "a"])
@@ -242,6 +319,33 @@ class TestCli:
 
     def test_missing_file_is_a_parse_error(self, tmp_path):
         assert main(["check", str(tmp_path / "nope.json")]) == 2
+
+    @pytest.mark.parametrize("section, index, field, value, message", [
+        ("places", 1, "id", 1, "places[1].id: id must be a string, got 1"),
+        ("places", 1, "id", ["q"], "places[1].id: id must be a string, got ['q']"),
+        ("transitions", 0, "id", 7, "transitions[0].id: id must be a string, got 7"),
+        ("transitions", 2, "id", None, "transitions[2].id: id must be a string, got None"),
+        ("flow", 0, 0, 1, "flow[0]: arc ends must be strings, got [1, 'p1']"),
+        ("flow", 3, 1, ["p3"], "flow[3]: arc ends must be strings, got ['c', ['p3']]"),
+        ("initial_marking", 0, None, ["p0"],
+         "initial_marking[0]: place id must be a string, got ['p0']"),
+        ("metadata", None, None, [1], "metadata: must be an object"),
+    ], ids=["place-int", "place-list", "transition-int", "transition-null",
+            "arc-int", "arc-list", "marking-list", "metadata-list"])
+    @pytest.mark.parametrize("command", ["check", "validate", "unfold"])
+    def test_malformed_entries_are_located_parse_errors(self, demo_path, capsys, command,
+                                                        section, index, field, value,
+                                                        message):
+        doc = json.loads(demo_path.read_text())
+        if index is None:
+            doc[section] = value
+        elif field is None:
+            doc[section][index] = value
+        else:
+            doc[section][index][field] = value
+        demo_path.write_text(json.dumps(doc))
+        assert main([command, str(demo_path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_tiny_marking_bound_exits_three(self, tmp_path):
         tc = two_phase_cycle()

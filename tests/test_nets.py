@@ -124,6 +124,15 @@ class TestOccurrenceNetAxioms:
         out = is_occurrence_net(net)
         assert not out and "self-conflict" in out.reason
 
+    def test_self_conflict_witness_is_the_least_node(self):
+        # d and z both conflict with themselves; the witness is the least id
+        net = Net({"c0", "x", "y", "z"}, {"a", "b", "d"},
+                  {("c0", "a"), ("c0", "b"), ("a", "x"), ("b", "y"),
+                   ("x", "d"), ("y", "d"), ("d", "z")},
+                  {"c0"}, {"a": "0", "b": "0", "d": "0"})
+        out = is_occurrence_net(net)
+        assert out.reason == "not an occurrence net: self-conflict at d"
+
     def test_relations_on_branching_net(self):
         o = branching_occ()
         assert o.lt("a", "b") and o.lt("c0", "c4")

@@ -13,6 +13,7 @@ import pytest
 
 import gen
 from gen import clique_net, racy_net, random_occurrence_annotated, random_state_machine
+from qpn import netfile
 from qpn.algebra import Channel
 from qpn.annotation import LocalAnnotation, validate_signatures
 from qpn.checker import STAGES, is_local_qon, is_qpn
@@ -117,6 +118,19 @@ def test_unfold_prefix_passes_the_benchmark_gate(tmp_path, capsys, perfbench_wor
     events, conds = wl.expected_prefix(an.net, depth)
     assert wl._unfold_output(out, (events, conds))
     assert not wl._unfold_output(out, (events | {"ra[not-unfolded]"}, conds))
+
+
+def test_benchmark_prefixes_are_the_reference_text(tmp_path, perfbench_workloads):
+    """Every prefix the `unfold` workload writes is the text the reference
+    writer (`_write_json` of `to_document`) makes of the net it holds."""
+    reference = tmp_path / "reference.json"
+    ops = perfbench_workloads.build_unfold(gen, 501, str(tmp_path)).ops
+    for op in ops:
+        out = op.run(0)
+        assert op.check(out, op.expected), op.label
+        prefix = pathlib.Path(out[2])
+        netfile._write_json(reference, netfile.to_document(*netfile.load_net(prefix)))
+        assert prefix.read_bytes() == reference.read_bytes(), op.label
 
 
 def test_sampled_runs_pass_the_benchmark_gate(tmp_path, perfbench_workloads):

@@ -195,6 +195,52 @@ class TestVerifyBranchingProcess:
         out = verify_branching_process(forged, bd.net)
         assert not out
 
+    @pytest.mark.parametrize("corrupt, reason", [
+        ("cyclic", "underlying net: not an occurrence net: flow relation is cyclic"),
+        ("condition-label", "condition a[p0.]>p2.1 not labeled by a place"),
+        ("event-label", "event c[a[p0.]>p1.0] not labeled by a transition"),
+        ("polarity", "event b[a[p0.]>p1.0] changes polarity of b"),
+        ("pre-set", "pre-set of a[p0.] maps to ['p1'], expected ['p0']"),
+        ("post-set", "post-set of b[a[p0.]>p1.0] maps to ['p4'], expected ['p3']"),
+        ("minimal", "minimal conditions map to ['p0', 'p3'], expected ['p0']"),
+        ("duplicate", "b[a[p0.]>p1.0] and b[a[p0.]>p1.0]2 duplicate b on the same pre-set"),
+    ])
+    def test_each_clause_names_its_failure(self, corrupt, reason):
+        bd = branching_demo()
+        bp = unfold(bd.net, UnfoldBudget(8, 100))
+        o, places, events = bp.occ, dict(bp.label_place), dict(bp.label_event)
+        parts = [o.places, o.transitions, o.flow, o.initial_marking, dict(o.polarity)]
+        b, c = "b[a[p0.]>p1.0]", "c[a[p0.]>p1.0]"
+        if corrupt == "cyclic":
+            parts[2] = o.flow | {(f"{b}>p4.0", "a[p0.]")}
+        elif corrupt == "condition-label":
+            places["a[p0.]>p2.1"] = "p9"
+        elif corrupt == "event-label":
+            events[c] = "p3"
+        elif corrupt == "polarity":
+            parts[4][b] = "+"
+        elif corrupt == "pre-set":
+            places["p0."] = "p1"
+        elif corrupt == "post-set":
+            events[b], events[c] = "c", "b"
+            parts[4][b], parts[4][c] = "+", "0"
+        elif corrupt == "minimal":
+            parts[0] = o.places | {"p3."}
+            parts[3] = o.initial_marking | {"p3."}
+            places["p3."] = "p3"
+        elif corrupt == "duplicate":
+            dup = f"{b}2"
+            parts[0] = o.places | {f"{dup}>p4.0"}
+            parts[1] = o.transitions | {dup}
+            parts[2] = o.flow | {("a[p0.]>p1.0", dup), (dup, f"{dup}>p4.0")}
+            parts[4][dup] = "0"
+            places[f"{dup}>p4.0"], events[dup] = "p4", "b"
+        net = Net(*parts)
+        occ = net if corrupt == "cyclic" else as_occurrence_net(net)
+        out = verify_branching_process(
+            BranchingProcess(occ, places, events, bp.budget, False), bd.net)
+        assert not out and out.reason == reason
+
     def test_unfold_outputs_verify_on_random_nets(self):
         rng = np.random.default_rng(9)
         for _ in range(10):
