@@ -8,7 +8,6 @@ from .algebra import (
     apply,
     effect,
     is_cptni,
-    loewner_geq,
     partial_trace,
 )
 from .annotation import (
@@ -44,7 +43,6 @@ from .nets import (
     Net,
     OccurrenceNet,
     configuration_of_marking,
-    cut_of_configuration,
     enabled,
     fire,
     interval,
@@ -52,7 +50,6 @@ from .nets import (
     marking_of_configuration,
     race_free,
     reachable_markings,
-    restriction,
     to_dot,
     verify_safety,
 )

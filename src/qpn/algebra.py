@@ -321,16 +321,6 @@ def is_cptni(f: Channel, tol_psd: float = TOL_PSD) -> CheckOutcome:
                         {"tni_min_eig": tni_min})
 
 
-def loewner_geq(a, b, tol_psd: float = TOL_PSD) -> CheckOutcome:
-    """Verdict on a >= b in the Loewner order; reports min-eig(a - b)."""
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape != b.shape or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"incomparable shapes {a.shape} and {b.shape}")
-    ev = min_eigenvalue(a - b, tol=1e-7)
-    return CheckOutcome(ev >= -tol_psd, "" if ev >= -tol_psd else "not Loewner-positive",
-                        {"min_eig": ev})
-
-
 def embed_operator(op, factor_dims, positions) -> np.ndarray:
     """Embed a local operator acting on ``positions`` into the full space.
 

@@ -19,7 +19,6 @@ from .nets import (
     MarkingInterval,
     Net,
     OccurrenceNet,
-    causal_heights,
     interval,
 )
 from .outcome import CheckOutcome
@@ -142,8 +141,8 @@ def check_local_obliviousness(net: Net, ann: LocalAnnotation) -> CheckOutcome:
 class GlobalValuation:
     """Interval operators of an annotated occurrence net, with memoization.
 
-    An interval's events fire through `thread` in causal order (height,
-    then id) on the source marking's wires followed by the environment
+    An interval's events fire through `thread` in its firing order
+    ``iv.events`` on the source marking's wires followed by the environment
     inputs of its negative events; the result is put on the target
     marking's wires followed by the signal outputs of its positive events.
     Results are cached per (source marking, target marking) pair.
@@ -179,10 +178,9 @@ class GlobalValuation:
             return ([("p", p) for p in sorted(places)]
                     + [(kind, e) for e in events if o.pol(e) == pol])
 
-        height = causal_heights(o, iv.sigma)
         steps = [(ann.channel(e), wires(o.pre(e), [e], NEGATIVE),
                   wires(o.post(e), [e], POSITIVE))
-                 for e in sorted(iv.sigma, key=lambda e: (height[e], e))]
+                 for e in iv.events]
         events = sorted(iv.sigma)
         return thread(wires(iv.from_marking, events, NEGATIVE), steps,
                       wires(iv.to_marking, events, POSITIVE), dim)

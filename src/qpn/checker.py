@@ -96,7 +96,7 @@ def _check_extensions(o: OccurrenceNet, x, ys):
                     f"extension adds negative event {e}")
 
 
-def drop_effect(gv: GlobalValuation, x, ys, *, validate: bool = True) -> np.ndarray:
+def drop_effect(gv: GlobalValuation, x, ys) -> np.ndarray:
     """d[x; y1..yn] as a Hermitian effect on Q(m) for m the marking of x.
 
     Sum over index sets I whose union y_I is a configuration of
@@ -107,8 +107,7 @@ def drop_effect(gv: GlobalValuation, x, ys, *, validate: bool = True) -> np.ndar
     o = gv.net
     x = frozenset(x)
     ys = [frozenset(y) for y in ys]
-    if validate:
-        _check_extensions(o, x, ys)
+    _check_extensions(o, x, ys)
     m = marking_of_configuration(o, x)
     total = np.eye(space_dim(gv.ann, m), dtype=complex)
     for r in range(1, len(ys) + 1):
@@ -207,7 +206,7 @@ def expand_drop(gv: GlobalValuation, x, ys):
             return np.zeros((dim, dim), dtype=complex)
         big = next((i for i, y in enumerate(fam) if len(y - base) > 1), None)
         if big is None:
-            return drop_effect(gv, base, fam, validate=False)
+            return drop_effect(gv, base, fam)
         fam = fam[:big] + fam[big + 1:] + [fam[big]]
         y_big = fam[-1]
         e = min(e for e in y_big - base if not any(o.lt(f, e) for f in y_big - base))
@@ -454,7 +453,6 @@ def check_local_drop(net: Net, ann: LocalAnnotation,
 
 def brute_force_global_drop(o: OccurrenceNet, ann: LocalAnnotation,
                             config_bound: int = DEFAULT_CONFIG_BOUND,
-                            family_cap: int = DEFAULT_FAMILY_CAP,
                             tol: float = TOL_PSD) -> DropReport:
     """Exhaustive drop positivity over all configurations and extension
     families, evaluated through interval channels.
@@ -471,7 +469,7 @@ def brute_force_global_drop(o: OccurrenceNet, ann: LocalAnnotation,
         rows = part[xkey] = []
         exts = sorted(e for e in o.transitions - x
                       if o.pol(e) != NEGATIVE and o.enables(x, e))
-        for r in range(1, min(len(exts), family_cap) + 1):
+        for r in range(1, min(len(exts), DEFAULT_FAMILY_CAP) + 1):
             for combo in itertools.combinations(exts, r):
                 families += 1
                 lo = min_eigenvalue(drop_effect(gv, x, [x | {e} for e in combo]))

@@ -149,6 +149,11 @@ def cmd_compose(args) -> int:
     if code:
         return code
     spec = netfile.load_join_spec(args.inputs[1])
+    for i, pair in enumerate(spec.pairs):
+        for t in pair:
+            if t not in net.transitions:
+                raise NetFileError(f"unknown transition {t!r}",
+                                   location=f"{args.inputs[1]}: pairs[{i}]")
     x = AnnotatedNet(net, ann)
     valid = validate_drop_preserving(x, spec)
     if not _p("join-spec", valid) and not args.force:
@@ -251,6 +256,14 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
+def non_negative_int(text) -> int:
+    """An option's count: an int, never negative (else a usage error)."""
+    n = int(text)
+    if n < 0:
+        raise ValueError(text)
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="qpn",
                                   description="verify quantum-annotated Petri nets")
@@ -278,8 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("unfold", help="depth-bounded unfolding")
     p.add_argument("path")
-    p.add_argument("--depth", type=int, default=4)
-    p.add_argument("--max-events", type=int, default=10_000)
+    p.add_argument("--depth", type=non_negative_int, default=4)
+    p.add_argument("--max-events", type=non_negative_int, default=10_000)
     p.add_argument("--out")
     p.add_argument("--dot")
     common(p)
@@ -307,8 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="Monte Carlo execution sampling")
     p.add_argument("path")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--runs", type=int, default=1000)
-    p.add_argument("--max-steps", type=int, default=1000)
+    p.add_argument("--runs", type=non_negative_int, default=1000)
+    p.add_argument("--max-steps", type=non_negative_int, default=1000)
     p.add_argument("--rho")
     common(p)
     p.set_defaults(fn=cmd_sample)

@@ -266,16 +266,21 @@ def load_net(path):
 
 
 def load_join_spec(path):
+    """The join spec file: {"pairs": [[positive, negative], ...]} with
+    string ids; each error is located at the path and the pair."""
     from .compose import JoinSpec
 
     doc = read_json(path)
     pairs = doc.get("pairs") if isinstance(doc, dict) else None
     if not isinstance(pairs, list):
-        _fail("pairs", "join spec needs a list of [positive, negative] pairs")
+        _fail(f"{path}: pairs", "join spec needs a list of [positive, negative] pairs")
     out = []
     for i, pair in enumerate(pairs):
         if not (isinstance(pair, list) and len(pair) == 2):
-            _fail(f"pairs[{i}]", "must be a [positive, negative] pair")
+            _fail(f"{path}: pairs[{i}]", "must be a [positive, negative] pair")
+        for t in pair:
+            if not isinstance(t, str):
+                _fail(f"{path}: pairs[{i}]", f"id must be a string, got {t!r}")
         out.append((pair[0], pair[1]))
     return JoinSpec(tuple(out))
 

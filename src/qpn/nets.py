@@ -1,7 +1,8 @@
 """Safe Petri nets and occurrence nets.
 
-Structure, token game, causality/conflict, the configuration/cut/marking
-correspondence, marking intervals, restrictions and conflict clusters.
+Structure, token game, causality/conflict, the configuration/marking
+correspondence, marking intervals with their firing order, and conflict
+clusters.
 Nets are immutable after validation; derived relations are computed once
 and cached, so all queries are read-only.
 """
@@ -245,10 +246,10 @@ class OccurrenceNet(Net):
         order = self._topological_order()
         if order is None:
             return CheckOutcome.fail("flow relation is cyclic")
-        for c in self.places:
-            if len(self._pre[c]) > 1:  # the flow is bipartite
-                return CheckOutcome.fail(f"backward branching at condition {c}",
-                                         witness=c)
+        branching = [c for c in self.places if len(self._pre[c]) > 1]
+        if branching:  # the flow is bipartite; name the least condition
+            c = min(branching)
+            return CheckOutcome.fail(f"backward branching at condition {c}", witness=c)
         minimal = {n for n in nodes if not self._pre[n]}
         min_places = minimal & self.places
         if minimal - self.places:
@@ -380,13 +381,6 @@ def as_occurrence_net(net: Net) -> OccurrenceNet:
     return o
 
 
-def cut_of_configuration(o: OccurrenceNet, x) -> frozenset:
-    x = frozenset(x)
-    if not o.is_configuration(x):
-        raise NotAConfiguration(f"{sorted(x)} is not a configuration")
-    return frozenset(e for e in x if not any(o.lt(e, f) for f in x))
-
-
 def marking_of_configuration(o: OccurrenceNet, x) -> Marking:
     """Conditions produced by x (or initial) and not consumed by x."""
     x = frozenset(x)
@@ -434,7 +428,7 @@ def causal_heights(o: OccurrenceNet, events) -> dict:
 class MarkingInterval:
     from_marking: Marking
     to_marking: Marking
-    conditions: frozenset
+    events: tuple  # sigma in firing order: causal height, then id
     sigma: frozenset
 
     @property
@@ -443,35 +437,17 @@ class MarkingInterval:
 
 
 def interval(o: OccurrenceNet, m: Marking, m2: Marking) -> MarkingInterval:
-    """The interval [m; m2]: all intermediate conditions plus the fired events."""
+    """The interval [m; m2]: the events sigma that lead from m to m2, also
+    listed in the order both readings of Q[m; m2] fire them (causal height,
+    then id), so every event comes after its causes."""
     x = configuration_of_marking(o, m)
     y = configuration_of_marking(o, m2)
     if not x <= y:
         raise NotReachableFrom(f"{sorted(m2)} is not reachable from {sorted(m)}")
     sigma = y - x
-    conditions = set(m)
-    for e in sigma:
-        conditions |= o.post(e)
-    return MarkingInterval(frozenset(m), frozenset(m2), frozenset(conditions),
-                           frozenset(sigma))
-
-
-@dataclass(frozen=True)
-class Restriction:
-    """Sub-net induced by a marking interval."""
-    places: frozenset
-    events: frozenset
-    flow: frozenset
-    source: Marking
-    target: Marking
-
-
-def restriction(o: OccurrenceNet, iv: MarkingInterval) -> Restriction:
-    fl = frozenset(
-        (a, b) for a, b in o.flow
-        if (a in iv.conditions and b in iv.sigma) or (a in iv.sigma and b in iv.conditions)
-    )
-    return Restriction(iv.conditions, iv.sigma, fl, iv.from_marking, iv.to_marking)
+    height = causal_heights(o, sigma)
+    return MarkingInterval(frozenset(m), frozenset(m2),
+                           tuple(sorted(sigma, key=lambda e: (height[e], e))), sigma)
 
 
 def conflict_components(net: Net, events) -> list:

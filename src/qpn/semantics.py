@@ -24,7 +24,6 @@ from .nets import (
     MarkingInterval,
     Net,
     OccurrenceNet,
-    causal_heights,
     fire,
     is_clique,
     marking_clusters,
@@ -51,8 +50,8 @@ def run_probability(o: OccurrenceNet, ann: LocalAnnotation, iv: MarkingInterval,
 
     env_inputs must give a unit-trace state for every negative event of the
     interval.  The state is pushed forward through `_fire`, event by event
-    in causal order (height, then id), the order `GlobalValuation` fires
-    them in: a negative event's environment state joins it when the
+    in the interval's firing order ``iv.events`` (causal height, then id),
+    the order `GlobalValuation` fires them in: a negative event's environment state joins it when the
     event fires and a positive event's signal is traced out at once, since
     no later event acts on either.  No interval channel is built.
     """
@@ -69,8 +68,7 @@ def run_probability(o: OccurrenceNet, ann: LocalAnnotation, iv: MarkingInterval,
             raise DimensionMismatch(
                 f"environment state for {e} has shape {env.shape}, expected {h}")
     order = sorted(iv.from_marking)
-    height = causal_heights(o, iv.sigma)
-    for e in sorted(iv.sigma, key=lambda e: (height[e], e)):
+    for e in iv.events:
         order, rho = _fire(o, ann, order, e, rho, env_inputs.get(e))
     return float(np.real(np.trace(rho)))
 

@@ -140,16 +140,21 @@ def verify_branching_process(bp: BranchingProcess, net: Net) -> CheckOutcome:
     if not out:
         return CheckOutcome.fail(f"underlying net: {out.reason}")
     o = bp.occ
-    # clause 1: labels preserve node kind and polarity
-    for c in o.places:
-        if bp.label_place.get(c) not in net.places:
-            return CheckOutcome.fail(f"condition {c} not labeled by a place")
+    # clause 1: labels preserve node kind and polarity; the least
+    # offending condition, then the least offending event, is named
+    bad = [c for c in o.places if bp.label_place.get(c) not in net.places]
+    if bad:
+        return CheckOutcome.fail(f"condition {min(bad)} not labeled by a place")
+    bad = []
     for e in o.transitions:
         t = bp.label_event.get(e)
         if t not in net.transitions:
-            return CheckOutcome.fail(f"event {e} not labeled by a transition")
-        if o.pol(e) != net.pol(t):
-            return CheckOutcome.fail(f"event {e} changes polarity of {t}")
+            bad.append((e, "not labeled by a transition"))
+        elif o.pol(e) != net.pol(t):
+            bad.append((e, f"changes polarity of {t}"))
+    if bad:
+        e, why = min(bad)
+        return CheckOutcome.fail(f"event {e} {why}")
     # clause 2: label restricted to pre/post-sets is a bijection
     expected = {t: (sorted(net.pre(t)), sorted(net.post(t))) for t in net.transitions}
     for e in sorted(o.transitions):

@@ -20,7 +20,6 @@ from qpn.algebra import (
     is_cptni,
     kraus_compose,
     kraus_tensor,
-    loewner_geq,
     min_eigenvalue,
     partial_trace,
     thread,
@@ -115,10 +114,6 @@ class TestHermitian:
 
     def test_min_eigenvalue_of_diag(self):
         assert min_eigenvalue(np.diag([3.0, -0.5, 1.0])) == pytest.approx(-0.5)
-
-    def test_loewner_identity_dominates_half(self):
-        assert loewner_geq(np.eye(3), 0.5 * np.eye(3))
-        assert not loewner_geq(0.5 * np.eye(3), np.eye(3))
 
 
 class TestChannel:

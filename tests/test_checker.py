@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gen import clique_net, random_cptni, random_occurrence_annotated
+from qpn import checker
 from qpn.algebra import Channel, effect, min_eigenvalue
 from qpn.annotation import GlobalValuation, LocalAnnotation
 from qpn.checker import (
@@ -232,6 +233,21 @@ class TestDropIdentities:
             count += 1
         assert count >= 10
 
+    def test_recursive_sum_catches_a_composed_effect_without_its_target(self, monkeypatch):
+        # mutation: _compose_effect pulls back the identity instead of the
+        # shifted drop, so drop_inductive and expand_drop go wrong, and the
+        # identity that guards them fails
+        compose_effect = checker._compose_effect
+        monkeypatch.setattr(checker, "_compose_effect", lambda chan, d, h: compose_effect(
+            chan, np.eye(d.shape[0], dtype=complex), h))
+        bd = branching_demo()
+        o = as_occurrence_net(bd.net)
+        gv = GlobalValuation(o, bd.ann)
+        # yn = yn_big, so the shifted drop is 0 and Q[x; yn]'s effect, I/2,
+        # is the error
+        out = recursive_sum_check(gv, {"a"}, [], {"a", "b"}, {"a", "b"})
+        assert out.reason == "recursive-sum identity off by 5.00e-01"
+
     def test_expansion_terminates_and_agrees(self):
         count = 0
         for gv, x, ys in self._instances(33):
@@ -274,6 +290,16 @@ class TestClusterFactorization:
         m = frozenset(o.initial_marking)
         assert cluster_factorization_check(o, ann, m, ["t1", "t2"],
                                            ["u1", "u2"])
+
+    def test_factorization_catches_a_recurrence_that_sees_one_clique(self, monkeypatch):
+        # mutation: the recurrence treats every family as a clique, so the
+        # two independent clusters' drop is I - sum E = -I, not 0 ⊗ 0
+        monkeypatch.setattr(checker, "_drop_recurrence", lambda events, pre, effs, dim:
+                            np.eye(dim) - sum(effs[e] for e in events))
+        o, ann = self._two_cluster_net(0.3, 0.8)
+        out = cluster_factorization_check(o, ann, o.initial_marking, ["t1", "t2"],
+                                          ["u1", "u2"])
+        assert out.reason == "factorization off by 1.00e+00"
 
     def test_empty_second_cluster(self):
         o, ann = self._two_cluster_net(0.5, 0.5)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gen import joinable_net, random_cptni
+from qpn import compose
 from qpn.algebra import Channel, FactorPermutation, channels_close
 from qpn.annotation import LocalAnnotation
 from qpn.checker import is_qpn
@@ -24,6 +25,7 @@ from qpn.nets import Net, race_free, verify_safety
 
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
+compose_preimage = compose._preimage_drop
 
 
 class TestParallel:
@@ -271,6 +273,35 @@ class TestJoinPreservation:
         spec = JoinSpec(pairs)
         y = drop_preserving_join(x, spec)
         assert check_join_preservation(x, y, spec)
+
+    @pytest.mark.parametrize("pairs, reason", [
+        # the negatives conflict on s, the positives do not: the original
+        # net's drop on the pre-image is 0, the fused events' is -I
+        ((("p1", "n1"), ("p2", "n2")),
+         "drop differs by 1.00e+00 at ['s', 'u1', 'u2'] on ['p1*n1', 'p2*n2']"),
+        ((("p1", "n1"),), "joined net is not race-free: race: n2(-) ~ p1*n1(0)"),
+    ])
+    def test_forced_bad_join_fails(self, pairs, reason):
+        x = joinable_net(None, True, False)
+        spec = JoinSpec(pairs)
+        y = drop_preserving_join(x, spec, force=True)
+        assert not is_qpn(y.net, y.ann)
+        assert check_join_preservation(x, y, spec).reason == reason
+
+    def test_each_cluster_is_compared_once(self, monkeypatch):
+        # the two-phase cycle beside the join doubles the markings, not the
+        # clusters
+        calls = []
+
+        def counted(before, m, fam, joined):
+            calls.append(fam)
+            return compose_preimage(before, m, fam, joined)
+
+        monkeypatch.setattr(compose, "_preimage_drop", counted)
+        x, _ = parallel(joinable_net(None, True, True), two_phase_cycle())
+        spec = JoinSpec((("p1", "n1"), ("p2", "n2")))
+        assert check_join_preservation(x, drop_preserving_join(x, spec), spec)
+        assert sorted(calls) == [["bwd"], ["fwd"], ["p1*n1", "p2*n2"]]
 
     def test_idle_wide_places_stay_out_of_the_drop(self):
         # the full marking space is 2^15 dims, past the operator cap; each

@@ -380,6 +380,21 @@ class TestCli:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {option}" in capsys.readouterr().err
 
+    def test_trace_increasing_channel_fails_cptni(self, tmp_path, capsys):
+        net = Net({"p", "q"}, {"t"}, {("p", "t"), ("t", "q")}, {"p"}, {"t": "0"})
+        ann = LocalAnnotation({"p": 2, "q": 2}, {"t": Channel.identity(2).scaled(2.0)})
+        verify_safety(net)
+        out = checker.is_qpn(net, ann)
+        assert out.data["stage"] == "cptni"
+        assert out.reason == "cptni: channel on t: trace increasing"
+        assert out.data["tni_min_eig"] == pytest.approx(-1.0)
+        path = str(tmp_path / "loud.json")
+        save_net(path, net, ann)
+        for command in ("validate", "check"):
+            assert main([command, path]) == 1
+            assert (capsys.readouterr().out.splitlines()[-1]
+                    == "FAIL cptni: channel on t: trace increasing")
+
     def test_channel_past_the_operator_cap_gets_a_verdict(self, tmp_path, capsys):
         # dim_in * dim_out of the 64 -> 128 isometry is 8192, but its
         # verdict needs only the 64-dim effect
@@ -610,6 +625,39 @@ class TestCli:
         assert main(["compose", "join", str(path), str(spec),
                      "--out", str(tmp_path / "j.json")]) == 1
         assert "FAIL join-spec" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("pairs, message", [
+        ([["zz", "n1"], ["p2", "n2"]], "pairs[0]: unknown transition 'zz'"),
+        ([["p1", "n1"], ["p2", "u2"]], "pairs[1]: unknown transition 'u2'"),  # a place
+        ([[1, "n1"], ["p2", "n2"]], "pairs[0]: id must be a string, got 1"),
+        ([["p1", None], ["p2", "n2"]], "pairs[0]: id must be a string, got None"),
+        ({"p1": "n1"}, "pairs: join spec needs a list of [positive, negative] pairs"),
+        ([["p1"]], "pairs[0]: must be a [positive, negative] pair"),
+    ])
+    @pytest.mark.parametrize("force", [[], ["--force"]])
+    def test_malformed_join_spec_exits_two(self, tmp_path, capsys, pairs, message, force):
+        x = joinable_net(None, True, True)
+        path = tmp_path / "pre.json"
+        save_net(path, x.net, x.ann)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"pairs": pairs}))
+        out = tmp_path / "j.json"
+        assert main(["compose", "join", str(path), str(spec), "--out", str(out)]
+                    + force) == 2
+        assert capsys.readouterr().err == f"error: {spec}: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["unfold", "--depth", "-1"], ["unfold", "--max-events", "-2"],
+        ["sample", "--runs", "-3"], ["sample", "--max-steps", "-1"]])
+    def test_negative_counts_are_usage_errors(self, demo_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], str(demo_path)] + argv[1:])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"argument {argv[1]}: invalid non_negative_int value: '{argv[2]}'"
+                in captured.err)
 
     def test_prob_command(self, demo_path, capsys):
         assert main(["prob", str(demo_path), "--from", "p0",

@@ -20,7 +20,6 @@ from qpn.nets import (
     as_occurrence_net,
     causal_heights,
     configuration_of_marking,
-    cut_of_configuration,
     enabled,
     fire,
     interval,
@@ -29,7 +28,6 @@ from qpn.nets import (
     marking_of_configuration,
     race_free,
     reachable_markings,
-    restriction,
     to_dot,
     verify_safety,
 )
@@ -110,6 +108,18 @@ class TestOccurrenceNetAxioms:
         out = is_occurrence_net(net)
         assert not out and "backward branching" in out.reason
 
+    def test_backward_branching_witness_is_the_least_condition(self):
+        # ten faults: each condition c<i> is produced by both t<i> and u<i>
+        places, pol, flow = set(), {}, set()
+        for i in range(10):
+            places |= {f"x{i}", f"y{i}", f"c{i}"}
+            pol |= {f"t{i}": "0", f"u{i}": "0"}
+            flow |= {(f"x{i}", f"t{i}"), (f"t{i}", f"c{i}"),
+                     (f"y{i}", f"u{i}"), (f"u{i}", f"c{i}")}
+        net = Net(places, set(pol), flow, {p for p in places if p[0] != "c"}, pol)
+        out = is_occurrence_net(net)
+        assert out.reason == "not an occurrence net: backward branching at condition c0"
+
     def test_minimal_conditions_must_be_initial(self):
         net = Net({"p", "q"}, {"t"}, {("p", "t"), ("t", "q")},
                   set(), {"t": "0"})
@@ -154,7 +164,6 @@ class TestConfigurations:
         for x in o.all_configurations():
             m = marking_of_configuration(o, x)
             assert configuration_of_marking(o, m) == x
-        assert cut_of_configuration(o, {"a", "b"}) == {"b"}
 
     def test_conflicting_set_is_not_configuration(self):
         o = branching_occ()
@@ -180,7 +189,7 @@ class TestIntervals:
         o = branching_occ()
         iv = interval(o, frozenset({"c0"}), frozenset({"c2", "c4"}))
         assert iv.sigma == {"a", "c"}
-        assert iv.conditions == {"c0", "c1", "c2", "c4"}
+        assert iv.events == ("a", "c")  # a causes c
 
     def test_collapsed_interval(self):
         o = branching_occ()
@@ -191,13 +200,6 @@ class TestIntervals:
         o = branching_occ()
         with pytest.raises(NotReachableFrom):
             interval(o, frozenset({"c1", "c2"}), frozenset({"c0"}))
-
-    def test_restriction_flow(self):
-        o = branching_occ()
-        iv = interval(o, frozenset({"c0"}), frozenset({"c1", "c2"}))
-        r = restriction(o, iv)
-        assert r.events == {"a"}
-        assert r.flow == {("c0", "a"), ("a", "c1"), ("a", "c2")}
 
 
 class TestClustersAndRaces:
@@ -333,7 +335,11 @@ class TestRelationsMatchTheirDefinitions:
         configs = sorted(o.all_configurations(), key=sorted)[:150]
         for x, y in itertools.product(configs, configs):
             if x <= y:
-                assert causal_heights(o, y - x) == recursion(y - x), (x, y)
+                height = recursion(y - x)
+                assert causal_heights(o, y - x) == height, (x, y)
+                iv = interval(o, marking_of_configuration(o, x),
+                              marking_of_configuration(o, y))
+                assert iv.events == tuple(sorted(y - x, key=lambda e: (height[e], e)))
 
     def test_deep_ring_unfolds_in_little_memory(self):
         net = _ring()

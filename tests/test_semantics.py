@@ -6,6 +6,7 @@ import pytest
 
 from gen import (clique_net, joinable_net, random_cptni, random_density,
                  random_occurrence_annotated)
+from qpn import semantics
 from qpn.algebra import MAX_TOTAL_DIM, Channel, FactorPermutation, apply
 from qpn.annotation import GlobalValuation, LocalAnnotation, marking_factors
 from qpn.checker import _embedded_effect
@@ -231,6 +232,40 @@ class TestSubProbability:
         assert out
         assert out.data["residue"] == pytest.approx(1 / 3)
         assert out.data["total"] == pytest.approx(2 / 3)
+
+    def test_given_state_is_reduced_to_the_cluster(self):
+        # a state on all of Q(m) = Q(a) ⊗ Q(hub) is read on hub alone,
+        # where k0 and k1 measure in the computational basis
+        net = Net({"a", "hub", "o0", "o1"}, {"k0", "k1"},
+                  {("hub", "k0"), ("k0", "o0"), ("hub", "k1"), ("k1", "o1")},
+                  {"a", "hub"}, {"k0": "0", "k1": "0"})
+        ann = LocalAnnotation({"a": 3, "hub": 2, "o0": 2, "o1": 2},
+                              {"k0": Channel(2, 2, (np.diag([1.0, 0.0]),)),
+                               "k1": Channel(2, 2, (np.diag([0.0, 1.0]),))})
+        rho = np.kron(np.eye(3) / 3, np.diag([0.7, 0.3]))
+        out = sub_probability_check(net, ann, {"a", "hub"}, ["k0", "k1"], rho)
+        assert out
+        assert out.data["branches"] == pytest.approx({"k0": 0.7, "k1": 0.3})
+        assert out.data["residue"] == pytest.approx(0.0, abs=1e-12)
+
+    def test_branch_sum_catches_a_wrong_branch_weight(self, monkeypatch):
+        # mutation: the sampler's branch weight of c is read off its first
+        # Kraus operator alone, which gives 1/4 instead of 1/2
+        def first_kraus_effect(net, ann, m, e):
+            chan = ann.channel(e)
+            ann = LocalAnnotation(ann.dims, {e: Channel(chan.dim_in, chan.dim_out,
+                                                        chan.kraus[:1])}, ann.h)
+            return _embedded_effect(net, ann, m, e)
+
+        monkeypatch.setattr(semantics, "_embedded_effect", first_kraus_effect)
+        x = clique_net(np.random.default_rng(0), 2, weights=[1 / 2, 1 / 2])
+        two = Channel(2, 2, np.stack([np.eye(2), np.eye(2)]) / 2)  # two Kraus operators
+        ann = LocalAnnotation(x.ann.dims, x.ann.channels | {"k1": two})
+        out = sub_probability_check(x.net, ann, {"hub"}, ["k0", "k1"])
+        assert not out
+        assert out.data["branches"] == pytest.approx({"k0": 0.5, "k1": 0.25})
+        total = sum(out.data["branches"].values())
+        assert out.reason == f"branch sum {total} != 1 - residue 1.0"
 
     def test_unscaled_demo_fails(self):
         bd = branching_demo(scaled=False)

@@ -185,15 +185,38 @@ class TestVerifyBranchingProcess:
         assert not out
 
     def test_wrong_minimal_conditions_fail_clause_three(self):
+        # a second minimal condition labeled p0 that no event consumes:
+        # clauses 1 and 2 hold, but p0 is the image of two minimal conditions
         bd = branching_demo()
         bp = unfold(bd.net, UnfoldBudget(8, 100))
-        bad_labels = dict(bp.label_place)
-        c0 = next(iter(bp.occ.initial_marking))
-        bad_labels[c0] = "p1"  # no longer bijective with the initial marking
-        forged = BranchingProcess(bp.occ, bad_labels, bp.label_event,
-                                  bp.budget, False)
+        o = bp.occ
+        net = Net(o.places | {"p0.2"}, o.transitions, o.flow,
+                  o.initial_marking | {"p0.2"}, o.polarity)
+        forged = BranchingProcess(as_occurrence_net(net),
+                                  dict(bp.label_place) | {"p0.2": "p0"},
+                                  bp.label_event, bp.budget, False)
         out = verify_branching_process(forged, bd.net)
         assert not out
+        assert out.reason == "minimal conditions map to ['p0', 'p0'], expected ['p0']"
+
+    @pytest.mark.parametrize("corrupt, reason", [
+        ("conditions", "condition g0p0. not labeled by a place"),
+        ("events", "event t0[g0p0.] changes polarity of t3"),
+    ])
+    def test_clause_one_names_the_least_offender(self, corrupt, reason):
+        # every condition, or every event, of a 19-condition, 18-event
+        # prefix is mislabeled; the least one is named, whatever the
+        # iteration order of the node sets
+        sm = random_state_machine(np.random.default_rng(1))
+        bp = unfold(sm.net, UnfoldBudget(6, 500))
+        places, events = dict(bp.label_place), dict(bp.label_event)
+        if corrupt == "conditions":
+            places = dict.fromkeys(places, "p9")
+        else:
+            events = dict.fromkeys(events, "zz") | {"t0[g0p0.]": "t3"}  # t3 is negative
+        out = verify_branching_process(
+            BranchingProcess(bp.occ, places, events, bp.budget, False), sm.net)
+        assert out.reason == reason
 
     @pytest.mark.parametrize("corrupt, reason", [
         ("cyclic", "underlying net: not an occurrence net: flow relation is cyclic"),
@@ -271,6 +294,22 @@ class TestClusterBijection:
         bd = branching_demo()
         bp = unfold(bd.net, UnfoldBudget(8, 100))
         assert cluster_bijection_check(bd.net, bp)
+
+    def test_a_prefix_missing_a_branch_fails(self):
+        # drop c and its post-condition: the prefix is still an occurrence
+        # net, but at [p1, p2] the net's cluster {b, c} is only {b} in it
+        bd = branching_demo()
+        bp = unfold(bd.net, UnfoldBudget(8, 100))
+        o, c = bp.occ, "c[a[p0.]>p1.0]"
+        gone = {c, f"{c}>p3.0"}
+        pruned = Net(o.places - gone, o.transitions - gone,
+                     {(a, b) for a, b in o.flow if a not in gone and b not in gone},
+                     o.initial_marking, {e: o.pol(e) for e in o.transitions - gone})
+        bp2 = BranchingProcess(as_occurrence_net(pruned), bp.label_place,
+                               bp.label_event, bp.budget, False)
+        out = cluster_bijection_check(bd.net, bp2)
+        assert out.reason == ("clusters differ at marking ['p1', 'p2']: "
+                              "net [['b', 'c']] vs unfolding [['b']]")
 
     def test_on_random_nets(self):
         rng = np.random.default_rng(12)
