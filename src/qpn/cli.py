@@ -149,13 +149,11 @@ def cmd_compose(args) -> int:
     if code:
         return code
     spec = netfile.load_join_spec(args.inputs[1])
-    for i, pair in enumerate(spec.pairs):
-        for t in pair:
-            if t not in net.transitions:
-                raise NetFileError(f"unknown transition {t!r}",
-                                   location=f"{args.inputs[1]}: pairs[{i}]")
     x = AnnotatedNet(net, ann)
     valid = validate_drop_preserving(x, spec)
+    if "pair" in valid.data:  # an id that is no transition of the net
+        raise NetFileError(f"unknown transition {valid.data['witness']!r}",
+                           location=f"{args.inputs[1]}: pairs[{valid.data['pair']}]")
     if not _p("join-spec", valid) and not args.force:
         return EXIT_CHECK_FAILED
     joined = drop_preserving_join(x, spec, force=args.force)

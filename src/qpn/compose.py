@@ -174,9 +174,15 @@ def validate_drop_preserving(x: AnnotatedNet, spec: JoinSpec) -> CheckOutcome:
     conflict graph; the positives must be strictly positive and lie inside
     one non-negative cluster; the pairing must be a bijection that carries
     conflicts of the negative side to conflicts of the positive side and
-    matches signal dimensions.
+    matches signal dimensions.  An id that is no transition of the net
+    fails first, located by its pair's index (``pair`` in the data).
     """
     net, ann = x.net, x.ann
+    for i, pair in enumerate(spec.pairs):
+        for t in pair:
+            if t not in net.transitions:
+                return CheckOutcome.fail(f"pairs[{i}]: unknown transition {t!r}",
+                                         witness=t, pair=i)
     ps = [p for p, _ in spec.pairs]
     ns = [n for _, n in spec.pairs]
     if len(set(ps)) != len(ps) or len(set(ns)) != len(ns):
@@ -209,9 +215,10 @@ def validate_drop_preserving(x: AnnotatedNet, spec: JoinSpec) -> CheckOutcome:
 def drop_preserving_join(x: AnnotatedNet, spec: JoinSpec,
                          force: bool = False) -> AnnotatedNet:
     """Fold single joins over the spec's pairs (sorted order; the result is
-    independent of it).  The output is re-verified safe."""
+    independent of it).  The output is re-verified safe.  ``force`` joins
+    past a failed spec check, but never ids that are no transition."""
     out = validate_drop_preserving(x, spec)
-    if not out and not force:
+    if not out and (not force or "pair" in out.data):
         raise QpnError(f"invalid join spec: {out.reason}")
     result = x
     for p, n in sorted(spec.pairs):

@@ -9,6 +9,7 @@ and cached, so all queries are read-only.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -60,16 +61,17 @@ class Net:
         self.safety_verified = False
         self._components = None  # kept by flow_components
         self._reachable = None  # kept by component_markings
+        self._plans = None  # (annotation, step plans), kept by sample_execution
 
     def _validate_structure(self):
         if self.places & self.transitions:
-            raise QpnError(f"place/transition ids overlap: {self.places & self.transitions}")
-        for a, b in self.flow:
-            if a in self.places and b in self.transitions:
-                continue
-            if a in self.transitions and b in self.places:
-                continue
-            raise QpnError(f"flow arc ({a}, {b}) is not bipartite")
+            raise QpnError(
+                f"place/transition ids overlap: {sorted(self.places & self.transitions)}")
+        bad = [(a, b) for a, b in self.flow if not (
+            a in self.places and b in self.transitions
+            or a in self.transitions and b in self.places)]
+        if bad:  # name the least arc
+            raise QpnError("flow arc ({}, {}) is not bipartite".format(*min(bad)))
         if not self.initial_marking <= self.places:
             raise QpnError("initial marking contains unknown places")
         missing = self.transitions - set(self.polarity)
@@ -78,6 +80,12 @@ class Net:
         for t, p in self.polarity.items():
             if p not in POLARITIES:
                 raise QpnError(f"bad polarity {p!r} on {t}")
+
+    @functools.cached_property
+    def sorted_transitions(self) -> tuple:
+        """The transitions in sorted order: every scan over them that can
+        name a witness takes them in this order."""
+        return tuple(sorted(self.transitions))
 
     def pre(self, node) -> frozenset:
         return self._pre[node]
@@ -152,13 +160,16 @@ def flow_components(net: Net) -> tuple:
 
 
 def _explore(net: Net, m0: Marking, transitions, bound: int) -> frozenset:
-    """DFS closure of m0 under firing ``transitions`` (default all);
-    raises BoundExceeded past bound markings."""
+    """DFS closure of m0 under firing ``transitions`` (default all), each
+    marking's enabled ones in sorted order, so an unsafe firing is always
+    found by the same search; raises BoundExceeded past bound markings."""
+    ts = [(t, net.pre(t)) for t in net.sorted_transitions
+          if transitions is None or t in transitions]
     seen = {m0}
     frontier = [m0]
     while frontier:
         m = frontier.pop()
-        for t in enabled(net, m, transitions):
+        for t in (t for t, pre in ts if pre <= m):
             m2 = fire(net, m, t)
             if m2 not in seen:
                 if len(seen) >= bound:

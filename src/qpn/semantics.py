@@ -9,6 +9,7 @@ frequencies converge to those values.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,16 +19,8 @@ from .algebra import (TOL_PSD, FactorPermutation, _check_total_dim, apply_leadin
 from .annotation import LocalAnnotation, space_dim
 from .checker import _embedded_effect, single_extension_drop
 from .errors import DimensionMismatch, MissingEnvInput, NotAQpn, NotEnabled
-from .nets import (
-    NEGATIVE,
-    POSITIVE,
-    MarkingInterval,
-    Net,
-    OccurrenceNet,
-    fire,
-    is_clique,
-    marking_clusters,
-)
+from .nets import (NEGATIVE, POSITIVE, MarkingInterval, Net, OccurrenceNet, fire, is_clique,
+                   marking_clusters)
 from .outcome import CheckOutcome
 
 # Branches with probability below this are treated as impossible.
@@ -51,9 +44,10 @@ def run_probability(o: OccurrenceNet, ann: LocalAnnotation, iv: MarkingInterval,
     env_inputs must give a unit-trace state for every negative event of the
     interval.  The state is pushed forward through `_fire`, event by event
     in the interval's firing order ``iv.events`` (causal height, then id),
-    the order `GlobalValuation` fires them in: a negative event's environment state joins it when the
-    event fires and a positive event's signal is traced out at once, since
-    no later event acts on either.  No interval channel is built.
+    the order `GlobalValuation` fires them in: a negative event's environment
+    state joins it when the event fires and a positive event's signal is
+    traced out at once, since no later event acts on either.  No interval
+    channel is built.
     """
     env_inputs = env_inputs or {}
     rho = _checked_state(ann, iv.from_marking, rho0)
@@ -67,9 +61,10 @@ def run_probability(o: OccurrenceNet, ann: LocalAnnotation, iv: MarkingInterval,
         if env.shape != (h, h):
             raise DimensionMismatch(
                 f"environment state for {e} has shape {env.shape}, expected {h}")
-    order = sorted(iv.from_marking)
+    order = tuple(sorted(iv.from_marking))
     for e in iv.events:
-        order, rho = _fire(o, ann, order, e, rho, env_inputs.get(e))
+        how = _firing(o, ann, order, e)
+        rho, order = _fire(o, ann, how, e, rho, env_inputs.get(e)), how[2]
     return float(np.real(np.trace(rho)))
 
 
@@ -80,27 +75,27 @@ def sub_probability_check(net: Net, ann: LocalAnnotation, m, cluster,
     For a clique the branch probabilities add up to exactly
     1 - tr(drop * rho); for general clusters only the positivity of the
     drop expectation (the halting residue) is asserted.  Both are read on
-    the reduced state of the cluster's pre-places; rho defaults to the
-    maximally mixed state.
+    the reduced state of the cluster's pre-places, by the sampler's step
+    plan (built here, not kept); rho defaults to the maximally mixed state.
     """
     m = frozenset(m)
     cluster = sorted(cluster)
     for e in cluster:
         if not net.pre(e) <= m:
             raise NotEnabled(f"{e} is not enabled at {sorted(m)}")
-    pre = sorted(set().union(*(net.pre(e) for e in cluster)))
+    step = _step(net, ann, tuple(sorted(m)), cluster)
     dim = space_dim(ann, m)
     if rho is None:
-        rho = np.eye(space_dim(ann, pre), dtype=complex) / space_dim(ann, pre)
+        rho = np.eye(step.dims[0], dtype=complex) / step.dims[0]
     else:
         rho = as_matrix(rho)
         if rho.shape != (dim, dim):
             raise DimensionMismatch(f"state has shape {rho.shape}, marking space is {dim}")
-        _, _, rho = _reduced(ann, sorted(m), pre, rho)
-    branch = dict(zip(cluster, _branch_weights(net, ann, pre, cluster, rho)))
+        rho = _read(step, rho)[1]
+    branch = dict(zip(cluster, np.einsum("kij,ji->k", step.effects, rho).real.tolist()))
     total = sum(branch.values())
     clique = bool(cluster) and is_clique(net, cluster)  # a singleton is one
-    d = single_extension_drop(net, ann, pre, cluster)
+    d = single_extension_drop(net, ann, step.pre, cluster)
     residue = float(np.real(np.trace(d @ rho)))
     if clique and abs((1.0 - residue) - total) > 1e-10 * max(1, dim):
         return CheckOutcome.fail(
@@ -108,9 +103,6 @@ def sub_probability_check(net: Net, ann: LocalAnnotation, m, cluster,
             branches=branch, residue=residue)
     if residue < -tol:
         return CheckOutcome.fail(f"negative halting residue {residue}",
-                                 branches=branch, residue=residue)
-    if total > 1 + tol and clique:
-        return CheckOutcome.fail(f"branch probabilities sum to {total}",
                                  branches=branch, residue=residue)
     return CheckOutcome.ok(branches=branch, residue=residue, total=total)
 
@@ -130,72 +122,92 @@ def maximally_mixed_policy(ann: LocalAnnotation):
     return policy
 
 
-# Stands for a negative event's environment factor in a factor order.
-_ENV = object()
-
-
 def _moved(order, want, rho, dim):
-    """rho on the factors listed as ``order``, reordered to ``want``; rho
-    itself when the two orders agree."""
+    """rho on the factors listed as ``order``, reordered to ``want`` if they differ."""
     if order == want:
         return rho
     return FactorPermutation.between(order, want, dim).permute(rho, two_sided=True)
 
 
-def _reduced(ann: LocalAnnotation, order, pre, rho):
-    """Bring the sorted places ``pre`` of rho, a state on the places listed
-    in ``order``, in front of the rest; returns the new order, the state on
-    it and the reduced state on ``pre``."""
-    front = set(pre)
-    rest = [p for p in order if p not in front]
-    rho = _moved(order, pre + rest, rho, ann.dim)
-    return pre + rest, rho, partial_trace(
-        rho, [space_dim(ann, pre), space_dim(ann, rest)], [1])
+_Step = namedtuple("_Step", "env cluster pre perm dims effects order firings",
+                   defaults=("", (), (), None, (), None, (), ()))
 
 
-def _branch_weights(net: Net, ann: LocalAnnotation, pre, cluster, rho_pre):
-    """tr(E_e · rho_pre) for each e of the cluster, with E_e e's effect on
-    the sorted places ``pre`` that rho_pre lives on."""
-    return [float(np.real(np.trace(_embedded_effect(net, ann, pre, e) @ rho_pre)))
-            for e in cluster]
-
-
-def _fire(net: Net, ann: LocalAnnotation, order, e, rho, env=None):
-    """Fire e on rho, a state on the places listed in ``order``.
-
-    The sorted pre-places of e are brought in front of the rest, with a
-    negative event's environment state between them, and e's channel acts
-    on those leading factors; positive signal outputs are traced out.  The
-    joined state's dimension is checked against the cap before it is built.
-    Returns the new factor order, [post, rest], and the state on it.
-    """
-    pre = sorted(net.pre(e))
+def _firing(net: Net, ann: LocalAnnotation, order, e) -> tuple:
+    """Plan firing e on a state on the places listed in ``order``, as
+    (perm, traced, new order): perm brings e's sorted pre-places in front
+    of the rest, with a negative event's environment factor (named e)
+    between them, or is None if they lead; traced are the [post, signal,
+    rest] dims of a positive event's output; the new order is [post, rest]."""
+    pre, pol, h = sorted(net.pre(e)), net.pol(e), ann.signal_dim(e)
     rest = [p for p in order if p not in net.pre(e)]
-    now, want = list(order), pre + rest
-    h = ann.signal_dim(e)
-    if net.pol(e) == NEGATIVE:
-        _check_total_dim(rho.shape[0] * h)
-        rho = np.kron(rho, as_matrix(env))
-        now, want = now + [_ENV], pre + [_ENV] + rest
-    rho = _moved(now, want, rho, lambda x: h if x is _ENV else ann.dim(x))
-    rho = apply_leading(ann.channel(e), rho)
+    now, want = order, tuple(pre + rest)
+    if pol == NEGATIVE:
+        now, want = (*order, e), (*pre, e, *rest)  # e is no place id
+    perm = None if now == want else FactorPermutation.between(
+        now, want, lambda x: h if x == e else ann.dim(x))
     post = sorted(net.post(e))
-    if net.pol(e) == POSITIVE:
-        # output factors [post, H, rest]; drop the signal
-        rho = partial_trace(rho, [space_dim(ann, post), h, space_dim(ann, rest)], [1])
-    return post + rest, rho
+    traced = [space_dim(ann, post), h, space_dim(ann, rest)] if pol == POSITIVE else None
+    return perm, traced, tuple(post + rest)
+
+
+def _fire(net: Net, ann: LocalAnnotation, how, e, rho, env=None):
+    """Fire e on rho as `_firing` planned it in ``how``: the state on its new
+    order.  The joined state's dimension is checked against the cap first."""
+    perm, traced, _ = how
+    if net.pol(e) == NEGATIVE:
+        _check_total_dim(rho.shape[0] * ann.signal_dim(e))
+        rho = np.kron(rho, as_matrix(env))
+    if perm is not None:
+        rho = perm.permute(rho, two_sided=True)
+    rho = apply_leading(ann.channel(e), rho)
+    return rho if traced is None else partial_trace(rho, traced, [1])
 
 
 def _fire_state(net: Net, ann: LocalAnnotation, m, e, rho, env=None):
     """`_fire` on the marking space Q(m) in its sorted factor order:
     returns (new marking, new state on its sorted factors)."""
-    m2 = fire(net, m, e)
-    order, rho = _fire(net, ann, sorted(m), e, rho, env)
-    return m2, _moved(order, sorted(m2), rho, ann.dim)
+    m2, how = fire(net, m, e), _firing(net, ann, tuple(sorted(m)), e)
+    rho = _fire(net, ann, how, e, rho, env)
+    return m2, _moved(how[2], tuple(sorted(m2)), rho, ann.dim)
 
 
-def sample_execution(net: Net, ann: LocalAnnotation, rho0,
-                     env_policy=None, seed: int = 0,
+def _step(net: Net, ann: LocalAnnotation, order, cluster=None) -> _Step:
+    """Plan the sampling step at the marking listed as ``order``: the least
+    enabled negative event ``env`` and its firing; else the least (or the
+    given) cluster, the ``perm`` to ``order`` = [pre, rest] (None if its
+    ``pre``-places lead), the partial trace's ``dims``, its ``effects``
+    stacked on pre and, unless given, its events' firings; else a deadlock."""
+    m, fires = frozenset(order), cluster is None
+    if fires:
+        t = next((t for t in net.sorted_transitions
+                  if net.pol(t) == NEGATIVE and net.pre(t) <= m), None)
+        if t is not None:
+            return _Step(env=t, firings=(_firing(net, ann, order, t),))
+        clusters = marking_clusters(net, m)
+        if not clusters:
+            return _Step()
+        cluster = sorted(clusters[0])
+    front = set().union(*(net.pre(e) for e in cluster))
+    pre = sorted(front)
+    after = tuple(pre + [p for p in order if p not in front])
+    perm = None if order == after else FactorPermutation.between(order, after, ann.dim)
+    d = space_dim(ann, pre)
+    effects = np.array([_embedded_effect(net, ann, pre, e) for e in cluster],
+                       dtype=complex).reshape(-1, d, d)
+    return _Step("", tuple(cluster), pre, perm, (d, space_dim(ann, after[len(pre):])), effects,
+                 after, tuple(_firing(net, ann, after, e) for e in cluster)
+                 if fires else ())
+
+
+def _read(step: _Step, rho):
+    """rho brought to ``step.order``, and its reduced state on ``step.pre``."""
+    if step.perm is not None:
+        rho = step.perm.permute(rho, two_sided=True)
+    return rho, partial_trace(rho, step.dims, [1])
+
+
+def sample_execution(net: Net, ann: LocalAnnotation, rho0, env_policy=None, seed: int = 0,
                      max_steps: int = 1000) -> RunState:
     """Sample one execution; reproducible given the seed.
 
@@ -203,59 +215,49 @@ def sample_execution(net: Net, ann: LocalAnnotation, rho0,
     consuming states from env_policy.  Among non-negative transitions the
     canonically least conflict cluster is resolved by sampling a branch
     with its effect's expectation, or halting with the residual
-    probability.  The state is renormalized after each sampled branch.
-
-    Between steps the state keeps the factor order its last firing left
-    (post-places first); each cluster's pre-places are brought to the
-    front once and all its branch probabilities read off their reduced
-    state.  The returned state is on the sorted marking.
+    probability.  The state is renormalized after each sampled branch and
+    keeps the factor order its last firing left; it is returned on the
+    sorted marking.  Each step is planned once per (marking, factor order)
+    by `_step`, and the plans are kept on the net for the annotation object
+    ``ann`` until the net is sampled under another.
     """
     if not net.safety_verified:
         raise NotAQpn("net must be safety-verified before sampling")
     env_policy = env_policy or maximally_mixed_policy(ann)
     rng = np.random.Generator(np.random.Philox(seed))
-    negatives = [t for t in sorted(net.transitions) if net.pol(t) == NEGATIVE]
+    if net._plans is None or net._plans[0] is not ann:
+        net._plans = (ann, {})
+    plans = net._plans[1]
     m = frozenset(net.initial_marking)
-    order, rho = sorted(m), _checked_state(ann, m, rho0).copy()
+    order, rho = tuple(sorted(m)), _checked_state(ann, m, rho0).copy()
     log, halted = [], "max_steps"
-
     for step in range(max_steps):
-        t = next((t for t in negatives if net.pre(t) <= m), None)
-        if t is not None:
-            env = env_policy(log, t)
-            m, (order, rho) = fire(net, m, t), _fire(net, ann, order, t, rho, env)
-            log.append({"step": step, "event": t, "prob": 1.0, "kind": "env"})
-            continue
-
-        clusters = marking_clusters(net, m)
-        if not clusters:
+        plan = plans.get(order) or plans.setdefault(order, _step(net, ann, order))
+        if plan.env:
+            e, how = plan.env, plan.firings[0]
+            rho = _fire(net, ann, how, e, rho, env_policy(log, e))
+            log.append({"step": step, "event": e, "prob": 1.0, "kind": "env"})
+        elif not plan.cluster:
             halted = "deadlock"
             break
-        cluster = sorted(clusters[0])
-        pre = sorted(set().union(*(net.pre(e) for e in cluster)))
-        order, rho, rho_pre = _reduced(ann, order, pre, rho)
-        tr = float(np.real(np.trace(rho_pre)))
-        probs = [w / tr for w in _branch_weights(net, ann, pre, cluster, rho_pre)]
-        probs = [p if p >= MIN_BRANCH_PROB else 0.0 for p in probs]
-        residual = max(1.0 - sum(probs), 0.0)
-        choice = rng.choice(len(cluster) + 1, p=_normalize(probs + [residual]))
-        if choice == len(cluster):
-            halted = "residual"
-            log.append({"step": step, "cluster": cluster, "event": "HALT",
-                        "prob": residual})
-            break
-        e = cluster[choice]
-        log.append({"step": step, "cluster": cluster, "event": e,
-                    "prob": probs[choice]})
-        m, (order, rho) = fire(net, m, e), _fire(net, ann, order, e, rho)
-        rho = rho / probs[choice]
+        else:
+            order, (rho, rho_pre) = plan.order, _read(plan, rho)
+            tr = float(np.real(np.trace(rho_pre)))
+            weights = np.einsum("kij,ji->k", plan.effects, rho_pre).real.tolist()
+            probs = [w / tr if w / tr >= MIN_BRANCH_PROB else 0.0 for w in weights]
+            ps = probs + [max(1.0 - sum(probs), 0.0)]  # the last is the residual
+            p = np.array(ps)  # its sum is positive
+            choice = rng.choice(len(ps), p=p / p.sum())
+            halt = choice == len(plan.cluster)
+            e = "HALT" if halt else plan.cluster[choice]
+            log.append({"step": step, "cluster": list(plan.cluster), "event": e,
+                        "prob": ps[choice]})
+            if halt:
+                halted = "residual"
+                break
+            how = plan.firings[choice]
+            rho = _fire(net, ann, how, e, rho) / ps[choice]
+        order = how[2]
+    return RunState(frozenset(order), _moved(order, tuple(sorted(order)), rho, ann.dim),
+                    log, halted)
 
-    return RunState(m, _moved(order, sorted(m), rho, ann.dim), log, halted)
-
-
-def _normalize(ps):
-    ps = np.asarray(ps, dtype=float)
-    total = ps.sum()
-    if total <= 0:
-        raise ValueError("no branch has positive probability")
-    return ps / total

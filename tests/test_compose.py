@@ -226,6 +226,15 @@ class TestValidateDropPreserving:
         x = joinable_net(np.random.default_rng(0), False, False)
         assert validate_drop_preserving(x, JoinSpec((("p1", "n1"),)))
 
+    def test_unknown_id_is_a_located_failure(self):
+        # parallel renames the colliding ids, so p2 is now L/p2 and R/p2
+        x = joinable_net(np.random.default_rng(0), True, True)
+        c, _ = parallel(x, x)
+        out = validate_drop_preserving(c, JoinSpec((("L/p1", "L/n1"), ("p2", "L/n2"))))
+        assert not out
+        assert out.reason == "pairs[1]: unknown transition 'p2'"
+        assert (out.data["witness"], out.data["pair"]) == ("p2", 1)
+
 
 class TestDropPreservingJoin:
     @pytest.mark.parametrize("conflicting", [False, True])
@@ -251,6 +260,15 @@ class TestDropPreservingJoin:
         spec = JoinSpec((("p1", "n1"), ("p2", "n2")))
         with pytest.raises(QpnError, match="invalid join spec"):
             drop_preserving_join(x, spec)
+
+    @pytest.mark.parametrize("force", [False, True])
+    def test_unknown_id_raises_a_located_error(self, force):
+        x = joinable_net(np.random.default_rng(0), True, True)
+        c, _ = parallel(x, x)
+        spec = JoinSpec((("L/p1", "L/n1"), ("L/p2", "n2")))
+        with pytest.raises(QpnError) as exc:
+            drop_preserving_join(c, spec, force=force)
+        assert str(exc.value) == "invalid join spec: pairs[1]: unknown transition 'n2'"
 
     def test_forced_bad_join_breaks_the_net(self):
         # negatives conflict but the positives do not: after the forced

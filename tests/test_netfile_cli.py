@@ -674,3 +674,33 @@ class TestCli:
     def test_sample_zero_runs(self, demo_path, capsys):
         assert main(["sample", str(demo_path), "--runs", "0"]) == 0
         assert capsys.readouterr().out == ""
+
+
+def test_witnesses_do_not_depend_on_the_hash_seed(tmp_path):
+    """Eight marked places and four transitions a-d, each moving a token
+    from one marked place onto another: every firing is unsafe, and the
+    safety stage names the least one.  With four place-to-place arcs added,
+    the loader names the least arc.  Neither text may change with the
+    interpreter's string-hash seed."""
+    places = [f"p{i}" for i in range(8)]
+    flow = set()
+    for i, t in enumerate("abcd"):
+        flow |= {(places[2 * i], t), (t, places[2 * i + 1])}
+    net = Net(places, "abcd", flow, places, dict.fromkeys("abcd", "0"))
+    ann = LocalAnnotation(dict.fromkeys(places, 2), {t: Channel.identity(2) for t in "abcd"})
+    unsafe, flat = tmp_path / "unsafe.json", tmp_path / "flat.json"
+    save_net(unsafe, net, ann)
+    doc = json.loads(unsafe.read_text())
+    doc["flow"] = [[places[2 * i], places[2 * i + 1]] for i in range(4)] + doc["flow"]
+    flat.write_text(json.dumps(doc))
+    firing = f"FAIL safety: firing a at {places} puts a second token on ['p1']\n"
+    want = {("validate", unsafe): (1, firing, ""), ("check", unsafe): (1, firing, ""),
+            ("validate", flat): (2, "", "error: $: flow arc (p0, p1) is not bipartite\n")}
+    src = str(pathlib.Path(qpn.__file__).parents[1])
+    for (command, path), expected in want.items():
+        for seed in ("0", "1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+                [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+            run = subprocess.run([sys.executable, "-m", "qpn.cli", command, str(path)],
+                                 capture_output=True, text=True, env=env)
+            assert (run.returncode, run.stdout, run.stderr) == expected, (command, seed)

@@ -409,6 +409,41 @@ class TestSampler:
             steps += len(run.log)
         assert steps > 10  # some runs resolve more than one clique
 
+    def test_plans_are_kept_on_the_net(self, monkeypatch):
+        an = joinable_net(np.random.default_rng(0), True, True)
+        calls = []
+        clusters = semantics.marking_clusters
+
+        def counting(*args):
+            calls.append(args)
+            return clusters(*args)
+
+        monkeypatch.setattr(semantics, "marking_clusters", counting)
+        dim = math.prod(d for _, d in marking_factors(an.ann, an.net.initial_marking))
+        rho = random_density(np.random.default_rng(1), dim)
+        first = sample_execution(an.net, an.ann, rho, seed=3)
+        assert calls and first.log
+        calls.clear()
+        again = sample_execution(an.net, an.ann, rho, seed=3)
+        assert calls == []
+        assert again.log == first.log and np.array_equal(again.state, first.state)
+
+    def test_another_annotation_replaces_the_plans(self):
+        x = clique_net(np.random.default_rng(0), 3, weights=[0.2, 0.3, 0.1])
+        other = LocalAnnotation(x.ann.dims, {t: ch.scaled(1.5) for t, ch in
+                                            x.ann.channels.items()}, x.ann.h)
+        rho = np.eye(2, dtype=complex) / 2
+        for seed in range(6):
+            ann = (x.ann, other)[seed % 2]
+            fresh = Net(x.net.places, x.net.transitions, x.net.flow,
+                        x.net.initial_marking, x.net.polarity)
+            verify_safety(fresh)
+            got = sample_execution(x.net, ann, rho, seed=seed)
+            want = sample_execution(fresh, ann, rho, seed=seed)
+            assert got.log == want.log and got.halted == want.halted
+            assert got.marking == want.marking
+            assert np.array_equal(got.state, want.state)
+
     def test_cycle_hits_step_limit(self):
         tc = two_phase_cycle()
         st = sample_execution(tc.net, tc.ann, np.eye(2) / 2, max_steps=9)
