@@ -68,16 +68,26 @@ class FactorPermutation:
     ``order[j] = i`` means output slot j carries input factor i; the induced
     matrix P satisfies P (v_0 x ... x v_{n-1}) = v_{order[0]} x ... x
     v_{order[n-1]}.  :meth:`permute` applies P by reshape and transpose;
-    :meth:`matrix` builds P densely and is its reference.
+    :meth:`matrix` builds P densely and is its reference.  The reduction
+    that :meth:`permute` works on, ``_reduced`` = (n, dims, order) with the
+    factors of dim 1 left out, is computed once, when the permutation is
+    made: such factors move no entry, and leaving them out keeps the axis
+    count within numpy's limit for markings with many of them.
     """
 
     dims: tuple
     order: tuple
+    _reduced: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if sorted(self.order) != list(range(len(self.dims))):
             raise BadPermutation(f"not a bijection on factor indices: {self.order}")
-        _check_total_dim(math.prod(self.dims))
+        n, dims, order = math.prod(self.dims), tuple(self.dims), tuple(self.order)
+        _check_total_dim(n)
+        if 1 in dims:
+            rank = {i: r for r, i in enumerate(i for i, d in enumerate(dims) if d > 1)}
+            dims, order = tuple(dims[i] for i in rank), tuple(rank[i] for i in order if i in rank)
+        object.__setattr__(self, "_reduced", (n, dims, order))
 
     @staticmethod
     def between(now, want, dim) -> "FactorPermutation":
@@ -97,16 +107,10 @@ class FactorPermutation:
         is the product of ``dims``; leading axes are a batch.
         """
         m = np.asarray(m, dtype=complex)
-        n = math.prod(self.dims)
+        n, dims, order = self._reduced
         if m.ndim < 2 or m.shape[-2] != n or (two_sided and m.shape[-1] != n):
             raise DimensionMismatch(
                 f"operator shape {m.shape} does not match factor dims {self.dims}")
-        # Factors of dim 1 do not move any entry; leaving them out keeps the
-        # axis count within numpy's limit for markings with many of them.
-        big = [i for i, d in enumerate(self.dims) if d > 1]
-        rank = {i: r for r, i in enumerate(big)}
-        dims = tuple(self.dims[i] for i in big)
-        order = [rank[i] for i in self.order if i in rank]
         b, k = m.ndim - 2, len(dims)
         axes = list(range(b)) + [b + i for i in order]
         if two_sided:

@@ -90,7 +90,7 @@ def _check_extensions(o: OccurrenceNet, x, ys):
         y = frozenset(y)
         if not x <= y:
             raise IncompatibleExtension(f"{sorted(y)} does not extend {sorted(x)}")
-        for e in y - x:
+        for e in sorted(y - x):
             if o.pol(e) == NEGATIVE:
                 raise IncompatibleExtension(
                     f"extension adds negative event {e}")

@@ -61,7 +61,7 @@ class Net:
         self.safety_verified = False
         self._components = None  # kept by flow_components
         self._reachable = None  # kept by component_markings
-        self._plans = None  # (annotation, step plans), kept by sample_execution
+        self._plans = None  # (annotation, plans), kept by the sampler and run_probability
 
     def _validate_structure(self):
         if self.places & self.transitions:
@@ -322,10 +322,6 @@ class OccurrenceNet(Net):
     def lt(self, a, b) -> bool:
         return bool(self._below[b] & self._bit[a])
 
-    def cone(self, e) -> frozenset:
-        """Events causally below or equal to e."""
-        return self._nodes(self._below[e] & self._events | self._bit[e])
-
     def in_conflict(self, a, b) -> bool:
         return bool(self._conflict[a] & self._bit[b])
 
@@ -397,13 +393,12 @@ def marking_of_configuration(o: OccurrenceNet, x) -> Marking:
     x = frozenset(x)
     if not o.is_configuration(x):
         raise NotAConfiguration(f"{sorted(x)} is not a configuration")
-    produced = set(o.initial_marking)
-    for e in x:
-        produced |= o.post(e)
-    consumed = set()
-    for e in x:
-        consumed |= o.pre(e)
-    return frozenset(produced - consumed)
+    return _cut(o, x)
+
+
+def _cut(o: OccurrenceNet, x) -> Marking:
+    """The marking of the configuration x, unchecked."""
+    return o.initial_marking.union(*[o.post(e) for e in x]).difference(*[o.pre(e) for e in x])
 
 
 def configuration_of_marking(o: OccurrenceNet, m: Marking) -> frozenset:
@@ -411,14 +406,10 @@ def configuration_of_marking(o: OccurrenceNet, m: Marking) -> frozenset:
     m = frozenset(m)
     if not m <= o.places:
         raise Unreachable(f"unknown places in marking {sorted(m)}")
-    cut_events = set()
-    for c in m:
-        cut_events |= o.pre(c) & o.transitions
-    x = set()
-    for e in cut_events:
-        x |= o.cone(e)
-    x = frozenset(x)
-    if not o.is_configuration(x) or marking_of_configuration(o, x) != m:
+    tops = [e for c in m for e in o.pre(c)]  # a condition's pre-set holds events only
+    mask = functools.reduce(int.__or__, (o._below[e] | o._bit[e] for e in tops), 0) & o._events
+    x = o._nodes(mask)  # downward closed; conflict is inherited, so its tops test it
+    if any(o._conflict[e] & mask for e in tops) or _cut(o, x) != m:
         raise Unreachable(f"marking {sorted(m)} is not reachable")
     return x
 

@@ -47,7 +47,8 @@ def run_probability(o: OccurrenceNet, ann: LocalAnnotation, iv: MarkingInterval,
     the order `GlobalValuation` fires them in: a negative event's environment
     state joins it when the event fires and a positive event's signal is
     traced out at once, since no later event acts on either.  No interval
-    channel is built.
+    channel is built.  Each firing is planned once per (factor order, event)
+    and kept with the sampler's plans for ``ann`` (see `_plans_for`).
     """
     env_inputs = env_inputs or {}
     rho = _checked_state(ann, iv.from_marking, rho0)
@@ -61,9 +62,9 @@ def run_probability(o: OccurrenceNet, ann: LocalAnnotation, iv: MarkingInterval,
         if env.shape != (h, h):
             raise DimensionMismatch(
                 f"environment state for {e} has shape {env.shape}, expected {h}")
-    order = tuple(sorted(iv.from_marking))
+    order, plans = tuple(sorted(iv.from_marking)), _plans_for(o, ann)
     for e in iv.events:
-        how = _firing(o, ann, order, e)
+        how = plans.get((order, e)) or plans.setdefault((order, e), _firing(o, ann, order, e))
         rho, order = _fire(o, ann, how, e, rho, env_inputs.get(e)), how[2]
     return float(np.real(np.trace(rho)))
 
@@ -131,6 +132,15 @@ def _moved(order, want, rho, dim):
 
 _Step = namedtuple("_Step", "env cluster pre perm dims effects order firings",
                    defaults=("", (), (), None, (), None, (), ()))
+
+
+def _plans_for(net: Net, ann: LocalAnnotation) -> dict:
+    """The plans kept on ``net`` for the annotation object ``ann``, emptied
+    first if they were made for another: sampling steps keyed by factor
+    order, `run_probability`'s firings by (factor order, event)."""
+    if net._plans is None or net._plans[0] is not ann:
+        net._plans = (ann, {})
+    return net._plans[1]
 
 
 def _firing(net: Net, ann: LocalAnnotation, order, e) -> tuple:
@@ -218,16 +228,13 @@ def sample_execution(net: Net, ann: LocalAnnotation, rho0, env_policy=None, seed
     probability.  The state is renormalized after each sampled branch and
     keeps the factor order its last firing left; it is returned on the
     sorted marking.  Each step is planned once per (marking, factor order)
-    by `_step`, and the plans are kept on the net for the annotation object
-    ``ann`` until the net is sampled under another.
+    by `_step`, and the plans are kept on the net (see `_plans_for`).
     """
     if not net.safety_verified:
         raise NotAQpn("net must be safety-verified before sampling")
     env_policy = env_policy or maximally_mixed_policy(ann)
     rng = np.random.Generator(np.random.Philox(seed))
-    if net._plans is None or net._plans[0] is not ann:
-        net._plans = (ann, {})
-    plans = net._plans[1]
+    plans = _plans_for(net, ann)
     m = frozenset(net.initial_marking)
     order, rho = tuple(sorted(m)), _checked_state(ann, m, rho0).copy()
     log, halted = [], "max_steps"

@@ -62,6 +62,24 @@ class TestFactorPermutation:
         assert np.allclose(m @ m.conj().T, np.eye(m.shape[0]))
         assert np.allclose(p.inverse().matrix() @ m, np.eye(m.shape[0]))
 
+    def test_one_reduction_serves_every_input_form(self):
+        """One permutation with dim-1 factors, used in turn one-sided,
+        two-sided and on batches of rank 3 and 4, matches its matrix each
+        time, and using it leaves its equality and hash alone."""
+        p, twin = (FactorPermutation((2, 1, 3, 1, 2), (4, 1, 0, 3, 2)) for _ in range(2))
+        u = p.matrix()
+        for shape, two_sided in [((12, 5), False), ((12, 12), True), ((3, 12, 12), True),
+                                 ((2, 3, 12, 4), False), ((2, 3, 12, 12), True)]:
+            m = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            want = u @ m @ u.conj().T if two_sided else u @ m
+            np.testing.assert_allclose(p.permute(m, two_sided), want, rtol=0, atol=1e-12)
+        for shape, two_sided in [((6, 6), False), ((12, 5), True), ((12,), False)]:
+            with pytest.raises(DimensionMismatch) as err:
+                p.permute(np.zeros(shape), two_sided)
+            assert str(err.value) == (f"operator shape {shape} does not match "
+                                      "factor dims (2, 1, 3, 1, 2)")
+        assert p == twin and hash(p) == hash(twin) and {p: 1}[twin] == 1
+
     def test_three_factor_cycle_on_vectors(self):
         dims = (2, 3, 2)
         vs = [rng.normal(size=d) for d in dims]

@@ -78,6 +78,16 @@ class TestDropEffect:
         with pytest.raises(IncompatibleExtension):
             drop_effect(gv, frozenset(), [frozenset({"a"})])
 
+    def test_negative_extension_names_the_least_event(self):
+        ids = [f"n{i}" for i in range(8)]
+        o = OccurrenceNet({f"{e}{s}" for e in ids for s in "ab"}, ids,
+                          {(f, t) for e in ids for f, t in ((f"{e}a", e), (e, f"{e}b"))},
+                          {f"{e}a" for e in ids}, dict.fromkeys(ids, "-"))
+        ann = LocalAnnotation({f"{e}{s}": 1 for e in ids for s in "ab"},
+                              dict.fromkeys(ids, Channel.identity(1)))
+        with pytest.raises(IncompatibleExtension, match="^extension adds negative event n0$"):
+            drop_effect(GlobalValuation(o, ann), frozenset(), [frozenset(ids[::-1])])
+
     def test_concurrent_trace_preserving_pair_telescopes(self):
         """Two independent trace-preserving events: I - I - I + I = 0."""
         o = OccurrenceNet({"a0", "a1", "b0", "b1"}, {"t", "u"},

@@ -681,7 +681,8 @@ def test_witnesses_do_not_depend_on_the_hash_seed(tmp_path):
     from one marked place onto another: every firing is unsafe, and the
     safety stage names the least one.  With four place-to-place arcs added,
     the loader names the least arc.  Neither text may change with the
-    interpreter's string-hash seed."""
+    interpreter's string-hash seed, nor may `qpn unfold`'s output and the
+    prefix it writes of a state-machine pair, as a net file and as dot."""
     places = [f"p{i}" for i in range(8)]
     flow = set()
     for i, t in enumerate("abcd"):
@@ -697,10 +698,31 @@ def test_witnesses_do_not_depend_on_the_hash_seed(tmp_path):
     want = {("validate", unsafe): (1, firing, ""), ("check", unsafe): (1, firing, ""),
             ("validate", flat): (2, "", "error: $: flow arc (p0, p1) is not bipartite\n")}
     src = str(pathlib.Path(qpn.__file__).parents[1])
+
+    def run_under(seed, *argv):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        run = subprocess.run([sys.executable, "-m", "qpn.cli", *argv],
+                             capture_output=True, text=True, env=env)
+        return run.returncode, run.stdout, run.stderr
+
     for (command, path), expected in want.items():
         for seed in ("0", "1", "2"):
-            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
-                [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-            run = subprocess.run([sys.executable, "-m", "qpn.cli", command, str(path)],
-                                 capture_output=True, text=True, env=env)
-            assert (run.returncode, run.stdout, run.stderr) == expected, (command, seed)
+            assert run_under(seed, command, str(path)) == expected, (command, seed)
+    # the prefix of a state-machine pair, written as a net file and as dot
+    pair, _ = parallel(random_state_machine(np.random.default_rng(3)),
+                       random_state_machine(np.random.default_rng(4)))
+    machines, prefix, dot = (tmp_path / n for n in ("pair.json", "prefix.json", "prefix.dot"))
+    save_net(machines, pair.net, pair.ann)
+    seen = set()
+    for seed in ("0", "1", "2"):
+        prefix.unlink(missing_ok=True)
+        dot.unlink(missing_ok=True)
+        out = run_under(seed, "unfold", str(machines), "--depth", "5", "--out", str(prefix),
+                        "--dot", str(dot))
+        seen.add(out + (prefix.read_bytes(), dot.read_bytes()))
+    assert len(seen) == 1
+    (code, stdout, _, _, _), = seen
+    assert code == 0 and stdout.endswith(f"wrote {prefix}\nwrote {dot}\n")
+    occ = load_net(prefix)[0]
+    assert any(len(occ.post(c)) > 1 for c in occ.places)  # the prefix branches

@@ -184,6 +184,61 @@ class TestConfigurations:
                 assert configuration_of_marking(o, m) == x
 
 
+def _cone(o, e):
+    """The events at or below e, by walking pre-sets back."""
+    out, todo = set(), [e]
+    while todo:
+        f = todo.pop()
+        if f not in out:
+            out.add(f)
+            todo += [g for c in o.pre(f) for g in o.pre(c)]
+    return out
+
+
+def _configuration_of_marking_by_sets(o, m):
+    """The set-based reading of `configuration_of_marking`: the union of
+    the cones of m's producer events, checked to be a configuration whose
+    marking is m."""
+    m = frozenset(m)
+    if not m <= o.places:
+        raise Unreachable(f"unknown places in marking {sorted(m)}")
+    x = frozenset().union(*(_cone(o, e) for c in m for e in o.pre(c)))
+    if not o.is_configuration(x) or marking_of_configuration(o, x) != m:
+        raise Unreachable(f"marking {sorted(m)} is not reachable")
+    return x
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except Unreachable as exc:
+        return str(exc)
+
+
+def test_configuration_of_marking_matches_the_set_based_reading():
+    """On every set of conditions of a few generated occurrence nets and
+    unfolded state machines, reachable or not, both readings return the
+    same configuration or the same error text."""
+    rng = np.random.default_rng(11)
+    occ = [random_occurrence_annotated(rng).net for _ in range(40)]
+    sms = [unfold(random_state_machine(rng).net, UnfoldBudget(max_depth=4)).occ
+           for _ in range(6)]
+    nets = [o for o in occ if 8 <= len(o.places) <= 12][:4]
+    nets += [o for o in sms if 8 <= len(o.places) <= 12][:2]
+    assert len(nets) == 6
+    reached = 0
+    for o in nets:
+        places = sorted(o.places)
+        for r in range(len(places) + 1):
+            for m in itertools.combinations(places, r):
+                got = _outcome(configuration_of_marking, o, frozenset(m))
+                assert got == _outcome(_configuration_of_marking_by_sets, o, m), m
+                reached += not isinstance(got, str)
+        assert _outcome(configuration_of_marking, o, {"nowhere"}) == \
+            "unknown places in marking ['nowhere']"
+    assert reached == sum(len(o.all_configurations()) for o in nets)
+
+
 class TestIntervals:
     def test_interval_contents(self):
         o = branching_occ()
@@ -266,7 +321,7 @@ def _textbook(o):
             grow(i + 1, x | {e})
 
     grow(0, frozenset())
-    return nodes, lt, upto, conflict, minimal, configs
+    return nodes, lt, conflict, minimal, configs
 
 
 def _ring():
@@ -301,13 +356,11 @@ CASES = _relation_cases()
 class TestRelationsMatchTheirDefinitions:
     @pytest.mark.parametrize("o", CASES.values(), ids=CASES.keys())
     def test_every_query(self, o):
-        nodes, lt, upto, conflict, minimal, configs = _textbook(o)
+        nodes, lt, conflict, minimal, configs = _textbook(o)
         for a, b in itertools.product(nodes, nodes):
             assert o.lt(a, b) == ((a, b) in lt), (a, b)
             assert o.in_conflict(a, b) == ((a, b) in conflict), (a, b)
             assert o.minimal_conflict(a, b) == ((a, b) in minimal), (a, b)
-        for n in nodes:
-            assert o.cone(n) == upto[n] | {n}
         assert o.all_configurations() == configs
         events = sorted(o.transitions)
         subsets = (itertools.chain.from_iterable(

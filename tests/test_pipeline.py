@@ -13,7 +13,7 @@ import pytest
 
 import gen
 from gen import clique_net, racy_net, random_occurrence_annotated, random_state_machine
-from qpn import netfile
+from qpn import netfile, semantics
 from qpn.algebra import Channel
 from qpn.annotation import LocalAnnotation, validate_signatures
 from qpn.checker import STAGES, is_local_qon, is_qpn
@@ -149,6 +149,24 @@ def test_sampled_runs_pass_the_benchmark_gate(tmp_path, perfbench_workloads):
     first = min(classes, key=sorted)
     skewed = replace(op, expected=(weights, {c: float(c == first) for c in classes}, fixed))
     assert wl._sample_frequencies([SimpleNamespace(op=skewed, out=r.out) for r in records])
+
+
+def test_exact_probabilities_pass_the_benchmark_gate(tmp_path, perfbench_workloads,
+                                                    monkeypatch):
+    """Every `prob` op matches the closed-form product of its weights, cold
+    (firings planned) and warm (plans kept on the net), bit for bit alike."""
+    ops = perfbench_workloads.build_prob(gen, 501, str(tmp_path)).ops
+    planned, firing = [], semantics._firing
+    monkeypatch.setattr(semantics, "_firing", lambda *a: planned.append(a) or firing(*a))
+    cold = [op.run(i) for i, op in enumerate(ops)]
+    sizes = [map(int, op.label.rstrip("s").split("x")) for op in ops]  # wires x events
+    assert len(planned) == sum(w * k for w, k in sizes)  # each firing planned once
+    planned.clear()
+    warm = [op.run(i) for i, op in enumerate(ops)]
+    assert planned == [] and warm == cold
+    for op, out in zip(ops, cold):
+        assert op.check(out, op.expected), op.label
+        assert not op.check(out, op.expected * 1.001), op.label
 
 
 def test_check_validates_signatures_once(tmp_path, capsys, monkeypatch):
