@@ -85,16 +85,16 @@ class FactorPermutation:
         n, dims, order = math.prod(self.dims), tuple(self.dims), tuple(self.order)
         _check_total_dim(n)
         if 1 in dims:
-            rank = {i: r for r, i in enumerate(i for i, d in enumerate(dims) if d > 1)}
-            dims, order = tuple(dims[i] for i in rank), tuple(rank[i] for i in order if i in rank)
+            big = [i for i, d in enumerate(dims) if d > 1]
+            order = tuple([big.index(i) for i in order if dims[i] > 1])
+            dims = tuple([dims[i] for i in big])
         object.__setattr__(self, "_reduced", (n, dims, order))
 
     @staticmethod
     def between(now, want, dim) -> "FactorPermutation":
         """The reordering that takes factors listed as ``now`` to the order
         listed as ``want``; ``dim`` maps a factor to its dimension."""
-        return FactorPermutation(tuple(dim(x) for x in now),
-                                 tuple(now.index(x) for x in want))
+        return FactorPermutation(tuple(map(dim, now)), tuple(map(now.index, want)))
 
     @property
     def out_dims(self) -> tuple:
@@ -294,7 +294,7 @@ def partial_trace(m, dims, traced) -> np.ndarray:
     """Partial trace over the selected factors; remaining order preserved."""
     m = as_matrix(m)
     dims = [int(d) for d in dims]
-    n = int(np.prod(dims)) if dims else 1
+    n = math.prod(dims)
     if m.shape != (n, n):
         raise DimensionMismatch(
             f"matrix shape {m.shape} does not match factor dims {dims}"
@@ -306,9 +306,9 @@ def partial_trace(m, dims, traced) -> np.ndarray:
     arr = m.reshape(tuple(dims) * 2) if dims else m.reshape(1, 1)
     cur = list(dims)
     for t in reversed(traced):
-        arr = np.trace(arr, axis1=t, axis2=t + len(cur))
+        arr = arr.trace(axis1=t, axis2=t + len(cur))
         del cur[t]
-    rem = int(np.prod(cur)) if cur else 1
+    rem = math.prod(cur)
     return arr.reshape(rem, rem)
 
 

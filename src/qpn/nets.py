@@ -61,7 +61,7 @@ class Net:
         self.safety_verified = False
         self._components = None  # kept by flow_components
         self._reachable = None  # kept by component_markings
-        self._plans = None  # (annotation, plans), kept by the sampler and run_probability
+        self._plans = None  # (annotation, step plans), kept by sample_execution
 
     def _validate_structure(self):
         if self.places & self.transitions:

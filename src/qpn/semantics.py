@@ -47,8 +47,7 @@ def run_probability(o: OccurrenceNet, ann: LocalAnnotation, iv: MarkingInterval,
     the order `GlobalValuation` fires them in: a negative event's environment
     state joins it when the event fires and a positive event's signal is
     traced out at once, since no later event acts on either.  No interval
-    channel is built.  Each firing is planned once per (factor order, event)
-    and kept with the sampler's plans for ``ann`` (see `_plans_for`).
+    channel is built.
     """
     env_inputs = env_inputs or {}
     rho = _checked_state(ann, iv.from_marking, rho0)
@@ -62,11 +61,11 @@ def run_probability(o: OccurrenceNet, ann: LocalAnnotation, iv: MarkingInterval,
         if env.shape != (h, h):
             raise DimensionMismatch(
                 f"environment state for {e} has shape {env.shape}, expected {h}")
-    order, plans = tuple(sorted(iv.from_marking)), _plans_for(o, ann)
+    order = tuple(sorted(iv.from_marking))
     for e in iv.events:
-        how = plans.get((order, e)) or plans.setdefault((order, e), _firing(o, ann, order, e))
+        how = _firing(o, ann, order, e)
         rho, order = _fire(o, ann, how, e, rho, env_inputs.get(e)), how[2]
-    return float(np.real(np.trace(rho)))
+    return float(rho.trace().real)
 
 
 def sub_probability_check(net: Net, ann: LocalAnnotation, m, cluster,
@@ -134,23 +133,14 @@ _Step = namedtuple("_Step", "env cluster pre perm dims effects order firings",
                    defaults=("", (), (), None, (), None, (), ()))
 
 
-def _plans_for(net: Net, ann: LocalAnnotation) -> dict:
-    """The plans kept on ``net`` for the annotation object ``ann``, emptied
-    first if they were made for another: sampling steps keyed by factor
-    order, `run_probability`'s firings by (factor order, event)."""
-    if net._plans is None or net._plans[0] is not ann:
-        net._plans = (ann, {})
-    return net._plans[1]
-
-
 def _firing(net: Net, ann: LocalAnnotation, order, e) -> tuple:
     """Plan firing e on a state on the places listed in ``order``, as
     (perm, traced, new order): perm brings e's sorted pre-places in front
     of the rest, with a negative event's environment factor (named e)
     between them, or is None if they lead; traced are the [post, signal,
     rest] dims of a positive event's output; the new order is [post, rest]."""
-    pre, pol, h = sorted(net.pre(e)), net.pol(e), ann.signal_dim(e)
-    rest = [p for p in order if p not in net.pre(e)]
+    front, pol, h = net.pre(e), net.pol(e), ann.signal_dim(e)
+    pre, rest = sorted(front), [p for p in order if p not in front]
     now, want = order, tuple(pre + rest)
     if pol == NEGATIVE:
         now, want = (*order, e), (*pre, e, *rest)  # e is no place id
@@ -167,11 +157,18 @@ def _fire(net: Net, ann: LocalAnnotation, how, e, rho, env=None):
     perm, traced, _ = how
     if net.pol(e) == NEGATIVE:
         _check_total_dim(rho.shape[0] * ann.signal_dim(e))
-        rho = np.kron(rho, as_matrix(env))
+        rho = _kron(rho, as_matrix(env))
     if perm is not None:
         rho = perm.permute(rho, two_sided=True)
     rho = apply_leading(ann.channel(e), rho)
     return rho if traced is None else partial_trace(rho, traced, [1])
+
+
+def _kron(a, b) -> np.ndarray:
+    """np.kron(a, b) for matrices, as one broadcast product: the same
+    entries, without np.kron's shape handling, which costs more than the
+    product itself on a state of a few dims."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
 
 
 def _fire_state(net: Net, ann: LocalAnnotation, m, e, rho, env=None):
@@ -228,13 +225,16 @@ def sample_execution(net: Net, ann: LocalAnnotation, rho0, env_policy=None, seed
     probability.  The state is renormalized after each sampled branch and
     keeps the factor order its last firing left; it is returned on the
     sorted marking.  Each step is planned once per (marking, factor order)
-    by `_step`, and the plans are kept on the net (see `_plans_for`).
+    by `_step`, and the plans are kept on the net for the annotation object
+    ``ann`` until the net is sampled under another.
     """
     if not net.safety_verified:
         raise NotAQpn("net must be safety-verified before sampling")
     env_policy = env_policy or maximally_mixed_policy(ann)
     rng = np.random.Generator(np.random.Philox(seed))
-    plans = _plans_for(net, ann)
+    if net._plans is None or net._plans[0] is not ann:
+        net._plans = (ann, {})
+    plans = net._plans[1]
     m = frozenset(net.initial_marking)
     order, rho = tuple(sorted(m)), _checked_state(ann, m, rho0).copy()
     log, halted = [], "max_steps"

@@ -153,18 +153,18 @@ def test_sampled_runs_pass_the_benchmark_gate(tmp_path, perfbench_workloads):
 
 def test_exact_probabilities_pass_the_benchmark_gate(tmp_path, perfbench_workloads,
                                                     monkeypatch):
-    """Every `prob` op matches the closed-form product of its weights, cold
-    (firings planned) and warm (plans kept on the net), bit for bit alike."""
+    """Every `prob` op matches the closed-form product of its weights; a
+    second pass plans every firing again and agrees bit for bit."""
     ops = perfbench_workloads.build_prob(gen, 501, str(tmp_path)).ops
     planned, firing = [], semantics._firing
     monkeypatch.setattr(semantics, "_firing", lambda *a: planned.append(a) or firing(*a))
-    cold = [op.run(i) for i, op in enumerate(ops)]
     sizes = [map(int, op.label.rstrip("s").split("x")) for op in ops]  # wires x events
-    assert len(planned) == sum(w * k for w, k in sizes)  # each firing planned once
-    planned.clear()
-    warm = [op.run(i) for i, op in enumerate(ops)]
-    assert planned == [] and warm == cold
-    for op, out in zip(ops, cold):
+    events = sum(w * k for w, k in sizes)
+    first = [op.run(i) for i, op in enumerate(ops)]
+    assert len(planned) == events  # each firing planned once
+    second = [op.run(i) for i, op in enumerate(ops)]
+    assert len(planned) == 2 * events and second == first
+    for op, out in zip(ops, first):
         assert op.check(out, op.expected), op.label
         assert not op.check(out, op.expected * 1.001), op.label
 
