@@ -22,6 +22,7 @@ from .outcome import CheckOutcome
 TOL_PSD = 1e-9
 # Hermiticity tolerance (max entry of |M - M^dagger|).
 TOL_HERM = 1e-9
+TOL_TNI_HERM = 1e-7  # the same for I - effect in the trace non-increase check
 # Hard cap on the total dimension of any single operator.
 MAX_TOTAL_DIM = 4096
 
@@ -42,7 +43,7 @@ def as_matrix(m) -> np.ndarray:
 
 def is_hermitian(m: np.ndarray, tol: float = TOL_HERM) -> bool:
     m = as_matrix(m)
-    return m.shape[0] == m.shape[1] and np.abs(m - m.conj().T).max() <= tol
+    return m.shape[0] == m.shape[1] and np.abs(m - m.conj().T).max(initial=0) <= tol
 
 
 def hermitize(m: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:
@@ -59,6 +60,18 @@ def min_eigenvalue(m: np.ndarray, tol: float = TOL_HERM) -> float:
     if h.shape[0] == 0:
         return 0.0
     return float(np.linalg.eigvalsh(h).min())
+
+
+def min_eigenvalues(stack, tol: float = TOL_HERM) -> np.ndarray:
+    """:func:`min_eigenvalue` of each matrix of a (k, n, n) stack, bit for bit,
+    by one eigvalsh call; NaN for each matrix not Hermitian within tol."""
+    s = np.asarray(stack, dtype=complex)
+    if s.shape[1] == 0:
+        return np.zeros(len(s))
+    sh = s.conj().transpose(0, 2, 1)
+    bad = ~(np.abs(s - sh).max(axis=(1, 2)) <= tol)
+    lo = np.linalg.eigvalsh(np.where(bad[:, None, None], 0, (s + sh) / 2)).min(axis=1)
+    return np.where(bad, np.nan, lo)
 
 
 @dataclass(frozen=True)
@@ -136,12 +149,6 @@ class FactorPermutation:
             rows = cols
         p[rows, cols] = 1
         return p
-
-    def inverse(self) -> "FactorPermutation":
-        inv = [0] * len(self.order)
-        for j, i in enumerate(self.order):
-            inv[i] = j
-        return FactorPermutation(self.out_dims, tuple(inv))
 
 
 @dataclass(frozen=True)
@@ -319,7 +326,7 @@ def is_cptni(f: Channel, tol_psd: float = TOL_PSD) -> CheckOutcome:
     is the whole CPTNI verdict; the outcome carries the eigenvalue for
     caller-side re-judging.
     """
-    tni_min = min_eigenvalue(np.eye(f.dim_in, dtype=complex) - effect(f), tol=1e-7)
+    tni_min = min_eigenvalue(np.eye(f.dim_in, dtype=complex) - effect(f), TOL_TNI_HERM)
     passed = tni_min >= -tol_psd
     return CheckOutcome(passed, "" if passed else "trace increasing",
                         {"tni_min_eig": tni_min})
@@ -335,15 +342,21 @@ def embed_operator(op, factor_dims, positions) -> np.ndarray:
     positions = list(positions)
     dims = tuple(int(d) for d in factor_dims)
     rest = [i for i in range(len(dims)) if i not in positions]
-    front = FactorPermutation(dims, tuple(positions + rest))
+    front = positions + rest  # a bijection only if positions are distinct indices
+    back = FactorPermutation.between(front, range(len(dims)), dict(enumerate(dims)).get)
     local_dim = math.prod(dims[i] for i in positions)
     if op.shape != (local_dim, local_dim):
         raise DimensionMismatch(
             f"local operator shape {op.shape} does not match factors {positions}"
         )
     rest_dim = math.prod(dims[i] for i in rest)
-    full = np.kron(op, np.eye(rest_dim, dtype=complex))
-    return front.inverse().permute(full, two_sided=True)
+    return back.permute(_kron(op, np.eye(rest_dim, dtype=complex)), two_sided=True)
+
+
+def _kron(a, b) -> np.ndarray:
+    """np.kron(a, b) for matrices, the same bytes by one broadcast product:
+    np.kron's shape handling costs more than the product on a few dims."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
 
 
 def channels_close(f: Channel, g: Channel, tol: float = 1e-10) -> CheckOutcome:

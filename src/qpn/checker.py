@@ -29,13 +29,13 @@ from .algebra import (
     embed_operator,
     hermitize,
     min_eigenvalue,
+    min_eigenvalues,
 )
 from .annotation import (
     GlobalValuation,
     LocalAnnotation,
     annotation_is_cptni,
     check_local_obliviousness,
-    marking_factors,
     space_dim,
     validate_signatures,
 )
@@ -73,6 +73,7 @@ TOL_DROP_EQ = 1e-10
 DEFAULT_CLUSTER_CAP = 12
 DEFAULT_CONFIG_BOUND = 64
 DEFAULT_FAMILY_CAP = 4
+EIG_QUEUE_ENTRIES = 1 << 16  # the most entries (1 MiB) in one solved stack of >1 drop
 
 
 # --------------------------------------------------------------------------
@@ -237,11 +238,9 @@ def _embedded_effect(net: Net, ann: LocalAnnotation, m, e) -> np.ndarray:
     pre = net.pre(e)
     if len(pre) == len(m) and pre.issuperset(m):
         return effect(ann.channel(e))
-    factors = marking_factors(ann, m)
-    ids = [p for p, _ in factors]
-    dims = [d for _, d in factors]
-    positions = [ids.index(c) for c in sorted(pre)]
-    return embed_operator(effect(ann.channel(e)), dims, positions)
+    ids = sorted(m)
+    return embed_operator(effect(ann.channel(e)), [ann.dim(p) for p in ids],
+                          [ids.index(c) for c in sorted(pre)])
 
 
 def _drop_recurrence(events, pre, effs, dim: int) -> np.ndarray:
@@ -251,7 +250,7 @@ def _drop_recurrence(events, pre, effs, dim: int) -> np.ndarray:
     d(F) = d(F∖v) - E_v·d(F∖N[v]), for v least in F and N[v] v with the
     events of F sharing a pre-place (per ``pre``) with it.  E_v and
     d(F∖N[v]) act on disjoint factors, so every term is Hermitian up to
-    rounding; :func:`min_eigenvalue` guards and symmetrizes it where a
+    rounding; :func:`min_eigenvalues` guards and symmetrizes it where a
     verdict is read.  ``effs`` maps each event to its effect on one space
     of dimension dim.
     """
@@ -403,14 +402,20 @@ def check_local_drop(net: Net, ann: LocalAnnotation,
     """
     if not net.safety_verified:
         raise SafetyUnverified("run verify_safety before checking the drop condition")
-    evaluated = {}  # sorted cluster -> (method, {family: min eigenvalue})
+    evaluated = {}  # sorted cluster -> (method, {family: min eigenvalue, once solved})
+    queues, calls = {}, []  # dim -> [(family dict, family, drop)]; kernel stack sizes
+
+    def solve(n):
+        queued = queues.pop(n)
+        calls.append(len(queued))
+        for (fams, fam, d), lo in zip(queued, min_eigenvalues([d for *_, d in queued])):
+            fams[fam] = float(lo) if lo == lo else min_eigenvalue(d)  # NaN: it raises
 
     def check(transitions, markings):
-        """({sorted marking: results}, clusters, clique clusters) of one part."""
+        """({sorted marking: [(method, families)]}, clusters, clique clusters) of one part."""
         part, clusters, cliques = {}, 0, 0
         for m in sorted(markings, key=sorted):
-            mkey = tuple(sorted(m))
-            rows = part[mkey] = []
+            rows = part[tuple(sorted(m))] = []
             for cluster in marking_clusters(net, m, transitions):
                 clusters += 1
                 cl = tuple(sorted(cluster))
@@ -420,17 +425,19 @@ def check_local_drop(net: Net, ann: LocalAnnotation,
                         f"exceeds cap {cluster_cap}")
                 if cl not in evaluated:
                     clique = len(cl) > 1 and is_clique(net, cl)
-                    fams = [cl] if clique else [
+                    fams = dict.fromkeys([cl] if clique else [
                         fam for r in range(1, len(cl) + 1)
-                        for fam in itertools.combinations(cl, r)]
-                    evaluated[cl] = ("clique" if clique else "single", {
-                        fam: min_eigenvalue(single_extension_drop(
-                            net, ann, frozenset().union(*map(net.pre, fam)), fam))
-                        for fam in fams})
-                method, mins = evaluated[cl]
-                cliques += method == "clique"
-                rows += [DropInstanceResult((mkey, fam), method, lo, lo >= -tol)
-                         for fam, lo in mins.items()]
+                        for fam in itertools.combinations(cl, r)])
+                    evaluated[cl] = ("clique" if clique else "single", fams)
+                    for fam in fams:
+                        drop = single_extension_drop(
+                            net, ann, frozenset().union(*map(net.pre, fam)), fam)
+                        q = queues.setdefault(len(drop), [])
+                        q.append((fams, fam, drop))
+                        if (len(q) + 1) * drop.size > EIG_QUEUE_ENTRIES:  # the next won't fit
+                            solve(len(drop))
+                rows.append(evaluated[cl])
+                cliques += rows[-1][0] == "clique"
         return part, clusters, cliques
 
     comps = flow_components(net)
@@ -440,14 +447,21 @@ def check_local_drop(net: Net, ann: LocalAnnotation,
     except QpnError:
         if len(comps) == 1:
             raise
+        evaluated, queues = {}, {}  # checked afresh in the whole net's order
         checked = [check(None, reachable_markings(net, marking_bound))]
-    parts = [part for part, _, _ in checked]
+    finally:  # a queued drop that is not Hermitian is an error met before any other
+        for n in list(queues):
+            solve(n)
+    parts = [{mkey: [DropInstanceResult((mkey, fam), method, lo, lo >= -tol)
+                     for method, fams in rows for fam, lo in fams.items()]
+              for mkey, rows in part.items()} for part, _, _ in checked]
     total = math.prod(map(len, parts))
     scale = [total // len(part) for part in parts]
     stats = {"markings": total,
              "clusters": sum(n * c for n, (_, c, _) in zip(scale, checked)),
              "clusters_evaluated": len(evaluated),
-             "clique_fast_paths": sum(n * k for n, (_, _, k) in zip(scale, checked))}
+             "clique_fast_paths": sum(n * k for n, (_, _, k) in zip(scale, checked)),
+             "eigen_solves": sum(calls), "eigen_calls": len(calls)}
     return DropReport(parts, stats, tol)
 
 
@@ -498,15 +512,14 @@ def cluster_factorization_check(net: Net, ann: LocalAnnotation, m,
     rhs = np.kron(d_a, d_b)
     # align: d_b acts on the B-side pre-place factors of the second copy;
     # swap those factors with their twins in the first copy
-    factors = marking_factors(ann, m)
-    ids = [p for p, _ in factors]
-    dims = [d for _, d in factors]
+    ids = sorted(m)
+    dims = [ann.dim(p) for p in ids]
     b_places = set().union(*(net.pre(e) for e in cluster_b), set())
     n = len(ids)
     order = [i + n if ids[i] in b_places else i for i in range(n)]
     order += [i - n if ids[i - n] in b_places else i for i in range(n, 2 * n)]
-    u = FactorPermutation(tuple(dims + dims), tuple(order))
-    rhs = u.inverse().permute(rhs, two_sided=True)
+    u = FactorPermutation(tuple(dims + dims), tuple(order))  # its own inverse
+    rhs = u.permute(rhs, two_sided=True)
     err = float(np.max(np.abs(lhs - rhs)))
     if err > tol * max(1, dim):
         return CheckOutcome.fail(f"factorization off by {err:.2e}", error=err)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import (TOL_PSD, FactorPermutation, _check_total_dim, apply_leading,
+from .algebra import (TOL_PSD, FactorPermutation, _check_total_dim, _kron, apply_leading,
                       as_matrix, partial_trace)
 from .annotation import LocalAnnotation, space_dim
 from .checker import _embedded_effect, single_extension_drop
@@ -162,13 +162,6 @@ def _fire(net: Net, ann: LocalAnnotation, how, e, rho, env=None):
         rho = perm.permute(rho, two_sided=True)
     rho = apply_leading(ann.channel(e), rho)
     return rho if traced is None else partial_trace(rho, traced, [1])
-
-
-def _kron(a, b) -> np.ndarray:
-    """np.kron(a, b) for matrices, as one broadcast product: the same
-    entries, without np.kron's shape handling, which costs more than the
-    product itself on a state of a few dims."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
 
 
 def _fire_state(net: Net, ann: LocalAnnotation, m, e, rho, env=None):

@@ -14,8 +14,7 @@ import pytest
 from gen import clique_net, joinable_net, random_occurrence_annotated, \
     random_state_machine
 from qpn.algebra import Channel, FactorPermutation, channels_close
-from qpn.annotation import GlobalValuation, LocalAnnotation, marking_factors, \
-    space_dim
+from qpn.annotation import GlobalValuation, LocalAnnotation, space_dim
 from qpn.checker import (
     brute_force_global_drop,
     check_local_drop,

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpn.algebra import (
+    TOL_HERM,
     TOL_PSD,
     Channel,
     FactorPermutation,
@@ -18,12 +19,15 @@ from qpn.algebra import (
     embed_operator,
     hermitize,
     is_cptni,
+    is_hermitian,
     kraus_compose,
     kraus_tensor,
     min_eigenvalue,
+    min_eigenvalues,
     partial_trace,
     thread,
 )
+from qpn import algebra
 from qpn.errors import BadPermutation, BoundExceeded, DimensionMismatch, SignatureMismatch
 
 rng = np.random.default_rng(42)
@@ -60,7 +64,8 @@ class TestFactorPermutation:
         p = FactorPermutation(dims, tuple(order))
         m = p.matrix()
         assert np.allclose(m @ m.conj().T, np.eye(m.shape[0]))
-        assert np.allclose(p.inverse().matrix() @ m, np.eye(m.shape[0]))
+        back = FactorPermutation.between(list(order), range(4), dims.__getitem__)
+        assert np.allclose(back.matrix() @ m, np.eye(m.shape[0]))
 
     def test_one_reduction_serves_every_input_form(self):
         """One permutation with dim-1 factors, used in turn one-sided,
@@ -132,6 +137,56 @@ class TestHermitian:
 
     def test_min_eigenvalue_of_diag(self):
         assert min_eigenvalue(np.diag([3.0, -0.5, 1.0])) == pytest.approx(-0.5)
+
+    def test_empty_operator_has_least_eigenvalue_zero(self):
+        assert is_hermitian(np.zeros((0, 0)))
+        assert min_eigenvalue(np.zeros((0, 0))) == 0.0
+        assert min_eigenvalues(np.zeros((3, 0, 0))).tolist() == [0.0] * 3
+        assert min_eigenvalues(np.zeros((0, 0, 0))).tolist() == []
+
+
+def _hermitian_stack(r, k, n, skew):
+    """k Hermitian n x n matrices, each plus an anti-Hermitian part whose
+    largest entry is about ``skew`` (round-off, or worse)."""
+    a = r.normal(size=(k, n, n)) + 1j * r.normal(size=(k, n, n))
+    b = r.normal(size=(k, n, n)) + 1j * r.normal(size=(k, n, n))
+    b = b - b.conj().transpose(0, 2, 1)
+    b *= skew / np.abs(b).max(axis=(1, 2))[:, None, None]
+    return a + a.conj().transpose(0, 2, 1) + b
+
+
+class TestMinEigenvalues:
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_each_matrix_as_min_eigenvalue_reads_it(self, n):
+        r = np.random.default_rng(n)
+        for k in (1, 2, 7, 40):
+            stack = _hermitian_stack(r, k, n, TOL_HERM / 10)
+            got = min_eigenvalues(stack)
+            assert got.shape == (k,)
+            assert [float(x).hex() for x in got] == [min_eigenvalue(m).hex() for m in stack]
+
+    def test_a_matrix_beyond_the_tolerance_raises_where_the_scan_meets_it(self):
+        """NaN marks each matrix min_eigenvalue refuses; a scan that asks
+        min_eigenvalue about NaN alone stops at the same matrix with the
+        same error, after the same values."""
+        r = np.random.default_rng(3)
+        stack = _hermitian_stack(r, 9, 4, TOL_HERM / 10)
+        stack[[4, 7]] = _hermitian_stack(r, 2, 4, 10 * TOL_HERM)
+        stack[6, 0, 1] = np.nan
+        lows = min_eigenvalues(stack)
+        assert np.flatnonzero(np.isnan(lows)).tolist() == [4, 6, 7]
+
+        def scan(read):
+            seen = []
+            with pytest.raises(DimensionMismatch) as err:
+                for m, lo in zip(stack, lows):
+                    seen.append(read(m, lo).hex())
+            return seen, str(err.value)
+
+        assert scan(lambda m, lo: min_eigenvalue(m)) == \
+            scan(lambda m, lo: float(lo) if lo == lo else min_eigenvalue(m))
+        assert scan(lambda m, lo: min_eigenvalue(m))[1] == \
+            "matrix is not Hermitian within tolerance"
 
 
 class TestChannel:
@@ -321,6 +376,29 @@ class TestEmbedding:
         assert np.allclose(ea @ eb, np.kron(a, np.kron(np.eye(2), b)))
 
 
+    @pytest.mark.parametrize("dims, positions", [
+        ((2, 3), [0]), ((2, 3), [1]), ((2, 1, 3), [1]), ((3, 2, 2), [2, 0]),
+        ((2, 1, 3, 2), [3, 1]), ((1, 1), [1]), ((2, 3, 2), [2, 1, 0]), ((4,), [0])])
+    def test_embedding_is_the_kron_and_permutation_construction(self, dims, positions):
+        """Byte for byte what np.kron and the inverse of the permutation
+        that brings ``positions`` to the front gave before."""
+        rest = [i for i in range(len(dims)) if i not in positions]
+        front = FactorPermutation(dims, tuple(positions + rest))
+        inv = [0] * len(dims)
+        for j, i in enumerate(front.order):
+            inv[i] = j
+        back = FactorPermutation(front.out_dims, tuple(inv))
+        n = math.prod(dims[i] for i in positions)
+        op = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        want = back.permute(np.kron(op, np.eye(math.prod(dims[i] for i in rest))),
+                            two_sided=True)
+        assert embed_operator(op, dims, positions).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("positions", [[2], [0, 0], [-1]])
+    def test_embedding_rejects_positions_that_are_no_factors(self, positions):
+        with pytest.raises(BadPermutation):
+            embed_operator(np.eye(2 ** len(positions)), [2, 2], positions)
+
     def test_dimension_cap_raises_before_allocating(self):
         tracemalloc.start()
         try:
@@ -342,3 +420,14 @@ class TestChannelsClose:
     def test_detects_difference(self):
         x = np.array([[0, 1], [1, 0]], dtype=complex)
         assert not channels_close(Channel.identity(2), Channel.from_unitary(x))
+
+
+def test_environment_join_is_np_kron():
+    """The broadcast product behind `embed_operator` and the sampler's
+    environment join gives np.kron's bytes."""
+    r = np.random.default_rng(4)
+    for shape_a, shape_b in [((1, 1), (2, 2)), ((4, 4), (3, 3)), ((8, 8), (2, 2)),
+                             ((2, 2), (3, 2))]:
+        a, b = (r.normal(size=s) + 1j * r.normal(size=s) for s in (shape_a, shape_b))
+        got, want = algebra._kron(a, b), np.kron(a, b)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()

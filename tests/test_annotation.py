@@ -1,19 +1,22 @@
 import numpy as np
 import pytest
 
-from gen import random_density, random_occurrence_annotated
-from qpn.algebra import Channel, FactorPermutation, apply, channels_close, effect
+from gen import random_cptni, random_density, random_occurrence_annotated
+from qpn.algebra import Channel, FactorPermutation, apply, channels_close, effect, is_cptni
 from qpn.annotation import (
     GlobalValuation,
     LocalAnnotation,
+    annotation_is_cptni,
     check_local_obliviousness,
     signature,
     validate_signatures,
 )
 from qpn.demo import branching_demo
+from qpn.errors import DimensionMismatch
 from qpn.nets import (
     NEGATIVE,
     POSITIVE,
+    Net,
     OccurrenceNet,
     as_occurrence_net,
     interval,
@@ -56,6 +59,72 @@ class TestSignatures:
         out = validate_signatures(bd.net, LocalAnnotation(bd.ann.dims, chans,
                                                           bd.ann.h))
         assert not out and "c" in out.reason
+
+
+def _channels_net(chans):
+    """A net of one neutral transition per channel, each on a place of its
+    channel's input dimension."""
+    flow = {(f"p{t}", t) for t in chans}
+    net = Net({f"p{t}" for t in chans}, set(chans), flow, set(), {t: "0" for t in chans})
+    return net, LocalAnnotation({f"p{t}": c.dim_in for t, c in chans.items()}, chans)
+
+
+def _skewed(chan):
+    """The channel with an effect that is not Hermitian, which no Kraus
+    list gives, planted in its cached effect."""
+    chan.__dict__["_effect"] = effect(chan) + np.triu(np.ones((chan.dim_in,) * 2), 1) * 1e-3
+    return chan
+
+
+def _is_cptni_scan(net, ann):
+    """The cptni stage as one is_cptni per channel, in sorted order."""
+    for t in sorted(net.transitions):
+        out = is_cptni(ann.channel(t))
+        if not out:
+            return t, out.reason, out.data["tni_min_eig"].hex()
+    return None
+
+
+class TestCptniStage:
+    def test_verdict_is_the_is_cptni_scan(self):
+        """Channels of dims 1-5, some scaled past trace non-increase: the
+        stage names the least failing transition with is_cptni's text and
+        eigenvalue, bit for bit."""
+        r = np.random.default_rng(17)
+        fails = 0
+        for _ in range(30):
+            chans = {}
+            for i in range(int(r.integers(1, 12))):
+                f = random_cptni(r, int(r.integers(1, 6)), int(r.integers(1, 4)))
+                chans[f"t{i:02d}"] = f.scaled(float(r.choice([1.0, 1.0, 1.0, 1.5])))
+            net, ann = _channels_net(chans)
+            out, want = annotation_is_cptni(net, ann), _is_cptni_scan(net, ann)
+            assert bool(out) == (want is None)
+            if want is not None:
+                t, reason, lo = want
+                assert (out.data["transition"], out.reason, out.data["tni_min_eig"].hex()) \
+                    == (t, f"channel on {t}: {reason}", lo)
+                fails += 1
+        assert fails >= 5
+
+    @pytest.mark.parametrize("skewed, failing, raises", [
+        ("a", "b", True), ("b", "a", False), ("a", "c", True), ("c", "a", False)])
+    def test_a_skewed_effect_raises_where_the_scan_meets_it(self, skewed, failing, raises):
+        """a and b have input dimension 2, c has 3: a skewed effect raises
+        only when no transition before it fails, whatever the dimensions."""
+        chans = {"a": Channel.identity(2).scaled(0.5), "b": Channel.identity(2).scaled(0.5),
+                 "c": Channel.identity(3).scaled(0.5)}
+        chans[failing] = chans[failing].scaled(3.0)
+        _skewed(chans[skewed])
+        net, ann = _channels_net(chans)
+        if raises:
+            with pytest.raises(DimensionMismatch, match="not Hermitian"):
+                annotation_is_cptni(net, ann)
+            with pytest.raises(DimensionMismatch, match="not Hermitian"):
+                _is_cptni_scan(net, ann)
+        else:
+            out = annotation_is_cptni(net, ann)
+            assert out.data["transition"] == failing == _is_cptni_scan(net, ann)[0]
 
 
 class TestObliviousness:

@@ -26,6 +26,7 @@ from qpn.demo import branching_demo, two_phase_cycle
 from qpn.errors import (
     BoundExceeded,
     CrossClusterConflict,
+    DimensionMismatch,
     IncompatibleExtension,
     NegativeEventInCluster,
     NotAClique,
@@ -415,6 +416,62 @@ class TestLocalDrop:
         x = clique_net(None, 4, dim=1)
         with pytest.raises(BoundExceeded):
             check_local_drop(x.net, x.ann, cluster_cap=3)
+
+    @staticmethod
+    def _chain(k):
+        """k events over k + 1 marked dim-2 places, event i consuming places
+        i and i + 1, each with effect 0.3·I: a family's drop has up to
+        2^(k+1) dims."""
+        ps = [f"p{i}" for i in range(k + 1)]
+        flow = {(ps[i + j], f"e{i}") for i in range(k) for j in (0, 1)}
+        flow |= {(f"e{i}", f"q{i}") for i in range(k)}
+        places = set(ps) | {f"q{i}" for i in range(k)}
+        net = Net(places, {f"e{i}" for i in range(k)}, flow, set(ps),
+                  {f"e{i}": "0" for i in range(k)})
+        verify_safety(net)
+        i2, z2 = np.eye(2), np.zeros((2, 2))
+        kraus = np.sqrt(0.3) * np.array([np.hstack([i2, z2]), np.hstack([z2, i2])])
+        chans = dict.fromkeys(net.transitions, Channel(4, 2, kraus))
+        return net, LocalAnnotation(dict.fromkeys(places, 2), chans)
+
+    @pytest.mark.parametrize("budget", [checker.EIG_QUEUE_ENTRIES, 300, 0])
+    def test_eigen_stacks_keep_within_the_budget(self, monkeypatch, budget):
+        """No stack the kernel gets holds more than the budget's entries,
+        but for a single matrix; on the chain of 6 the 1 MiB budget fills
+        (four 128-dim drops), and any budget gives the same results."""
+        net, ann = self._chain(6)
+        want = [(r.key, r.method, r.min_eig.hex(), r.passed)
+                for r in check_local_drop(net, ann).instances]
+        stacks, kernel, default = [], checker.min_eigenvalues, checker.EIG_QUEUE_ENTRIES
+        monkeypatch.setattr(checker, "EIG_QUEUE_ENTRIES", budget)
+        monkeypatch.setattr(checker, "min_eigenvalues",
+                            lambda s: stacks.append(np.shape(s)) or kernel(s))
+        report = check_local_drop(net, ann)
+        assert [(r.key, r.method, r.min_eig.hex(), r.passed) for r in report.instances] == want
+        sizes = [k * n * n for k, n, _ in stacks]
+        assert all(k == 1 or size <= budget for (k, _, _), size in zip(stacks, sizes))
+        assert budget != default or max(sizes) == budget == 1 << 16
+        assert report.stats["eigen_calls"] == len(stacks)
+        assert report.stats["eigen_solves"] == sum(k for k, _, _ in stacks) == 114
+
+    @pytest.mark.parametrize("cap", [3, 4])
+    def test_a_skewed_drop_is_the_error_met_first(self, cap):
+        """At marking {p} event a's drop is not Hermitian; at the later
+        marking {q} a cluster of four meets a cap of 3.  The queued drop is
+        solved before the cap error leaves, so the error is a's, the one
+        met first, with or without the later one."""
+        net = Net({"p", "q"} | {f"r{i}" for i in range(4)}, {"a", "b0", "b1", "b2", "b3"},
+                  {("p", "a"), ("a", "q")} | {("q", f"b{i}") for i in range(4)}
+                  | {(f"b{i}", f"r{i}") for i in range(4)}, {"p"},
+                  dict.fromkeys(["a", "b0", "b1", "b2", "b3"], "0"))
+        verify_safety(net)
+        skewed = Channel.identity(2).scaled(0.5)
+        # an effect that is not Hermitian, which no Kraus list gives
+        skewed.__dict__["_effect"] = np.array([[0.5, 0.1], [0.0, 0.5]])
+        chans = {"a": skewed} | {f"b{i}": Channel.identity(2).scaled(0.2) for i in range(4)}
+        ann = LocalAnnotation(dict.fromkeys(net.places, 2), chans)
+        with pytest.raises(DimensionMismatch, match="not Hermitian"):
+            check_local_drop(net, ann, cluster_cap=cap)
 
 
 class TestBruteForceOracle:

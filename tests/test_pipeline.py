@@ -169,6 +169,23 @@ def test_exact_probabilities_pass_the_benchmark_gate(tmp_path, perfbench_workloa
         assert not op.check(out, op.expected * 1.001), op.label
 
 
+def test_check_verdicts_pass_the_benchmark_gate(tmp_path, perfbench_workloads):
+    """Every `check` op's exit code and printed worst eigenvalue match the
+    references computed without `qpn`; a flipped verdict or a worst value
+    off by 1e-6 fails the gate."""
+    ops = perfbench_workloads.build_check(gen, 501, str(tmp_path)).ops
+    codes = set()
+    for i, op in enumerate(ops):
+        out = op.run(i)
+        code, want_min = op.expected
+        assert op.check(out, op.expected), op.label
+        assert not op.check(out, (1 - code, want_min)), op.label
+        assert not op.check(out, (code, want_min + 1e-6)), op.label
+        assert not op.check(out, (code, want_min - 1e-6)), op.label
+        codes.add(code)
+    assert codes == {0, 1}
+
+
 def test_check_validates_signatures_once(tmp_path, capsys, monkeypatch):
     """The loader's check stands for the signatures stage of `qpn check`;
     `is_qpn` still runs the stage, and a misfit file exits 2."""

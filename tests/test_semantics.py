@@ -8,7 +8,7 @@ from gen import (clique_net, joinable_net, random_cptni, random_density,
                  random_occurrence_annotated)
 from qpn import semantics
 from qpn.algebra import MAX_TOTAL_DIM, Channel, FactorPermutation, apply
-from qpn.annotation import GlobalValuation, LocalAnnotation, marking_factors
+from qpn.annotation import GlobalValuation, LocalAnnotation, space_dim
 from qpn.checker import _embedded_effect
 from qpn.compose import parallel
 from qpn.demo import branching_demo, two_phase_cycle
@@ -83,8 +83,7 @@ class TestRunProbability:
             x = random_occurrence_annotated(rng, max_events=5)
             o, ann = x.net, x.ann
             gv = GlobalValuation(o, ann)
-            dim0 = math.prod(d for _, d in
-                             marking_factors(ann, o.initial_marking))
+            dim0 = space_dim(ann, o.initial_marking)
             rho = random_density(rng, dim0)
             env = {e: np.eye(ann.signal_dim(e)) / ann.signal_dim(e)
                    for e in o.transitions if o.pol(e) == "-"}
@@ -144,7 +143,7 @@ class TestPushForward:
             else random_occurrence_annotated(rng)
         o = as_occurrence_net(an.net) if case >= 12 else an.net
         ann = an.ann
-        rho = random_density(rng, math.prod(d for _, d in marking_factors(ann, o.initial_marking)))
+        rho = random_density(rng, space_dim(ann, o.initial_marking))
         env = {e: random_density(rng, ann.signal_dim(e))
                for e in sorted(o.transitions) if o.pol(e) == "-"}
         for cfg in sorted(o.all_configurations(), key=sorted):
@@ -215,15 +214,6 @@ def test_environment_join_past_the_cap_raises_before_kron(monkeypatch, run):
             run_probability(net, ann, interval(net, {"p", "r"}, {"q", "r"}), rho,
                             {"t": np.eye(8) / 8})
     assert asked == []
-
-
-def test_environment_join_is_np_kron():
-    rng = np.random.default_rng(4)
-    for shape_a, shape_b in [((1, 1), (2, 2)), ((4, 4), (3, 3)), ((8, 8), (2, 2)),
-                             ((2, 2), (3, 2))]:
-        a, b = (rng.normal(size=s) + 1j * rng.normal(size=s) for s in (shape_a, shape_b))
-        got, want = semantics._kron(a, b), np.kron(a, b)
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestSubProbability:
@@ -367,7 +357,7 @@ class TestSampler:
         for an in nets:
             net, ann = an.net, an.ann
             policy = maximally_mixed_policy(ann)
-            dim = math.prod(d for _, d in marking_factors(ann, net.initial_marking))
+            dim = space_dim(ann, net.initial_marking)
             rho0 = random_density(np.random.default_rng(dim), dim)
             for seed in range(5):
                 run = sample_execution(net, ann, rho0, seed=seed, max_steps=12)
@@ -428,7 +418,7 @@ class TestSampler:
             return clusters(*args)
 
         monkeypatch.setattr(semantics, "marking_clusters", counting)
-        dim = math.prod(d for _, d in marking_factors(an.ann, an.net.initial_marking))
+        dim = space_dim(an.ann, an.net.initial_marking)
         rho = random_density(np.random.default_rng(1), dim)
         first = sample_execution(an.net, an.ann, rho, seed=3)
         assert calls and first.log
@@ -444,7 +434,7 @@ class TestSampler:
         for _ in range(6):
             x = random_occurrence_annotated(rng)
             o, ann = x.net, x.ann
-            dim = math.prod(d for _, d in marking_factors(ann, o.initial_marking))
+            dim = space_dim(ann, o.initial_marking)
             rho = random_density(rng, dim)
             env = {e: np.eye(ann.signal_dim(e)) / ann.signal_dim(e)
                    for e in sorted(o.transitions) if o.pol(e) == "-"}
