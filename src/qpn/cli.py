@@ -173,6 +173,7 @@ def _initial_state(args, ann, m):
     dimension is checked against the operator cap before it is built."""
     if args.rho:
         rho = netfile.matrix_from_json(netfile.read_json(args.rho), str(args.rho))
+        netfile.require_finite(rho, str(args.rho))
         why = _not_a_state(rho)
         if why:
             raise NetFileError(why, location=str(args.rho))
@@ -208,6 +209,7 @@ def _load_env(path, negatives):
         if e not in negatives:
             raise NetFileError("not a negative event of the interval", location=loc)
         env[e] = netfile.matrix_from_json(data, loc)
+        netfile.require_finite(env[e], loc)
         why = _not_a_state(env[e])
         if why:
             raise NetFileError(why, location=loc)

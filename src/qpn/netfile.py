@@ -14,6 +14,7 @@ and is the writer's reference (and the writer of `--report` files).
 from __future__ import annotations
 
 import json
+import math
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -51,12 +52,24 @@ def matrix_from_json(data, loc):
             _fail(f"{loc}[{i}]", f"row has {len(row)} entries, expected {width}")
         out = []
         for j, v in enumerate(row):
-            if (not isinstance(v, list) or len(v) != 2
-                    or not all(isinstance(c, (int, float)) for c in v)):
+            if not (isinstance(v, list) and len(v) == 2
+                    and isinstance(v[0], (int, float)) and isinstance(v[1], (int, float))):
                 _fail(f"{loc}[{i}][{j}]", "entry must be an [re, im] pair")
-            out.append(complex(v[0], v[1]))
+            try:
+                out.append(complex(v[0], v[1]))
+            except OverflowError:  # an integer past the float range: not finite
+                out.append(complex(math.inf, math.inf))
         rows.append(out)
     return np.array(rows, dtype=complex)
+
+
+def require_finite(a, loc):
+    """Fail at the least entry of the array ``a`` that is not a finite
+    float, if any, located by its indices under ``loc``."""
+    finite = np.isfinite(a)
+    if not finite.all():
+        least = np.argwhere(~finite)[0]
+        _fail(loc + "".join(f"[{i}]" for i in least), "entry must be a finite float")
 
 
 def to_document(net: Net, ann: LocalAnnotation, metadata: dict | None = None,
@@ -148,6 +161,7 @@ def from_document(doc: dict):
             _fail(f"{loc}.kraus", f"inconsistent matrix shapes {sorted(shapes)}")
         rows, cols = mats[0].shape
         channels[tid] = Channel(cols, rows, tuple(mats))
+        require_finite(channels[tid].stack, f"{loc}.kraus")
         if "label" in entry:
             labels[tid] = entry["label"]
 
@@ -183,16 +197,24 @@ def from_document(doc: dict):
 def _layout(sections) -> str:
     """The file text of ``sections``, (key text, body) pairs in order: one
     line per key, where a str body is the value's text and a list body
-    holds the texts of the value's entries, one line each."""
+    holds the texts of the value's entries, one line each.  The text is a
+    single join: a list body's brackets and the outer braces are carried on
+    the first and last pieces."""
     lines = []
     for key, body in sections:
         if isinstance(body, str):
             lines.append(f"{key}: {body}")
         elif body:
-            lines.append(f"{key}: [\n" + ",\n".join(body) + "\n]")
+            lines.append(f"{key}: [\n{body[0]}")
+            lines += body[1:]
+            lines[-1] += "\n]"
         else:
             lines.append(f"{key}: []")
-    return "{\n" + ",\n".join(lines) + "\n}\n"
+    if not lines:
+        return "{\n\n}\n"
+    lines[0] = "{\n" + lines[0]
+    lines[-1] += "\n}\n"
+    return ",\n".join(lines)
 
 
 def _write_json(path, doc: dict, default=None) -> None:
@@ -207,34 +229,45 @@ def _write_json(path, doc: dict, default=None) -> None:
 def save_net(path, net: Net, ann: LocalAnnotation, metadata=None, labels=None):
     """Write the net file of an annotated net: the bytes `_write_json`
     writes for `to_document`, formatted line by line from the net.  Ids
-    (strings) take the encoder's string fast path, dimensions are ints,
-    and each distinct channel's Kraus list is converted and encoded once
-    (the events of one label in an unfolded prefix share it)."""
+    (strings) take the encoder's string fast path once each, dimensions
+    are ints, and each distinct label and each distinct channel's Kraus
+    list is encoded once (the nodes of one label in an unfolded prefix
+    share them)."""
     labels = labels or {}
-    ident = encode_basestring_ascii
+    ident = {}  # node -> its encoded id
+    tails, kraus = {}, {}  # id(label value or channel) -> its encoded text
 
-    def with_label(text, n):
-        return f'{text}, "label": {_encode(labels[n])}}}' if n in labels else text + "}"
+    def tail(n):
+        """The end of node n's entry: its label, if any, and the brace."""
+        if n not in labels:
+            return "}"
+        v = labels[n]
+        if id(v) not in tails:
+            tails[id(v)] = f', "label": {_encode(v)}}}'
+        return tails[id(v)]
 
-    places = [with_label(f'{{"id": {ident(p)}, "dim": {ann.dim(p)}', p)
-              for p in sorted(net.places)]
-    kraus = {}  # id(channel) -> its encoded Kraus list
+    places = []
+    for p in sorted(net.places):
+        ident[p] = encode_basestring_ascii(p)
+        places.append(f'{{"id": {ident[p]}, "dim": {ann.dims[p]}{tail(p)}')
+    pol_text = {pol: encode_basestring_ascii(pol) for pol in POLARITIES}
     transitions = []
     for t in sorted(net.transitions):
-        ch = ann.channel(t)
+        ident[t] = encode_basestring_ascii(t)
+        ch = ann.channels[t]
         if id(ch) not in kraus:
             kraus[id(ch)] = _encode([matrix_to_json(k) for k in ch.kraus])
-        transitions.append(with_label(
-            f'{{"id": {ident(t)}, "polarity": {ident(net.pol(t))}, '
-            f'"h": {ann.signal_dim(t)}, "kraus": {kraus[id(ch)]}', t))
+        transitions.append(
+            f'{{"id": {ident[t]}, "polarity": {pol_text[net.polarity[t]]}, '
+            f'"h": {ann.h.get(t, 1)}, "kraus": {kraus[id(ch)]}{tail(t)}')
     write_text(path, _layout([
-        ('"format"', ident(FORMAT)),
+        ('"format"', encode_basestring_ascii(FORMAT)),
         ('"version"', str(VERSION)),
         ('"metadata"', _encode(dict(metadata or {}))),
         ('"places"', places),
         ('"transitions"', transitions),
-        ('"flow"', [f"[{ident(a)}, {ident(b)}]" for a, b in sorted(net.flow)]),
-        ('"initial_marking"', [ident(p) for p in sorted(net.initial_marking)]),
+        ('"flow"', [f"[{ident[a]}, {ident[b]}]" for a, b in sorted(net.flow)]),
+        ('"initial_marking"', [ident[p] for p in sorted(net.initial_marking)]),
     ]))
 
 

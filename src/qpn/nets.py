@@ -43,20 +43,27 @@ class Net:
     all downstream tensor-factor conventions is lexicographic on id.
     """
 
-    def __init__(self, places, transitions, flow, initial_marking, polarity):
+    def __init__(self, places, transitions, flow, initial_marking, polarity, *,
+                 _adjacency=None):
+        """``_adjacency``, a (pre, post) pair of dicts from every node to its
+        pre- and post-set as frozensets, spares deriving them from the
+        flow, whose arcs must then be tuples; the two must agree."""
         self.places = frozenset(places)
         self.transitions = frozenset(transitions)
-        self.flow = frozenset(tuple(arc) for arc in flow)
         self.initial_marking = frozenset(initial_marking)
         self.polarity = dict(polarity)
+        self.flow = frozenset(tuple(arc) for arc in flow) if _adjacency is None \
+            else frozenset(flow)
         self._validate_structure()
-        pre = {n: set() for n in self.places | self.transitions}
-        post = {n: set() for n in self.places | self.transitions}
-        for a, b in self.flow:
-            post[a].add(b)
-            pre[b].add(a)
-        self._pre = {n: frozenset(s) for n, s in pre.items()}
-        self._post = {n: frozenset(s) for n, s in post.items()}
+        if _adjacency is None:
+            pre = {n: set() for n in self.places | self.transitions}
+            post = {n: set() for n in self.places | self.transitions}
+            for a, b in self.flow:
+                post[a].add(b)
+                pre[b].add(a)
+            _adjacency = ({n: frozenset(s) for n, s in pre.items()},
+                          {n: frozenset(s) for n, s in post.items()})
+        self._pre, self._post = _adjacency
         # Set by verify_safety; downstream checkers refuse unverified nets.
         self.safety_verified = False
         self._components = None  # kept by flow_components
@@ -246,59 +253,82 @@ class OccurrenceNet(Net):
     relation query is a mask test.
     """
 
-    def __init__(self, places, transitions, flow, initial_marking, polarity):
-        super().__init__(places, transitions, flow, initial_marking, polarity)
-        outcome = self._compute_relations()
+    def __init__(self, places, transitions, flow, initial_marking, polarity, *,
+                 _adjacency=None, _order=None):
+        """``_adjacency`` is as for :class:`Net`; ``_order``, a proposed
+        topological order of the nodes, is kept if every arc goes forward
+        in it, and the nodes are sorted afresh otherwise."""
+        super().__init__(places, transitions, flow, initial_marking, polarity,
+                         _adjacency=_adjacency)
+        outcome = self._compute_relations(_order)
         if not outcome.passed:
             raise QpnError(f"not an occurrence net: {outcome.reason}")
 
-    def _compute_relations(self) -> CheckOutcome:
-        nodes = self.places | self.transitions
-        order = self._topological_order()
-        if order is None:
-            return CheckOutcome.fail("flow relation is cyclic")
-        branching = [c for c in self.places if len(self._pre[c]) > 1]
+    def _compute_relations(self, order=None) -> CheckOutcome:
+        closures = None if order is None else self._up_closures(order)
+        if closures is None:
+            order = self._topological_order()
+            if order is None:
+                return CheckOutcome.fail("flow relation is cyclic")
+        pre, post = self._pre, self._post
+        branching = [c for c in self.places if len(pre[c]) > 1]
         if branching:  # the flow is bipartite; name the least condition
             c = min(branching)
             return CheckOutcome.fail(f"backward branching at condition {c}", witness=c)
-        minimal = {n for n in nodes if not self._pre[n]}
-        min_places = minimal & self.places
-        if minimal - self.places:
+        empty = [e for e in self.transitions if not pre[e]]
+        if empty:
             # events with empty pre-set are formally allowed by some authors
             # but break the marking correspondence; reject them
-            return CheckOutcome.fail(
-                f"event with empty pre-set: {sorted(minimal - self.places)}")
+            return CheckOutcome.fail(f"event with empty pre-set: {sorted(empty)}")
+        min_places = {c for c in self.places if not pre[c]}
         if min_places != self.initial_marking:
             return CheckOutcome.fail(
                 "initial marking is not the set of minimal conditions",
                 expected=sorted(min_places), got=sorted(self.initial_marking))
 
-        self._order = order
-        bit = self._bit = {n: 1 << i for i, n in enumerate(order)}
+        bit, up = closures or self._up_closures(order)
+        self._order, self._bit = order, bit
         self._events = sum(bit[e] for e in self.transitions)
-        up = {}  # node -> itself and every node above it
-        for n in reversed(order):
-            up[n] = bit[n]
-            for s in self._post[n]:
-                up[n] |= up[s]
         # x # y iff distinct events e <= x, f <= y share a pre-condition:
         # an event conflicts with its rival consumers' up-closures, and
         # every node inherits the conflicts of the nodes below it
-        below, conflict = {}, {}
+        below, conflict, selfish = {}, {}, []
+        events = self.transitions
         for n in order:
-            below[n] = conflict[n] = 0
-            for p in self._pre[n]:
-                below[n] |= bit[p] | below[p]
-                conflict[n] |= conflict[p]
-                if n in self.transitions:
-                    for rival in self._post[p] - {n}:
-                        conflict[n] |= up[rival]
+            b = c = 0
+            for p in pre[n]:
+                b |= bit[p] | below[p]
+                c |= conflict[p]
+                if n in events:
+                    for rival in post[p]:
+                        if rival != n:
+                            c |= up[rival]
+            below[n], conflict[n] = b, c
+            if c & bit[n]:
+                selfish.append(n)
         self._below, self._conflict = below, conflict
-        selfish = [n for n in order if conflict[n] & bit[n]]
         if selfish:
             n = min(selfish)
             return CheckOutcome.fail(f"self-conflict at {n}", witness=n)
         return CheckOutcome.ok()
+
+    def _up_closures(self, order):
+        """(bit, up) over ``order``: each node's bit, and the mask of it and
+        every node above it; None unless ``order`` lists every node once
+        and every arc goes forward in it, which proves the flow acyclic."""
+        bit = {n: 1 << i for i, n in enumerate(order)}
+        if len(bit) != len(order) or bit.keys() != self._pre.keys():
+            return None
+        post, up = self._post, {}
+        try:
+            for n in reversed(order):
+                m = bit[n]
+                for s in post[n]:
+                    m |= up[s]  # a KeyError: the arc (n, s) goes backward
+                up[n] = m
+        except KeyError:
+            return None
+        return bit, up
 
     def _topological_order(self):
         nodes = self.places | self.transitions
@@ -382,8 +412,8 @@ def is_occurrence_net(net: Net) -> CheckOutcome:
 def as_occurrence_net(net: Net) -> OccurrenceNet:
     if isinstance(net, OccurrenceNet):
         return net
-    o = OccurrenceNet(net.places, net.transitions, net.flow,
-                      net.initial_marking, net.polarity)
+    o = OccurrenceNet(net.places, net.transitions, net.flow, net.initial_marking,
+                      net.polarity, _adjacency=(net._pre, net._post))
     o.safety_verified = net.safety_verified
     return o
 

@@ -2,9 +2,10 @@
 
 The unfolding replays a net's token game as an occurrence net in which
 every distinct causal way of firing a transition becomes its own event.
-Identities are content-derived — an event is (label, sorted pre-condition
-ids), a condition is (label, producing event, index) — so repeated runs
-and deepened budgets produce literally identical ids on the shared prefix.
+Identities are content-derived — an event ``t[c1|c2]`` is its label and
+sorted pre-condition ids, a condition ``e>p.i`` its producing event, label
+and index (``p.`` when initial) — so repeated runs and deepened budgets
+produce literally identical ids on the shared prefix.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 
 from .annotation import LocalAnnotation
-from .errors import SafetyUnverified
+from .errors import QpnError, SafetyUnverified
 from .nets import (
     Net,
     OccurrenceNet,
@@ -45,14 +46,6 @@ class BranchingProcess:
     exhausted: bool  # True if the budget cut off possible extensions
 
 
-def _cond_id(label: str, producer, index: int) -> str:
-    return f"{label}." if producer is None else f"{producer}>{label}.{index}"
-
-
-def _event_id(label: str, pre_ids) -> str:
-    return f"{label}[{'|'.join(sorted(pre_ids))}]"
-
-
 def unfold(net: Net, budget: UnfoldBudget = UnfoldBudget()) -> BranchingProcess:
     """Canonical prefix of the unfolding of a verified safe net.
 
@@ -65,71 +58,88 @@ def unfold(net: Net, budget: UnfoldBudget = UnfoldBudget()) -> BranchingProcess:
     picks one condition per pre-place, each inside the co-set of the picks
     before it.  An event's post-conditions are concurrent with one another
     and with every condition concurrent with its whole pre-set.
+
+    Each node's pre- and post-set is built when the node is created, and
+    creation order is topological; both are handed to the occurrence net.
     """
     if not net.safety_verified:
         raise SafetyUnverified("run verify_safety before unfolding")
+    causeless = [t for t in net.transitions if not net.pre(t)]
+    if causeless:  # its events would have an empty pre-set
+        raise QpnError(f"cannot unfold: transition {min(causeless)} has an empty pre-set")
 
     conds, co = [], []  # condition ids and co-set masks, by bit position
     at = {p: 0 for p in net.places}  # place -> mask of its conditions
-    label_place, label_event, flow = {}, {}, set()
+    label_place, label_event = {}, {}
+    order, flow, pre, post = [], [], {}, {}  # conditions' post-sets: lists until the end
 
-    def add_conditions(labelled, base):
-        """Create the (id, place) conditions, concurrent with ``base`` and
-        with one another; returns their mask."""
+    def add_conditions(ids, places, made_by, base):
+        """Create the conditions ``ids`` on ``places``, produced by the
+        events ``made_by`` and concurrent with ``base`` and with one
+        another; returns their mask."""
         first = len(conds)
-        mask = ((1 << len(labelled)) - 1) << first
-        for i, (c, p) in enumerate(labelled, first):
+        mask = ((1 << len(ids)) - 1) << first
+        for i, (c, p) in enumerate(zip(ids, places), first):
             conds.append(c)
             co.append(base | mask & ~(1 << i))
             label_place[c] = p
             at[p] |= 1 << i
+            pre[c], post[c] = made_by, []
+        order.extend(ids)
         return mask
 
     def co_sets(pools, allowed):
         """Tuples of one condition per pool mask, pairwise concurrent."""
-        if not pools:
-            yield ()
-            return
-        for i in bits(pools[0] & allowed):
-            for rest in co_sets(pools[1:], allowed & co[i]):
-                yield (i,) + rest
+        first = bits(pools[0] & allowed)
+        if len(pools) == 1:
+            return [(i,) for i in first]
+        return [(i,) + rest for i in first for rest in co_sets(pools[1:], allowed & co[i])]
 
     pre_places = {t: sorted(net.pre(t)) for t in net.transitions}
+    post_places = {t: sorted(net.post(t)) for t in net.transitions}
+    marked = sorted(net.initial_marking)
+    initial = [f"{p}." for p in marked]
+    new = add_conditions(initial, marked, frozenset(), 0)
     older = 0  # conditions of height below h - 1
-    new = add_conditions([(_cond_id(p, None, 0), p)
-                          for p in sorted(net.initial_marking)], 0)
-    initial = set(conds)
     for height in itertools.count(1):
         # the choices with a condition of height h - 1, each found once:
         # the k-th pick is the first such condition
-        candidates = [(t, (), ()) for t, ps in pre_places.items()
-                      if not ps and height == 1]
+        candidates = []
         for t, ps in pre_places.items():
             pools = [at[p] for p in ps]
             for k, pool in enumerate(pools):
                 split = [m & older for m in pools[:k]] + [pool & new] + pools[k + 1:]
-                candidates += [(t, tuple(sorted(conds[i] for i in pick)), pick)
+                candidates += [(t, tuple(sorted([conds[i] for i in pick])), pick)
                                for pick in co_sets(split, -1)]  # -1: every condition
         room = budget.max_events - len(label_event) if height <= budget.max_depth else 0
         exhausted = len(candidates) > room
         older, new = older | new, 0
-        for t, pre, pick in sorted(candidates)[:room]:
-            e = _event_id(t, pre)
+        for t, pre_ids, pick in sorted(candidates)[:room]:
+            e = f"{t}[{'|'.join(pre_ids)}]"
             label_event[e] = t
-            base = (1 << len(conds)) - 1
-            for i in pick:
+            order.append(e)
+            base = co[pick[0]]
+            for i in pick[1:]:
                 base &= co[i]
-            post = [(_cond_id(p, e, i), p) for i, p in enumerate(sorted(net.post(t)))]
-            mask = add_conditions(post, base)
+            ps = post_places[t]
+            post_ids = [f"{e}>{p}.{i}" for i, p in enumerate(ps)]
+            mask = add_conditions(post_ids, ps, frozenset((e,)), base)
             for i in bits(base):
                 co[i] |= mask
             new |= mask
-            flow |= {(c, e) for c in pre} | {(e, c) for c, _ in post}
+            pre[e], post[e] = frozenset(pre_ids), frozenset(post_ids)
+            for c in pre_ids:
+                post[c].append(e)
+            flow += [(c, e) for c in pre_ids]
+            flow += [(e, c) for c in post_ids]
         if exhausted or not candidates:
             break
 
-    polarity = {e: net.pol(t) for e, t in label_event.items()}
-    occ = OccurrenceNet(set(conds), set(label_event), flow, initial, polarity)
+    for c in conds:
+        post[c] = frozenset(post[c])
+    polarity = {e: net.polarity[t] for e, t in label_event.items()}
+    occ = OccurrenceNet(conds, label_event.keys(), flow, initial, polarity,
+                        _adjacency=(pre, post), _order=order)
     occ.safety_verified = True
     return BranchingProcess(occ, label_place, label_event, budget, exhausted)
 
@@ -155,29 +165,31 @@ def verify_branching_process(bp: BranchingProcess, net: Net) -> CheckOutcome:
     if bad:
         e, why = min(bad)
         return CheckOutcome.fail(f"event {e} {why}")
-    # clause 2: label restricted to pre/post-sets is a bijection
+    # clause 2: label restricted to pre/post-sets is a bijection; clause 4
+    # (no duplicated transitions) is read in the same pass, but reported
+    # after clause 3
     expected = {t: (sorted(net.pre(t)), sorted(net.post(t))) for t in net.transitions}
+    place_of = bp.label_place.__getitem__
+    first, duplicate = {}, None  # (label, pre-set) -> its least event
     for e in sorted(o.transitions):
-        pre, post = expected[bp.label_event[e]]
-        for side, here, there in (("pre", o.pre(e), pre), ("post", o.post(e), post)):
-            labels = sorted(bp.label_place[c] for c in here)
-            if labels != there:
-                return CheckOutcome.fail(
-                    f"{side}-set of {e} maps to {labels}, expected {there}", event=e)
+        t = bp.label_event[e]
+        got = sorted(map(place_of, o.pre(e))), sorted(map(place_of, o.post(e)))
+        want = expected[t]
+        if got != want:
+            side, i = ("pre", 0) if got[0] != want[0] else ("post", 1)
+            return CheckOutcome.fail(
+                f"{side}-set of {e} maps to {got[i]}, expected {want[i]}", event=e)
+        f = first.setdefault((t, o.pre(e)), e)
+        if f != e and duplicate is None:
+            duplicate = f"{f} and {e} duplicate {t} on the same pre-set"
     # clause 3: minimal conditions biject onto the initial marking
     labels = sorted(bp.label_place[c] for c in o.initial_marking)
     if labels != sorted(net.initial_marking):
         return CheckOutcome.fail(
             f"minimal conditions map to {labels}, expected "
             f"{sorted(net.initial_marking)}")
-    # clause 4: no duplicated transitions
-    seen = {}
-    for e in sorted(o.transitions):
-        key = (bp.label_event[e], tuple(sorted(o.pre(e))))
-        if key in seen:
-            return CheckOutcome.fail(
-                f"{seen[key]} and {e} duplicate {key[0]} on the same pre-set")
-        seen[key] = e
+    if duplicate:
+        return CheckOutcome.fail(duplicate)
     return CheckOutcome.ok(events=len(o.transitions), conditions=len(o.places))
 
 

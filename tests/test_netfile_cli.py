@@ -188,6 +188,33 @@ class TestWriter:
             '"places": [\n{"id": "p", "dim": 3}\n],\n"transitions": [],\n"flow": [],\n'
             '"initial_marking": []\n}\n')
 
+    def test_layout_bytes(self, tmp_path):
+        """A str body, a list body of several entries and of one entry,
+        and an empty list, through `_layout` and both writers."""
+        assert netfile._layout([('"a"', "1"), ('"b"', ["x", "y", "z"]), ('"c"', ["w"]),
+                                ('"d"', []), ('"e"', '"s"')]) == (
+            '{\n"a": 1,\n"b": [\nx,\ny,\nz\n],\n"c": [\nw\n],\n"d": [],\n"e": "s"\n}\n')
+        assert netfile._layout([('"d"', [])]) == '{\n"d": []\n}\n'
+        assert netfile._layout([]) == "{\n\n}\n"
+        report = tmp_path / "report.json"
+        netfile.save_report(report, {"passed": True, "instances": [{"min_eig": np.float64(0.5)},
+                                                                   {"min_eig": -0.0}],
+                                     "oracle": [], "tol": 1e-9})
+        assert report.read_text() == (
+            '{\n"passed": true,\n"instances": [\n{"min_eig": 0.5},\n{"min_eig": -0.0}\n],\n'
+            '"oracle": [],\n"tol": 1e-09\n}\n')
+        net = Net({"p", "q"}, {"t"}, {("p", "t"), ("t", "q")}, {"p"}, {"t": "+"})
+        ann = LocalAnnotation({"p": 1, "q": 2}, {"t": Channel(1, 2, (np.array([[1], [0]]),))},
+                              {"t": 2})
+        path = tmp_path / "net.json"
+        save_net(path, net, ann, {"k": [1]}, {"q": "out", "t": "out"})
+        assert path.read_text() == (
+            '{\n"format": "qpn-net",\n"version": 1,\n"metadata": {"k": [1]},\n'
+            '"places": [\n{"id": "p", "dim": 1},\n{"id": "q", "dim": 2, "label": "out"}\n],\n'
+            '"transitions": [\n{"id": "t", "polarity": "+", "h": 2, '
+            '"kraus": [[[[1.0, 0.0]], [[0.0, 0.0]]]], "label": "out"}\n],\n'
+            '"flow": [\n["p", "t"],\n["t", "q"]\n],\n"initial_marking": [\n"p"\n]\n}\n')
+
     def test_writes_without_the_document(self, tmp_path, monkeypatch):
         def no_document(*_):
             raise AssertionError("save_net built the document")
@@ -347,6 +374,35 @@ class TestCli:
         assert main([command, str(demo_path)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 10**400,
+                                     -10**400],
+                             ids=["nan", "inf", "-inf", "huge-int", "-huge-int"])
+    @pytest.mark.parametrize("command", ["check", "unfold"])
+    def test_kraus_entries_must_be_finite(self, demo_path, capsys, command, bad):
+        """NaN and Infinity (which Python's json reads) and integers past
+        the float range: the least such entry of the Kraus stack is named."""
+        doc = json.loads(demo_path.read_text())
+        kraus = doc["transitions"][1]["kraus"]
+        kraus.append(json.loads(json.dumps(kraus[0])))
+        kraus[1][0][0][0] = bad
+        kraus[0][1][1][1] = bad
+        demo_path.write_text(json.dumps(doc))
+        assert main([command, str(demo_path)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: transitions[1].kraus[0][1][1]: entry must be a finite float\n")
+
+    def test_unfold_refuses_a_transition_without_pre_places(self, tmp_path, capsys):
+        net = Net({"p", "q"}, {"a", "u", "t"}, {("p", "a"), ("a", "q")}, {"p"},
+                  dict.fromkeys("aut", "0"))
+        ann = LocalAnnotation({"p": 2, "q": 2}, {"a": Channel.identity(2),
+                                                 "u": Channel.identity(1),
+                                                 "t": Channel.identity(1)})
+        path = tmp_path / "lonely.json"
+        save_net(path, net, ann)
+        assert main(["unfold", str(path)]) == 1
+        assert capsys.readouterr() == (
+            "", "error: cannot unfold: transition t has an empty pre-set\n")
+
     def test_tiny_marking_bound_exits_three(self, tmp_path):
         tc = two_phase_cycle()
         path = tmp_path / "cycle.json"
@@ -476,7 +532,12 @@ class TestCli:
         ({"a": [[[1.5, 0], [0, 0]], [[0, 0], [-0.5, 0]]]},
          '["a"]: not positive semidefinite (min eigenvalue -5.000e-01)'),
         ({"a": [[1]]}, '["a"][0][0]: entry must be an [re, im] pair'),
-    ], ids=["unknown-event", "trace-two", "not-hermitian", "not-psd", "bad-entry"])
+        ({"a": [[[1, 0], [0, float("nan")]], [[0, float("inf")], [0, 0]]]},
+         '["a"][0][1]: entry must be a finite float'),
+        ({"a": [[[1, 0], [0, 0]], [[0, 0], [10**400, 0]]]},
+         '["a"][1][1]: entry must be a finite float'),
+    ], ids=["unknown-event", "trace-two", "not-hermitian", "not-psd", "bad-entry",
+            "not-finite", "huge-int"])
     def test_env_states_are_checked(self, demo_path, tmp_path, capsys, env, message):
         """Each --env key names a negative event of the interval and each
         value is a state; an error line starts with the file's path."""
@@ -499,13 +560,20 @@ class TestCli:
     ], ids=["prob", "sample"])
     def test_rho_must_be_a_state(self, demo_path, tmp_path, capsys, argv):
         """--rho holds a state: a trace-4 identity on the dim-4 marking p0
-        is a located error, not a probability of 2."""
+        is a located error, not a probability of 2, and so is a state with
+        an entry that is not finite."""
         side = tmp_path / "rho.json"
         side.write_text(json.dumps(matrix_to_json(np.eye(4))))
         assert main([argv[0], str(demo_path), *argv[1:], "--rho", str(side)]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: {side}: trace 4, expected 1\n"
         assert captured.out == ""
+        rho = matrix_to_json(np.eye(4) / 4)
+        rho[1][0][1] = -float("inf")
+        side.write_text(json.dumps(rho))
+        assert main([argv[0], str(demo_path), *argv[1:], "--rho", str(side)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {side}[1][0]: entry must be a finite float\n")
 
     def test_one_parser_per_process(self, demo_path, tmp_path, capsys, monkeypatch):
         src = str(pathlib.Path(qpn.__file__).parents[1])

@@ -241,11 +241,15 @@ def test_oracle_cross_checks_a_failing_net(tmp_path, capsys):
 
 @pytest.fixture
 def occurrence_net_builds(monkeypatch):
+    """The builds of occurrence nets, each as the sorted names of the
+    private parts it was handed: () from flat sets alone, ('_adjacency',)
+    from a net's pre- and post-sets, ('_adjacency', '_order') from the
+    unfolder."""
     calls = []
     init = OccurrenceNet.__init__
 
     def counting(self, *args, **kwargs):
-        calls.append(1)
+        calls.append(tuple(sorted(kwargs)))
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(OccurrenceNet, "__init__", counting)
@@ -258,13 +262,13 @@ def test_unfold_builds_one_occurrence_net(tmp_path, occurrence_net_builds):
     save_net(path, tc.net, tc.ann)
     assert main(["unfold", str(path), "--depth", "3",
                  "--out", str(tmp_path / "unf.json")]) == 0
-    assert len(occurrence_net_builds) == 1
+    assert occurrence_net_builds == [("_adjacency", "_order")]
 
 
 def test_is_local_qon_builds_one_occurrence_net(occurrence_net_builds):
     bd = branching_demo()
     assert is_local_qon(bd.net, bd.ann)
-    assert len(occurrence_net_builds) == 1
+    assert occurrence_net_builds == [("_adjacency",)]
 
 
 def _explores_once(tmp_path, monkeypatch, an):

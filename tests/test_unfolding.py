@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -12,9 +14,10 @@ from qpn.annotation import validate_signatures
 from qpn.checker import is_local_qon, is_qpn
 from qpn.compose import parallel
 from qpn.demo import branching_demo, two_phase_cycle
-from qpn.errors import SafetyUnverified
+from qpn.errors import QpnError, SafetyUnverified
 from qpn.nets import (
     Net,
+    OccurrenceNet,
     as_occurrence_net,
     causal_heights,
     enabled,
@@ -84,6 +87,16 @@ class TestUnfold:
         bp = unfold(tc.net, UnfoldBudget(50, 3))
         assert len(bp.occ.transitions) == 3
         assert bp.exhausted
+
+    def test_transition_without_pre_places_is_refused(self):
+        """Its events would have no causes: unfolding names the least such
+        transition before building anything."""
+        net = Net({"p", "q"}, {"a", "t", "s"}, {("p", "a"), ("a", "q")}, {"p"},
+                  dict.fromkeys("ats", "0"))
+        assert verify_safety(net)
+        with pytest.raises(QpnError) as exc:
+            unfold(net)
+        assert str(exc.value) == "cannot unfold: transition s has an empty pre-set"
 
 
 def _ring(n: int) -> Net:
@@ -160,6 +173,87 @@ class TestOracle:
             cut = unfold(net, UnfoldBudget(4, k))
             assert cut.occ.transitions == set(order[:k])
             assert cut.exhausted == (k < len(order) or full.exhausted)
+
+
+def _from_scratch(o: OccurrenceNet) -> OccurrenceNet:
+    """The occurrence net built afresh from the places, transitions and
+    flow of ``o``: pre- and post-sets derived, nodes sorted topologically."""
+    return OccurrenceNet(set(o.places), set(o.transitions), set(o.flow),
+                         set(o.initial_marking), dict(o.polarity))
+
+
+def _assert_same_occurrence_net(o: OccurrenceNet, ref: OccurrenceNet):
+    """Same nodes, pre- and post-sets, causality, conflict and initial
+    marking, every relation read through the queries over all node pairs."""
+    assert (o.places, o.transitions, o.flow) == (ref.places, ref.transitions, ref.flow)
+    assert o.initial_marking == ref.initial_marking
+    nodes = sorted(ref.places | ref.transitions)
+    assert [(o.pre(n), o.post(n)) for n in nodes] == [(ref.pre(n), ref.post(n))
+                                                      for n in nodes]
+    for relation in ("lt", "in_conflict"):
+        pairs = [{(a, b) for a in nodes for b in nodes if getattr(net, relation)(a, b)}
+                 for net in (o, ref)]
+        assert pairs[0] == pairs[1], relation
+
+
+def _handover_nets():
+    """(name, net, depth): TestOracle's nets, the benchmark's ring (three
+    places, a binary choice) at depths 12 to 15 and state-machine pairs."""
+    yield from _oracle_nets()
+    for depth in (12, 13, 14, 15):
+        yield "ring3", _ring(3), depth
+    rng = np.random.default_rng(23)
+    for i in range(4):
+        yield f"pair{i}", _pair(rng), 6
+
+
+class TestHandover:
+    """The unfolder hands the occurrence net its pre- and post-sets and its
+    creation order; the result is the net built from the flow alone."""
+
+    @pytest.mark.parametrize("net, depth", [pytest.param(net, d, id=f"{name}-d{d}")
+                                            for name, net, d in _handover_nets()])
+    def test_handed_net_is_the_net_built_from_scratch(self, net, depth):
+        o = unfold(net, UnfoldBudget(depth)).occ
+        _assert_same_occurrence_net(o, _from_scratch(o))
+
+    def test_handed_order_is_kept(self, monkeypatch):
+        def unused(self):
+            raise AssertionError("sorted the nodes afresh")
+
+        monkeypatch.setattr(OccurrenceNet, "_topological_order", unused)
+        o = unfold(_ring(3), UnfoldBudget(6)).occ
+        assert o._order[0] == "r0." and len(o._order) == len(o.places | o.transitions)
+
+    def test_an_order_that_is_not_topological_falls_back(self, monkeypatch):
+        o = unfold(_pair(np.random.default_rng(5)), UnfoldBudget(4)).occ
+        ref = _from_scratch(o)
+        order = list(o._order)
+        e = min(o.transitions, key=order.index)  # the first event: its causes precede it
+        bad = {"reversed": order[::-1], "short": order[:-1], "repeated": order + order[:1],
+               "stranger": order[:-1] + ["ghost"],
+               "event-first": [e] + [n for n in order if n != e]}
+        sorts = []
+        sort = OccurrenceNet._topological_order
+        monkeypatch.setattr(OccurrenceNet, "_topological_order",
+                            lambda self: sorts.append(1) or sort(self))
+        for name, proposed in bad.items():
+            got = OccurrenceNet(o.places, o.transitions, o.flow, o.initial_marking,
+                                o.polarity, _adjacency=(o._pre, o._post), _order=proposed)
+            _assert_same_occurrence_net(got, ref)
+            assert len(sorts) == 1, name
+            sorts.clear()
+
+    @pytest.mark.parametrize("adjacency", [False, True])
+    def test_a_cyclic_flow_fails_whatever_the_order(self, adjacency):
+        net = Net({"p", "q"}, {"t", "u"}, {("p", "t"), ("t", "q"), ("q", "u"), ("u", "p")},
+                  {"p"}, {"t": "0", "u": "0"})
+        for order in (None, ["p", "t", "q", "u"], ["q", "u", "p", "t"]):
+            with pytest.raises(QpnError) as exc:
+                OccurrenceNet(net.places, net.transitions, net.flow, net.initial_marking,
+                              net.polarity, _order=order,
+                              _adjacency=(net._pre, net._post) if adjacency else None)
+            assert str(exc.value) == "not an occurrence net: flow relation is cyclic"
 
 
 class TestVerifyBranchingProcess:
@@ -331,3 +425,22 @@ class TestQpnEquivalence:
             assert direct == unfolded
             agree += 1
         assert agree == 10
+
+    def test_bit_order_does_not_move_verdicts(self):
+        """A prefix with the unfolder's bit order (creation) and the same
+        prefix with a sorted one get the same verdict, reason and least
+        drop eigenvalue."""
+        rng = np.random.default_rng(13)
+        reordered = 0
+        for _ in range(10):
+            sm = random_state_machine(rng)
+            bp = unfold(sm.net, UnfoldBudget(4, 2000))
+            ann = transfer_annotation(bp, sm.ann)
+            scratch = _from_scratch(bp.occ)
+            reordered += scratch._order != bp.occ._order
+            handed, built = is_local_qon(bp.occ, ann), is_local_qon(scratch, ann)
+            assert (bool(handed), handed.reason) == (bool(built), built.reason)
+            if "report" in built.data:
+                assert math.isclose(handed.data["report"].worst, built.data["report"].worst,
+                                    rel_tol=0, abs_tol=1e-12)
+        assert reordered >= 5  # most prefixes are ordered differently
