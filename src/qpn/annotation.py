@@ -2,9 +2,11 @@
 
 An annotation assigns a Hilbert-space dimension to every place, a channel
 to every transition and a signal dimension to every non-neutral transition.
-Tensor factor order is always lexicographic on place id, with the signal
-factor last; that single convention is what makes independently computed
-operators comparable as matrices.
+A signal factor is named by its event's id, which no place shares.  Every
+channel's factors are laid out by `event_factors`: its sorted pre-set, then
+the signal of a negative event; its sorted post-set, then the signal of a
+positive event.  That single convention is what makes independently
+computed operators comparable as matrices.
 """
 
 from __future__ import annotations
@@ -46,6 +48,10 @@ class LocalAnnotation:
     def signal_dim(self, t) -> int:
         return self.h.get(t, 1)
 
+    def factor_dim(self, x) -> int:
+        """The dimension of a place, or of the signal named by the event x."""
+        return self.dims[x] if x in self.dims else self.signal_dim(x)
+
     def channel(self, t) -> Channel:
         return self.channels[t]
 
@@ -54,20 +60,22 @@ def space_dim(ann: LocalAnnotation, places) -> int:
     return math.prod(ann.dim(p) for p in places)
 
 
-def signature(net: Net, ann: LocalAnnotation, t):
-    """(dim_in, dim_out) the channel on transition t must have.
+def event_factors(net: Net, t):
+    """(ins, outs), the factors of the channel on transition t: the sorted
+    pre-set, then the signal t if t is negative; the sorted post-set, then
+    the signal t if t is positive."""
+    ins, outs, pol = sorted(net.pre(t)), sorted(net.post(t)), net.pol(t)
+    if pol == NEGATIVE:
+        ins.append(t)
+    elif pol == POSITIVE:
+        outs.append(t)
+    return ins, outs
 
-    Input: condition factors of the pre-set (sorted), then the signal
-    factor if t is negative.  Output: post-set factors, then the signal
-    factor if t is positive.
-    """
-    din = space_dim(ann, net.pre(t))
-    dout = space_dim(ann, net.post(t))
-    if net.pol(t) == NEGATIVE:
-        din *= ann.signal_dim(t)
-    elif net.pol(t) == POSITIVE:
-        dout *= ann.signal_dim(t)
-    return din, dout
+
+def signature(net: Net, ann: LocalAnnotation, t):
+    """(dim_in, dim_out) the channel on transition t must have."""
+    ins, outs = event_factors(net, t)
+    return math.prod(map(ann.factor_dim, ins)), math.prod(map(ann.factor_dim, outs))
 
 
 def validate_signatures(net: Net, ann: LocalAnnotation) -> CheckOutcome:
@@ -136,19 +144,16 @@ def check_local_obliviousness(net: Net, ann: LocalAnnotation) -> CheckOutcome:
 # --------------------------------------------------------------------------
 # interval operators
 
-# A wire is ("p", place) carrying dims[place], ("h-", event) carrying the
-# environment input of a negative event, or ("h+", event) carrying the
-# signal output of a positive event.
-
 
 class GlobalValuation:
     """Interval operators of an annotated occurrence net, with memoization.
 
     An interval's events fire through `thread` in its firing order
-    ``iv.events`` on the source marking's wires followed by the environment
-    inputs of its negative events; the result is put on the target
-    marking's wires followed by the signal outputs of its positive events.
-    Results are cached per (source marking, target marking) pair.
+    ``iv.events``, each on its `event_factors`.  The input is the sorted
+    source marking, then the signals of the negative events in id order;
+    the output is the sorted target marking, then the signals of the
+    positive events in id order.  Results are cached per (source marking,
+    target marking) pair.
     """
 
     def __init__(self, o: OccurrenceNet, ann: LocalAnnotation):
@@ -169,21 +174,9 @@ class GlobalValuation:
 
     def _evaluate(self, iv: MarkingInterval) -> Channel:
         o, ann = self.net, self.ann
-
-        def dim(wire):
-            kind, ident = wire
-            return ann.dim(ident) if kind == "p" else ann.signal_dim(ident)
-
-        def wires(places, events, pol):
-            """The sorted place wires, then the signal wires of those
-            ``events`` whose polarity is ``pol``."""
-            kind = "h-" if pol == NEGATIVE else "h+"
-            return ([("p", p) for p in sorted(places)]
-                    + [(kind, e) for e in events if o.pol(e) == pol])
-
-        steps = [(ann.channel(e), wires(o.pre(e), [e], NEGATIVE),
-                  wires(o.post(e), [e], POSITIVE))
-                 for e in iv.events]
         events = sorted(iv.sigma)
-        return thread(wires(iv.from_marking, events, NEGATIVE), steps,
-                      wires(iv.to_marking, events, POSITIVE), dim)
+        steps = [(ann.channel(e), *event_factors(o, e)) for e in iv.events]
+        return thread(sorted(iv.from_marking) + [e for e in events if o.pol(e) == NEGATIVE],
+                      steps,
+                      sorted(iv.to_marking) + [e for e in events if o.pol(e) == POSITIVE],
+                      ann.factor_dim)

@@ -51,7 +51,6 @@ from .errors import (
 )
 from .nets import (
     NEGATIVE,
-    POSITIVE,
     DEFAULT_MARKING_BOUND,
     Net,
     OccurrenceNet,
@@ -72,7 +71,6 @@ TOL_DROP_EQ = 1e-10
 
 DEFAULT_CLUSTER_CAP = 12
 DEFAULT_CONFIG_BOUND = 64
-DEFAULT_FAMILY_CAP = 4
 EIG_QUEUE_ENTRIES = 1 << 16  # the most entries (1 MiB) in one solved stack of >1 drop
 
 
@@ -121,18 +119,15 @@ def drop_effect(gv: GlobalValuation, x, ys) -> np.ndarray:
     return hermitize(total)
 
 
-def _compose_effect(chan: Channel, d_target: np.ndarray, h_dim: int) -> np.ndarray:
+def _compose_effect(chan: Channel, d_target: np.ndarray) -> np.ndarray:
     """Effect of [tr_{H} ⊗ d] ∘ Φ, where d acts on the condition factors of
-    the output of Φ and H gathers its trailing signal factors."""
+    the output of Φ and H gathers its trailing signal factors, the rest of
+    Φ's output dimension."""
     # Σ_k K†(d ⊗ I_H)K: the signal index of each K joins the Kraus index
     ks = chan.stack
-    ks = ks.reshape(len(ks), -1, h_dim, chan.dim_in).transpose(0, 2, 1, 3).reshape(
-        -1, d_target.shape[0], chan.dim_in)
+    ks = ks.reshape(len(ks), -1, chan.dim_out // len(d_target), chan.dim_in).transpose(
+        0, 2, 1, 3).reshape(-1, len(d_target), chan.dim_in)
     return (ks.conj().transpose(0, 2, 1) @ d_target @ ks).sum(0)
-
-
-def _positive_signal_dim(o: OccurrenceNet, ann: LocalAnnotation, events) -> int:
-    return math.prod(ann.signal_dim(e) for e in events if o.pol(e) == POSITIVE)
 
 
 def drop_inductive(gv: GlobalValuation, x, ys) -> np.ndarray:
@@ -155,8 +150,7 @@ def drop_inductive(gv: GlobalValuation, x, ys) -> np.ndarray:
     shifted = [y | yn for y in head if o.is_configuration(y | yn)]
     d_shift = drop_inductive(gv, yn, shifted)
     chan = gv.q(marking_of_configuration(o, x), marking_of_configuration(o, yn))
-    h = _positive_signal_dim(o, gv.ann, yn - x)
-    return hermitize(d_head - _compose_effect(chan, d_shift, h))
+    return hermitize(d_head - _compose_effect(chan, d_shift))
 
 
 def recursive_sum_check(gv: GlobalValuation, x, ys_head, yn, yn_big,
@@ -176,7 +170,7 @@ def recursive_sum_check(gv: GlobalValuation, x, ys_head, yn, yn_big,
     shifted = [y | yn for y in ys_head if o.is_configuration(y | yn)]
     d_shift = drop_effect(gv, yn, shifted + [yn_big])
     chan = gv.q(marking_of_configuration(o, x), marking_of_configuration(o, yn))
-    rhs = first + _compose_effect(chan, d_shift, _positive_signal_dim(o, gv.ann, yn - x))
+    rhs = first + _compose_effect(chan, d_shift)
     err = float(np.max(np.abs(lhs - rhs)))
     if err > tol * max(1, lhs.shape[0]):
         return CheckOutcome.fail(f"recursive-sum identity off by {err:.2e}", error=err)
@@ -222,8 +216,7 @@ def expand_drop(gv: GlobalValuation, x, ys):
         right = go(y_small, right_fam, wr)
         chan = gv.q(marking_of_configuration(o, base),
                     marking_of_configuration(o, y_small))
-        h = _positive_signal_dim(o, gv.ann, y_small - base)
-        return left + _compose_effect(chan, right, h)
+        return left + _compose_effect(chan, right)
 
     return hermitize(go(x, ys, weight(x, ys))), steps
 
@@ -467,9 +460,11 @@ def check_local_drop(net: Net, ann: LocalAnnotation,
 
 def brute_force_global_drop(o: OccurrenceNet, ann: LocalAnnotation,
                             config_bound: int = DEFAULT_CONFIG_BOUND,
+                            cluster_cap: int = DEFAULT_CLUSTER_CAP,
                             tol: float = TOL_PSD) -> DropReport:
     """Exhaustive drop positivity over all configurations and extension
-    families, evaluated through interval channels.
+    families of up to ``cluster_cap`` events, the largest cluster the local
+    check reads, evaluated through interval channels.
 
     This is the reference semantics the local check is measured against;
     it is exponential and only meant for small nets.
@@ -483,7 +478,7 @@ def brute_force_global_drop(o: OccurrenceNet, ann: LocalAnnotation,
         rows = part[xkey] = []
         exts = sorted(e for e in o.transitions - x
                       if o.pol(e) != NEGATIVE and o.enables(x, e))
-        for r in range(1, min(len(exts), DEFAULT_FAMILY_CAP) + 1):
+        for r in range(1, min(len(exts), cluster_cap) + 1):
             for combo in itertools.combinations(exts, r):
                 families += 1
                 lo = min_eigenvalue(drop_effect(gv, x, [x | {e} for e in combo]))

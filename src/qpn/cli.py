@@ -95,7 +95,8 @@ def cmd_check(args) -> int:
             print(f"FAIL oracle: input is not an occurrence net ({exc})")
             code = EXIT_CHECK_FAILED
         else:
-            brute = checker.brute_force_global_drop(o, ann, tol=args.tol_psd)
+            brute = checker.brute_force_global_drop(o, ann, cluster_cap=args.cluster_cap,
+                                                     tol=args.tol_psd)
             agree = brute.passed == report.passed
             print(f"{'PASS' if agree else 'FAIL'} oracle agreement: "
                   f"{'yes' if agree else 'no'} (brute={brute.passed}, "
@@ -169,23 +170,26 @@ def _parse_marking(s):
 
 
 def _initial_state(args, ann, m):
-    """The --rho state, or the maximally mixed state on marking m, whose
-    dimension is checked against the operator cap before it is built."""
+    """The --rho state on the space of marking m, or the maximally mixed
+    state there, whose dimension is checked against the operator cap
+    before it is built."""
+    dim = space_dim(ann, m)
     if args.rho:
         rho = netfile.matrix_from_json(netfile.read_json(args.rho), str(args.rho))
         netfile.require_finite(rho, str(args.rho))
-        why = _not_a_state(rho)
+        why = _not_a_state(rho, dim)
         if why:
             raise NetFileError(why, location=str(args.rho))
         return rho
-    dim = space_dim(ann, m)
     _check_total_dim(dim)
     return np.eye(dim, dtype=complex) / dim
 
 
-def _not_a_state(m):
-    """Why ``m`` is not a state (Hermitian, positive semidefinite, unit
-    trace) within TOL_PSD, or None."""
+def _not_a_state(m, dim):
+    """Why ``m`` is not a state (of shape dim × dim, Hermitian, positive
+    semidefinite, unit trace) within TOL_PSD, or None."""
+    if m.shape != (dim, dim):
+        return f"shape {m.shape}, expected {(dim, dim)}"
     if not is_hermitian(m, TOL_PSD):
         return "not a Hermitian matrix"
     lo = min_eigenvalue(m)
@@ -197,9 +201,9 @@ def _not_a_state(m):
     return None
 
 
-def _load_env(path, negatives):
-    """The --env file: a state per negative event of the interval, each
-    error located at the file and the event's key."""
+def _load_env(path, ann, negatives):
+    """The --env file: a state on the signal space of each negative event
+    of the interval, each error located at the file and the event's key."""
     doc = netfile.read_json(path)
     if not isinstance(doc, dict):
         raise NetFileError("must map negative event ids to matrices", location=str(path))
@@ -210,7 +214,7 @@ def _load_env(path, negatives):
             raise NetFileError("not a negative event of the interval", location=loc)
         env[e] = netfile.matrix_from_json(data, loc)
         netfile.require_finite(env[e], loc)
-        why = _not_a_state(env[e])
+        why = _not_a_state(env[e], ann.signal_dim(e))
         if why:
             raise NetFileError(why, location=loc)
     return env
@@ -227,7 +231,7 @@ def cmd_prob(args) -> int:
     rho = _initial_state(args, ann, m_from)
     negatives = {e for e in iv.sigma if o.pol(e) == NEGATIVE}
     if args.env:
-        env = _load_env(args.env, negatives)
+        env = _load_env(args.env, ann, negatives)
     else:
         policy = semantics.maximally_mixed_policy(ann)
         env = {e: policy(None, e) for e in negatives}

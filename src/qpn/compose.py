@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Channel, thread
-from .annotation import LocalAnnotation, space_dim, validate_signatures
+from .annotation import LocalAnnotation, event_factors, space_dim, validate_signatures
 from .checker import TOL_DROP_EQ, _drop_recurrence, _embedded_effect, single_extension_drop
 from .errors import (
     PolarityMismatch,
@@ -97,15 +97,11 @@ def _has_path(net: Net, src, dst) -> bool:
 
 def _joined_channel(net: Net, ann: LocalAnnotation, p, n) -> Channel:
     """Channel of the fused event: run the positive side, then feed its
-    signal into the negative side."""
-    signal = object()  # the signal factor; equal to no place id
-    pre_p, pre_n = sorted(net.pre(p)), sorted(net.pre(n))
-    post_p, post_n = sorted(net.post(p)), sorted(net.post(n))
-    h = ann.signal_dim(p)
-    steps = [(ann.channel(p), pre_p, post_p + [signal]),
-             (ann.channel(n), pre_n + [signal], post_n)]
-    return thread(sorted(pre_p + pre_n), steps, sorted(post_p + post_n),
-                  lambda w: h if w is signal else ann.dim(w))
+    signal, the factor named p, into the negative side."""
+    (pre_p, out_p), (in_n, post_n) = event_factors(net, p), event_factors(net, n)
+    pre_n = in_n[:-1]  # n's own signal is p's
+    steps = [(ann.channel(p), pre_p, out_p), (ann.channel(n), pre_n + [p], post_n)]
+    return thread(sorted(pre_p + pre_n), steps, sorted(out_p[:-1] + post_n), ann.factor_dim)
 
 
 def joined_id(p, n) -> str:

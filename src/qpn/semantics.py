@@ -16,11 +16,10 @@ import numpy as np
 
 from .algebra import (TOL_PSD, FactorPermutation, _check_total_dim, _kron, apply_leading,
                       as_matrix, partial_trace)
-from .annotation import LocalAnnotation, space_dim
+from .annotation import LocalAnnotation, event_factors, space_dim
 from .checker import _embedded_effect, single_extension_drop
 from .errors import DimensionMismatch, MissingEnvInput, NotAQpn, NotEnabled
-from .nets import (NEGATIVE, POSITIVE, MarkingInterval, Net, OccurrenceNet, fire, is_clique,
-                   marking_clusters)
+from .nets import NEGATIVE, MarkingInterval, Net, OccurrenceNet, fire, is_clique, marking_clusters
 from .outcome import CheckOutcome
 
 # Branches with probability below this are treated as impossible.
@@ -135,19 +134,18 @@ _Step = namedtuple("_Step", "env cluster pre perm dims effects order firings",
 
 def _firing(net: Net, ann: LocalAnnotation, order, e) -> tuple:
     """Plan firing e on a state on the places listed in ``order``, as
-    (perm, traced, new order): perm brings e's sorted pre-places in front
-    of the rest, with a negative event's environment factor (named e)
-    between them, or is None if they lead; traced are the [post, signal,
-    rest] dims of a positive event's output; the new order is [post, rest]."""
-    front, pol, h = net.pre(e), net.pol(e), ann.signal_dim(e)
-    pre, rest = sorted(front), [p for p in order if p not in front]
-    now, want = order, tuple(pre + rest)
-    if pol == NEGATIVE:
-        now, want = (*order, e), (*pre, e, *rest)  # e is no place id
+    (perm, traced, new order), from e's `event_factors`: perm brings e's
+    inputs in front of the rest, where a negative event's environment
+    factor joins the state last, or is None if they lead; traced are the
+    [post, signal, rest] dims of a positive event's output; the new order
+    is [post, rest]."""
+    (ins, outs), pre, h = event_factors(net, e), net.pre(e), ann.signal_dim(e)
+    rest = [p for p in order if p not in pre]
+    now, want = (*order, *ins[len(pre):]), tuple(ins + rest)
     perm = None if now == want else FactorPermutation.between(
         now, want, lambda x: h if x == e else ann.dim(x))
-    post = sorted(net.post(e))
-    traced = [space_dim(ann, post), h, space_dim(ann, rest)] if pol == POSITIVE else None
+    post = outs[:len(net.post(e))]
+    traced = [space_dim(ann, post), h, space_dim(ann, rest)] if outs != post else None
     return perm, traced, tuple(post + rest)
 
 

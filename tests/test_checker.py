@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gen import clique_net, random_cptni, random_occurrence_annotated
-from qpn import checker
+from qpn import checker, cli
 from qpn.algebra import Channel, effect, min_eigenvalue
 from qpn.annotation import GlobalValuation, LocalAnnotation
 from qpn.checker import (
@@ -41,6 +41,7 @@ from qpn.nets import (
     marking_of_configuration,
     verify_safety,
 )
+from qpn.netfile import save_net
 
 
 def demo_parts(scaled=True):
@@ -249,8 +250,8 @@ class TestDropIdentities:
         # shifted drop, so drop_inductive and expand_drop go wrong, and the
         # identity that guards them fails
         compose_effect = checker._compose_effect
-        monkeypatch.setattr(checker, "_compose_effect", lambda chan, d, h: compose_effect(
-            chan, np.eye(d.shape[0], dtype=complex), h))
+        monkeypatch.setattr(checker, "_compose_effect", lambda chan, d: compose_effect(
+            chan, np.eye(d.shape[0], dtype=complex)))
         bd = branching_demo()
         o = as_occurrence_net(bd.net)
         gv = GlobalValuation(o, bd.ann)
@@ -277,7 +278,7 @@ class TestDropIdentities:
         d = a + a.conj().T
         op = np.kron(d, np.eye(h))
         want = sum(k.conj().T @ op @ k for k in chan.kraus)
-        np.testing.assert_allclose(_compose_effect(chan, d, h), want, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(_compose_effect(chan, d), want, rtol=1e-12, atol=1e-12)
 
 
 class TestClusterFactorization:
@@ -494,6 +495,17 @@ class TestBruteForceOracle:
             assert brute.passed == local.passed
             agreements += 1
         assert agreements == 25
+
+    def test_cli_oracle_agrees_on_the_chain_of_six(self, tmp_path, capsys):
+        """The chain of 6 first fails on its whole cluster of six events, so
+        an oracle that stopped short of the cluster cap would pass it."""
+        net, ann = TestLocalDrop._chain(6)
+        path = tmp_path / "chain6.json"
+        save_net(path, net, ann)
+        assert cli.main(["check", str(path), "--oracle"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2].startswith("FAIL drop")
+        assert lines[-1] == "PASS oracle agreement: yes (brute=False, local=False)"
 
     def test_config_bound(self):
         x = clique_net(None, 3, dim=1)

@@ -139,8 +139,8 @@ class TestSingleJoin:
         assert channels_close(_joined_channel(net, ann, "p", "n"), Channel(12, 24, tuple(kraus)))
 
     def test_a_place_named_H_joins(self):
-        # •n = {H}: the signal factor is a fresh object, so no place id
-        # aliases it
+        # •n = {H}: the signal factor is named by its event's id, p, which
+        # no place id shares, so the place H does not alias it
         dims = {"u": 2, "v": 1, "H": 3, "d": 6}
         pol = {"p": "+", "n": "-"}
         net = Net(set(dims), set(pol), {("u", "p"), ("p", "v"), ("H", "n"), ("n", "d")},

@@ -3,8 +3,11 @@
 Every operator on a marking orders its factors lexicographically by place
 id, signal factors last by event id.  Renaming the places so that this
 order reverses, and optionally the transitions too, must leave verdicts,
-worst drop eigenvalues, run probabilities and sampled runs unchanged.
-A parallel composition is a QPN exactly when both of its parts are.
+worst drop eigenvalues, run probabilities, interval channels, joins and
+sampled runs unchanged.  Signal factors stay last even when every event
+id sorts before every place id: code that sorted a whole factor list by
+id would put them first there.  A parallel composition is a QPN exactly
+when both of its parts are.
 """
 
 import itertools
@@ -14,15 +17,16 @@ import pytest
 
 from gen import (
     clique_net,
+    joinable_net,
     racy_net,
     random_density,
     random_occurrence_annotated,
     random_state_machine,
 )
-from qpn.algebra import Channel, FactorPermutation
-from qpn.annotation import LocalAnnotation
+from qpn.algebra import Channel, FactorPermutation, apply, channels_close
+from qpn.annotation import GlobalValuation, LocalAnnotation
 from qpn.checker import check_local_drop, is_qpn
-from qpn.compose import AnnotatedNet, parallel
+from qpn.compose import AnnotatedNet, JoinSpec, drop_preserving_join, joined_id, parallel
 from qpn.demo import branching_demo, two_phase_cycle
 from qpn.nets import (
     NEGATIVE,
@@ -48,16 +52,18 @@ def carry(ann: LocalAnnotation, ids, ren, signal: int = 1) -> np.ndarray:
     return FactorPermutation(dims, tuple(order)).matrix()
 
 
-def rename(an: AnnotatedNet, reverse_events: bool):
+def rename(an: AnnotatedNet, reverse_events: bool, events_first: bool = False):
     """Copy of ``an`` whose place order is reversed; transition order is
-    reversed too if ``reverse_events``, kept otherwise.  Each channel is
-    carried to the new order of its pre- and post-set factors.  Returns the
-    copy and the id map."""
+    reversed too if ``reverse_events``, kept otherwise.  Every event id
+    sorts after every place id, or before it if ``events_first``.  Each
+    channel is carried to the new order of its pre- and post-set factors.
+    Returns the copy and the id map."""
     net, ann = an.net, an.ann
     places = sorted(net.places)
     events = sorted(net.transitions)
     ren = {p: f"p{len(places) - 1 - i:03d}" for i, p in enumerate(places)}
-    ren |= {t: f"t{len(events) - 1 - i if reverse_events else i:03d}"
+    tag = "e" if events_first else "t"
+    ren |= {t: f"{tag}{len(events) - 1 - i if reverse_events else i:03d}"
             for i, t in enumerate(events)}
     out = type(net)({ren[p] for p in net.places}, {ren[t] for t in net.transitions},
                     {(ren[a], ren[b]) for a, b in net.flow},
@@ -102,27 +108,31 @@ def cases():
 
 
 CASES = cases()
+OCCURRENCE_CASES = [c for c in CASES if isinstance(c[1].net, OccurrenceNet)]
+
+# rename's (reverse_events, events_first), by test id: "False" and "True"
+# keep events after places and give reverse_events
+RENAMINGS = {"False": (False, False), "True": (True, False), "events-first": (True, True)}
 
 
 def _same(a: float, b: float) -> bool:
     return a == b or abs(a - b) <= TOL
 
 
-@pytest.mark.parametrize("reverse_events", [False, True])
+@pytest.mark.parametrize("renaming", RENAMINGS.values(), ids=RENAMINGS)
 @pytest.mark.parametrize("name,an", CASES, ids=[c[0] for c in CASES])
-def test_verdict_and_worst_drop_survive_renaming(name, an, reverse_events):
-    ren_an, _ = rename(an, reverse_events)
+def test_verdict_and_worst_drop_survive_renaming(name, an, renaming):
+    ren_an, _ = rename(an, *renaming)
     assert bool(is_qpn(an.net, an.ann)) == bool(is_qpn(ren_an.net, ren_an.ann))
     assert _same(check_local_drop(an.net, an.ann).worst,
                  check_local_drop(ren_an.net, ren_an.ann).worst)
 
 
-@pytest.mark.parametrize("reverse_events", [False, True])
-@pytest.mark.parametrize("name,an", [c for c in CASES if isinstance(c[1].net, OccurrenceNet)],
-                         ids=[c[0] for c in CASES if isinstance(c[1].net, OccurrenceNet)])
-def test_run_probability_survives_renaming(name, an, reverse_events):
+@pytest.mark.parametrize("renaming", RENAMINGS.values(), ids=RENAMINGS)
+@pytest.mark.parametrize("name,an", OCCURRENCE_CASES, ids=[c[0] for c in OCCURRENCE_CASES])
+def test_run_probability_survives_renaming(name, an, renaming):
     o, ann = an.net, an.ann
-    ren_an, ren = rename(an, reverse_events)
+    ren_an, ren = rename(an, *renaming)
     rng = np.random.default_rng(7)
     x = maximal_configuration(o)
     m0 = o.initial_marking
@@ -144,17 +154,81 @@ def test_run_probability_survives_renaming(name, an, reverse_events):
 def test_sampled_run_survives_renaming(name, an):
     # The sampler spends its random draws in event-id order, so only a
     # renaming that keeps that order can replay the same run.
-    ren_an, ren = rename(an, reverse_events=False)
     ann, m0 = an.ann, an.net.initial_marking
     rho = random_density(np.random.default_rng(3), int(np.prod([ann.dim(p) for p in m0])))
-    ren_rho = renamed_state(ann, m0, ren, rho)
-    for seed in range(5):
-        want = sample_execution(an.net, ann, rho, seed=seed, max_steps=40)
-        got = sample_execution(ren_an.net, ren_an.ann, ren_rho, seed=seed, max_steps=40)
-        assert [ren.get(r["event"], r["event"]) for r in want.log] == \
-            [r["event"] for r in got.log]
-        assert got.halted == want.halted
-        assert got.marking == {ren[p] for p in want.marking}
+    for events_first in (False, True):
+        ren_an, ren = rename(an, False, events_first)
+        ren_rho = renamed_state(ann, m0, ren, rho)
+        for seed in range(5):
+            want = sample_execution(an.net, ann, rho, seed=seed, max_steps=40)
+            got = sample_execution(ren_an.net, ren_an.ann, ren_rho, seed=seed, max_steps=40)
+            assert [ren.get(r["event"], r["event"]) for r in want.log] == \
+                [r["event"] for r in got.log]
+            assert got.halted == want.halted
+            assert got.marking == {ren[p] for p in want.marking}
+
+
+def carry_layout(ann: LocalAnnotation, o: OccurrenceNet, marking, events, pol, ren):
+    """The unitary taking one side of an interval's factors (the sorted
+    marking, then the signals of the ``events`` of polarity ``pol`` in id
+    order) to the same layout of the renamed ids."""
+    signals = [e for e in events if o.pol(e) == pol]
+    now = sorted(marking) + sorted(signals)
+    want = sorted(ren[p] for p in marking) + sorted(ren[e] for e in signals)
+    dim = {ren[x]: ann.factor_dim(x) for x in now}
+    return FactorPermutation.between([ren[x] for x in now], want, dim.__getitem__).matrix()
+
+
+def interval_pairs(o: OccurrenceNet):
+    """Every (x, y) pair of configurations with x ⊊ y, in a fixed order."""
+    configs = sorted(o.all_configurations(64), key=lambda x: (len(x), sorted(x)))
+    return [(x, y) for x in configs for y in configs if x < y]
+
+
+@pytest.mark.parametrize("renaming", RENAMINGS.values(), ids=RENAMINGS)
+@pytest.mark.parametrize("name,an", OCCURRENCE_CASES, ids=[c[0] for c in OCCURRENCE_CASES])
+def test_interval_channels_survive_renaming(name, an, renaming):
+    """Q[m; m2] on the renamed net is Q[m; m2] carried to its layout: the
+    sorted marking, then the signals of the interval's negative (input) or
+    positive (output) events by renamed id.  The channels reach 96-dim
+    inputs, past what `channels_close` reads on every matrix unit in
+    time, so they are compared on a random input, where two channels
+    that differ differ almost surely."""
+    o, ann = an.net, an.ann
+    ren_an, ren = rename(an, *renaming)
+    gv, ren_gv = GlobalValuation(o, ann), GlobalValuation(ren_an.net, ren_an.ann)
+    rng = np.random.default_rng(11)
+    pairs = interval_pairs(o)
+    assert pairs
+    for x, y in pairs:
+        m, m2 = marking_of_configuration(o, x), marking_of_configuration(o, y)
+        q = gv.q(m, m2)
+        u_in = carry_layout(ann, o, m, y - x, NEGATIVE, ren)
+        u_out = carry_layout(ann, o, m2, y - x, POSITIVE, ren)
+        got = ren_gv.q({ren[p] for p in m}, {ren[p] for p in m2})
+        a = rng.normal(size=(q.dim_in,) * 2) + 1j * rng.normal(size=(q.dim_in,) * 2)
+        np.testing.assert_allclose(apply(got, u_in @ a @ u_in.T), u_out @ apply(q, a) @ u_out.T,
+                                   rtol=0, atol=1e-10, err_msg=str((sorted(x), sorted(y))))
+
+
+@pytest.mark.parametrize("renaming", RENAMINGS.values(), ids=RENAMINGS)
+@pytest.mark.parametrize("conflicts, pairs", [
+    (False, (("p1", "n1"),)), (True, (("p1", "n1"), ("p2", "n2")))], ids=["one", "cluster"])
+def test_join_survives_renaming(conflicts, pairs, renaming):
+    """A drop-preserving join of the renamed net is the renamed join: each
+    joined channel is the original one carried to the renamed pre- and
+    post-set order, and the verdict is the same."""
+    an = joinable_net(None, conflicts, conflicts)
+    ren_an, ren = rename(an, *renaming)
+    joined = drop_preserving_join(an, JoinSpec(pairs))
+    ren_joined = drop_preserving_join(ren_an, JoinSpec(tuple((ren[p], ren[n]) for p, n in pairs)))
+    assert bool(is_qpn(joined.net, joined.ann)) == bool(is_qpn(ren_joined.net, ren_joined.ann))
+    for p, n in pairs:
+        j = joined_id(p, n)
+        u_in, u_out = carry(an.ann, joined.net.pre(j), ren), carry(an.ann, joined.net.post(j), ren)
+        c = joined.ann.channel(j)
+        want = Channel(c.dim_in, c.dim_out, tuple(u_out @ k @ u_in.T for k in c.kraus))
+        assert channels_close(want, ren_joined.ann.channel(joined_id(ren[p], ren[n])))
 
 
 def test_parallel_verdict_is_the_conjunction():

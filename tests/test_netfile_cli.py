@@ -575,6 +575,23 @@ class TestCli:
         assert capsys.readouterr() == (
             "", f"error: {side}[1][0]: entry must be a finite float\n")
 
+    @pytest.mark.parametrize("argv, option, content, message", [
+        (["prob", "--from", "p0", "--to", "p2,p4"], "--rho", matrix_to_json(np.eye(2) / 2),
+         ": shape (2, 2), expected (4, 4)"),
+        (["sample", "--runs", "1"], "--rho", matrix_to_json(np.eye(2) / 2),
+         ": shape (2, 2), expected (4, 4)"),
+        (["prob", "--from", "p0", "--to", "p2,p4"], "--env", {"a": matrix_to_json(np.eye(4) / 4)},
+         '["a"]: shape (4, 4), expected (2, 2)'),
+    ], ids=["prob-rho", "sample-rho", "prob-env"])
+    def test_wrong_size_states_are_located(self, demo_path, tmp_path, capsys,
+                                           argv, option, content, message):
+        """A state of the wrong size for its marking or signal space is a
+        located error with exit code 2, like any other malformed state."""
+        side = tmp_path / "side.json"
+        side.write_text(json.dumps(content))
+        assert main([argv[0], str(demo_path), *argv[1:], option, str(side)]) == 2
+        assert capsys.readouterr() == ("", f"error: {side}{message}\n")
+
     def test_one_parser_per_process(self, demo_path, tmp_path, capsys, monkeypatch):
         src = str(pathlib.Path(qpn.__file__).parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
