@@ -46,7 +46,6 @@ from .errors import (
     NegativeEventInCluster,
     NotAClique,
     NotEnabled,
-    QpnError,
     SafetyUnverified,
 )
 from .nets import (
@@ -58,10 +57,10 @@ from .nets import (
     flow_components,
     is_clique,
     is_occurrence_net,
+    least_witness,
     marking_clusters,
     marking_of_configuration,
     race_free,
-    reachable_markings,
     verify_safety,
 )
 from .outcome import CheckOutcome
@@ -348,25 +347,16 @@ class DropReport:
             self._instances = out
         return self._instances
 
-    def failures(self):
-        return [r for r in self.instances if not r.passed]
-
     def first_failure(self):
-        """failures()[0], or None, from one pass over the product markings
-        that reads only the parts' failures."""
-        least = [{k: min(bad, key=lambda r: r.key) for k, rs in part.items()
-                  if (bad := [r for r in rs if not r.passed])} for part in self.parts]
-        if not any(least):
+        """The first failing instance, or None: at the :func:`least_witness`
+        of the parts' failures, its least failing family."""
+        found = least_witness(self.parts, [
+            {k: min(bad) for k, rs in part.items()
+             if (bad := [(r.key[1], r) for r in rs if not r.passed])} for part in self.parts])
+        if found is None:
             return None
-        best = None
-        for combo in itertools.product(*(part.keys() for part in self.parts)):
-            fails = [lf[k] for lf, k in zip(least, combo) if k in lf]
-            if fails:
-                m = tuple(sorted(itertools.chain.from_iterable(combo)))
-                if best is None or m < best[0]:
-                    best = m, min(fails, key=lambda r: r.key[1])
-        m, r = best
-        return DropInstanceResult((m, r.key[1]), r.method, r.min_eig, r.passed)
+        m, (fam, r) = found
+        return DropInstanceResult((m, fam), r.method, r.min_eig, r.passed)
 
     def to_dict(self):
         return {"passed": self.passed, "tol": self.tol, "stats": self.stats,
@@ -389,9 +379,9 @@ def check_local_drop(net: Net, ann: LocalAnnotation,
     Events share pre-places only within a flow component, so the clusters
     at a marking of the net are those of its components' markings: each
     component is checked on its own markings, and the report keeps the
-    results per component.  Should a component raise, the whole net's
-    markings are checked in order, so that the error is the one met first
-    there.
+    results per component.  A cluster over the cap is an error, raised at
+    the :func:`least_witness` of the parts' first such clusters once every
+    queued drop is solved, so a drop that is not Hermitian is raised first.
     """
     if not net.safety_verified:
         raise SafetyUnverified("run verify_safety before checking the drop condition")
@@ -405,17 +395,17 @@ def check_local_drop(net: Net, ann: LocalAnnotation,
             fams[fam] = float(lo) if lo == lo else min_eigenvalue(d)  # NaN: it raises
 
     def check(transitions, markings):
-        """({sorted marking: [(method, families)]}, clusters, clique clusters) of one part."""
-        part, clusters, cliques = {}, 0, 0
+        """({sorted marking: [(method, families)]}, clusters, clique clusters,
+        {sorted marking: its first cluster over the cap}) of one part."""
+        part, clusters, cliques, over = {}, 0, 0, {}
         for m in sorted(markings, key=sorted):
             rows = part[tuple(sorted(m))] = []
             for cluster in marking_clusters(net, m, transitions):
                 clusters += 1
                 cl = tuple(sorted(cluster))
                 if len(cl) > cluster_cap:
-                    raise BoundExceeded(
-                        f"cluster of {len(cl)} events at marking {sorted(m)} "
-                        f"exceeds cap {cluster_cap}")
+                    over.setdefault(tuple(sorted(m)), cl)
+                    continue
                 if cl not in evaluated:
                     clique = len(cl) > 1 and is_clique(net, cl)
                     fams = dict.fromkeys([cl] if clique else [
@@ -431,29 +421,25 @@ def check_local_drop(net: Net, ann: LocalAnnotation,
                             solve(len(drop))
                 rows.append(evaluated[cl])
                 cliques += rows[-1][0] == "clique"
-        return part, clusters, cliques
+        return part, clusters, cliques, over
 
-    comps = flow_components(net)
-    markings = component_markings(net, marking_bound)
-    try:
-        checked = [check(ts, ms) for (_, ts), ms in zip(comps, markings)]
-    except QpnError:
-        if len(comps) == 1:
-            raise
-        evaluated, queues = {}, {}  # checked afresh in the whole net's order
-        checked = [check(None, reachable_markings(net, marking_bound))]
-    finally:  # a queued drop that is not Hermitian is an error met before any other
-        for n in list(queues):
-            solve(n)
+    checked = [check(ts, ms) for (_, ts), ms in
+               zip(flow_components(net), component_markings(net, marking_bound))]
+    for n in list(queues):
+        solve(n)
+    if over := least_witness([part for part, *_ in checked], [o for *_, o in checked]):
+        m, cl = over
+        raise BoundExceeded(f"cluster of {len(cl)} events at marking {list(m)} "
+                            f"exceeds cap {cluster_cap}")
     parts = [{mkey: [DropInstanceResult((mkey, fam), method, lo, lo >= -tol)
                      for method, fams in rows for fam, lo in fams.items()]
-              for mkey, rows in part.items()} for part, _, _ in checked]
+              for mkey, rows in part.items()} for part, *_ in checked]
     total = math.prod(map(len, parts))
     scale = [total // len(part) for part in parts]
     stats = {"markings": total,
-             "clusters": sum(n * c for n, (_, c, _) in zip(scale, checked)),
+             "clusters": sum(n * c for n, (_, c, _, _) in zip(scale, checked)),
              "clusters_evaluated": len(evaluated),
-             "clique_fast_paths": sum(n * k for n, (_, _, k) in zip(scale, checked)),
+             "clique_fast_paths": sum(n * k for n, (_, _, k, _) in zip(scale, checked)),
              "eigen_solves": sum(calls), "eigen_calls": len(calls)}
     return DropReport(parts, stats, tol)
 

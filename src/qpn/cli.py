@@ -16,7 +16,7 @@ from . import checker, netfile, semantics
 from .algebra import TOL_PSD, _check_total_dim, is_hermitian, min_eigenvalue
 from .annotation import space_dim
 from .compose import AnnotatedNet, drop_preserving_join, parallel, validate_drop_preserving
-from .errors import BoundExceeded, NetFileError, QpnError
+from .errors import BoundExceeded, NetFileError, NotReachableFrom, QpnError, Unreachable
 from .nets import (DEFAULT_MARKING_BOUND, NEGATIVE, as_occurrence_net, interval, to_dot,
                    verify_safety)
 from .outcome import CheckOutcome
@@ -225,9 +225,12 @@ def cmd_prob(args) -> int:
     if code:
         return code
     o = as_occurrence_net(net)
-    m_from = _parse_marking(args.from_marking)
-    m_to = _parse_marking(args.to_marking)
-    iv = interval(o, m_from, m_to)
+    m_from, m_to = _parse_marking(args.from_marking), _parse_marking(args.to_marking)
+    for option, m in (("--from", m_from), ("--to", m_to)):  # [m_from; m_from] tests m_from
+        try:
+            iv = interval(o, m_from, m)
+        except (Unreachable, NotReachableFrom) as exc:  # an input fault at its option
+            raise NetFileError(str(exc), location=option) from None
     rho = _initial_state(args, ann, m_from)
     negatives = {e for e in iv.sigma if o.pol(e) == NEGATIVE}
     if args.env:
@@ -268,13 +271,21 @@ def non_negative_int(text) -> int:
     return n
 
 
+def non_negative_float(text) -> float:
+    """An option's tolerance: a finite float, never negative (else a usage error)."""
+    x = float(text)
+    if not 0 <= x < np.inf:
+        raise ValueError(text)
+    return x
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="qpn",
                                   description="verify quantum-annotated Petri nets")
     sub = top.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--marking-bound", type=int, default=DEFAULT_MARKING_BOUND)
+        p.add_argument("--marking-bound", type=non_negative_int, default=DEFAULT_MARKING_BOUND)
 
     p = sub.add_parser("validate", help="the verdict stages up to CPTNI")
     p.add_argument("path")
@@ -289,8 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", help="write a JSON report here")
     common(p)
     # read only by the drop stage
-    p.add_argument("--tol-psd", type=float, default=checker.TOL_PSD)
-    p.add_argument("--cluster-cap", type=int, default=checker.DEFAULT_CLUSTER_CAP)
+    p.add_argument("--tol-psd", type=non_negative_float, default=checker.TOL_PSD)
+    p.add_argument("--cluster-cap", type=non_negative_int, default=checker.DEFAULT_CLUSTER_CAP)
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("unfold", help="depth-bounded unfolding")

@@ -218,6 +218,31 @@ def reachable_markings(net: Net, bound: int = DEFAULT_MARKING_BOUND) -> frozense
     return frozenset(frozenset().union(*ms) for ms in itertools.product(*parts))
 
 
+def least_witness(parts, bad):
+    """(the least sorted union of one marking per part in which some part's
+    marking is bad, the least bad value there), or None if none is bad.
+    ``parts`` hold sorted place tuples, no place in two, and bad[i] maps
+    part i's bad markings to comparable values.  The product is never
+    walked: with each part that has bad markings restricted to them in
+    turn, the union is built place by place.  It ends once every part keeps
+    a marking with no places left, and else takes the least next place any
+    kept marking offers.  (Each part's least marking will not do: (a) <
+    (a, c), but beside (d) they give (a, d) > (a, c, d).)"""
+    found = []
+    for i in (i for i, b in enumerate(bad) if b):
+        kept = [list(bad[i] if j == i else ms) for j, ms in enumerate(parts)]
+        at, union = [0] * len(parts), []  # places of the union in each part
+        while not all(any(len(m) == n for m in ms) for ms, n in zip(kept, at)):
+            x = min(m[n] for ms, n in zip(kept, at) for m in ms if len(m) > n)
+            for j, (ms, n) in enumerate(zip(kept, at)):
+                if offers := [m for m in ms if len(m) > n and m[n] == x]:
+                    kept[j], at[j] = offers, n + 1
+            union.append(x)
+        found.append((tuple(union), min(b[m] for b, ms, n in zip(bad, kept, at)
+                                        for m in ms if len(m) == n and m in b)))
+    return min(found, key=lambda f: f[0], default=None)
+
+
 def verify_safety(net: Net, bound: int = DEFAULT_MARKING_BOUND) -> CheckOutcome:
     """Bounded exhaustive safety exploration, per flow component; marks the
     net verified on pass.  ``markings`` counts the whole net's markings."""

@@ -455,14 +455,17 @@ class TestLocalDrop:
         assert report.stats["eigen_calls"] == len(stacks)
         assert report.stats["eigen_solves"] == sum(k for k, _, _ in stacks) == 114
 
-    @pytest.mark.parametrize("cap", [3, 4])
-    def test_a_skewed_drop_is_the_error_met_first(self, cap):
-        """At marking {p} event a's drop is not Hermitian; at the later
-        marking {q} a cluster of four meets a cap of 3.  The queued drop is
-        solved before the cap error leaves, so the error is a's, the one
-        met first, with or without the later one."""
+    @pytest.mark.parametrize("cap, cap_first", [(3, False), (4, False), (3, True)],
+                             ids=["3", "4", "cap-first"])
+    def test_a_skewed_drop_is_the_error_met_first(self, cap, cap_first):
+        """Event a's drop is not Hermitian, and the cluster of b0..b3 meets
+        a cap of 3.  Either a is met at marking {p} and the cluster at the
+        later {q}, or (cap first) the cluster at {p} and a at the later
+        {r0}.  Every queued drop is solved before a cap error leaves, so
+        the error is a's wherever each is met, with or without the other."""
+        a_in, fan_in = ("r0", "p") if cap_first else ("p", "q")
         net = Net({"p", "q"} | {f"r{i}" for i in range(4)}, {"a", "b0", "b1", "b2", "b3"},
-                  {("p", "a"), ("a", "q")} | {("q", f"b{i}") for i in range(4)}
+                  {(a_in, "a"), ("a", "q")} | {(fan_in, f"b{i}") for i in range(4)}
                   | {(f"b{i}", f"r{i}") for i in range(4)}, {"p"},
                   dict.fromkeys(["a", "b0", "b1", "b2", "b3"], "0"))
         verify_safety(net)

@@ -3,14 +3,21 @@ flow-connected component of a net, and every result equals the one
 computed on the product of the components' markings."""
 
 import itertools
+import types
 
 import numpy as np
 import pytest
 
 from gen import clique_net, random_occurrence_annotated, random_state_machine
+from qpn import checker, nets
 from qpn.algebra import Channel, min_eigenvalue
 from qpn.annotation import LocalAnnotation
-from qpn.checker import DropInstanceResult, check_local_drop, single_extension_drop
+from qpn.checker import (
+    DropInstanceResult,
+    check_local_drop,
+    is_qpn,
+    single_extension_drop,
+)
 from qpn.cli import main
 from qpn.compose import AnnotatedNet, parallel
 from qpn.demo import branching_demo, two_phase_cycle
@@ -23,6 +30,7 @@ from qpn.nets import (
     fire,
     flow_components,
     is_clique,
+    least_witness,
     marking_clusters,
     reachable_markings,
     verify_safety,
@@ -130,7 +138,7 @@ def test_component_drop_equals_the_product_check(parts):
     assert report.worst == min((r.min_eig for r in want), default=float("inf"))
     assert report.passed == all(r.passed for r in want)
     failures = [r for r in want if not r.passed]
-    assert report.failures() == failures
+    assert [r for r in report.instances if not r.passed] == failures
     assert check_local_drop(net, an.ann).first_failure() == (failures[0] if failures else None)
 
 
@@ -148,6 +156,85 @@ def test_cluster_cap_error_names_the_product_marking():
         check_local_drop(an.net, an.ann, cluster_cap=2)
     assert str(got.value) == str(want.value)
     assert "'hub'" in str(got.value) and "'s0'" in str(got.value)
+
+
+def product_witness(parts, bad):
+    """`least_witness` by walking the product: the least sorted union of
+    one marking per part with a bad one among them, the least bad value
+    there."""
+    best = None
+    for combo in itertools.product(*parts):
+        values = [b[m] for b, m in zip(bad, combo) if m in b]
+        union = tuple(sorted(itertools.chain.from_iterable(combo)))
+        if values and (best is None or union < best[0]):
+            best = union, min(values)
+    return best
+
+
+def _random_parts(rng):
+    """1-5 parts over a shuffled alphabet, each with 1-6 markings (the
+    empty one among them at times) of which some are bad."""
+    k = int(rng.integers(1, 6))
+    owner = rng.integers(0, k, size=10)
+    parts, bad = [], []
+    for j in range(k):
+        own = [chr(97 + i) for i in range(10) if owner[i] == j]
+        ms = {tuple(p for p in own if rng.random() < 0.5) for _ in range(rng.integers(1, 7))}
+        parts.append(sorted(ms, key=lambda m: rng.random()))
+        bad.append({m: int(rng.integers(0, 5)) for m in ms if rng.random() < 0.3})
+    return parts, bad
+
+
+def test_least_witness_equals_the_product_walk():
+    rng = np.random.default_rng(23)
+    witnessed = empty = not_least = 0
+    for _ in range(400):
+        parts, bad = _random_parts(rng)
+        got = least_witness(parts, bad)
+        assert got == product_witness(parts, bad)
+        if got is None:
+            continue
+        witnessed += 1
+        empty += any(() in ms for ms in parts)
+        chosen = [tuple(p for p in got[0] if any(p in m for m in ms)) for ms in parts]
+        not_least += any(b and min(b) != m for b, m in zip(bad, chosen))
+    assert witnessed >= 300 and empty >= 150 and not_least >= 150
+
+
+def test_least_witness_is_not_each_parts_least_marking():
+    """(a) < (a, c), yet beside (d) they give (a, d) > (a, c, d)."""
+    parts = [[("a",), ("a", "c")], [("d",)]]
+    assert least_witness(parts, [{("a",): 1, ("a", "c"): 2}, {}]) == (("a", "c", "d"), 2)
+    assert least_witness(parts, [{}, {}]) is None
+
+
+@pytest.mark.parametrize("parts, cap, reason, error", [
+    ([clique_net(None, 3), branching_demo(scaled=False),
+      random_state_machine(np.random.default_rng(2), max_dim=2)], 2,
+     "drop: condition fails at marking ['g0p0', 'g1p0', 'hub', 'p1', 'p2'] on ['b', 'c'] "
+     "(min eigenvalue -1.000e+00)",
+     "cluster of 3 events at marking ['g0p0', 'g1p0', 'hub', 'p0'] exceeds cap 2"),
+    ([branching_demo(scaled=False), two_phase_cycle(),
+      clique_net(None, 2, weights=[0.7, 0.6])], 1,
+     "drop: condition fails at marking ['hub', 'p0', 's0'] on ['k0', 'k1'] "
+     "(min eigenvalue -3.000e-01)",
+     "cluster of 2 events at marking ['hub', 'p0', 's0'] exceeds cap 1"),
+], ids=["clique-demo-machine", "demo-cycle-clique"])
+def test_witnesses_never_walk_the_product(monkeypatch, parts, cap, reason, error):
+    """A failing verdict and a cluster over the cap on a composite name
+    the marking that walking the product names, with no product walked."""
+    def walk(*_):
+        raise AssertionError("the product was walked")
+
+    no_product = types.SimpleNamespace(**vars(itertools) | {"product": walk})
+    for module in (checker, nets):  # nets.reachable_markings walks it too
+        monkeypatch.setattr(module, "itertools", no_product)
+    an = _compose(parts)
+    assert len(flow_components(an.net)) >= 3
+    assert is_qpn(an.net, an.ann).reason == reason
+    with pytest.raises(BoundExceeded) as exc:
+        check_local_drop(an.net, an.ann, cluster_cap=cap)
+    assert str(exc.value) == error
 
 
 def test_one_component_keeps_the_nets_own_sets():

@@ -323,6 +323,39 @@ class TestSchemaDiagnostics:
         with pytest.raises(NetFileError, match="annotation does not fit"):
             from_document(doc)
 
+    @pytest.mark.parametrize("path, value, location, message", [
+        ((), [], "$", "document must be an object"),
+        (("flow",), None, "flow", "missing or not a list"),
+        (("places", 0), {"dim": 2}, "places[0]", "place entry needs an id"),
+        (("transitions", 0), {}, "transitions[0]", "transition entry needs an id"),
+        (("transitions", 0, "id"), "p0", "transitions[0]", "duplicate id 'p0'"),
+        (("transitions", 0, "kraus"), [], "transitions[0].kraus",
+         "needs a nonempty list of matrices"),
+        (("transitions", 0, "kraus"), [[]], "transitions[0].kraus[0]",
+         "matrix must be a nonempty list of rows"),
+        (("transitions", 0, "kraus"), [[[]]], "transitions[0].kraus[0][0]",
+         "row must be a nonempty list"),
+        (("flow", 0), ["p0"], "flow[0]", "arc must be a [from, to] pair"),
+        (("initial_marking",), ["zz"], "initial_marking[0]", "unknown place 'zz'"),
+        (("flow",), [["p0", "p1"]], "$", "flow arc (p0, p1) is not bipartite"),
+    ])
+    def test_each_diagnostic_is_located(self, path, value, location, message):
+        """The document with the entry at ``path`` replaced by ``value``
+        fails at ``location`` with ``message``."""
+        doc = self._doc()
+        if path:
+            *head, last = path
+            entry = doc
+            for key in head:
+                entry = entry[key]
+            entry[last] = value
+        else:
+            doc = value
+        with pytest.raises(NetFileError) as exc:
+            from_document(doc)
+        assert exc.value.location == location
+        assert str(exc.value) == f"{location}: {message}"
+
     def test_invalid_json_file(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -711,6 +744,26 @@ class TestCli:
                      "--out", str(tmp_path / "j.json")]) == 1
         assert "FAIL join-spec" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("pairs, lines", [
+        ([["p1", "n1"]], ["FAIL join-spec: ['n1'] is not a maximal negative cluster",
+                          "FAIL is-qpn-after-join: race-free: race: n2(-) ~ p1*n1(0)"]),
+        ([["p1", "n1"], ["p2", "n2"]], ["PASS join-spec", "PASS is-qpn-after-join"]),
+    ], ids=["invalid-spec", "valid-spec"])
+    def test_forced_join_reports_the_joined_verdict(self, tmp_path, capsys, pairs, lines):
+        """--force joins even an invalid spec, then prints the verdict of
+        `is_qpn` on the joined net and writes it."""
+        x = joinable_net(np.random.default_rng(0), True, True)
+        path = tmp_path / "pre.json"
+        save_net(path, x.net, x.ann)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"pairs": pairs}))
+        out = tmp_path / "joined.json"
+        assert main(["compose", "join", str(path), str(spec), "--out", str(out),
+                     "--force"]) == 0
+        assert capsys.readouterr().out.splitlines() == lines + [f"wrote {out}"]
+        net, _, _, _ = load_net(out)
+        assert "p1*n1" in net.transitions
+
     @pytest.mark.parametrize("pairs, message", [
         ([["zz", "n1"], ["p2", "n2"]], "pairs[0]: unknown transition 'zz'"),
         ([["p1", "n1"], ["p2", "u2"]], "pairs[1]: unknown transition 'u2'"),  # a place
@@ -734,15 +787,67 @@ class TestCli:
 
     @pytest.mark.parametrize("argv", [
         ["unfold", "--depth", "-1"], ["unfold", "--max-events", "-2"],
-        ["sample", "--runs", "-3"], ["sample", "--max-steps", "-1"]])
+        ["sample", "--runs", "-3"], ["sample", "--max-steps", "-1"],
+        ["check", "--marking-bound", "-5"], ["prob", "--marking-bound", "-1"],
+        ["check", "--cluster-cap", "-1"], ["check", "--tol-psd", "-1"],
+        ["check", "--tol-psd", "nan"], ["check", "--tol-psd", "inf"]])
     def test_negative_counts_are_usage_errors(self, demo_path, capsys, argv):
+        """Counts are non-negative integers and --tol-psd a finite float
+        at least 0, checked when the command line is parsed."""
         with pytest.raises(SystemExit) as exc:
             main([argv[0], str(demo_path)] + argv[1:])
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert (f"argument {argv[1]}: invalid non_negative_int value: '{argv[2]}'"
+        kind = "float" if argv[1] == "--tol-psd" else "int"
+        assert (f"argument {argv[1]}: invalid non_negative_{kind} value: '{argv[2]}'"
                 in captured.err)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--from", "zz", "--to", "p2,p4"], "--from: unknown places in marking ['zz']"),
+        (["--from", "p0", "--to", "p9"], "--to: unknown places in marking ['p9']"),
+        (["--from", "p0,p1", "--to", "p2,p4"], "--from: marking ['p0', 'p1'] is not reachable"),
+        (["--from", "p2,p4", "--to", "p0"], "--to: ['p0'] is not reachable from ['p2', 'p4']"),
+    ], ids=["unknown-from", "unknown-to", "unreachable-from", "to-not-after-from"])
+    def test_prob_markings_are_located_input_errors(self, demo_path, capsys, argv, message):
+        """A marking that names an unknown place, or that cannot be
+        reached, is malformed input at its option (exit 2)."""
+        assert main(["prob", str(demo_path), *argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.fixture
+    def projection_path(self, tmp_path):
+        """p0 -> t -> p1 on qubits, t the projection onto |+>: a run's
+        probability is <+|rho|+>, 1/2 at the maximally mixed state."""
+        net = Net({"p0", "p1"}, {"t"}, {("p0", "t"), ("t", "p1")}, {"p0"}, {"t": "0"})
+        verify_safety(net)
+        plus = np.array([[1, 1], [0, 0]], dtype=complex) / np.sqrt(2)
+        ann = LocalAnnotation({"p0": 2, "p1": 2}, {"t": Channel(2, 2, (plus,))})
+        path = tmp_path / "projection.json"
+        save_net(path, net, ann)
+        return path
+
+    def _rho(self, tmp_path):
+        """A state with <+|rho|+> = (0.3 + 0.7 + 2 * 0.1) / 2 = 0.6."""
+        rho = tmp_path / "rho.json"
+        rho.write_text(json.dumps(matrix_to_json([[0.3, 0.1 + 0.2j], [0.1 - 0.2j, 0.7]])))
+        return rho
+
+    def test_prob_reads_the_rho_state(self, projection_path, tmp_path, capsys):
+        argv = ["prob", str(projection_path), "--from", "p0", "--to", "p1"]
+        assert main(argv + ["--rho", str(self._rho(tmp_path))]) == 0
+        assert capsys.readouterr().out == "probability 0.600000000000\n"
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "probability 0.500000000000\n"
+
+    def test_sample_reads_the_rho_state(self, projection_path, tmp_path, capsys):
+        """t fires in about 60 % of the runs from rho, 50 % by default."""
+        argv = ["sample", str(projection_path), "--runs", "2000"]
+        for extra, p in [(["--rho", str(self._rho(tmp_path))], 0.6), ([], 0.5)]:
+            assert main(argv + extra) == 0
+            fired = next(line for line in capsys.readouterr().out.splitlines()
+                         if line.startswith("t: "))
+            assert abs(int(fired[3:].split("/")[0]) / 2000 - p) < 0.035, fired
 
     def test_prob_command(self, demo_path, capsys):
         assert main(["prob", str(demo_path), "--from", "p0",

@@ -4,6 +4,7 @@ same stages in the same order and stop at the same first failure."""
 import importlib.util
 import pathlib
 import re
+import subprocess
 import sys
 from dataclasses import replace
 from types import SimpleNamespace
@@ -323,3 +324,12 @@ def test_benchmark_tracer_resolves_every_traced_name():
         tracer.uninstall()
     assert [k for k in before if wrapped[k] is before[k]] == []
     assert current() == before
+
+
+def test_benchmark_selftest_passes():
+    """The benchmark's correctness gates hold on this checkout: each
+    workload's smallest op meets its reference and fails a corrupted one."""
+    selftest = pathlib.Path(__file__).parents[1] / "perfbench" / "selftest.py"
+    done = subprocess.run([sys.executable, str(selftest)], capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr

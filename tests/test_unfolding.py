@@ -389,6 +389,17 @@ class TestClusterBijection:
         bp = unfold(bd.net, UnfoldBudget(8, 100))
         assert cluster_bijection_check(bd.net, bp)
 
+    def test_the_outcome_counts_what_it_skipped(self):
+        """A cycle unfolded to depth 3 is a chain of three events: the
+        configuration holding all three reaches the budget, so its frontier
+        may be truncated and it is skipped, and the outcome says so."""
+        tc = two_phase_cycle()
+        bp = unfold(tc.net, UnfoldBudget(3, 100))
+        assert cluster_bijection_check(tc.net, bp).data == {"checked": 3, "skipped": 1}
+        bd = branching_demo()
+        bp = unfold(bd.net, UnfoldBudget(8, 100))
+        assert cluster_bijection_check(bd.net, bp).data == {"checked": 4, "skipped": 0}
+
     def test_a_prefix_missing_a_branch_fails(self):
         # drop c and its post-condition: the prefix is still an occurrence
         # net, but at [p1, p2] the net's cluster {b, c} is only {b} in it
