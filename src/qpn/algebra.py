@@ -23,8 +23,11 @@ TOL_PSD = 1e-9
 # Hermiticity tolerance (max entry of |M - M^dagger|).
 TOL_HERM = 1e-9
 TOL_TNI_HERM = 1e-7  # the same for I - effect in the trace non-increase check
+# Channel equality: largest entry deviation on the matrix units, scaled by max(1, d_in).
+TOL_CHANNEL_EQ = 1e-10
 # Hard cap on the total dimension of any single operator.
 MAX_TOTAL_DIM = 4096
+CHOI_BLOCK_ENTRIES = 1 << 16  # the most Choi-tensor entries (1 MiB) one einsum builds
 
 
 def _check_total_dim(n: int) -> None:
@@ -69,9 +72,13 @@ def min_eigenvalues(stack, tol: float = TOL_HERM) -> np.ndarray:
     if s.shape[1] == 0:
         return np.zeros(len(s))
     sh = s.conj().transpose(0, 2, 1)
-    bad = ~(np.abs(s - sh).max(axis=(1, 2)) <= tol)
-    lo = np.linalg.eigvalsh(np.where(bad[:, None, None], 0, (s + sh) / 2)).min(axis=1)
-    return np.where(bad, np.nan, lo)
+    bad = ~(np.maximum.reduce(np.abs(s - sh), axis=(1, 2)) <= tol)
+    h = (s + sh) / 2
+    if bad.any():
+        h[bad] = 0
+    lo = np.minimum.reduce(np.linalg.eigvalsh(h), axis=1)
+    lo[bad] = np.nan
+    return lo
 
 
 @dataclass(frozen=True)
@@ -359,7 +366,7 @@ def _kron(a, b) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
 
 
-def channels_close(f: Channel, g: Channel, tol: float = 1e-10) -> CheckOutcome:
+def channels_close(f: Channel, g: Channel, tol: float = TOL_CHANNEL_EQ) -> CheckOutcome:
     """Extensional equality on the matrix-unit basis of the input space."""
     if f.dim_in != g.dim_in or f.dim_out != g.dim_out:
         return CheckOutcome.fail(
@@ -375,3 +382,19 @@ def channels_close(f: Channel, g: Channel, tol: float = 1e-10) -> CheckOutcome:
     return CheckOutcome(dev <= tol * max(1, d), "" if dev <= tol * max(1, d)
                         else f"channels differ by {dev:.3e}", {"max_deviation": dev})
 
+
+def identity_deviation(f: Channel) -> float:
+    """The largest entry of |C_f - C_id| for the Choi tensor (Choi 1975)
+    C[i, a, j, b] = Σ_k K_k[a, i]·conj(K_k[b, j]), entry (a, b) of f applied
+    to |i><j|: what `channels_close` reads against the identity from d²
+    `apply` calls, by one einsum per block of input indices i (at most
+    CHOI_BLOCK_ENTRIES entries).  f is square; a NaN entry gives NaN."""
+    ks, d = f.stack, f.dim_in
+    step = max(1, CHOI_BLOCK_ENTRIES // d ** 3)
+    devs = []
+    for i in range(0, d, step):
+        c = np.einsum("kai,kbj->iajb", ks[:, :, i:i + step], ks.conj())
+        n = np.arange(len(c))
+        c[n, n + i] -= np.eye(d)  # the identity's Choi tensor: a = i, b = j
+        devs.append(np.abs(c).max())
+    return float(np.max(devs))

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import (TOL_PSD, TOL_TNI_HERM, Channel, channels_close, effect, is_cptni,
-                      min_eigenvalues, thread)
+from .algebra import (TOL_CHANNEL_EQ, TOL_PSD, TOL_TNI_HERM, Channel, effect,
+                      identity_deviation, is_cptni, min_eigenvalues, thread)
 from .nets import (
     NEGATIVE,
     POSITIVE,
@@ -122,9 +122,10 @@ def annotation_is_cptni(net: Net, ann: LocalAnnotation) -> CheckOutcome:
 def check_local_obliviousness(net: Net, ann: LocalAnnotation) -> CheckOutcome:
     """Negative transitions must act as the identity on state plus signal.
 
-    Checked extensionally, so any Kraus presentation of the identity is
-    accepted.  A quick dimension count runs first to give a sharper
-    diagnostic when the signature alone already rules it out.
+    Checked extensionally, on the Choi tensor (`identity_deviation`), so
+    any Kraus presentation of the identity is accepted; the tolerance is
+    `channels_close`'s.  A quick dimension count runs first to give a
+    sharper diagnostic when the signature alone already rules it out.
     """
     for t in sorted(net.transitions):
         if net.pol(t) != NEGATIVE:
@@ -134,7 +135,7 @@ def check_local_obliviousness(net: Net, ann: LocalAnnotation) -> CheckOutcome:
             return CheckOutcome.fail(
                 f"negative transition {t}: output dimension {dout} != "
                 f"input dimension {din}", transition=t)
-        if not channels_close(ann.channel(t), Channel.identity(din)):
+        if not identity_deviation(ann.channel(t)) <= TOL_CHANNEL_EQ * max(1, din):
             return CheckOutcome.fail(
                 f"negative transition {t} is not the identity channel",
                 transition=t)

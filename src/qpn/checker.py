@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -240,18 +241,21 @@ def _drop_recurrence(events, pre, effs, dim: int) -> np.ndarray:
     polynomial of their conflict graph at -E (Scott & Sokal 2005), by
     deletion-contraction memoized over sub-families,
     d(F) = d(F∖v) - E_v·d(F∖N[v]), for v least in F and N[v] v with the
-    events of F sharing a pre-place (per ``pre``) with it.  E_v and
-    d(F∖N[v]) act on disjoint factors, so every term is Hermitian up to
-    rounding; :func:`min_eigenvalues` guards and symmetrizes it where a
-    verdict is read.  ``effs`` maps each event to its effect on one space
-    of dimension dim.
+    events of F sharing a pre-place (per ``pre``) with it.  When N[v] is
+    all of F, d(F∖N[v]) is the identity and E_v is subtracted as it is, so
+    a clique's drop is built by subtraction alone.  E_v and d(F∖N[v]) act
+    on disjoint factors, so every term is Hermitian up to rounding;
+    :func:`min_eigenvalues` guards and symmetrizes it where a verdict is
+    read.  ``effs`` maps each event to its effect on one space of
+    dimension dim.
     """
     memo = {(): np.eye(dim, dtype=complex)}
 
     def d(fam):
         if fam not in memo:
-            far = tuple(e for e in fam[1:] if not pre(e) & pre(fam[0]))
-            memo[fam] = d(fam[1:]) - effs[fam[0]] @ d(far)
+            pre_v = pre(fam[0])
+            far = tuple(e for e in fam[1:] if pre_v.isdisjoint(pre(e)))
+            memo[fam] = d(fam[1:]) - (effs[fam[0]] @ d(far) if far else effs[fam[0]])
         return memo[fam]
 
     return d(tuple(sorted(events)))
@@ -536,9 +540,13 @@ STAGES = (
 
 def run_stages(stages, net: Net, ann: LocalAnnotation, marking_bound: int,
                cluster_cap: int, tol: float):
-    """Yield (name, outcome) per stage in order, up to the first failure."""
+    """Yield (name, outcome) per stage in order, up to the first failure;
+    each outcome's data holds the stage's wall time as ``seconds``."""
     for name, check in stages:
+        start = time.perf_counter()
         out = check(net, ann, marking_bound, cluster_cap, tol)
+        out = CheckOutcome(out.passed, out.reason,
+                           {**out.data, "seconds": time.perf_counter() - start})
         yield name, out
         if not out:
             return
@@ -561,9 +569,12 @@ def is_qpn(net: Net, ann: LocalAnnotation,
     and trace non-increase of all channels, identity behaviour of negative
     transitions, race-freeness of minimal conflicts, and drop positivity
     over reachable markings.  The first failing stage decides the verdict
-    and is named in ``data["stage"]``; the drop stage's ``DropReport`` is
-    ``data["report"]``.  No unfolding is built: the local conditions on
-    the net itself are equivalent to the unfolding-based definition.
+    and is named in ``data["stage"]``; the rest of ``data`` is that stage's
+    (the drop stage's when every stage passes), so the drop stage's
+    ``DropReport`` is ``data["report"]`` and ``data["seconds"]`` is the
+    deciding stage's wall time.  No unfolding is built: the local
+    conditions on the net itself are equivalent to the unfolding-based
+    definition.
     """
     return _verdict(STAGES, net, ann, marking_bound, cluster_cap, tol)
 

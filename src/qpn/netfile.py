@@ -63,6 +63,20 @@ def matrix_from_json(data, loc):
     return np.array(rows, dtype=complex)
 
 
+def kraus_from_json(data):
+    """The Kraus list ``data`` as one (k, rows, cols) complex array by a
+    single ``np.array`` call, or None unless that gives an int or float
+    array of [re, im] pairs; the caller then scans ``data`` entry by entry
+    with :func:`matrix_from_json`, which locates any fault."""
+    try:
+        a = np.array(data)
+    except (ValueError, OverflowError):  # ragged, or mixed matrix shapes
+        return None
+    if a.ndim != 4 or a.shape[-1] != 2 or a.dtype.kind not in "if":
+        return None
+    return a.astype(float, copy=False).view(complex)[..., 0]
+
+
 def require_finite(a, loc):
     """Fail at the least entry of the array ``a`` that is not a finite
     float, if any, located by its indices under ``loc``."""
@@ -155,12 +169,14 @@ def from_document(doc: dict):
         kraus = entry.get("kraus")
         if not isinstance(kraus, list) or not kraus:
             _fail(f"{loc}.kraus", "needs a nonempty list of matrices")
-        mats = [matrix_from_json(k, f"{loc}.kraus[{j}]") for j, k in enumerate(kraus)]
-        shapes = {m.shape for m in mats}
-        if len(shapes) != 1:
-            _fail(f"{loc}.kraus", f"inconsistent matrix shapes {sorted(shapes)}")
+        mats = kraus_from_json(kraus)
+        if mats is None:
+            mats = [matrix_from_json(k, f"{loc}.kraus[{j}]") for j, k in enumerate(kraus)]
+            shapes = {m.shape for m in mats}
+            if len(shapes) != 1:
+                _fail(f"{loc}.kraus", f"inconsistent matrix shapes {sorted(shapes)}")
         rows, cols = mats[0].shape
-        channels[tid] = Channel(cols, rows, tuple(mats))
+        channels[tid] = Channel(cols, rows, mats)
         require_finite(channels[tid].stack, f"{loc}.kraus")
         if "label" in entry:
             labels[tid] = entry["label"]
@@ -181,12 +197,12 @@ def from_document(doc: dict):
             _fail(f"initial_marking[{i}]", f"place id must be a string, got {p!r}")
         if p not in dims:
             _fail(f"initial_marking[{i}]", f"unknown place {p!r}")
+    bad = [(arc, i) for i, arc in enumerate(flow) if (arc[0] in dims) == (arc[1] in dims)]
+    if bad:  # the least arc that joins two places or two transitions
+        (a, b), i = min(bad)
+        _fail(f"flow[{i}]", f"flow arc ({a}, {b}) is not bipartite")
 
-    try:
-        net = Net(set(dims), set(polarity), flow, set(doc["initial_marking"]),
-                  polarity)
-    except Exception as exc:
-        _fail("$", str(exc))
+    net = Net(set(dims), set(polarity), flow, set(doc["initial_marking"]), polarity)
     ann = LocalAnnotation(dims, channels, h)
     sig = validate_signatures(net, ann)
     if not sig:

@@ -298,3 +298,30 @@ def racy_net() -> AnnotatedNet:
     verify_safety(net)
     return AnnotatedNet(net, LocalAnnotation(
         dims, {"a": Channel.identity(2).scaled(0.5), "n": Channel.identity(2)}))
+
+
+def kraus_presentations(rng, an: AnnotatedNet) -> dict:
+    """Copies of ``an`` whose every channel has another Kraus list of the
+    same map (Choi 1975: K'_i = Σ_j W_ij K_j for any isometry W), by name:
+
+    - "isometry": W a random (k + 1 or k + 2) × k isometry;
+    - "zeros": the list with one or two zero operators appended;
+    - "split": each K replaced by K/√2, K/√2.
+    """
+    def isometry(ks):
+        rows = len(ks) + int(rng.integers(1, 3))
+        z = rng.normal(size=(rows, len(ks))) + 1j * rng.normal(size=(rows, len(ks)))
+        return np.einsum("ij,jab->iab", np.linalg.qr(z)[0], ks)
+
+    def zeros(ks):
+        return np.concatenate([ks, np.zeros((int(rng.integers(1, 3)),) + ks.shape[1:])])
+
+    def split(ks):
+        return np.repeat(ks / np.sqrt(2), 2, axis=0)
+
+    out = {}
+    for name, present in (("isometry", isometry), ("zeros", zeros), ("split", split)):
+        channels = {t: Channel(c.dim_in, c.dim_out, present(c.stack))
+                    for t, c in sorted(an.ann.channels.items())}
+        out[name] = AnnotatedNet(an.net, LocalAnnotation(an.ann.dims, channels, an.ann.h))
+    return out

@@ -7,7 +7,8 @@ worst drop eigenvalues, run probabilities, interval channels, joins and
 sampled runs unchanged.  Signal factors stay last even when every event
 id sorts before every place id: code that sorted a whole factor list by
 id would put them first there.  A parallel composition is a QPN exactly
-when both of its parts are.
+when both of its parts are.  Another Kraus list of every channel (Choi
+1975: related by an isometry) leaves verdicts and drops unchanged.
 """
 
 import itertools
@@ -18,6 +19,7 @@ import pytest
 from gen import (
     clique_net,
     joinable_net,
+    kraus_presentations,
     racy_net,
     random_density,
     random_occurrence_annotated,
@@ -28,6 +30,7 @@ from qpn.annotation import GlobalValuation, LocalAnnotation
 from qpn.checker import check_local_drop, is_qpn
 from qpn.compose import AnnotatedNet, JoinSpec, drop_preserving_join, joined_id, parallel
 from qpn.demo import branching_demo, two_phase_cycle
+from qpn.netfile import load_net, save_net
 from qpn.nets import (
     NEGATIVE,
     POSITIVE,
@@ -263,3 +266,28 @@ def test_composite_and_its_rebuilt_copy_get_the_same_verdict():
         assert (got.passed, got.reason) == (want.passed, want.reason)
     assert is_qpn(net, an.ann, marking_bound=5).reason == \
         "safety: more than 5 reachable markings"
+
+
+@pytest.mark.parametrize("name,an", CASES, ids=[c[0] for c in CASES])
+def test_verdicts_and_drops_survive_kraus_freedom(name, an, tmp_path):
+    """Each of `gen.kraus_presentations`: the same verdict and deciding
+    stage, the same drop instances with every min_eig within TOL, and a
+    net file that loads to channels `channels_close` accepts against the
+    original's."""
+    want = is_qpn(an.net, an.ann)
+    drops = check_local_drop(an.net, an.ann).instances
+    save_net(tmp_path / "net.json", an.net, an.ann)
+    _, ann, _, _ = load_net(tmp_path / "net.json")
+    rng = np.random.default_rng(list(map(ord, name)))
+    for how, other in kraus_presentations(rng, an).items():
+        got = is_qpn(other.net, other.ann)
+        assert (got.passed, got.data["stage"]) == (want.passed, want.data["stage"]), how
+        got_drops = check_local_drop(other.net, other.ann).instances
+        assert [r.key for r in got_drops] == [r.key for r in drops], how
+        for r, g in zip(drops, got_drops):
+            assert _same(r.min_eig, g.min_eig) and r.passed == g.passed, (how, r.key)
+        save_net(tmp_path / f"{how}.json", other.net, other.ann)
+        _, got_ann, _, _ = load_net(tmp_path / f"{how}.json")
+        for t in sorted(an.net.transitions):
+            assert len(got_ann.channel(t).kraus) > len(ann.channel(t).kraus)
+            assert channels_close(ann.channel(t), got_ann.channel(t)), (how, t)

@@ -337,7 +337,7 @@ class TestSchemaDiagnostics:
          "row must be a nonempty list"),
         (("flow", 0), ["p0"], "flow[0]", "arc must be a [from, to] pair"),
         (("initial_marking",), ["zz"], "initial_marking[0]", "unknown place 'zz'"),
-        (("flow",), [["p0", "p1"]], "$", "flow arc (p0, p1) is not bipartite"),
+        (("flow",), [["p0", "p1"]], "flow[0]", "flow arc (p0, p1) is not bipartite"),
     ])
     def test_each_diagnostic_is_located(self, path, value, location, message):
         """The document with the entry at ``path`` replaced by ``value``
@@ -886,7 +886,7 @@ def test_witnesses_do_not_depend_on_the_hash_seed(tmp_path):
     flat.write_text(json.dumps(doc))
     firing = f"FAIL safety: firing a at {places} puts a second token on ['p1']\n"
     want = {("validate", unsafe): (1, firing, ""), ("check", unsafe): (1, firing, ""),
-            ("validate", flat): (2, "", "error: $: flow arc (p0, p1) is not bipartite\n")}
+            ("validate", flat): (2, "", "error: flow[0]: flow arc (p0, p1) is not bipartite\n")}
     src = str(pathlib.Path(qpn.__file__).parents[1])
 
     def run_under(seed, *argv):

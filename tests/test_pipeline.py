@@ -17,7 +17,7 @@ from gen import clique_net, racy_net, random_occurrence_annotated, random_state_
 from qpn import netfile, semantics
 from qpn.algebra import Channel
 from qpn.annotation import LocalAnnotation, validate_signatures
-from qpn.checker import STAGES, is_local_qon, is_qpn
+from qpn.checker import STAGES, is_local_qon, is_qpn, run_stages
 from qpn.cli import main
 from qpn.compose import AnnotatedNet, parallel
 from qpn.demo import branching_demo, two_phase_cycle
@@ -95,6 +95,18 @@ def test_is_qpn_agrees_with_check(tmp_path, capsys):
         assert failed[:1] == ([] if verdict else [verdict.data["stage"]]), name
         stages.add(verdict.data["stage"])
     assert {"all", "drop", "race-free"} <= stages
+
+
+def test_every_stage_that_ran_has_its_time():
+    """run_stages puts each stage's wall time in its outcome as `seconds`,
+    passing or failing; is_qpn's data carries the deciding stage's."""
+    for an in (branching_demo(), racy_net()):
+        ran = list(run_stages(STAGES, an.net, an.ann, 10_000, 12, 1e-9))
+        assert all(isinstance(out.data["seconds"], float) and out.data["seconds"] >= 0
+                   for _, out in ran)
+        verdict = is_qpn(an.net, an.ann)
+        assert verdict.data["seconds"] >= 0 and len(ran) == (
+            len(STAGES) if verdict else STAGE_NAMES.index(verdict.data["stage"]) + 1)
 
 
 @pytest.mark.parametrize("scaled", [True, False])
