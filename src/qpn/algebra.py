@@ -27,7 +27,7 @@ TOL_TNI_HERM = 1e-7  # the same for I - effect in the trace non-increase check
 TOL_CHANNEL_EQ = 1e-10
 # Hard cap on the total dimension of any single operator.
 MAX_TOTAL_DIM = 4096
-CHOI_BLOCK_ENTRIES = 1 << 16  # the most Choi-tensor entries (1 MiB) one einsum builds
+BATCH_ENTRIES = 1 << 16  # the most entries (1 MiB) in one batched call, unless one matrix
 
 
 def _check_total_dim(n: int) -> None:
@@ -373,12 +373,13 @@ def channels_close(f: Channel, g: Channel, tol: float = TOL_CHANNEL_EQ) -> Check
             f"signature mismatch: ({f.dim_in}->{f.dim_out}) vs ({g.dim_in}->{g.dim_out})"
         )
     d = f.dim_in
-    dev = 0.0
+    devs = []  # folded by np.max, which propagates a NaN deviation
     for i in range(d):
         for j in range(d):
             unit = np.zeros((d, d), dtype=complex)
             unit[i, j] = 1.0
-            dev = max(dev, float(np.abs(apply(f, unit) - apply(g, unit)).max()))
+            devs.append(np.abs(apply(f, unit) - apply(g, unit)).max())
+    dev = float(np.max(devs, initial=0.0))
     return CheckOutcome(dev <= tol * max(1, d), "" if dev <= tol * max(1, d)
                         else f"channels differ by {dev:.3e}", {"max_deviation": dev})
 
@@ -388,9 +389,9 @@ def identity_deviation(f: Channel) -> float:
     C[i, a, j, b] = Σ_k K_k[a, i]·conj(K_k[b, j]), entry (a, b) of f applied
     to |i><j|: what `channels_close` reads against the identity from d²
     `apply` calls, by one einsum per block of input indices i (at most
-    CHOI_BLOCK_ENTRIES entries).  f is square; a NaN entry gives NaN."""
+    BATCH_ENTRIES entries).  f is square; a NaN entry gives NaN."""
     ks, d = f.stack, f.dim_in
-    step = max(1, CHOI_BLOCK_ENTRIES // d ** 3)
+    step = max(1, BATCH_ENTRIES // d ** 3)
     devs = []
     for i in range(0, d, step):
         c = np.einsum("kai,kbj->iajb", ks[:, :, i:i + step], ks.conj())

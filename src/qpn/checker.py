@@ -15,6 +15,7 @@ net verdicts.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import algebra
 from .algebra import (
     TOL_PSD,
     Channel,
@@ -71,7 +73,6 @@ TOL_DROP_EQ = 1e-10
 
 DEFAULT_CLUSTER_CAP = 12
 DEFAULT_CONFIG_BOUND = 64
-EIG_QUEUE_ENTRIES = 1 << 16  # the most entries (1 MiB) in one solved stack of >1 drop
 
 
 # --------------------------------------------------------------------------
@@ -302,61 +303,62 @@ class DropInstanceResult:
 
 
 class DropReport:
-    """Drop results, one :class:`DropInstanceResult` per (marking, family).
+    """Drop results as one table, each family's minimum eigenvalue once.
 
-    ``parts`` holds the results of each flow component of the net (or of
-    the whole net as one part) as {sorted marking: its results}, with every
-    reachable marking of the part present.  A marking of the net is one
-    marking per part and carries the union of their results, so the
-    verdict, the worst value and the counts come from the parts; the
-    product list ``instances``, in key order, is built when first read.
+    ``table`` maps a key (a sorted cluster, or the oracle's configuration)
+    to (method, {family: min eigenvalue}); ``parts`` holds, per flow
+    component of the net (or for the whole net as one part), {sorted
+    marking: the keys met there}, with every reachable marking present.  A
+    marking of the net is one per part and meets the union of their keys,
+    so the verdict reads the table and the counts the parts; the rows, one
+    :class:`DropInstanceResult` per (marking, family), are built on reading.
     """
 
-    def __init__(self, parts, stats: dict, tol: float = TOL_PSD):
-        self.parts = parts
-        self.stats = stats
-        self.tol = tol
-        self._instances = None
+    def __init__(self, table, parts, stats: dict, tol: float = TOL_PSD):
+        self.table, self.parts, self.stats, self.tol = table, parts, stats, tol
 
-    def _results(self):
-        return (r for part in self.parts for rs in part.values() for r in rs)
+    def _min_eigs(self):
+        return (lo for _, fams in self.table.values() for lo in fams.values())
 
     @property
     def passed(self) -> bool:
-        return all(r.passed for r in self._results())
+        return all(lo >= -self.tol for lo in self._min_eigs())
 
     def __bool__(self):
         return self.passed
 
     @property
     def worst(self):
-        return min((r.min_eig for r in self._results()), default=float("inf"))
+        return min(self._min_eigs(), default=float("inf"))
 
     def instance_count(self) -> int:
         """len(instances), without building them."""
-        sizes = [len(part) for part in self.parts]
-        total = math.prod(sizes)
-        return sum(total // n * sum(map(len, part.values()))
-                   for n, part in zip(sizes, self.parts))
+        total = math.prod(map(len, self.parts))
+        return sum(total // len(part) * len(self.table[key][1])
+                   for part in self.parts for keys in part.values() for key in keys)
 
-    @property
+    def _rows(self, m, keys):
+        """The instances at marking m of the families of the table's ``keys``."""
+        for key in keys:
+            method, fams = self.table[key]
+            yield from (DropInstanceResult((m, fam), method, lo, lo >= -self.tol)
+                        for fam, lo in fams.items())
+
+    @functools.cached_property
     def instances(self) -> list:
-        if self._instances is None:
-            out = []
-            for combo in itertools.product(*(part.items() for part in self.parts)):
-                m = tuple(sorted(itertools.chain.from_iterable(k for k, _ in combo)))
-                out += [DropInstanceResult((m, r.key[1]), r.method, r.min_eig, r.passed)
-                        for _, rs in combo for r in rs]
-            out.sort(key=lambda r: r.key)
-            self._instances = out
-        return self._instances
+        out = []
+        for combo in itertools.product(*(part.items() for part in self.parts)):
+            m = tuple(sorted(itertools.chain.from_iterable(k for k, _ in combo)))
+            out += [r for _, keys in combo for r in self._rows(m, keys)]
+        return sorted(out, key=lambda r: r.key)
 
     def first_failure(self):
         """The first failing instance, or None: at the :func:`least_witness`
         of the parts' failures, its least failing family."""
         found = least_witness(self.parts, [
-            {k: min(bad) for k, rs in part.items()
-             if (bad := [(r.key[1], r) for r in rs if not r.passed])} for part in self.parts])
+            {m: min(bad) for m, keys in part.items()
+             if (bad := [(r.key[1], r) for r in self._rows(m, keys) if not r.passed])}
+            for part in self.parts])
         if found is None:
             return None
         m, (fam, r) = found
@@ -381,15 +383,15 @@ def check_local_drop(net: Net, ann: LocalAnnotation,
     report every sub-family.
 
     Events share pre-places only within a flow component, so the clusters
-    at a marking of the net are those of its components' markings: each
-    component is checked on its own markings, and the report keeps the
-    results per component.  A cluster over the cap is an error, raised at
-    the :func:`least_witness` of the parts' first such clusters once every
-    queued drop is solved, so a drop that is not Hermitian is raised first.
+    at a marking of the net are those of its components' markings, and
+    each component is checked on its own.  A cluster over the cap is an
+    error, raised at the :func:`least_witness` of the parts' first such
+    clusters once every queued drop is solved, so a drop that is not
+    Hermitian is raised first.
     """
     if not net.safety_verified:
         raise SafetyUnverified("run verify_safety before checking the drop condition")
-    evaluated = {}  # sorted cluster -> (method, {family: min eigenvalue, once solved})
+    table = {}  # sorted cluster -> (method, {family: min eigenvalue, once solved})
     queues, calls = {}, []  # dim -> [(family dict, family, drop)]; kernel stack sizes
 
     def solve(n):
@@ -398,54 +400,45 @@ def check_local_drop(net: Net, ann: LocalAnnotation,
         for (fams, fam, d), lo in zip(queued, min_eigenvalues([d for *_, d in queued])):
             fams[fam] = float(lo) if lo == lo else min_eigenvalue(d)  # NaN: it raises
 
-    def check(transitions, markings):
-        """({sorted marking: [(method, families)]}, clusters, clique clusters,
-        {sorted marking: its first cluster over the cap}) of one part."""
-        part, clusters, cliques, over = {}, 0, 0, {}
-        for m in sorted(markings, key=sorted):
-            rows = part[tuple(sorted(m))] = []
+    parts, over = [], []  # per part: {sorted marking: clusters}, {its first over the cap}
+    for (_, transitions), markings in zip(flow_components(net),
+                                          component_markings(net, marking_bound)):
+        parts.append(part := {})
+        over.append(first := {})
+        for mkey, m in sorted((tuple(sorted(m)), m) for m in markings):
+            met = part[mkey] = []
             for cluster in marking_clusters(net, m, transitions):
-                clusters += 1
                 cl = tuple(sorted(cluster))
                 if len(cl) > cluster_cap:
-                    over.setdefault(tuple(sorted(m)), cl)
+                    first.setdefault(mkey, cl)
                     continue
-                if cl not in evaluated:
+                if cl not in table:
                     clique = len(cl) > 1 and is_clique(net, cl)
                     fams = dict.fromkeys([cl] if clique else [
                         fam for r in range(1, len(cl) + 1)
                         for fam in itertools.combinations(cl, r)])
-                    evaluated[cl] = ("clique" if clique else "single", fams)
+                    table[cl] = ("clique" if clique else "single", fams)
                     for fam in fams:
                         drop = single_extension_drop(
                             net, ann, frozenset().union(*map(net.pre, fam)), fam)
                         q = queues.setdefault(len(drop), [])
                         q.append((fams, fam, drop))
-                        if (len(q) + 1) * drop.size > EIG_QUEUE_ENTRIES:  # the next won't fit
+                        if (len(q) + 1) * drop.size > algebra.BATCH_ENTRIES:  # the next won't fit
                             solve(len(drop))
-                rows.append(evaluated[cl])
-                cliques += rows[-1][0] == "clique"
-        return part, clusters, cliques, over
-
-    checked = [check(ts, ms) for (_, ts), ms in
-               zip(flow_components(net), component_markings(net, marking_bound))]
+                met.append(cl)
     for n in list(queues):
         solve(n)
-    if over := least_witness([part for part, *_ in checked], [o for *_, o in checked]):
-        m, cl = over
+    if found := least_witness(parts, over):
+        m, cl = found
         raise BoundExceeded(f"cluster of {len(cl)} events at marking {list(m)} "
                             f"exceeds cap {cluster_cap}")
-    parts = [{mkey: [DropInstanceResult((mkey, fam), method, lo, lo >= -tol)
-                     for method, fams in rows for fam, lo in fams.items()]
-              for mkey, rows in part.items()} for part, *_ in checked]
     total = math.prod(map(len, parts))
-    scale = [total // len(part) for part in parts]
-    stats = {"markings": total,
-             "clusters": sum(n * c for n, (_, c, _, _) in zip(scale, checked)),
-             "clusters_evaluated": len(evaluated),
-             "clique_fast_paths": sum(n * k for n, (_, _, k, _) in zip(scale, checked)),
-             "eigen_solves": sum(calls), "eigen_calls": len(calls)}
-    return DropReport(parts, stats, tol)
+    weighted = [(total // len(part), cl) for part in parts for cls in part.values() for cl in cls]
+    return DropReport(table, parts, {
+        "markings": total, "clusters": sum(n for n, _ in weighted),
+        "clusters_evaluated": len(table),
+        "clique_fast_paths": sum(n for n, cl in weighted if table[cl][0] == "clique"),
+        "eigen_solves": sum(calls), "eigen_calls": len(calls)}, tol)
 
 
 def brute_force_global_drop(o: OccurrenceNet, ann: LocalAnnotation,
@@ -454,26 +447,23 @@ def brute_force_global_drop(o: OccurrenceNet, ann: LocalAnnotation,
                             tol: float = TOL_PSD) -> DropReport:
     """Exhaustive drop positivity over all configurations and extension
     families of up to ``cluster_cap`` events, the largest cluster the local
-    check reads, evaluated through interval channels.
+    check reads, evaluated through interval channels; each configuration
+    is its own table key.
 
     This is the reference semantics the local check is measured against;
     it is exponential and only meant for small nets.
     """
     gv = GlobalValuation(o, ann)
-    configs = sorted(o.all_configurations(config_bound), key=lambda x: sorted(x))
-    part = {}  # one part: keys are configurations, not markings
-    families = 0
-    for x in configs:
-        xkey = tuple(sorted(x))
-        rows = part[xkey] = []
+    table = {}
+    for x in sorted(o.all_configurations(config_bound), key=sorted):
         exts = sorted(e for e in o.transitions - x
                       if o.pol(e) != NEGATIVE and o.enables(x, e))
-        for r in range(1, min(len(exts), cluster_cap) + 1):
-            for combo in itertools.combinations(exts, r):
-                families += 1
-                lo = min_eigenvalue(drop_effect(gv, x, [x | {e} for e in combo]))
-                rows.append(DropInstanceResult((xkey, combo), "general", lo, lo >= -tol))
-    return DropReport([part], {"configurations": len(configs), "families": families}, tol)
+        table[tuple(sorted(x))] = ("general", {
+            combo: min_eigenvalue(drop_effect(gv, x, [x | {e} for e in combo]))
+            for r in range(1, min(len(exts), cluster_cap) + 1)
+            for combo in itertools.combinations(exts, r)})
+    return DropReport(table, [{x: [x] for x in table}], {
+        "configurations": len(table), "families": sum(len(f) for _, f in table.values())}, tol)
 
 
 def cluster_factorization_check(net: Net, ann: LocalAnnotation, m,

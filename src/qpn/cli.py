@@ -175,30 +175,28 @@ def _initial_state(args, ann, m):
     before it is built."""
     dim = space_dim(ann, m)
     if args.rho:
-        rho = netfile.matrix_from_json(netfile.read_json(args.rho), str(args.rho))
-        netfile.require_finite(rho, str(args.rho))
-        why = _not_a_state(rho, dim)
-        if why:
-            raise NetFileError(why, location=str(args.rho))
-        return rho
+        return _read_state(netfile.read_json(args.rho), dim, str(args.rho))
     _check_total_dim(dim)
     return np.eye(dim, dtype=complex) / dim
 
 
-def _not_a_state(m, dim):
-    """Why ``m`` is not a state (of shape dim × dim, Hermitian, positive
-    semidefinite, unit trace) within TOL_PSD, or None."""
+def _read_state(data, dim, loc):
+    """The matrix ``data`` as a state: finite, of shape dim × dim,
+    Hermitian, positive semidefinite and of unit trace within TOL_PSD;
+    else a NetFileError located at ``loc`` that says why not."""
+    m = netfile.matrix_from_json(data, loc)
+    netfile.require_finite(m, loc)
     if m.shape != (dim, dim):
-        return f"shape {m.shape}, expected {(dim, dim)}"
-    if not is_hermitian(m, TOL_PSD):
-        return "not a Hermitian matrix"
-    lo = min_eigenvalue(m)
-    if lo < -TOL_PSD:
-        return f"not positive semidefinite (min eigenvalue {lo:.3e})"
-    trace = float(np.trace(m).real)
-    if abs(trace - 1) > TOL_PSD:
-        return f"trace {trace:.12g}, expected 1"
-    return None
+        why = f"shape {m.shape}, expected {(dim, dim)}"
+    elif not is_hermitian(m, TOL_PSD):
+        why = "not a Hermitian matrix"
+    elif (lo := min_eigenvalue(m)) < -TOL_PSD:
+        why = f"not positive semidefinite (min eigenvalue {lo:.3e})"
+    elif abs((trace := float(np.trace(m).real)) - 1) > TOL_PSD:
+        why = f"trace {trace:.12g}, expected 1"
+    else:
+        return m
+    raise NetFileError(why, location=loc)
 
 
 def _load_env(path, ann, negatives):
@@ -212,11 +210,7 @@ def _load_env(path, ann, negatives):
         loc = f"{path}[{json.dumps(e)}]"
         if e not in negatives:
             raise NetFileError("not a negative event of the interval", location=loc)
-        env[e] = netfile.matrix_from_json(data, loc)
-        netfile.require_finite(env[e], loc)
-        why = _not_a_state(env[e], ann.signal_dim(e))
-        if why:
-            raise NetFileError(why, location=loc)
+        env[e] = _read_state(data, ann.signal_dim(e), loc)
     return env
 
 

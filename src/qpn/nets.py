@@ -274,8 +274,8 @@ class OccurrenceNet(Net):
     Use :func:`is_occurrence_net` to get a verdict instead of an exception.
     Causality and conflict are Python-int bitmasks, one per node, over bit
     positions in a topological order: ``_below[n]`` holds the nodes strictly
-    below n and ``_conflict[n]`` the nodes in conflict with n.  Every
-    relation query is a mask test.
+    below n and ``_conflict[n]`` the rivals of the events at or below n, so
+    x # y iff it meets y or a node below y.  Every query is a mask test.
     """
 
     def __init__(self, places, transitions, flow, initial_marking, polarity, *,
@@ -290,70 +290,61 @@ class OccurrenceNet(Net):
             raise QpnError(f"not an occurrence net: {outcome.reason}")
 
     def _compute_relations(self, order=None) -> CheckOutcome:
-        closures = None if order is None else self._up_closures(order)
-        if closures is None:
+        relations = None if order is None else self._relations(order)
+        if relations is None:
             order = self._topological_order()
             if order is None:
                 return CheckOutcome.fail("flow relation is cyclic")
-        pre, post = self._pre, self._post
-        branching = [c for c in self.places if len(pre[c]) > 1]
+            relations = self._relations(order)
+        branching = [c for c in self.places if len(self._pre[c]) > 1]
         if branching:  # the flow is bipartite; name the least condition
             c = min(branching)
             return CheckOutcome.fail(f"backward branching at condition {c}", witness=c)
-        empty = [e for e in self.transitions if not pre[e]]
+        empty = [e for e in self.transitions if not self._pre[e]]
         if empty:
             # events with empty pre-set are formally allowed by some authors
             # but break the marking correspondence; reject them
             return CheckOutcome.fail(f"event with empty pre-set: {sorted(empty)}")
-        min_places = {c for c in self.places if not pre[c]}
+        min_places = {c for c in self.places if not self._pre[c]}
         if min_places != self.initial_marking:
             return CheckOutcome.fail(
                 "initial marking is not the set of minimal conditions",
                 expected=sorted(min_places), got=sorted(self.initial_marking))
-
-        bit, up = closures or self._up_closures(order)
-        self._order, self._bit = order, bit
-        self._events = sum(bit[e] for e in self.transitions)
-        # x # y iff distinct events e <= x, f <= y share a pre-condition:
-        # an event conflicts with its rival consumers' up-closures, and
-        # every node inherits the conflicts of the nodes below it
-        below, conflict, selfish = {}, {}, []
-        events = self.transitions
-        for n in order:
-            b = c = 0
-            for p in pre[n]:
-                b |= bit[p] | below[p]
-                c |= conflict[p]
-                if n in events:
-                    for rival in post[p]:
-                        if rival != n:
-                            c |= up[rival]
-            below[n], conflict[n] = b, c
-            if c & bit[n]:
-                selfish.append(n)
-        self._below, self._conflict = below, conflict
+        self._order, (self._bit, self._below, self._conflict, selfish) = order, relations
+        self._events = sum(self._bit[e] for e in self.transitions)
         if selfish:
             n = min(selfish)
             return CheckOutcome.fail(f"self-conflict at {n}", witness=n)
         return CheckOutcome.ok()
 
-    def _up_closures(self, order):
-        """(bit, up) over ``order``: each node's bit, and the mask of it and
-        every node above it; None unless ``order`` lists every node once
-        and every arc goes forward in it, which proves the flow acyclic."""
+    def _relations(self, order):
+        """(bit, below, conflict, selfish) over ``order`` in one forward pass:
+        each node's bit, masks of the nodes strictly below it and of the
+        rivals of the events at or below it (the other consumers of their
+        pre-conditions), and the nodes in conflict with themselves.  None
+        unless ``order`` lists every node once and every arc goes forward
+        in it, which proves the flow acyclic."""
         bit = {n: 1 << i for i, n in enumerate(order)}
         if len(bit) != len(order) or bit.keys() != self._pre.keys():
             return None
-        post, up = self._post, {}
+        pre, post, events = self._pre, self._post, self.transitions
+        below, conflict, selfish = {}, {}, []
         try:
-            for n in reversed(order):
-                m = bit[n]
-                for s in post[n]:
-                    m |= up[s]  # a KeyError: the arc (n, s) goes backward
-                up[n] = m
+            for n in order:
+                b = c = 0
+                for p in pre[n]:
+                    b |= bit[p] | below[p]  # a KeyError: the arc (p, n) goes backward
+                    c |= conflict[p]
+                    if n in events:
+                        for rival in post[p]:
+                            if rival != n:
+                                c |= bit[rival]
+                below[n], conflict[n] = b, c
+                if c & (b | bit[n]):
+                    selfish.append(n)
         except KeyError:
             return None
-        return bit, up
+        return bit, below, conflict, selfish
 
     def _topological_order(self):
         nodes = self.places | self.transitions
@@ -378,16 +369,17 @@ class OccurrenceNet(Net):
         return bool(self._below[b] & self._bit[a])
 
     def in_conflict(self, a, b) -> bool:
-        return bool(self._conflict[a] & self._bit[b])
+        """Distinct events at or below a and at or below b share a pre-condition."""
+        return bool(self._conflict[a] & (self._below[b] | self._bit[b]))
 
     def minimal_conflict(self, a, b) -> bool:
-        """a # b for distinct events, with no event strictly below either
-        in conflict with the other."""
+        """a # b for distinct events, with no event strictly below either,
+        so no pre-condition of either, in conflict with the other."""
         ev = self._events
         return (a != b and bool(self._bit[a] & ev and self._bit[b] & ev)
                 and self.in_conflict(a, b)
-                and not self._conflict[b] & self._below[a] & ev
-                and not self._conflict[a] & self._below[b] & ev)
+                and not any(self.in_conflict(p, b) for p in self._pre[a])
+                and not any(self.in_conflict(p, a) for p in self._pre[b]))
 
     # -- configurations, cuts, markings ------------------------------------
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gen import clique_net, random_cptni, random_occurrence_annotated
-from qpn import checker, cli
+from qpn import algebra, checker, cli
 from qpn.algebra import Channel, effect, min_eigenvalue
 from qpn.annotation import GlobalValuation, LocalAnnotation
 from qpn.checker import (
@@ -435,7 +435,7 @@ class TestLocalDrop:
         chans = dict.fromkeys(net.transitions, Channel(4, 2, kraus))
         return net, LocalAnnotation(dict.fromkeys(places, 2), chans)
 
-    @pytest.mark.parametrize("budget", [checker.EIG_QUEUE_ENTRIES, 300, 0])
+    @pytest.mark.parametrize("budget", [algebra.BATCH_ENTRIES, 300, 0])
     def test_eigen_stacks_keep_within_the_budget(self, monkeypatch, budget):
         """No stack the kernel gets holds more than the budget's entries,
         but for a single matrix; on the chain of 6 the 1 MiB budget fills
@@ -443,8 +443,8 @@ class TestLocalDrop:
         net, ann = self._chain(6)
         want = [(r.key, r.method, r.min_eig.hex(), r.passed)
                 for r in check_local_drop(net, ann).instances]
-        stacks, kernel, default = [], checker.min_eigenvalues, checker.EIG_QUEUE_ENTRIES
-        monkeypatch.setattr(checker, "EIG_QUEUE_ENTRIES", budget)
+        stacks, kernel, default = [], checker.min_eigenvalues, algebra.BATCH_ENTRIES
+        monkeypatch.setattr(algebra, "BATCH_ENTRIES", budget)
         monkeypatch.setattr(checker, "min_eigenvalues",
                             lambda s: stacks.append(np.shape(s)) or kernel(s))
         report = check_local_drop(net, ann)
@@ -454,6 +454,26 @@ class TestLocalDrop:
         assert budget != default or max(sizes) == budget == 1 << 16
         assert report.stats["eigen_calls"] == len(stacks)
         assert report.stats["eigen_solves"] == sum(k for k, _, _ in stacks) == 114
+
+    def test_rows_are_built_only_when_read(self, monkeypatch):
+        """The verdict, the worst value, the counts and the stats read the
+        report's table: no row is built until ``first_failure`` or
+        ``instances`` is read."""
+        built = []
+
+        class Counted(checker.DropInstanceResult):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self.key)
+
+        monkeypatch.setattr(checker, "DropInstanceResult", Counted)
+        report = check_local_drop(*self._chain(6))
+        assert not report.passed and report.worst < 0
+        assert report.instance_count() == 120 and report.stats["clusters"] == 18
+        assert built == []
+        assert report.first_failure().key[1] == ("e0", "e1", "e2", "e3", "e4", "e5") and built
+        built.clear()
+        assert len(report.instances) == len(built) == 120
 
     @pytest.mark.parametrize("cap, cap_first", [(3, False), (4, False), (3, True)],
                              ids=["3", "4", "cap-first"])
@@ -498,6 +518,24 @@ class TestBruteForceOracle:
             assert brute.passed == local.passed
             agreements += 1
         assert agreements == 25
+
+    def test_table_reads_match_the_instances(self):
+        """The verdict, the worst value, the counts and the first failure,
+        read off the table, are those of the rows in ``instances``: the
+        first failing row in key order is the least configuration's least
+        failing family."""
+        verdicts = []
+        for seed in range(16):
+            x = random_occurrence_annotated(np.random.default_rng(seed))
+            brute = brute_force_global_drop(x.net, x.ann)
+            rows = brute.instances
+            assert rows == sorted(rows, key=lambda r: r.key)
+            assert brute.passed == all(r.passed for r in rows)
+            assert brute.worst == min((r.min_eig for r in rows), default=float("inf"))
+            assert brute.instance_count() == len(rows) == brute.stats["families"]
+            assert brute.first_failure() == next((r for r in rows if not r.passed), None)
+            verdicts.append(brute.passed)
+        assert any(verdicts) and not all(verdicts)
 
     def test_cli_oracle_agrees_on_the_chain_of_six(self, tmp_path, capsys):
         """The chain of 6 first fails on its whole cluster of six events, so

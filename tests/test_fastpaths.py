@@ -339,7 +339,7 @@ def test_choi_blocks_cover_every_input_index(monkeypatch):
     g = Channel(4, 4, (k,))
     whole = identity_deviation(f), identity_deviation(g)
     for entries in (4 ** 3, 2 * 4 ** 3, 1):
-        monkeypatch.setattr(algebra, "CHOI_BLOCK_ENTRIES", entries)
+        monkeypatch.setattr(algebra, "BATCH_ENTRIES", entries)
         assert (identity_deviation(f), identity_deviation(g)) == whole
     assert whole[1] == pytest.approx(1e-3)
 
@@ -348,6 +348,15 @@ def test_a_nan_channel_is_not_the_identity():
     k = np.eye(3, dtype=complex)
     k[2, 2] = np.nan
     assert np.isnan(identity_deviation(Channel(3, 3, (k,))))
+
+
+def test_channels_close_fails_on_a_nan_deviation():
+    """A NaN entry reads as a NaN deviation in either argument order, so
+    the channels are not close."""
+    nan = Channel(2, 2, (np.diag([1, np.nan]).astype(complex),))
+    for f, g in ((nan, Channel.identity(2)), (Channel.identity(2), nan)):
+        out = channels_close(f, g)
+        assert not out and np.isnan(out.data["max_deviation"])
 
 
 def test_obliviousness_stage_on_presentations_of_the_identity():

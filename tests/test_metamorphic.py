@@ -8,7 +8,8 @@ sampled runs unchanged.  Signal factors stay last even when every event
 id sorts before every place id: code that sorted a whole factor list by
 id would put them first there.  A parallel composition is a QPN exactly
 when both of its parts are.  Another Kraus list of every channel (Choi
-1975: related by an isometry) leaves verdicts and drops unchanged.
+1975: related by an isometry) leaves verdicts, drops, run probabilities
+and sampled runs unchanged.
 """
 
 import itertools
@@ -291,3 +292,41 @@ def test_verdicts_and_drops_survive_kraus_freedom(name, an, tmp_path):
         for t in sorted(an.net.transitions):
             assert len(got_ann.channel(t).kraus) > len(ann.channel(t).kraus)
             assert channels_close(ann.channel(t), got_ann.channel(t)), (how, t)
+
+
+@pytest.mark.parametrize("name,an", OCCURRENCE_CASES, ids=[c[0] for c in OCCURRENCE_CASES])
+def test_run_probabilities_survive_kraus_freedom(name, an):
+    """Each of `gen.kraus_presentations`: the same probability, within TOL,
+    on every interval, from a random state with random environment states."""
+    o, ann = an.net, an.ann
+    rng = np.random.default_rng(list(map(ord, name)))
+    others = kraus_presentations(rng, an)
+    pairs = interval_pairs(o)
+    assert pairs
+    for x, y in pairs:
+        iv = interval(o, marking_of_configuration(o, x), marking_of_configuration(o, y))
+        rho = random_density(rng, int(np.prod([ann.dim(p) for p in iv.from_marking])))
+        env = {e: random_density(rng, ann.signal_dim(e))
+               for e in sorted(iv.sigma) if o.pol(e) == NEGATIVE}
+        want = run_probability(o, ann, iv, rho, env)
+        for how, other in others.items():
+            got = run_probability(o, other.ann, iv, rho, env)
+            assert _same(want, got), (how, sorted(x), sorted(y))
+
+
+@pytest.mark.parametrize("name,an", CASES, ids=[c[0] for c in CASES])
+def test_sampled_runs_survive_kraus_freedom(name, an):
+    """Each of `gen.kraus_presentations`: the same events, clusters and
+    halts in replayed runs, with every branch probability within TOL."""
+    ann, m0 = an.ann, an.net.initial_marking
+    rng = np.random.default_rng(list(map(ord, name)))
+    rho = random_density(rng, int(np.prod([ann.dim(p) for p in m0])))
+    for how, other in kraus_presentations(rng, an).items():
+        for seed in range(5):
+            want = sample_execution(an.net, ann, rho, seed=seed, max_steps=40)
+            got = sample_execution(an.net, other.ann, rho, seed=seed, max_steps=40)
+            assert [(r["event"], r.get("cluster")) for r in got.log] == \
+                [(r["event"], r.get("cluster")) for r in want.log], (how, seed)
+            assert (got.halted, got.marking) == (want.halted, want.marking), (how, seed)
+            for r, g in zip(want.log, got.log):
+                assert _same(r["prob"], g["prob"]), (how, seed, r["step"])
