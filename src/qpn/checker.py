@@ -56,12 +56,10 @@ from .nets import (
     DEFAULT_MARKING_BOUND,
     Net,
     OccurrenceNet,
-    component_markings,
-    flow_components,
+    component_clusters,
     is_clique,
     is_occurrence_net,
     least_witness,
-    marking_clusters,
     marking_of_configuration,
     race_free,
     verify_safety,
@@ -383,11 +381,11 @@ def check_local_drop(net: Net, ann: LocalAnnotation,
     report every sub-family.
 
     Events share pre-places only within a flow component, so the clusters
-    at a marking of the net are those of its components' markings, and
-    each component is checked on its own.  A cluster over the cap is an
-    error, raised at the :func:`least_witness` of the parts' first such
-    clusters once every queued drop is solved, so a drop that is not
-    Hermitian is raised first.
+    at a marking of the net are those of its components' markings
+    (:func:`component_clusters`), and each component is checked on its
+    own.  A cluster over the cap is an error, raised at the
+    :func:`least_witness` of the parts' first such clusters once every
+    queued drop is solved, so a drop that is not Hermitian is raised first.
     """
     if not net.safety_verified:
         raise SafetyUnverified("run verify_safety before checking the drop condition")
@@ -400,34 +398,23 @@ def check_local_drop(net: Net, ann: LocalAnnotation,
         for (fams, fam, d), lo in zip(queued, min_eigenvalues([d for *_, d in queued])):
             fams[fam] = float(lo) if lo == lo else min_eigenvalue(d)  # NaN: it raises
 
-    parts, over = [], []  # per part: {sorted marking: clusters}, {its first over the cap}
-    for (_, transitions), markings in zip(flow_components(net),
-                                          component_markings(net, marking_bound)):
-        parts.append(part := {})
-        over.append(first := {})
-        for mkey, m in sorted((tuple(sorted(m)), m) for m in markings):
-            met = part[mkey] = []
-            for cluster in marking_clusters(net, m, transitions):
-                cl = tuple(sorted(cluster))
-                if len(cl) > cluster_cap:
-                    first.setdefault(mkey, cl)
-                    continue
-                if cl not in table:
-                    clique = len(cl) > 1 and is_clique(net, cl)
-                    fams = dict.fromkeys([cl] if clique else [
-                        fam for r in range(1, len(cl) + 1)
-                        for fam in itertools.combinations(cl, r)])
-                    table[cl] = ("clique" if clique else "single", fams)
-                    for fam in fams:
-                        drop = single_extension_drop(
-                            net, ann, frozenset().union(*map(net.pre, fam)), fam)
-                        q = queues.setdefault(len(drop), [])
-                        q.append((fams, fam, drop))
-                        if (len(q) + 1) * drop.size > algebra.BATCH_ENTRIES:  # the next won't fit
-                            solve(len(drop))
-                met.append(cl)
+    parts = component_clusters(net, marking_bound)
+    for cl in dict.fromkeys(cl for part in parts for cls in part.values() for cl in cls
+                            if len(cl) <= cluster_cap):
+        clique = len(cl) > 1 and is_clique(net, cl)
+        fams = dict.fromkeys([cl] if clique else [
+            fam for r in range(1, len(cl) + 1) for fam in itertools.combinations(cl, r)])
+        table[cl] = ("clique" if clique else "single", fams)
+        for fam in fams:
+            drop = single_extension_drop(net, ann, frozenset().union(*map(net.pre, fam)), fam)
+            q = queues.setdefault(len(drop), [])
+            q.append((fams, fam, drop))
+            if (len(q) + 1) * drop.size > algebra.BATCH_ENTRIES:  # the next won't fit
+                solve(len(drop))
     for n in list(queues):
         solve(n)
+    over = [{m: big[0] for m, cls in part.items()
+             if (big := [cl for cl in cls if len(cl) > cluster_cap])} for part in parts]
     if found := least_witness(parts, over):
         m, cl = found
         raise BoundExceeded(f"cluster of {len(cl)} events at marking {list(m)} "

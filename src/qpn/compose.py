@@ -9,6 +9,7 @@ conflict-preserving bijection, and provably keep the net a QPN.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -27,10 +28,12 @@ from .nets import (
     NEUTRAL,
     POSITIVE,
     Net,
+    component_clusters,
+    component_markings,
     conflict_components,
-    marking_clusters,
+    flow_components,
+    least_witness,
     race_free,
-    reachable_markings,
     verify_safety,
 )
 from .outcome import CheckOutcome
@@ -235,33 +238,54 @@ def check_join_preservation(before: AnnotatedNet, after: AnnotatedNet,
     where each joined event stands for its positive member extended by the
     identity on the negative member's pre-places.  A cluster's comparison
     depends on its events only, so each distinct cluster is compared once.
-    Also checks the marking correspondence and that race-freeness survived.
+    Also checks the marking correspondence, that race-freeness survived,
+    and that every new transition is one the spec joins.
+
+    A join only merges flow components (splitting one fails), so a marking
+    of a joined-net component was reachable before iff it lies on the
+    original ones inside it and its share of each was.  Each component is
+    walked on its own (:func:`component_clusters`), and its failures are
+    named by :func:`least_witness`, as a walk over sorted markings would.
     """
     rf = race_free(after.net)
     if not rf:
         return CheckOutcome.fail(f"joined net is not race-free: {rf.reason}")
-    before_markings = reachable_markings(before.net)
     joined = {joined_id(p, n): (p, n) for p, n in spec.pairs}
-    errors = {}  # sorted cluster -> max |d_after - d_before|
-    for m in sorted(reachable_markings(after.net), key=sorted):
-        if m not in before_markings:
-            return CheckOutcome.fail(
-                f"marking {sorted(m)} unreachable before the join")
-        for cluster in marking_clusters(after.net, m):
-            fam = sorted(cluster)
-            key = tuple(fam)
-            if key not in errors:
-                local = frozenset().union(*(after.net.pre(e) for e in fam))
-                d_after = single_extension_drop(after.net, after.ann, local, fam)
-                d_before = _preimage_drop(before, local, fam, joined)
-                errors[key] = (float(np.max(np.abs(d_after - d_before))),
-                               d_after.shape[0])
-            err, dim = errors[key]
-            if err > tol * max(1, dim):
-                return CheckOutcome.fail(
-                    f"drop differs by {err:.2e} at {sorted(m)} on {fam}",
-                    error=err)
-    return CheckOutcome.ok()
+    if stray := after.net.transitions - before.net.transitions - joined.keys():
+        return CheckOutcome.fail(
+            f"{min(stray)} is neither in the original net nor joined by the spec")
+
+    @functools.cache
+    def error(fam):
+        """max |d_after - d_before| on fam's pre-places, or None within tol."""
+        local = frozenset().union(*map(after.net.pre, fam))
+        d = single_extension_drop(after.net, after.ann, local, fam) \
+            - _preimage_drop(before, local, fam, joined)
+        err = float(np.max(np.abs(d)))
+        return err if err > tol * max(1, len(d)) else None
+
+    inner = list(zip(flow_components(before.net), component_markings(before.net)))
+    parts = component_clusters(after.net)
+    fails = []  # per part: {sorted marking: () if unreachable, else (cluster, error)}
+    for (places, _), part in zip(flow_components(after.net), parts):
+        shares = [(ps, ms) for (ps, _), ms in inner if ps & places]
+        if not (covered := frozenset().union(*(ps for ps, _ in shares))) <= places:
+            return CheckOutcome.fail(f"the join splits the component of {min(covered - places)}")
+        fails.append(bad := {})
+        for key, clusters in part.items():
+            m = frozenset(key)
+            if not m <= covered or any(m & ps not in ms for ps, ms in shares):
+                bad[key] = ()  # sorts first: reachability is checked before drops
+            elif failed := [(fam, err) for fam in clusters if (err := error(fam)) is not None]:
+                bad[key] = failed[0]
+    if (found := least_witness(parts, fails)) is None:
+        return CheckOutcome.ok()
+    m, fail = found
+    if not fail:
+        return CheckOutcome.fail(f"marking {list(m)} unreachable before the join")
+    fam, err = fail
+    return CheckOutcome.fail(f"drop differs by {err:.2e} at {list(m)} on {list(fam)}",
+                             error=err)
 
 
 def _preimage_drop(before: AnnotatedNet, m, fam, joined):

@@ -124,7 +124,7 @@ def from_document(doc: dict):
     for section in ("places", "transitions", "flow", "initial_marking"):
         if not isinstance(doc.get(section), list):
             _fail(section, "missing or not a list")
-    metadata = doc.get("metadata") or {}
+    metadata = {} if doc.get("metadata") is None else doc["metadata"]
     if not isinstance(metadata, dict):
         _fail("metadata", "must be an object")
 

@@ -285,37 +285,26 @@ class OccurrenceNet(Net):
         in it, and the nodes are sorted afresh otherwise."""
         super().__init__(places, transitions, flow, initial_marking, polarity,
                          _adjacency=_adjacency)
-        outcome = self._compute_relations(_order)
-        if not outcome.passed:
-            raise QpnError(f"not an occurrence net: {outcome.reason}")
-
-    def _compute_relations(self, order=None) -> CheckOutcome:
-        relations = None if order is None else self._relations(order)
+        relations = None if _order is None else self._relations(_order)
+        if relations is None and (_order := self._topological_order()) is not None:
+            relations = self._relations(_order)
         if relations is None:
-            order = self._topological_order()
-            if order is None:
-                return CheckOutcome.fail("flow relation is cyclic")
-            relations = self._relations(order)
-        branching = [c for c in self.places if len(self._pre[c]) > 1]
-        if branching:  # the flow is bipartite; name the least condition
-            c = min(branching)
-            return CheckOutcome.fail(f"backward branching at condition {c}", witness=c)
-        empty = [e for e in self.transitions if not self._pre[e]]
-        if empty:
-            # events with empty pre-set are formally allowed by some authors
-            # but break the marking correspondence; reject them
-            return CheckOutcome.fail(f"event with empty pre-set: {sorted(empty)}")
-        min_places = {c for c in self.places if not self._pre[c]}
-        if min_places != self.initial_marking:
-            return CheckOutcome.fail(
-                "initial marking is not the set of minimal conditions",
-                expected=sorted(min_places), got=sorted(self.initial_marking))
-        self._order, (self._bit, self._below, self._conflict, selfish) = order, relations
-        self._events = sum(self._bit[e] for e in self.transitions)
-        if selfish:
-            n = min(selfish)
-            return CheckOutcome.fail(f"self-conflict at {n}", witness=n)
-        return CheckOutcome.ok()
+            reason = "flow relation is cyclic"
+        elif branching := [c for c in self.places if len(self._pre[c]) > 1]:
+            reason = f"backward branching at condition {min(branching)}"
+        # events with empty pre-set are formally allowed by some authors but
+        # break the marking correspondence; reject them
+        elif empty := sorted(e for e in self.transitions if not self._pre[e]):
+            reason = f"event with empty pre-set: {empty}"
+        elif {c for c in self.places if not self._pre[c]} != self.initial_marking:
+            reason = "initial marking is not the set of minimal conditions"
+        elif selfish := relations[3]:  # the nodes in conflict with themselves
+            reason = f"self-conflict at {min(selfish)}"
+        else:
+            self._order, (self._bit, self._below, self._conflict, _) = _order, relations
+            self._events = sum(self._bit[e] for e in self.transitions)
+            return
+        raise QpnError(f"not an occurrence net: {reason}")
 
     def _relations(self, order):
         """(bit, below, conflict, selfish) over ``order`` in one forward pass:
@@ -371,15 +360,6 @@ class OccurrenceNet(Net):
     def in_conflict(self, a, b) -> bool:
         """Distinct events at or below a and at or below b share a pre-condition."""
         return bool(self._conflict[a] & (self._below[b] | self._bit[b]))
-
-    def minimal_conflict(self, a, b) -> bool:
-        """a # b for distinct events, with no event strictly below either,
-        so no pre-condition of either, in conflict with the other."""
-        ev = self._events
-        return (a != b and bool(self._bit[a] & ev and self._bit[b] & ev)
-                and self.in_conflict(a, b)
-                and not any(self.in_conflict(p, b) for p in self._pre[a])
-                and not any(self.in_conflict(p, a) for p in self._pre[b]))
 
     # -- configurations, cuts, markings ------------------------------------
 
@@ -522,6 +502,15 @@ def marking_clusters(net: Net, m: Marking, transitions=None):
     components among them."""
     return conflict_components(net, (t for t in enabled(net, m, transitions)
                                      if net.non_negative(t)))
+
+
+def component_clusters(net: Net, bound: int = DEFAULT_MARKING_BOUND) -> list:
+    """Per flow component, {sorted marking: its clusters as sorted tuples}
+    over its reachable markings in sorted order.  A marking of the net is
+    one per component and meets the union of their clusters."""
+    return [{tuple(sorted(m)): [tuple(sorted(c)) for c in marking_clusters(net, m, ts)]
+             for m in sorted(ms, key=sorted)}
+            for (_, ts), ms in zip(flow_components(net), component_markings(net, bound))]
 
 
 def to_dot(net: Net, labels=None) -> str:

@@ -15,7 +15,7 @@ import numpy as np
 
 from qpn.algebra import Channel
 from qpn.annotation import LocalAnnotation
-from qpn.compose import AnnotatedNet
+from qpn.compose import AnnotatedNet, JoinSpec, parallel
 from qpn.nets import Net, OccurrenceNet, verify_safety
 
 
@@ -283,6 +283,90 @@ def joinable_net(rng, conflicting_negatives: bool, matched: bool) -> AnnotatedNe
     return AnnotatedNet(net, LocalAnnotation(dims, channels,
                                              {"n1": 2, "n2": 2,
                                               "p1": 2, "p2": 2}))
+
+
+JOIN_MUTATIONS = ("partial", "uncarried", "signal")
+
+
+def random_join(rng, mutation=None):
+    """(composite, spec): a producer whose positive events p0.. lie in one
+    cluster beside a consumer whose negative events n0.. form a whole
+    negative cluster, put side by side with ``parallel``, and the spec
+    pairing p_i with n_i.
+
+    The positives share the hub h, with a neutral rival z at times, and
+    have effects w_i·I whose weights sum to at most 1.2, so some producers
+    fail the drop condition.  The negatives share s or form a chain over
+    s0.., and are identities.  Dims, signal dims and private pre-places
+    come from ``rng``.  A ``mutation`` from :data:`JOIN_MUTATIONS` breaks
+    the spec: "partial" leaves the last negative unpaired, "uncarried"
+    gives each positive its own hub, bridged by z, so conflicting
+    negatives meet positives that do not conflict, and "signal" gives the
+    first negative one signal dimension more than its positive.
+    """
+    k = int(rng.integers(2 if mutation in ("partial", "uncarried") else 1, 4))
+    producer, consumer = _Side(), _Side()
+    uncarried = mutation == "uncarried"
+    neutral = uncarried or rng.random() < 0.3
+    hubs = [producer.place(f"h{i}" if uncarried else "h", int(rng.integers(1, 3)))
+            for i in range(k)]
+    weights = rng.dirichlet(np.ones(k + neutral)) * rng.uniform(0.6, 1.2)
+    if neutral:
+        producer.event("z", "0", sorted(set(hubs)), [producer.place("oz", 1, False)], 1,
+                       lambda din, dout: random_cptni(rng, din, dout, weight=weights[k]))
+    signals = [int(rng.integers(1, 3)) for _ in range(k)]
+    for i in range(k):
+        own = [producer.place(f"a{i}", int(rng.integers(1, 3)))] if rng.random() < 0.3 else []
+        producer.event(f"p{i}", "+", [hubs[i]] + own,
+                       [producer.place(f"o{i}", int(rng.integers(1, 3)), False)], signals[i],
+                       lambda din, dout, w=weights[i]: random_cptni(rng, din, dout, weight=w))
+    if mutation == "signal":
+        signals[0] += 1
+    chain = rng.random() < 0.5
+    shared = [consumer.place(f"s{i}" if chain else "s", int(rng.integers(1, 3)))
+              for i in range(k + chain)]
+    for i in range(k):
+        own = [consumer.place(f"b{i}", int(rng.integers(1, 3)))] if rng.random() < 0.3 else []
+        pre = shared[i:i + 1 + chain] + own
+        d = consumer.size(pre) * signals[i]
+        consumer.event(f"n{i}", "-", pre, [consumer.place(f"d{i}", d, False)], signals[i],
+                       lambda din, dout: Channel.identity(din))
+    composite, _ = parallel(producer.annotated(), consumer.annotated())
+    return composite, JoinSpec(tuple((f"p{i}", f"n{i}")
+                                     for i in range(k - (mutation == "partial"))))
+
+
+class _Side:
+    """One side of :func:`random_join`, built place by place."""
+
+    def __init__(self):
+        self.dims, self.pol, self.channels, self.h = {}, {}, {}, {}
+        self.flow, self.m0 = set(), set()
+
+    def place(self, p, dim, marked=True):
+        self.dims[p] = dim
+        if marked:
+            self.m0.add(p)
+        return p
+
+    def size(self, places):
+        return int(np.prod([self.dims[p] for p in places]))
+
+    def event(self, t, polarity, pre, post, signal, channel):
+        """``channel(din, dout)`` makes t's channel: a positive t emits the
+        signal, a negative one absorbs it."""
+        self.pol[t] = polarity
+        self.flow |= {(p, t) for p in pre} | {(t, p) for p in post}
+        if signal > 1:
+            self.h[t] = signal
+        din, dout = self.size(pre), self.size(post)
+        self.channels[t] = channel(din * signal, dout) if polarity == "-" \
+            else channel(din, dout * signal)
+
+    def annotated(self) -> AnnotatedNet:
+        net = Net(set(self.dims), set(self.pol), self.flow, self.m0, self.pol)
+        verify_safety(net)
+        return AnnotatedNet(net, LocalAnnotation(self.dims, self.channels, self.h))
 
 
 def racy_net() -> AnnotatedNet:

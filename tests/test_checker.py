@@ -418,6 +418,24 @@ class TestLocalDrop:
         with pytest.raises(BoundExceeded):
             check_local_drop(x.net, x.ann, cluster_cap=3)
 
+    def test_the_first_cluster_over_the_cap_is_named(self):
+        """Cliques of 2 and 3 on the hubs g and h, in one component through
+        x: at the initial marking both pass a cap of 1, and the cluster
+        met first is named."""
+        kids = {"g": ["g0", "g1"], "h": ["h0", "h1", "h2"]}
+        flow = {(hub, k) for hub, ks in kids.items() for k in ks}
+        flow |= {(k, f"o{k}") for ks in kids.values() for k in ks}
+        flow |= {("og0", "x"), ("oh0", "x"), ("x", "end")}
+        places = {"g", "h", "end"} | {f"o{k}" for ks in kids.values() for k in ks}
+        pol = dict.fromkeys(["x"] + kids["g"] + kids["h"], "0")
+        net = Net(places, set(pol), flow, {"g", "h"}, pol)
+        verify_safety(net)
+        dims = dict.fromkeys(places, 1)
+        ann = LocalAnnotation(dims, {t: Channel.identity(1).scaled(0.2) for t in pol})
+        with pytest.raises(BoundExceeded) as exc:
+            check_local_drop(net, ann, cluster_cap=1)
+        assert str(exc.value) == "cluster of 2 events at marking ['g', 'h'] exceeds cap 1"
+
     @staticmethod
     def _chain(k):
         """k events over k + 1 marked dim-2 places, event i consuming places

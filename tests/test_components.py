@@ -1,6 +1,7 @@
-"""Flow components: `verify_safety` and `check_local_drop` work on each
-flow-connected component of a net, and every result equals the one
-computed on the product of the components' markings."""
+"""Flow components: `verify_safety`, `check_local_drop` and
+`check_join_preservation` work on each flow-connected component of a net,
+and every result equals the one computed on the product of the
+components' markings."""
 
 import itertools
 import types
@@ -8,8 +9,8 @@ import types
 import numpy as np
 import pytest
 
-from gen import clique_net, random_occurrence_annotated, random_state_machine
-from qpn import checker, nets
+from gen import clique_net, joinable_net, random_occurrence_annotated, random_state_machine
+from qpn import checker, compose, nets
 from qpn.algebra import Channel, min_eigenvalue
 from qpn.annotation import LocalAnnotation
 from qpn.checker import (
@@ -19,7 +20,13 @@ from qpn.checker import (
     single_extension_drop,
 )
 from qpn.cli import main
-from qpn.compose import AnnotatedNet, parallel
+from qpn.compose import (
+    AnnotatedNet,
+    JoinSpec,
+    check_join_preservation,
+    drop_preserving_join,
+    parallel,
+)
 from qpn.demo import branching_demo, two_phase_cycle
 from qpn.errors import BoundExceeded
 from qpn.netfile import save_net
@@ -208,6 +215,18 @@ def test_least_witness_is_not_each_parts_least_marking():
     assert least_witness(parts, [{}, {}]) is None
 
 
+@pytest.fixture
+def no_product(monkeypatch):
+    """Walking the product of the components' markings raises."""
+    def walk(*_):
+        raise AssertionError("the product was walked")
+
+    no_product = types.SimpleNamespace(**vars(itertools) | {"product": walk})
+    for module in (checker, compose, nets):
+        monkeypatch.setattr(module, "itertools", no_product)
+    monkeypatch.setattr(nets, "reachable_markings", walk)
+
+
 @pytest.mark.parametrize("parts, cap, reason, error", [
     ([clique_net(None, 3), branching_demo(scaled=False),
       random_state_machine(np.random.default_rng(2), max_dim=2)], 2,
@@ -220,21 +239,32 @@ def test_least_witness_is_not_each_parts_least_marking():
      "(min eigenvalue -3.000e-01)",
      "cluster of 2 events at marking ['hub', 'p0', 's0'] exceeds cap 1"),
 ], ids=["clique-demo-machine", "demo-cycle-clique"])
-def test_witnesses_never_walk_the_product(monkeypatch, parts, cap, reason, error):
+def test_witnesses_never_walk_the_product(no_product, parts, cap, reason, error):
     """A failing verdict and a cluster over the cap on a composite name
     the marking that walking the product names, with no product walked."""
-    def walk(*_):
-        raise AssertionError("the product was walked")
-
-    no_product = types.SimpleNamespace(**vars(itertools) | {"product": walk})
-    for module in (checker, nets):  # nets.reachable_markings walks it too
-        monkeypatch.setattr(module, "itertools", no_product)
     an = _compose(parts)
     assert len(flow_components(an.net)) >= 3
     assert is_qpn(an.net, an.ann).reason == reason
     with pytest.raises(BoundExceeded) as exc:
         check_local_drop(an.net, an.ann, cluster_cap=cap)
     assert str(exc.value) == error
+
+
+@pytest.mark.parametrize("matched, reason", [
+    (True, ""),
+    (False, "drop differs by 1.00e+00 at ['L/g0p0', 'L/g1p0', 'R/g0p0', 'g0p0', 'g1p0', "
+            "'s', 'u1', 'u2'] on ['p1*n1', 'p2*n2']"),
+], ids=["valid", "forced"])
+def test_joins_never_walk_the_product(no_product, matched, reason):
+    """The join check beside three state machines reads each component on
+    its own, and a forced bad join names the marking the product walk
+    names."""
+    machines = [random_state_machine(np.random.default_rng(s)) for s in range(3)]
+    x = _compose(machines + [joinable_net(None, True, matched)])
+    spec = JoinSpec((("p1", "n1"), ("p2", "n2")))
+    y = drop_preserving_join(x, spec, force=not matched)
+    assert len(flow_components(y.net)) >= 4
+    assert check_join_preservation(x, y, spec).reason == reason
 
 
 def test_one_component_keeps_the_nets_own_sets():

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gen import joinable_net, random_cptni
+from gen import joinable_net, random_cptni, random_join
 from qpn import compose
 from qpn.algebra import Channel, FactorPermutation, channels_close
 from qpn.annotation import LocalAnnotation
@@ -306,6 +306,56 @@ class TestJoinPreservation:
         assert not is_qpn(y.net, y.ann)
         assert check_join_preservation(x, y, spec).reason == reason
 
+    @pytest.mark.parametrize("pairs, stray", [((("p1", "n1"),), "p2*n2"), ((), "p1*n1")],
+                             ids=["partial", "empty"])
+    def test_a_spec_that_misses_a_join_fails(self, pairs, stray):
+        x = joinable_net(None, True, True)
+        y = drop_preserving_join(x, JoinSpec((("p1", "n1"), ("p2", "n2"))))
+        assert check_join_preservation(x, y, JoinSpec(pairs)).reason == (
+            f"{stray} is neither in the original net nor joined by the spec")
+
+    @pytest.mark.parametrize("source, weights, reason", [
+        ("a", (0.5, 0.5), "marking ['b', 'c', 'q'] unreachable before the join"),
+        ("a", (0.5, 0.25), "drop differs by 2.50e-01 at ['a', 'c'] on ['u']"),
+        ("a", (0.25, 0.25), "drop differs by 2.50e-01 at ['a', 'c'] on ['t']"),
+        ("z", (0.5, 0.25), "marking ['b', 'c', 'q'] unreachable before the join"),
+    ])
+    def test_the_least_failing_marking_is_named(self, source, weights, reason):
+        """t marks q only after the join, and the weights of t and u may
+        change: of the markings where q is marked or a drop differs, the
+        least is named, reachability first, then the least cluster."""
+        dims = {source: 2, "b": 2, "q": 1, "c": 2, "d": 2, "f": 4}
+
+        def side(t_post, wt, wu):
+            flow = {(source, "t"), ("c", "u"), ("u", "d"), ("b", "x"), ("d", "x"), ("x", "f")}
+            net = Net(set(dims), {"t", "u", "x"}, flow | {("t", p) for p in t_post},
+                      {source, "c"}, dict.fromkeys("tux", "0"))
+            verify_safety(net)
+            return AnnotatedNet(net, LocalAnnotation(dims, {
+                "t": Channel.identity(2).scaled(wt), "u": Channel.identity(2).scaled(wu),
+                "x": Channel.identity(4).scaled(0.5)}))
+
+        out = check_join_preservation(side({"b"}, 0.5, 0.5), side({"b", "q"}, *weights),
+                                      JoinSpec(()))
+        assert out.reason == reason
+
+    @pytest.mark.parametrize("after, reason", [
+        (({"a", "b", "q"}, {"a", "q"}, {"t"}), "marking ['a', 'q'] unreachable before the join"),
+        (({"a", "b"}, {"a"}, set()), "the join splits the component of b"),
+    ], ids=["marked-new-place", "split"])
+    def test_a_pair_that_is_no_join_fails(self, after, reason):
+        """A marked place the original lacks is unreachable before; a
+        joined net that splits a flow component of the original is no join."""
+        def side(places, marked, ts):
+            net = Net(places, ts, {("a", "t"), ("t", "b")} if ts else set(), marked,
+                      dict.fromkeys(ts, "0"))
+            verify_safety(net)
+            return AnnotatedNet(net, LocalAnnotation(dict.fromkeys(places, 2), {
+                t: Channel.identity(2).scaled(0.5) for t in ts}))
+
+        out = check_join_preservation(side({"a", "b"}, {"a"}, {"t"}), side(*after), JoinSpec(()))
+        assert out.reason == reason
+
     def test_each_cluster_is_compared_once(self, monkeypatch):
         # the two-phase cycle beside the join doubles the markings, not the
         # clusters
@@ -319,7 +369,7 @@ class TestJoinPreservation:
         x, _ = parallel(joinable_net(None, True, True), two_phase_cycle())
         spec = JoinSpec((("p1", "n1"), ("p2", "n2")))
         assert check_join_preservation(x, drop_preserving_join(x, spec), spec)
-        assert sorted(calls) == [["bwd"], ["fwd"], ["p1*n1", "p2*n2"]]
+        assert sorted(calls) == [("bwd",), ("fwd",), ("p1*n1", "p2*n2")]
 
     def test_idle_wide_places_stay_out_of_the_drop(self):
         # the full marking space is 2^15 dims, past the operator cap; each
@@ -335,3 +385,42 @@ class TestJoinPreservation:
         x = joinable_net(np.random.default_rng(0), True, True)
         y = drop_preserving_join(x, JoinSpec((("p1", "n1"), ("p2", "n2"))))
         assert race_free(y.net)
+
+
+class TestRandomJoins:
+    def test_valid_joins_keep_the_theorem(self):
+        """Joining a QPN along a spec that passes the cluster-matching
+        clauses gives a QPN, the drops agree across the join, and the
+        order of the single joins does not matter."""
+        qpns = 0
+        for seed in range(160):
+            x, spec = random_join(np.random.default_rng(seed))
+            assert validate_drop_preserving(x, spec)
+            if is_qpn(x.net, x.ann):
+                qpns += 1
+                y = drop_preserving_join(x, spec)
+                assert is_qpn(y.net, y.ann), seed
+                assert check_join_preservation(x, y, spec), seed
+                z = x  # the pairs in the other order
+                for p, n in sorted(spec.pairs, reverse=True):
+                    z = single_join(z, p, n)
+                assert z.net.flow == y.net.flow
+                for t in y.net.transitions:
+                    assert channels_close(y.ann.channel(t), z.ann.channel(t)), (seed, t)
+        assert qpns >= 100
+
+    @pytest.mark.parametrize("mutation, reason", [
+        ("partial", "is not a maximal negative cluster"),
+        ("uncarried", "is not carried to"),
+        ("signal", "signal dimensions differ on pair (p0, n0)"),
+    ])
+    def test_mutations_break_the_spec(self, mutation, reason):
+        for seed in range(20):
+            x, spec = random_join(np.random.default_rng(seed), mutation)
+            assert reason in validate_drop_preserving(x, spec).reason, seed
+            if mutation == "signal":
+                with pytest.raises(SignalSpaceMismatch):
+                    drop_preserving_join(x, spec, force=True)
+                continue
+            y = drop_preserving_join(x, spec, force=True)
+            assert not check_join_preservation(x, y, spec), seed

@@ -390,8 +390,13 @@ class TestCli:
         ("initial_marking", 0, None, ["p0"],
          "initial_marking[0]: place id must be a string, got ['p0']"),
         ("metadata", None, None, [1], "metadata: must be an object"),
+        ("metadata", None, None, [], "metadata: must be an object"),
+        ("metadata", None, None, 0, "metadata: must be an object"),
+        ("metadata", None, None, False, "metadata: must be an object"),
+        ("metadata", None, None, "", "metadata: must be an object"),
     ], ids=["place-int", "place-list", "transition-int", "transition-null",
-            "arc-int", "arc-list", "marking-list", "metadata-list"])
+            "arc-int", "arc-list", "marking-list", "metadata-list", "metadata-empty-list",
+            "metadata-zero", "metadata-false", "metadata-empty-string"])
     @pytest.mark.parametrize("command", ["check", "validate", "unfold"])
     def test_malformed_entries_are_located_parse_errors(self, demo_path, capsys, command,
                                                         section, index, field, value,
@@ -406,6 +411,16 @@ class TestCli:
         demo_path.write_text(json.dumps(doc))
         assert main([command, str(demo_path)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("missing", [True, False], ids=["missing", "null"])
+    def test_absent_metadata_loads_as_empty(self, demo_path, missing):
+        doc = json.loads(demo_path.read_text())
+        if missing:
+            del doc["metadata"]
+        else:
+            doc["metadata"] = None
+        demo_path.write_text(json.dumps(doc))
+        assert load_net(demo_path)[2] == {}
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 10**400,
                                      -10**400],

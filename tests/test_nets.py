@@ -148,7 +148,6 @@ class TestOccurrenceNetAxioms:
         assert o.lt("a", "b") and o.lt("c0", "c4")
         assert not o.lt("b", "a")
         assert o.in_conflict("b", "c") and o.in_conflict("c3", "c4")
-        assert o.minimal_conflict("b", "c")
         assert not o.in_conflict("b", "c2")
 
 
@@ -281,8 +280,8 @@ class TestClustersAndRaces:
 
 
 def _textbook(o):
-    """<, #, minimal conflict and the configurations of an occurrence net,
-    from the flow relation alone."""
+    """<, # and the configurations of an occurrence net, from the flow
+    relation alone."""
     nodes = sorted(o.places | o.transitions)
     succ = {n: {b for a, b in o.flow if a == n} for n in nodes}
     above = {}
@@ -302,10 +301,6 @@ def _textbook(o):
               if a != b and o.pre(a) & o.pre(b)}
     conflict = {(x, y) for x in nodes for y in nodes
                 if any(a in upto[x] and b in upto[y] for a, b in rivals)}
-    minimal = {(a, b) for a, b in conflict
-               if a in o.transitions and b in o.transitions
-               and all((a2, b2) == (a, b) or (a2, b2) not in conflict
-                       for a2 in upto[a] for b2 in upto[b])}
     # configurations: down-closed, conflict-free sets of events, built by
     # deciding each event in a causal order
     order = sorted(o.transitions, key=lambda e: len(upto[e]))
@@ -321,7 +316,7 @@ def _textbook(o):
             grow(i + 1, x | {e})
 
     grow(0, frozenset())
-    return nodes, lt, conflict, minimal, configs
+    return nodes, lt, conflict, configs
 
 
 def _ring():
@@ -356,11 +351,10 @@ CASES = _relation_cases()
 class TestRelationsMatchTheirDefinitions:
     @pytest.mark.parametrize("o", CASES.values(), ids=CASES.keys())
     def test_every_query(self, o):
-        nodes, lt, conflict, minimal, configs = _textbook(o)
+        nodes, lt, conflict, configs = _textbook(o)
         for a, b in itertools.product(nodes, nodes):
             assert o.lt(a, b) == ((a, b) in lt), (a, b)
             assert o.in_conflict(a, b) == ((a, b) in conflict), (a, b)
-            assert o.minimal_conflict(a, b) == ((a, b) in minimal), (a, b)
         assert o.all_configurations() == configs
         events = sorted(o.transitions)
         subsets = (itertools.chain.from_iterable(
