@@ -49,7 +49,6 @@ from .nets import (
     is_occurrence_net,
     marking_of_configuration,
     race_free,
-    reachable_markings,
     to_dot,
     verify_safety,
 )

@@ -294,11 +294,6 @@ class DropInstanceResult:
     min_eig: float
     passed: bool
 
-    def to_dict(self):
-        return {"marking": list(self.key[0]), "events": list(self.key[1]),
-                "method": self.method, "min_eig": self.min_eig,
-                "passed": self.passed}
-
 
 class DropReport:
     """Drop results as one table, each family's minimum eigenvalue once.
@@ -308,8 +303,9 @@ class DropReport:
     component of the net (or for the whole net as one part), {sorted
     marking: the keys met there}, with every reachable marking present.  A
     marking of the net is one per part and meets the union of their keys,
-    so the verdict reads the table and the counts the parts; the rows, one
-    :class:`DropInstanceResult` per (marking, family), are built on reading.
+    so the verdict reads the table, the counts and :meth:`to_dict` the
+    parts; the rows of :attr:`instances`, one :class:`DropInstanceResult`
+    per (marking of the net, family), walk their product when read.
     """
 
     def __init__(self, table, parts, stats: dict, tol: float = TOL_PSD):
@@ -363,8 +359,15 @@ class DropReport:
         return DropInstanceResult((m, fam), r.method, r.min_eig, r.passed)
 
     def to_dict(self):
+        """The report document, linear in the parts: the table in key
+        order, and each part's markings in sorted order with their keys."""
         return {"passed": self.passed, "tol": self.tol, "stats": self.stats,
-                "instances": [r.to_dict() for r in self.instances]}
+                "table": [{"key": list(key), "method": method,
+                           "families": [{"events": list(fam), "min_eig": lo}
+                                        for fam, lo in fams.items()]}
+                          for key, (method, fams) in sorted(self.table.items())],
+                "parts": [[{"marking": list(m), "keys": list(map(list, keys))}
+                           for m, keys in sorted(part.items())] for part in self.parts]}
 
 
 def check_local_drop(net: Net, ann: LocalAnnotation,

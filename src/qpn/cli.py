@@ -53,11 +53,13 @@ def _loaded(net, ann, *_):
 
 def _run_stages(stages, args, cluster_cap, tol):
     """Load the net and print one line per stage run; returns the net, its
-    annotation and the last stage's (name, outcome)."""
+    annotation and the (name, outcome) of each stage run, in order."""
     net, ann, _, _ = netfile.load_net(args.path)
     stages = [(name, _loaded if name == "signatures" else check) for name, check in stages]
+    ran = []
     for name, out in checker.run_stages(stages, net, ann, args.marking_bound,
                                         cluster_cap, tol):
+        ran.append((name, out))
         if name != "drop":
             _p(name, out)
             continue
@@ -66,7 +68,7 @@ def _run_stages(stages, args, cluster_cap, tol):
         print(f"{'PASS' if out else 'FAIL'} drop"
               f" (instances={report.instance_count()},"
               f" min_eig={worst if worst != float('inf') else 'n/a'})")
-    return net, ann, name, out
+    return net, ann, ran
 
 
 def _exit_code(out) -> int:
@@ -77,37 +79,39 @@ def _exit_code(out) -> int:
 
 def cmd_validate(args) -> int:
     # safety, signatures, cptni: none reads the drop stage's limits
-    *_, out = _run_stages(checker.STAGES[:3], args, checker.DEFAULT_CLUSTER_CAP, TOL_PSD)
-    return _exit_code(out)
+    *_, ran = _run_stages(checker.STAGES[:3], args, checker.DEFAULT_CLUSTER_CAP, TOL_PSD)
+    return _exit_code(ran[-1][1])
 
 
 def cmd_check(args) -> int:
-    net, ann, name, out = _run_stages(checker.STAGES, args, args.cluster_cap, args.tol_psd)
+    """Every stage, then the oracle if asked for; ``--report`` writes each
+    stage's verdict and, where they ran, the drop and oracle reports."""
+    net, ann, ran = _run_stages(checker.STAGES, args, args.cluster_cap, args.tol_psd)
+    name, out = ran[-1]
     code = _exit_code(out)
-    if name != "drop":
-        return code
-    report = out.data["report"]
-    brute = None
-    if args.oracle:
+    reports = {}  # the drop and oracle reports, where they ran
+    if name == "drop":
+        reports["drop"] = report = out.data["report"]
+    if name == "drop" and args.oracle:
         try:
             o = as_occurrence_net(net)
         except QpnError as exc:
             print(f"FAIL oracle: input is not an occurrence net ({exc})")
             code = EXIT_CHECK_FAILED
         else:
-            brute = checker.brute_force_global_drop(o, ann, cluster_cap=args.cluster_cap,
-                                                     tol=args.tol_psd)
+            reports["oracle"] = brute = checker.brute_force_global_drop(
+                o, ann, cluster_cap=args.cluster_cap, tol=args.tol_psd)
             agree = brute.passed == report.passed
             print(f"{'PASS' if agree else 'FAIL'} oracle agreement: "
                   f"{'yes' if agree else 'no'} (brute={brute.passed}, "
                   f"local={report.passed})")
             if not agree:
                 code = EXIT_CHECK_FAILED
-    if args.report:
-        doc = report.to_dict()
-        if brute is not None:
-            doc["oracle"] = brute.to_dict()
-        netfile.save_report(args.report, doc)
+    if args.report:  # no stage times, so that reports compare byte for byte
+        netfile.save_report(args.report, {
+            "stages": [{"name": stage, "passed": verdict.passed, "reason": verdict.reason}
+                       for stage, verdict in ran],
+            **{key: r.to_dict() for key, r in reports.items()}})
     return code
 
 

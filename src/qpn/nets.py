@@ -189,12 +189,12 @@ def _explore(net: Net, m0: Marking, transitions, bound: int) -> frozenset:
 def component_markings(net: Net, bound: int = DEFAULT_MARKING_BOUND) -> tuple:
     """The reachable markings of each flow component, explored from m0 on
     its places with its own transitions: the net's reachable markings are
-    their product, which is never enumerated here.
+    their product, which is never enumerated.
 
-    Raises what exploring the whole net would: past ``bound`` product
-    markings, BoundExceeded; when a component alone is unsafe or exceeds
-    the bound, the whole net is explored so that the error names its
-    marking.  A complete exploration is kept on the (immutable) net."""
+    Raises BoundExceeded past ``bound`` markings of one component (a net
+    with none has one marking); when a component is unsafe or over the
+    bound, the whole net is explored so that the error names its marking.
+    A complete exploration is kept on the (immutable) net."""
     if net._reachable is None:
         comps = flow_components(net)
         try:
@@ -204,18 +204,9 @@ def component_markings(net: Net, bound: int = DEFAULT_MARKING_BOUND) -> tuple:
             if len(comps) > 1:
                 _explore(net, net.initial_marking, None, bound)
             raise
-    if math.prod(map(len, net._reachable)) > bound:
+    if max(map(len, net._reachable), default=1) > bound:
         raise BoundExceeded(f"more than {bound} reachable markings")
     return net._reachable
-
-
-def reachable_markings(net: Net, bound: int = DEFAULT_MARKING_BOUND) -> frozenset:
-    """Every reachable marking: the product of :func:`component_markings`;
-    raises BoundExceeded past bound."""
-    parts = component_markings(net, bound)
-    if len(parts) == 1:
-        return parts[0]
-    return frozenset(frozenset().union(*ms) for ms in itertools.product(*parts))
 
 
 def least_witness(parts, bad):

@@ -9,6 +9,7 @@ same families.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 
 import numpy as np
@@ -16,7 +17,15 @@ import numpy as np
 from qpn.algebra import Channel
 from qpn.annotation import LocalAnnotation
 from qpn.compose import AnnotatedNet, JoinSpec, parallel
-from qpn.nets import Net, OccurrenceNet, verify_safety
+from qpn.nets import DEFAULT_MARKING_BOUND, Net, OccurrenceNet, component_markings, verify_safety
+
+
+def product_markings(net, bound: int = DEFAULT_MARKING_BOUND) -> frozenset:
+    """Every reachable marking of ``net``: the product of its flow
+    components' markings, one per component, which the library never
+    enumerates."""
+    return frozenset(frozenset().union(*ms)
+                     for ms in itertools.product(*component_markings(net, bound)))
 
 
 def random_cptni(rng, din: int, dout: int, *, weight=None) -> Channel:

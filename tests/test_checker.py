@@ -357,7 +357,14 @@ class TestLocalDrop:
         assert report.passed
         assert report.stats["clique_fast_paths"] == 1
         doc = report.to_dict()
-        assert doc["passed"] and doc["instances"]
+        assert list(doc) == ["passed", "tol", "stats", "table", "parts"]
+        assert doc["passed"] and doc["stats"] == report.stats
+        assert doc["table"] == [{"key": ["b", "c"], "method": "clique", "families": [
+            {"events": ["b", "c"], "min_eig": report.worst}]}]
+        assert doc["parts"] == [[{"marking": ["p0"], "keys": []},
+                                 {"marking": ["p1", "p2"], "keys": [["b", "c"]]},
+                                 {"marking": ["p2", "p3"], "keys": []},
+                                 {"marking": ["p2", "p4"], "keys": []}]]
 
     def test_literal_demo_fails_with_minus_one(self):
         bd = branching_demo(scaled=False)

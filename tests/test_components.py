@@ -4,12 +4,19 @@ and every result equals the one computed on the product of the
 components' markings."""
 
 import itertools
+import json
 import types
 
 import numpy as np
 import pytest
 
-from gen import clique_net, joinable_net, random_occurrence_annotated, random_state_machine
+from gen import (
+    clique_net,
+    joinable_net,
+    product_markings,
+    random_occurrence_annotated,
+    random_state_machine,
+)
 from qpn import checker, compose, nets
 from qpn.algebra import Channel, min_eigenvalue
 from qpn.annotation import LocalAnnotation
@@ -39,7 +46,6 @@ from qpn.nets import (
     is_clique,
     least_witness,
     marking_clusters,
-    reachable_markings,
     verify_safety,
 )
 
@@ -56,7 +62,7 @@ def _fresh(net):
     return Net(net.places, net.transitions, net.flow, net.initial_marking, net.polarity)
 
 
-def product_markings(net):
+def explored_markings(net):
     """The reachable markings by exploring the whole net."""
     seen, frontier = {net.initial_marking}, [net.initial_marking]
     while frontier:
@@ -76,7 +82,7 @@ def product_drop(net, ann, cluster_cap=12, tol=1e-9):
     Each distinct cluster's families are solved once, and no queue of the
     local check fills in these nets: one kernel call per drop dimension."""
     instances, clusters, cliques, evaluated, dims = [], 0, 0, {}, set()
-    for m in sorted(reachable_markings(net), key=sorted):
+    for m in sorted(explored_markings(net), key=sorted):
         for cluster in marking_clusters(net, m):
             cl = tuple(sorted(cluster))
             if len(cl) > cluster_cap:
@@ -96,10 +102,23 @@ def product_drop(net, ann, cluster_cap=12, tol=1e-9):
                 instances.append(DropInstanceResult(
                     (tuple(sorted(m)), fam), "clique" if clique else "single", lo, lo >= -tol))
     instances.sort(key=lambda r: r.key)
-    stats = {"markings": len(reachable_markings(net)), "clusters": clusters,
+    stats = {"markings": len(explored_markings(net)), "clusters": clusters,
              "clusters_evaluated": len(evaluated), "clique_fast_paths": cliques,
              "eigen_solves": sum(evaluated.values()), "eigen_calls": len(dims)}
     return instances, stats
+
+
+def report_rows(doc):
+    """The rows a report document stands for, in key order: for each
+    choice of one marking per part, each family of each key met at one of
+    them, at the sorted union of the markings."""
+    table = {tuple(entry["key"]): entry for entry in doc["table"]}
+    rows = []
+    for combo in itertools.product(*doc["parts"]):
+        m = tuple(sorted(itertools.chain.from_iterable(at["marking"] for at in combo)))
+        rows += [((m, tuple(fam["events"])), table[tuple(key)]["method"], fam["min_eig"])
+                 for at in combo for key in at["keys"] for fam in table[tuple(key)]["families"]]
+    return sorted(rows)
 
 
 def _idle_parts():
@@ -109,6 +128,21 @@ def _idle_parts():
     ann = LocalAnnotation({"iso": 2, "idle": 3}, {"t0": Channel.identity(1).scaled(0.4)})
     verify_safety(net)
     return AnnotatedNet(net, ann)
+
+
+def _two_clusters():
+    """One component with two clusters at m0: the path cluster x {a},
+    y {a, b}, z {b, c}, which is no clique, and w {d}.  The event k, on
+    the place u that is never marked, joins them into one component."""
+    pre = {"x": ("a",), "y": ("a", "b"), "z": ("b", "c"), "w": ("d",)}
+    flow = {(p, t) for t, ps in pre.items() for p in ps} | {(t, t + "o") for t in pre}
+    flow |= {("u", "k"), ("k", "a"), ("k", "d")}
+    dims = dict.fromkeys("abcd", 2) | {t + "o": 2 ** len(ps) for t, ps in pre.items()}
+    chans = {t: Channel.identity(2 ** len(ps)).scaled(0.3) for t, ps in pre.items()}
+    chans["k"] = Channel(1, 4, (np.eye(4, 1),))
+    net = Net(set(dims) | {"u"}, set(chans), flow, set("abcd"), dict.fromkeys(chans, "0"))
+    verify_safety(net)
+    return AnnotatedNet(net, LocalAnnotation(dims | {"u": 1}, chans))
 
 
 def _part_pool():
@@ -122,7 +156,8 @@ def _part_pool():
                     for k in (2, 2, 3, 3, 3, 4, 4)]
     compositions += [[clique_net(None, 3), _idle_parts()],
                      [_idle_parts(), branching_demo(scaled=False), random_state_machine(
-                         np.random.default_rng(2), max_dim=2)]]
+                         np.random.default_rng(2), max_dim=2)],
+                     [_two_clusters(), branching_demo()]]
     return compositions
 
 
@@ -133,8 +168,8 @@ COMPOSITIONS = _part_pool()
 def test_component_drop_equals_the_product_check(parts):
     an = _compose(parts)
     net = _fresh(an.net)
-    assert verify_safety(net).data["markings"] == len(product_markings(net))
-    assert reachable_markings(net) == product_markings(net)
+    assert verify_safety(net).data["markings"] == len(explored_markings(net))
+    assert product_markings(net) == explored_markings(net)
     assert len(flow_components(net)) >= len(parts)
     want, stats = product_drop(net, an.ann)
     report = check_local_drop(net, an.ann)
@@ -142,6 +177,8 @@ def test_component_drop_equals_the_product_check(parts):
         [(r.key, r.method, r.passed, r.min_eig) for r in want]
     assert report.stats == stats
     assert report.instance_count() == len(want)
+    assert report_rows(json.loads(json.dumps(report.to_dict()))) == \
+        [(r.key, r.method, r.min_eig) for r in want]
     assert report.worst == min((r.min_eig for r in want), default=float("inf"))
     assert report.passed == all(r.passed for r in want)
     failures = [r for r in want if not r.passed]
@@ -224,7 +261,6 @@ def no_product(monkeypatch):
     no_product = types.SimpleNamespace(**vars(itertools) | {"product": walk})
     for module in (checker, compose, nets):
         monkeypatch.setattr(module, "itertools", no_product)
-    monkeypatch.setattr(nets, "reachable_markings", walk)
 
 
 @pytest.mark.parametrize("parts, cap, reason, error", [
@@ -270,7 +306,7 @@ def test_joins_never_walk_the_product(no_product, matched, reason):
 def test_one_component_keeps_the_nets_own_sets():
     bd = branching_demo()
     assert flow_components(bd.net) == ((bd.net.places, bd.net.transitions),)
-    assert component_markings(bd.net) == (reachable_markings(bd.net),)
+    assert component_markings(bd.net) == (explored_markings(bd.net),)
 
 
 def _counting_fire(monkeypatch):
@@ -286,20 +322,54 @@ def _counting_fire(monkeypatch):
 
 def test_product_past_the_bound_exits_three_from_the_components(tmp_path, capsys,
                                                                  monkeypatch):
+    """`--marking-bound` caps each component's markings, not their
+    product: 48 markings pass bound 20 and fail bound 3, and the check
+    fires no more than exploring the parts does."""
     parts = [clique_net(None, 3), clique_net(None, 3), clique_net(None, 2)]
     an = _compose(parts)  # 4 * 4 * 3 = 48 markings, at most 4 per part
     path = tmp_path / "net.json"
     save_net(path, an.net, an.ann)
     firings = _counting_fire(monkeypatch)
     for part in parts:
-        assert len(reachable_markings(_fresh(part.net))) <= 4
+        assert len(product_markings(_fresh(part.net))) <= 4
     own = len(firings)
     firings.clear()
-    assert main(["check", str(path), "--marking-bound", "20"]) == 3
-    assert capsys.readouterr().out == "FAIL safety: more than 20 reachable markings\n"
+    assert main(["check", str(path), "--marking-bound", "20"]) == 0
+    assert capsys.readouterr().out.startswith("PASS safety\n")
     assert 0 < len(firings) <= own
-    with pytest.raises(BoundExceeded, match="^more than 20 reachable markings$"):
-        reachable_markings(_fresh(an.net), 20)
+    assert main(["check", str(path), "--marking-bound", "3"]) == 3
+    assert capsys.readouterr().out == "FAIL safety: more than 3 reachable markings\n"
+    assert len(product_markings(_fresh(an.net), 4)) == 48
+    with pytest.raises(BoundExceeded, match="^more than 3 reachable markings$"):
+        component_markings(_fresh(an.net), 3)
+
+
+def _machines(k):
+    """k parts drawn from one seed: `random_state_machine` QPNs with at
+    least 4 markings each."""
+    rng, parts = np.random.default_rng(3), []
+    while len(parts) < k:
+        an = random_state_machine(rng)
+        if is_qpn(an.net, an.ann) and verify_safety(an.net).data["markings"] >= 4:
+            parts.append(an)
+    return parts
+
+
+def test_ten_parts_are_checked_and_reported_per_component(no_product, tmp_path, capsys):
+    """40 310 784 markings, at most 3 per component: `qpn check --report`
+    passes at the default bound and writes the 49 component markings, and
+    a bound below one component's markings exits 3 with the usual text."""
+    an = _compose(_machines(10))
+    path, report = tmp_path / "net.json", tmp_path / "report.json"
+    save_net(path, an.net, an.ann)
+    assert main(["check", str(path), "--report", str(report)]) == 0
+    assert "PASS drop (instances=631535616," in capsys.readouterr().out
+    doc = json.loads(report.read_text())
+    assert doc["drop"]["stats"]["markings"] == 40_310_784
+    sizes = [len(part) for part in doc["drop"]["parts"]]
+    assert max(sizes) == 3 and sum(sizes) == 49 and len(doc["drop"]["table"]) == 39
+    assert main(["check", str(path), "--marking-bound", "2"]) == 3
+    assert capsys.readouterr().out == "FAIL safety: more than 2 reachable markings\n"
 
 
 def test_unsafe_part_keeps_the_products_safety_text(tmp_path, capsys):

@@ -12,6 +12,7 @@ import qpn
 from gen import (
     clique_net,
     joinable_net,
+    racy_net,
     random_occurrence_annotated,
     random_state_machine,
 )
@@ -672,30 +673,55 @@ class TestCli:
         report = tmp_path / "report.json"
         assert main(["check", str(demo_path), "--report", str(report)]) == 0
         doc = json.loads(report.read_text())
-        assert doc["passed"] is True
-        assert doc["stats"]["markings"] >= 1
-        assert all("min_eig" in inst for inst in doc["instances"])
+        assert list(doc) == ["stages", "drop"]
+        assert doc["stages"] == [{"name": name, "passed": True, "reason": ""}
+                                 for name, _ in checker.STAGES]
+        assert doc["drop"]["passed"] is True
+        assert doc["drop"]["stats"]["markings"] >= 1
+        assert all("min_eig" in fam for entry in doc["drop"]["table"]
+                   for fam in entry["families"])
+
+    @pytest.mark.parametrize("net, argv, code, stages", [
+        ("racy", [], 1, [{"name": name, "passed": True, "reason": ""} for name in
+                         ("safety", "signatures", "cptni", "obliviousness")]
+         + [{"name": "race-free", "passed": False, "reason": "race: a(0) ~ n(-)"}]),
+        ("demo", ["--marking-bound", "1"], 3,
+         [{"name": "safety", "passed": False, "reason": "more than 1 reachable markings"}]),
+    ], ids=["race", "bound"])
+    def test_report_is_written_when_a_stage_before_drop_fails(self, demo_path, tmp_path,
+                                                               capsys, net, argv, code,
+                                                               stages):
+        """Every stage that ran, the failing one last, and no drop or oracle."""
+        path, report = demo_path, tmp_path / "report.json"
+        if net == "racy":
+            path, racy = tmp_path / "racy.json", racy_net()
+            save_net(path, racy.net, racy.ann)
+        assert main(["check", str(path), "--oracle", "--report", str(report), *argv]) == code
+        assert capsys.readouterr().out.endswith(
+            f"FAIL {stages[-1]['name']}: {stages[-1]['reason']}\n")
+        assert json.loads(report.read_text()) == {"stages": stages}
 
     def test_report_counts_the_clusters_evaluated(self, demo_path, tmp_path):
         report = tmp_path / "report.json"
         assert main(["check", str(demo_path), "--report", str(report)]) == 0
-        stats = json.loads(report.read_text())["stats"]
+        stats = json.loads(report.read_text())["drop"]["stats"]
         assert list(stats)[:3] == ["markings", "clusters", "clusters_evaluated"]
         assert stats["clusters_evaluated"] == 1  # the clique {b, c}
 
     def test_report_document_is_built_only_for_a_report(self, demo_path, tmp_path,
                                                          monkeypatch):
-        rows = []
-        to_dict = checker.DropInstanceResult.to_dict
-        monkeypatch.setattr(checker.DropInstanceResult, "to_dict",
-                            lambda self: rows.append(self) or to_dict(self))
+        built = []
+        to_dict = checker.DropReport.to_dict
+        monkeypatch.setattr(checker.DropReport, "to_dict",
+                            lambda self: built.append(self) or to_dict(self))
         assert main(["check", str(demo_path)]) == 0
         assert main(["check", str(demo_path), "--oracle"]) == 0
-        assert rows == []
+        assert built == []
         report = tmp_path / "report.json"
         assert main(["check", str(demo_path), "--oracle", "--report", str(report)]) == 0
         doc = json.loads(report.read_text())
-        assert len(rows) == len(doc["instances"]) + len(doc["oracle"]["instances"]) > 0
+        assert list(doc) == ["stages", "drop", "oracle"] and len(built) == 2
+        assert doc["oracle"]["stats"]["configurations"] == len(doc["oracle"]["table"]) > 0
 
     def test_check_oracle_on_occurrence_net(self, demo_path, capsys):
         assert main(["check", str(demo_path), "--oracle"]) == 0
@@ -887,7 +913,9 @@ def test_witnesses_do_not_depend_on_the_hash_seed(tmp_path):
     safety stage names the least one.  With four place-to-place arcs added,
     the loader names the least arc.  Neither text may change with the
     interpreter's string-hash seed, nor may `qpn unfold`'s output and the
-    prefix it writes of a state-machine pair, as a net file and as dot."""
+    prefix it writes of a state-machine pair, as a net file and as dot,
+    nor `qpn check --oracle --report`'s output and report on a failing
+    three-part composite."""
     places = [f"p{i}" for i in range(8)]
     flow = set()
     for i, t in enumerate("abcd"):
@@ -931,3 +959,16 @@ def test_witnesses_do_not_depend_on_the_hash_seed(tmp_path):
     assert code == 0 and stdout.endswith(f"wrote {prefix}\nwrote {dot}\n")
     occ = load_net(prefix)[0]
     assert any(len(occ.post(c)) > 1 for c in occ.places)  # the prefix branches
+    both, _ = parallel(clique_net(None, 3), branching_demo(scaled=False))
+    three, _ = parallel(both, clique_net(None, 2, weights=[0.7, 0.6]))
+    composite, report = tmp_path / "three.json", tmp_path / "report.json"
+    save_net(composite, three.net, three.ann)
+    seen = set()
+    for seed in ("0", "1", "2"):
+        report.unlink(missing_ok=True)
+        seen.add(run_under(seed, "check", str(composite), "--oracle", "--report", str(report))
+                 + (report.read_bytes(),))
+    assert len(seen) == 1
+    (code, stdout, _, written), = seen
+    assert code == 1 and "FAIL drop" in stdout and "PASS oracle agreement" in stdout
+    assert list(json.loads(written)) == ["stages", "drop", "oracle"]

@@ -19,6 +19,7 @@ from qpn.nets import (
     OccurrenceNet,
     as_occurrence_net,
     causal_heights,
+    component_markings,
     configuration_of_marking,
     enabled,
     fire,
@@ -27,7 +28,6 @@ from qpn.nets import (
     marking_clusters,
     marking_of_configuration,
     race_free,
-    reachable_markings,
     to_dot,
     verify_safety,
 )
@@ -60,26 +60,36 @@ class TestTokenGame:
             fire(simple_cycle(), frozenset({"s0"}), "b")
 
     def test_reachable_markings_of_cycle(self):
-        assert reachable_markings(simple_cycle()) == {
-            frozenset({"s0"}), frozenset({"s1"})}
+        assert component_markings(simple_cycle()) == ({
+            frozenset({"s0"}), frozenset({"s1"})},)
 
     def test_bound_exceeded(self):
         with pytest.raises(BoundExceeded):
-            reachable_markings(simple_cycle(), bound=1)
+            component_markings(simple_cycle(), bound=1)
+
+    def test_bound_caps_each_component_and_an_empty_nets_one_marking(self):
+        pair = Net({"a", "b", "c", "d"}, {"f", "g"},
+                   {("a", "f"), ("f", "b"), ("c", "g"), ("g", "d")}, {"a", "c"},
+                   {"f": "0", "g": "0"})
+        assert [len(ms) for ms in component_markings(pair, bound=2)] == [2, 2]
+        empty = Net(set(), set(), set(), set(), {})
+        assert component_markings(empty, bound=1) == ()
+        with pytest.raises(BoundExceeded):
+            component_markings(empty, bound=0)
 
     def test_smaller_bound_after_a_kept_exploration_still_raises(self):
         net = simple_cycle()
-        assert len(reachable_markings(net)) == 2
+        assert len(component_markings(net)[0]) == 2
         with pytest.raises(BoundExceeded):
-            reachable_markings(net, bound=1)
-        assert len(reachable_markings(net, bound=2)) == 2
+            component_markings(net, bound=1)
+        assert len(component_markings(net, bound=2)[0]) == 2
 
     def test_safety_violation_is_not_kept(self):
         net = Net({"p", "q"}, {"t"}, {("p", "t"), ("t", "q")},
                   {"p", "q"}, {"t": "0"})
         for _ in range(2):
             with pytest.raises(SafetyViolation):
-                reachable_markings(net)
+                component_markings(net)
 
     def test_unsafe_firing_detected(self):
         net = Net({"p", "q"}, {"t"}, {("p", "t"), ("t", "q")},

@@ -13,7 +13,13 @@ import numpy as np
 import pytest
 
 import gen
-from gen import clique_net, racy_net, random_occurrence_annotated, random_state_machine
+from gen import (
+    clique_net,
+    product_markings,
+    racy_net,
+    random_occurrence_annotated,
+    random_state_machine,
+)
 from qpn import netfile, semantics
 from qpn.algebra import Channel
 from qpn.annotation import LocalAnnotation, validate_signatures
@@ -22,7 +28,7 @@ from qpn.cli import main
 from qpn.compose import AnnotatedNet, parallel
 from qpn.demo import branching_demo, two_phase_cycle
 from qpn.netfile import save_net
-from qpn.nets import Net, OccurrenceNet, fire, reachable_markings
+from qpn.nets import Net, OccurrenceNet, fire
 
 STAGE_NAMES = [name for name, _ in STAGES]
 STAGE_LINE = re.compile(r"^(PASS|FAIL) ([a-z-]+)(?::|$| \()")
@@ -292,8 +298,8 @@ def _explores_once(tmp_path, monkeypatch, an):
         return fire(net, m, t)
 
     monkeypatch.setattr("qpn.nets.fire", counting)
-    reachable_markings(Net(an.net.places, an.net.transitions, an.net.flow,
-                           an.net.initial_marking, an.net.polarity))
+    product_markings(Net(an.net.places, an.net.transitions, an.net.flow,
+                         an.net.initial_marking, an.net.polarity))
     one_exploration = len(firings)
     assert one_exploration > 0
     firings.clear()

@@ -8,6 +8,7 @@ from gen import (
     joinable_net,
     racy_net,
     random_occurrence_annotated,
+    product_markings,
     random_state_machine,
 )
 from qpn.annotation import validate_signatures
@@ -22,7 +23,6 @@ from qpn.nets import (
     causal_heights,
     enabled,
     marking_of_configuration,
-    reachable_markings,
     verify_safety,
 )
 from qpn.unfolding import (
@@ -146,7 +146,7 @@ class TestOracle:
         bp = unfold(net, UnfoldBudget(depth))
         o = bp.occ
         height = causal_heights(o, o.transitions)
-        reachable = reachable_markings(net)
+        reachable = product_markings(net)
         checked = 0
         for x in o.all_configurations():
             if max((height[e] for e in x), default=0) >= depth:
