@@ -51,24 +51,21 @@ def _loaded(net, ann, *_):
     return CheckOutcome.ok()
 
 
-def _run_stages(stages, args, cluster_cap, tol):
-    """Load the net and print one line per stage run; returns the net, its
-    annotation and the (name, outcome) of each stage run, in order."""
-    net, ann, _, _ = netfile.load_net(args.path)
+def _run_stages(stages, net, ann, args, cluster_cap, tol):
+    """Run the stages on the loaded net, print one line per stage run and
+    yield its (name, outcome)."""
     stages = [(name, _loaded if name == "signatures" else check) for name, check in stages]
-    ran = []
     for name, out in checker.run_stages(stages, net, ann, args.marking_bound,
                                         cluster_cap, tol):
-        ran.append((name, out))
         if name != "drop":
             _p(name, out)
-            continue
-        report = out.data["report"]
-        worst = report.worst
-        print(f"{'PASS' if out else 'FAIL'} drop"
-              f" (instances={report.instance_count()},"
-              f" min_eig={worst if worst != float('inf') else 'n/a'})")
-    return net, ann, ran
+        else:
+            report = out.data["report"]
+            worst = report.worst
+            print(f"{'PASS' if out else 'FAIL'} drop"
+                  f" (instances={report.instance_count()},"
+                  f" min_eig={worst if worst != float('inf') else 'n/a'})")
+        yield name, out
 
 
 def _exit_code(out) -> int:
@@ -78,41 +75,55 @@ def _exit_code(out) -> int:
 
 
 def cmd_validate(args) -> int:
+    net, ann, _, _ = netfile.load_net(args.path)
     # safety, signatures, cptni: none reads the drop stage's limits
-    *_, ran = _run_stages(checker.STAGES[:3], args, checker.DEFAULT_CLUSTER_CAP, TOL_PSD)
-    return _exit_code(ran[-1][1])
+    *_, (_, out) = _run_stages(checker.STAGES[:3], net, ann, args,
+                               checker.DEFAULT_CLUSTER_CAP, TOL_PSD)
+    return _exit_code(out)
 
 
 def cmd_check(args) -> int:
     """Every stage, then the oracle if asked for; ``--report`` writes each
-    stage's verdict and, where they ran, the drop and oracle reports."""
-    net, ann, ran = _run_stages(checker.STAGES, args, args.cluster_cap, args.tol_psd)
-    name, out = ran[-1]
-    code = _exit_code(out)
-    reports = {}  # the drop and oracle reports, where they ran
-    if name == "drop":
-        reports["drop"] = report = out.data["report"]
-    if name == "drop" and args.oracle:
-        try:
-            o = as_occurrence_net(net)
-        except QpnError as exc:
-            print(f"FAIL oracle: input is not an occurrence net ({exc})")
-            code = EXIT_CHECK_FAILED
-        else:
-            reports["oracle"] = brute = checker.brute_force_global_drop(
-                o, ann, cluster_cap=args.cluster_cap, tol=args.tol_psd)
-            agree = brute.passed == report.passed
-            print(f"{'PASS' if agree else 'FAIL'} oracle agreement: "
-                  f"{'yes' if agree else 'no'} (brute={brute.passed}, "
-                  f"local={report.passed})")
-            if not agree:
+    stage's verdict and, where they ran, the drop and oracle reports, and
+    where a stage or the oracle raised, the error, which is raised on."""
+    net, ann, _, _ = netfile.load_net(args.path)
+    ran, reports = [], {}  # the drop and oracle reports, where they ran
+    try:
+        for name, out in _run_stages(checker.STAGES, net, ann, args, args.cluster_cap,
+                                     args.tol_psd):
+            ran.append((name, out))
+        code = _exit_code(out)
+        if name == "drop":
+            reports["drop"] = report = out.data["report"]
+        if name == "drop" and args.oracle:
+            try:
+                o = as_occurrence_net(net)
+            except QpnError as exc:
+                print(f"FAIL oracle: input is not an occurrence net ({exc})")
                 code = EXIT_CHECK_FAILED
-    if args.report:  # no stage times, so that reports compare byte for byte
-        netfile.save_report(args.report, {
+            else:
+                reports["oracle"] = brute = checker.brute_force_global_drop(
+                    o, ann, cluster_cap=args.cluster_cap, tol=args.tol_psd)
+                agree = brute.passed == report.passed
+                print(f"{'PASS' if agree else 'FAIL'} oracle agreement: "
+                      f"{'yes' if agree else 'no'} (brute={brute.passed}, "
+                      f"local={report.passed})")
+                if not agree:
+                    code = EXIT_CHECK_FAILED
+    except QpnError as exc:
+        at = "oracle" if len(ran) == len(checker.STAGES) else checker.STAGES[len(ran)][0]
+        _save_check_report(args.report, ran, reports, error={"at": at, "reason": str(exc)})
+        raise
+    _save_check_report(args.report, ran, reports)
+    return code
+
+
+def _save_check_report(path, ran, reports, **error):
+    if path:  # no stage times, so that reports compare byte for byte
+        netfile.save_report(path, {
             "stages": [{"name": stage, "passed": verdict.passed, "reason": verdict.reason}
                        for stage, verdict in ran],
-            **{key: r.to_dict() for key, r in reports.items()}})
-    return code
+            **{key: r.to_dict() for key, r in reports.items()}, **error})
 
 
 def cmd_unfold(args) -> int:
@@ -161,7 +172,7 @@ def cmd_compose(args) -> int:
                            location=f"{args.inputs[1]}: pairs[{valid.data['pair']}]")
     if not _p("join-spec", valid) and not args.force:
         return EXIT_CHECK_FAILED
-    joined = drop_preserving_join(x, spec, force=args.force)
+    joined = drop_preserving_join(x, spec, force=args.force, bound=bound)
     if args.force:
         _p("is-qpn-after-join", checker.is_qpn(joined.net, joined.ann, bound))
     netfile.save_net(args.out, joined.net, joined.ann, {"composition": "join"})
@@ -332,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="Monte Carlo execution sampling")
     p.add_argument("path")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--runs", type=non_negative_int, default=1000)
     p.add_argument("--max-steps", type=non_negative_int, default=1000)
     p.add_argument("--rho")

@@ -19,11 +19,13 @@ from .algebra import Channel, thread
 from .annotation import LocalAnnotation, event_factors, space_dim, validate_signatures
 from .checker import TOL_DROP_EQ, _drop_recurrence, _embedded_effect, single_extension_drop
 from .errors import (
+    BoundExceeded,
     PolarityMismatch,
     QpnError,
     SignalSpaceMismatch,
 )
 from .nets import (
+    DEFAULT_MARKING_BOUND,
     NEGATIVE,
     NEUTRAL,
     POSITIVE,
@@ -211,20 +213,22 @@ def validate_drop_preserving(x: AnnotatedNet, spec: JoinSpec) -> CheckOutcome:
     return CheckOutcome.ok()
 
 
-def drop_preserving_join(x: AnnotatedNet, spec: JoinSpec,
-                         force: bool = False) -> AnnotatedNet:
+def drop_preserving_join(x: AnnotatedNet, spec: JoinSpec, force: bool = False,
+                         bound: int = DEFAULT_MARKING_BOUND) -> AnnotatedNet:
     """Fold single joins over the spec's pairs (sorted order; the result is
-    independent of it).  The output is re-verified safe.  ``force`` joins
-    past a failed spec check, but never ids that are no transition."""
+    independent of it).  The output is re-verified safe within ``bound``
+    markings per component (BoundExceeded past it).  ``force`` joins past
+    a failed spec check, but never ids that are no transition."""
     out = validate_drop_preserving(x, spec)
     if not out and (not force or "pair" in out.data):
         raise QpnError(f"invalid join spec: {out.reason}")
     result = x
     for p, n in sorted(spec.pairs):
         result = single_join(result, p, n)
-    safe = verify_safety(result.net)
+    safe = verify_safety(result.net, bound)
     if not safe:
-        raise QpnError(f"joined net failed safety: {safe.reason}")
+        error = BoundExceeded if safe.data.get("bound_exceeded") else QpnError
+        raise error(f"joined net failed safety: {safe.reason}")
     return result
 
 

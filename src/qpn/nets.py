@@ -166,12 +166,12 @@ def flow_components(net: Net) -> tuple:
     return net._components
 
 
-def _explore(net: Net, m0: Marking, transitions, bound: int) -> frozenset:
-    """DFS closure of m0 under firing ``transitions`` (default all), each
-    marking's enabled ones in sorted order, so an unsafe firing is always
-    found by the same search; raises BoundExceeded past bound markings."""
-    ts = [(t, net.pre(t)) for t in net.sorted_transitions
-          if transitions is None or t in transitions]
+def _explore(net: Net, m0: Marking, transitions, bound: int, rest: frozenset) -> frozenset:
+    """DFS closure of m0 under firing ``transitions``, each marking's
+    enabled ones in sorted order, so an unsafe firing is always found by
+    the same search; it stops at the marking past ``bound``.  The places
+    ``rest`` of m0, which no transition touches, are stripped from each."""
+    ts = [(t, net.pre(t)) for t in net.sorted_transitions if t in transitions]
     seen = {m0}
     frontier = [m0]
     while frontier:
@@ -179,34 +179,31 @@ def _explore(net: Net, m0: Marking, transitions, bound: int) -> frozenset:
         for t in (t for t, pre in ts if pre <= m):
             m2 = fire(net, m, t)
             if m2 not in seen:
-                if len(seen) >= bound:
-                    raise BoundExceeded(f"more than {bound} reachable markings")
                 seen.add(m2)
+                if len(seen) > bound:
+                    return seen  # over the bound: raised on, never kept
                 frontier.append(m2)
-    return frozenset(seen)
+    return frozenset(m - rest for m in seen) if rest else frozenset(seen)
 
 
 def component_markings(net: Net, bound: int = DEFAULT_MARKING_BOUND) -> tuple:
-    """The reachable markings of each flow component, explored from m0 on
-    its places with its own transitions: the net's reachable markings are
-    their product, which is never enumerated.
+    """The reachable markings of each flow component, explored once from
+    the net's m0 with its own transitions, the other components' places
+    stripped: the net's reachable markings are their product, which is
+    never enumerated.
 
-    Raises BoundExceeded past ``bound`` markings of one component (a net
-    with none has one marking); when a component is unsafe or over the
-    bound, the whole net is explored so that the error names its marking.
-    A complete exploration is kept on the (immutable) net."""
-    if net._reachable is None:
-        comps = flow_components(net)
-        try:
-            net._reachable = tuple(_explore(net, net.initial_marking & ps, ts, bound)
-                                   for ps, ts in comps)
-        except (SafetyViolation, BoundExceeded):
-            if len(comps) > 1:
-                _explore(net, net.initial_marking, None, bound)
-            raise
-    if max(map(len, net._reachable), default=1) > bound:
+    Components go in order.  The first unsafe firing is raised, named at
+    the component's marking plus the others' part of m0, even past a
+    component over the bound; else BoundExceeded past ``bound`` markings
+    of one component (a net with none has one marking).  A complete
+    exploration is kept on the net."""
+    m0 = net.initial_marking
+    parts = net._reachable or tuple(_explore(net, m0, ts, bound, m0 - ps)
+                                    for ps, ts in flow_components(net))
+    if max(map(len, parts), default=1) > bound:
         raise BoundExceeded(f"more than {bound} reachable markings")
-    return net._reachable
+    net._reachable = parts
+    return parts
 
 
 def least_witness(parts, bad):
@@ -235,8 +232,9 @@ def least_witness(parts, bad):
 
 
 def verify_safety(net: Net, bound: int = DEFAULT_MARKING_BOUND) -> CheckOutcome:
-    """Bounded exhaustive safety exploration, per flow component; marks the
-    net verified on pass.  ``markings`` counts the whole net's markings."""
+    """Bounded exhaustive safety exploration, per flow component
+    (:func:`component_markings`); marks the net verified on pass.
+    ``markings`` counts the whole net's markings."""
     try:
         n = math.prod(map(len, component_markings(net, bound)))
     except SafetyViolation as exc:

@@ -252,6 +252,19 @@ def clique_net(rng, size: int, dim: int = 2, *, weights=None) -> AnnotatedNet:
     return AnnotatedNet(net, LocalAnnotation(dims, channels, {}))
 
 
+def unsafe_path(rng) -> AnnotatedNet:
+    """A path a0 -t1-> a1 -> ... -tk-> ak of 2-4 events on 1-dim places,
+    with a0 and one later place marked: the first token runs into the
+    second, so the net is unsafe (and left unverified)."""
+    k = int(rng.integers(2, 5))
+    places, ts = [f"a{i}" for i in range(k + 1)], [f"t{i}" for i in range(1, k + 1)]
+    flow = {arc for i, t in enumerate(ts) for arc in ((places[i], t), (t, places[i + 1]))}
+    net = Net(places, ts, flow, {"a0", places[int(rng.integers(1, k + 1))]},
+              dict.fromkeys(ts, "0"))
+    return AnnotatedNet(net, LocalAnnotation(dict.fromkeys(places, 1),
+                                             {t: Channel.identity(1) for t in ts}))
+
+
 def joinable_net(rng, conflicting_negatives: bool, matched: bool) -> AnnotatedNet:
     """A QPN with a negative cluster N and positive events P ready to join.
 

@@ -3,8 +3,10 @@
 and every result equals the one computed on the product of the
 components' markings."""
 
+import ast
 import itertools
 import json
+import re
 import types
 
 import numpy as np
@@ -16,6 +18,7 @@ from gen import (
     product_markings,
     random_occurrence_annotated,
     random_state_machine,
+    unsafe_path,
 )
 from qpn import checker, compose, nets
 from qpn.algebra import Channel, min_eigenvalue
@@ -372,7 +375,7 @@ def test_ten_parts_are_checked_and_reported_per_component(no_product, tmp_path, 
     assert capsys.readouterr().out == "FAIL safety: more than 2 reachable markings\n"
 
 
-def test_unsafe_part_keeps_the_products_safety_text(tmp_path, capsys):
+def test_unsafe_part_is_named_beside_the_others_initial_places(tmp_path, capsys):
     unsafe = Net({"a", "b"}, {"t"}, {("a", "t"), ("t", "b")}, {"a", "b"}, {"t": "0"})
     ann = LocalAnnotation({"a": 1, "b": 1}, {"t": Channel.identity(1)})
     an = _compose([AnnotatedNet(unsafe, ann), clique_net(None, 3)])
@@ -381,3 +384,86 @@ def test_unsafe_part_keeps_the_products_safety_text(tmp_path, capsys):
     assert main(["check", str(path)]) == 1
     assert capsys.readouterr().out == (
         "FAIL safety: firing t at ['a', 'b', 'hub'] puts a second token on ['b']\n")
+
+
+def _unsafe_part():
+    """a0 -At1-> a1 -At2-> b with a0 and b marked: unsafe at its third marking."""
+    unsafe = Net({"a0", "a1", "b"}, {"At1", "At2"},
+                 {("a0", "At1"), ("At1", "a1"), ("a1", "At2"), ("At2", "b")},
+                 {"a0", "b"}, {"At1": "0", "At2": "0"})
+    return AnnotatedNet(unsafe, LocalAnnotation(
+        dict.fromkeys(unsafe.places, 1), {t: Channel.identity(1) for t in unsafe.transitions}))
+
+
+def test_unsafe_part_fails_without_walking_the_product(tmp_path, capsys, monkeypatch):
+    """An unsafe 3-place part beside eight state machines (over 100 000
+    markings of the net) fails safety, exit 1, from its own few firings:
+    no exploration runs into the marking bound."""
+    an = _compose([_unsafe_part()] + _machines(8))
+    path = tmp_path / "net.json"
+    save_net(path, an.net, an.ann)
+    firings = _counting_fire(monkeypatch)
+    assert main(["check", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert re.fullmatch(r"FAIL safety: firing \S+At2 at \[.*\] puts a second token on "
+                        r"\['\S+b'\]\n", out), out
+    assert 0 < len(firings) < 1000
+
+
+@pytest.mark.parametrize("pre", ["A", "z"])
+def test_unsafe_part_fails_past_a_part_over_the_bound(tmp_path, capsys, pre):
+    """A ring of 4 markings beside the unsafe part, at --marking-bound 3:
+    the net is unsafe (exit 1) whether the ring's ids sort before the
+    unsafe part's (prefix A) or after them (prefix z)."""
+    ps, ts = [f"{pre}{i}" for i in range(4)], [f"{pre}u{i}" for i in range(4)]
+    ring = Net(ps, ts, {arc for i, t in enumerate(ts) for arc in ((ps[i], t), (t, ps[i - 3]))},
+               {ps[0]}, dict.fromkeys(ts, "0"))
+    big = AnnotatedNet(ring, LocalAnnotation(dict.fromkeys(ring.places, 1),
+                                             {t: Channel.identity(1) for t in ts}))
+    path = tmp_path / "net.json"
+    save_net(path, big.net, big.ann)
+    assert main(["check", str(path), "--marking-bound", "3"]) == 3
+    assert capsys.readouterr().out == "FAIL safety: more than 3 reachable markings\n"
+    an = _compose([big, _unsafe_part()])
+    assert (flow_components(an.net)[0][0] == ring.places) == (pre == "A")
+    save_net(path, an.net, an.ann)
+    assert main(["check", str(path), "--marking-bound", "3"]) == 1
+    assert capsys.readouterr().out == (
+        f"FAIL safety: firing At2 at {sorted({'a1', 'b', pre + '0'})} "
+        "puts a second token on ['b']\n")
+
+
+_FIRING = re.compile(r"firing (\S+) at (\[.*?\]) puts a second token on (\[.*\])")
+
+
+def _part(net, places, transitions):
+    """The component (places, transitions) of ``net`` as a net of its own."""
+    return Net(places, transitions, {(a, b) for a, b in net.flow if a in places | transitions},
+               net.initial_marking & places, {t: net.pol(t) for t in transitions})
+
+
+def test_unsafe_witness_is_the_failing_components_own():
+    """On random compositions with unsafe parts, the safety text is the
+    first unsafe component's own, checked as a net of its own, at its
+    marking extended by the other components' initial places."""
+    rng = np.random.default_rng(5)
+    unsafe = not_first = beside = 0
+    makers = (unsafe_path, random_state_machine, lambda _: clique_net(None, 3))
+    for _ in range(60):
+        parts = [makers[rng.integers(3)](rng) for _ in range(rng.integers(2, 5))]
+        net = _fresh(_compose(parts).net)
+        got = verify_safety(net)
+        own = [verify_safety(_part(net, ps, ts)) for ps, ts in flow_components(net)]
+        if all(own):
+            assert got
+            continue
+        unsafe += 1
+        i = next(i for i, o in enumerate(own) if not o)
+        t, m, doubled = _FIRING.fullmatch(own[i].reason).groups()
+        rest = net.initial_marking - flow_components(net)[i][0]
+        m = sorted(set(ast.literal_eval(m)) | rest)
+        assert got.reason == f"firing {t} at {m} puts a second token on {doubled}"
+        assert not got.data.get("bound_exceeded")
+        not_first += i > 0
+        beside += bool(rest)
+    assert unsafe >= 30 and not_first >= 5 and beside >= 20

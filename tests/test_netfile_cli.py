@@ -15,14 +15,15 @@ from gen import (
     racy_net,
     random_occurrence_annotated,
     random_state_machine,
+    unsafe_path,
 )
 from qpn import checker, cli, netfile
 from qpn.algebra import Channel, channels_close
 from qpn.annotation import LocalAnnotation
 from qpn.cli import main
-from qpn.compose import parallel
+from qpn.compose import AnnotatedNet, JoinSpec, drop_preserving_join, parallel
 from qpn.demo import branching_demo, two_phase_cycle
-from qpn.errors import NetFileError
+from qpn.errors import BoundExceeded, NetFileError, QpnError
 from qpn.nets import Net, verify_safety
 from qpn.unfolding import UnfoldBudget, transfer_annotation, unfold
 from qpn.netfile import (
@@ -701,6 +702,35 @@ class TestCli:
             f"FAIL {stages[-1]['name']}: {stages[-1]['reason']}\n")
         assert json.loads(report.read_text()) == {"stages": stages}
 
+    @pytest.mark.parametrize("net, argv, at, reason", [
+        ("demo", ["--cluster-cap", "0"], "drop",
+         "cluster of 2 events at marking ['p1', 'p2'] exceeds cap 0"),
+        ("cliques", ["--oracle"], "oracle", "more than 64 configurations"),
+    ], ids=["cluster-cap", "oracle-configurations"])
+    def test_report_is_written_when_a_stage_or_the_oracle_raises(
+            self, demo_path, tmp_path, capsys, net, argv, at, reason):
+        """The stages that returned, the drop report if the drop stage
+        ran, and the error with where it was raised; stdout, stderr and
+        exit 3 are those of the run without --report."""
+        path, report = demo_path, tmp_path / "report.json"
+        if net == "cliques":  # four 2-cliques side by side: 81 configurations
+            path, cliques = tmp_path / "cliques.json", clique_net(None, 2)
+            for _ in range(3):
+                cliques, _ = parallel(cliques, clique_net(None, 2))
+            save_net(path, cliques.net, cliques.ann)
+        assert main(["check", str(path), *argv]) == 3
+        plain = capsys.readouterr()
+        assert plain.err == f"error: {reason}\n"
+        assert main(["check", str(path), *argv, "--report", str(report)]) == 3
+        assert capsys.readouterr() == plain
+        doc = json.loads(report.read_text())
+        names = [name for name, _ in checker.STAGES]
+        returned = names if at == "oracle" else names[:names.index(at)]
+        assert doc["stages"] == [{"name": name, "passed": True, "reason": ""}
+                                 for name in returned]
+        assert list(doc) == ["stages", *(["drop"] if at == "oracle" else []), "error"]
+        assert doc["error"] == {"at": at, "reason": reason}
+
     def test_report_counts_the_clusters_evaluated(self, demo_path, tmp_path):
         report = tmp_path / "report.json"
         assert main(["check", str(demo_path), "--report", str(report)]) == 0
@@ -785,6 +815,46 @@ class TestCli:
                      "--out", str(tmp_path / "j.json")]) == 1
         assert "FAIL join-spec" in capsys.readouterr().out
 
+    @staticmethod
+    def _two_paths(m0):
+        """x0 -p-> x1 -q-> x2 and y0 -r-> y1 -n-> y2 on 1-dim places, p
+        positive and n negative, marked at ``m0``."""
+        arcs = {"p": ("x0", "x1"), "q": ("x1", "x2"), "r": ("y0", "y1"), "n": ("y1", "y2")}
+        flow = {arc for t, (u, v) in arcs.items() for arc in ((u, t), (t, v))}
+        net = Net({p for ps in arcs.values() for p in ps}, arcs, flow, m0,
+                  {"p": "+", "q": "0", "r": "0", "n": "-"})
+        return AnnotatedNet(net, LocalAnnotation(dict.fromkeys(net.places, 1),
+                                                 {t: Channel.identity(1) for t in arcs}))
+
+    def test_join_is_rechecked_at_the_marking_bound(self, tmp_path, capsys):
+        """Each path has 3 markings and the joined component 4: the join
+        exits 3 at --marking-bound 3, past which its output would fail
+        `qpn check`, and writes a net that passes at bound 4."""
+        x = self._two_paths({"x0", "y0"})
+        path, spec, out = tmp_path / "paths.json", tmp_path / "spec.json", tmp_path / "j.json"
+        save_net(path, x.net, x.ann)
+        spec.write_text(json.dumps({"pairs": [["p", "n"]]}))
+        argv = ["compose", "join", str(path), str(spec), "--out", str(out), "--marking-bound"]
+        assert main(argv + ["3"]) == 3
+        assert capsys.readouterr() == (
+            "PASS join-spec\n",
+            "error: joined net failed safety: more than 3 reachable markings\n")
+        assert not out.exists()
+        assert main(argv + ["4"]) == 0
+        assert main(["check", str(out), "--marking-bound", "4"]) == 0
+        with pytest.raises(BoundExceeded, match="^joined net failed safety: more than 3 "):
+            drop_preserving_join(x, JoinSpec((("p", "n"),)), bound=3)
+
+    def test_unsafe_join_keeps_its_error(self):
+        """An unsafe input gives an unsafe joined net: a QpnError that is
+        no bound, naming the firing."""
+        x = self._two_paths({"x0", "x2", "y0"})
+        with pytest.raises(QpnError) as exc:
+            drop_preserving_join(x, JoinSpec((("p", "n"),)))
+        assert not isinstance(exc.value, BoundExceeded)
+        assert str(exc.value) == ("joined net failed safety: firing q at ['x1', 'x2', 'y2'] "
+                                  "puts a second token on ['x2']")
+
     @pytest.mark.parametrize("pairs, lines", [
         ([["p1", "n1"]], ["FAIL join-spec: ['n1'] is not a maximal negative cluster",
                           "FAIL is-qpn-after-join: race-free: race: n2(-) ~ p1*n1(0)"]),
@@ -828,7 +898,7 @@ class TestCli:
 
     @pytest.mark.parametrize("argv", [
         ["unfold", "--depth", "-1"], ["unfold", "--max-events", "-2"],
-        ["sample", "--runs", "-3"], ["sample", "--max-steps", "-1"],
+        ["sample", "--runs", "-3"], ["sample", "--max-steps", "-1"], ["sample", "--seed", "-1"],
         ["check", "--marking-bound", "-5"], ["prob", "--marking-bound", "-1"],
         ["check", "--cluster-cap", "-1"], ["check", "--tol-psd", "-1"],
         ["check", "--tol-psd", "nan"], ["check", "--tol-psd", "inf"]])
@@ -911,8 +981,9 @@ def test_witnesses_do_not_depend_on_the_hash_seed(tmp_path):
     """Eight marked places and four transitions a-d, each moving a token
     from one marked place onto another: every firing is unsafe, and the
     safety stage names the least one.  With four place-to-place arcs added,
-    the loader names the least arc.  Neither text may change with the
-    interpreter's string-hash seed, nor may `qpn unfold`'s output and the
+    the loader names the least arc.  Of two unsafe paths side by side, the
+    safety stage names the first one's firing.  No text may change with
+    the interpreter's string-hash seed, nor may `qpn unfold`'s output and the
     prefix it writes of a state-machine pair, as a net file and as dot,
     nor `qpn check --oracle --report`'s output and report on a failing
     three-part composite."""
@@ -928,8 +999,15 @@ def test_witnesses_do_not_depend_on_the_hash_seed(tmp_path):
     doc["flow"] = [[places[2 * i], places[2 * i + 1]] for i in range(4)] + doc["flow"]
     flat.write_text(json.dumps(doc))
     firing = f"FAIL safety: firing a at {places} puts a second token on ['p1']\n"
+    paths, _ = parallel(unsafe_path(np.random.default_rng(0)),
+                        unsafe_path(np.random.default_rng(3)))
+    two = tmp_path / "two.json"
+    save_net(two, paths.net, paths.ann)
+    first = ("FAIL safety: firing L/t4 at ['L/a3', 'L/a4', 'R/a0', 'R/a1'] "
+             "puts a second token on ['L/a4']\n")
     want = {("validate", unsafe): (1, firing, ""), ("check", unsafe): (1, firing, ""),
-            ("validate", flat): (2, "", "error: flow[0]: flow arc (p0, p1) is not bipartite\n")}
+            ("validate", flat): (2, "", "error: flow[0]: flow arc (p0, p1) is not bipartite\n"),
+            ("check", two): (1, first, "")}
     src = str(pathlib.Path(qpn.__file__).parents[1])
 
     def run_under(seed, *argv):

@@ -1,13 +1,15 @@
-"""The README's example session runs as printed, and its report paragraph
-names the report's keys."""
+"""The README's example session runs as printed, its report paragraph
+names the report's keys, and its sentence on counts names every numeric
+option."""
 
+import argparse
 import contextlib
 import io
 import json
 import re
 from pathlib import Path
 
-from qpn.cli import main
+from qpn.cli import build_parser, main, non_negative_float, non_negative_int
 from qpn.demo import branching_demo
 from qpn.netfile import save_net
 
@@ -25,9 +27,9 @@ def test_minimal_session_runs():
 
 
 def test_report_paragraph_names_every_key(tmp_path):
-    """Each top-level key of an `--oracle --report` file, and each key of
-    its `drop` report, is named in backticks in the README's paragraph on
-    the report file."""
+    """Each top-level key of an `--oracle --report` file, each key of its
+    `drop` report, and the `error` a raising stage adds with its keys, are
+    named in backticks in the README's paragraph on the report file."""
     bd = branching_demo()
     path, report = tmp_path / "demo.json", tmp_path / "report.json"
     save_net(path, bd.net, bd.ann)
@@ -38,3 +40,23 @@ def test_report_paragraph_names_every_key(tmp_path):
     named = set(re.findall(r"`([^`]+)`", paragraph))
     assert list(doc) == ["stages", "drop", "oracle"]
     assert set(doc) | set(doc["drop"]) <= named
+    assert main(["check", str(path), "--cluster-cap", "0", "--report", str(report)]) == 3
+    doc = json.loads(report.read_text())
+    assert set(doc) | set(doc["error"]) <= named
+
+
+def test_counts_sentence_names_every_numeric_option():
+    """Every option of every subcommand that takes a number is parsed by
+    `non_negative_int` or `non_negative_float`, never a bare `int` or
+    `float`, and is named in backticks in the README's sentence on counts."""
+    sub, = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    numbers = (int, float, non_negative_int, non_negative_float)
+    numeric = {(command, action.option_strings[0]): action.type
+               for command, parser in sub.choices.items() for action in parser._actions
+               if action.type in numbers or type(action.default) in (int, float)}
+    sentence = re.search(r"The counts (.*?) is a usage error", README.read_text(),
+                         re.S).group(1)
+    named = set(re.findall(r"`([^`]+)`", sentence))
+    assert ("sample", "--seed") in numeric and ("check", "--tol-psd") in numeric
+    assert {option for _, option in numeric} <= named
+    assert set(numeric.values()) == {non_negative_int, non_negative_float}
