@@ -23,7 +23,8 @@ TOL_PSD = 1e-9
 # Hermiticity tolerance (max entry of |M - M^dagger|).
 TOL_HERM = 1e-9
 TOL_TNI_HERM = 1e-7  # the same for I - effect in the trace non-increase check
-# Channel equality: largest entry deviation on the matrix units, scaled by max(1, d_in).
+# Equality of operators (channels on the matrix units, drop effects): largest entry
+# deviation, scaled by max(1, d) for their dimension d.
 TOL_CHANNEL_EQ = 1e-10
 # Hard cap on the total dimension of any single operator.
 MAX_TOTAL_DIM = 4096
@@ -326,15 +327,15 @@ def partial_trace(m, dims, traced) -> np.ndarray:
     return arr.reshape(rem, rem)
 
 
-def is_cptni(f: Channel, tol_psd: float = TOL_PSD) -> CheckOutcome:
-    """Verdict on trace non-increase: min-eig(I - effect) >= -tol.
+def is_cptni(f: Channel) -> CheckOutcome:
+    """Verdict on trace non-increase: min-eig(I - effect) >= -TOL_PSD.
 
     A Kraus-form channel is completely positive by construction, so this
     is the whole CPTNI verdict; the outcome carries the eigenvalue for
     caller-side re-judging.
     """
     tni_min = min_eigenvalue(np.eye(f.dim_in, dtype=complex) - effect(f), TOL_TNI_HERM)
-    passed = tni_min >= -tol_psd
+    passed = tni_min >= -TOL_PSD
     return CheckOutcome(passed, "" if passed else "trace increasing",
                         {"tni_min_eig": tni_min})
 

@@ -25,6 +25,7 @@ import numpy as np
 
 from . import algebra
 from .algebra import (
+    TOL_CHANNEL_EQ,
     TOL_PSD,
     Channel,
     FactorPermutation,
@@ -65,9 +66,6 @@ from .nets import (
     verify_safety,
 )
 from .outcome import CheckOutcome
-
-# Equality of drop effects is extensional; tolerance scales with dimension.
-TOL_DROP_EQ = 1e-10
 
 DEFAULT_CLUSTER_CAP = 12
 DEFAULT_CONFIG_BOUND = 64
@@ -152,9 +150,8 @@ def drop_inductive(gv: GlobalValuation, x, ys) -> np.ndarray:
     return hermitize(d_head - _compose_effect(chan, d_shift))
 
 
-def recursive_sum_check(gv: GlobalValuation, x, ys_head, yn, yn_big,
-                        tol: float = TOL_DROP_EQ) -> CheckOutcome:
-    """Identity relating d over a grown last extension yn ⊆ yn_big:
+def recursive_sum_check(gv: GlobalValuation, x, ys_head, yn, yn_big) -> CheckOutcome:
+    """Identity, within TOL_CHANNEL_EQ, over a grown last extension yn ⊆ yn_big:
 
     d[x; ys, yn_big] = d[x; ys, yn]
                      + [tr ⊗ d[yn; ys∪yn, yn_big]] ∘ Q[x; yn].
@@ -171,7 +168,7 @@ def recursive_sum_check(gv: GlobalValuation, x, ys_head, yn, yn_big,
     chan = gv.q(marking_of_configuration(o, x), marking_of_configuration(o, yn))
     rhs = first + _compose_effect(chan, d_shift)
     err = float(np.max(np.abs(lhs - rhs)))
-    if err > tol * max(1, lhs.shape[0]):
+    if err > TOL_CHANNEL_EQ * max(1, lhs.shape[0]):
         return CheckOutcome.fail(f"recursive-sum identity off by {err:.2e}", error=err)
     return CheckOutcome.ok(error=err)
 
@@ -308,8 +305,10 @@ class DropReport:
     per (marking of the net, family), walk their product when read.
     """
 
-    def __init__(self, table, parts, stats: dict, tol: float = TOL_PSD):
-        self.table, self.parts, self.stats, self.tol = table, parts, stats, tol
+    tol = TOL_PSD  # a family passes when its minimum eigenvalue is at least -tol
+
+    def __init__(self, table, parts, stats: dict):
+        self.table, self.parts, self.stats = table, parts, stats
 
     def _min_eigs(self):
         return (lo for _, fams in self.table.values() for lo in fams.values())
@@ -372,8 +371,7 @@ class DropReport:
 
 def check_local_drop(net: Net, ann: LocalAnnotation,
                      marking_bound: int = DEFAULT_MARKING_BOUND,
-                     cluster_cap: int = DEFAULT_CLUSTER_CAP,
-                     tol: float = TOL_PSD) -> DropReport:
+                     cluster_cap: int = DEFAULT_CLUSTER_CAP) -> DropReport:
     """Drop positivity over every conflict cluster at every reachable marking.
 
     A family's drop depends only on its events, so each distinct cluster
@@ -428,13 +426,12 @@ def check_local_drop(net: Net, ann: LocalAnnotation,
         "markings": total, "clusters": sum(n for n, _ in weighted),
         "clusters_evaluated": len(table),
         "clique_fast_paths": sum(n for n, cl in weighted if table[cl][0] == "clique"),
-        "eigen_solves": sum(calls), "eigen_calls": len(calls)}, tol)
+        "eigen_solves": sum(calls), "eigen_calls": len(calls)})
 
 
 def brute_force_global_drop(o: OccurrenceNet, ann: LocalAnnotation,
                             config_bound: int = DEFAULT_CONFIG_BOUND,
-                            cluster_cap: int = DEFAULT_CLUSTER_CAP,
-                            tol: float = TOL_PSD) -> DropReport:
+                            cluster_cap: int = DEFAULT_CLUSTER_CAP) -> DropReport:
     """Exhaustive drop positivity over all configurations and extension
     families of up to ``cluster_cap`` events, the largest cluster the local
     check reads, evaluated through interval channels; each configuration
@@ -453,15 +450,14 @@ def brute_force_global_drop(o: OccurrenceNet, ann: LocalAnnotation,
             for r in range(1, min(len(exts), cluster_cap) + 1)
             for combo in itertools.combinations(exts, r)})
     return DropReport(table, [{x: [x] for x in table}], {
-        "configurations": len(table), "families": sum(len(f) for _, f in table.values())}, tol)
+        "configurations": len(table), "families": sum(len(f) for _, f in table.values())})
 
 
 def cluster_factorization_check(net: Net, ann: LocalAnnotation, m,
-                                cluster_a, cluster_b,
-                                tol: float = TOL_DROP_EQ) -> CheckOutcome:
+                                cluster_a, cluster_b) -> CheckOutcome:
     """d[x; A ∪ B] ⊗ tr  =  d[x; A] ⊗ d[x; B] for cross-compatible clusters.
 
-    As effects: d_{A∪B} ⊗ I equals d_A ⊗ d_B on Q(m) ⊗ Q(m).
+    As effects, within TOL_CHANNEL_EQ: d_{A∪B} ⊗ I equals d_A ⊗ d_B on Q(m) ⊗ Q(m).
     """
     m = frozenset(m)
     cluster_a, cluster_b = sorted(cluster_a), sorted(cluster_b)
@@ -486,7 +482,7 @@ def cluster_factorization_check(net: Net, ann: LocalAnnotation, m,
     u = FactorPermutation(tuple(dims + dims), tuple(order))  # its own inverse
     rhs = u.permute(rhs, two_sided=True)
     err = float(np.max(np.abs(lhs - rhs)))
-    if err > tol * max(1, dim):
+    if err > TOL_CHANNEL_EQ * max(1, dim):
         return CheckOutcome.fail(f"factorization off by {err:.2e}", error=err)
     return CheckOutcome.ok(error=err)
 
@@ -495,8 +491,8 @@ def cluster_factorization_check(net: Net, ann: LocalAnnotation, m,
 # top-level verdicts
 
 
-def _drop_stage(net, ann, marking_bound, cluster_cap, tol) -> CheckOutcome:
-    report = check_local_drop(net, ann, marking_bound, cluster_cap, tol)
+def _drop_stage(net, ann, marking_bound, cluster_cap) -> CheckOutcome:
+    report = check_local_drop(net, ann, marking_bound, cluster_cap)
     if report.passed:
         return CheckOutcome.ok(report=report)
     worst = report.first_failure()
@@ -506,7 +502,7 @@ def _drop_stage(net, ann, marking_bound, cluster_cap, tol) -> CheckOutcome:
 
 
 # The QPN verdict as ordered (name, check) stages; each check takes
-# (net, ann, marking_bound, cluster_cap, tol).  `qpn validate` runs the
+# (net, ann, marking_bound, cluster_cap).  `qpn validate` runs the
 # prefix up to "cptni".
 STAGES = (
     ("safety", lambda net, ann, bound, *_: verify_safety(net, bound)),
@@ -519,12 +515,12 @@ STAGES = (
 
 
 def run_stages(stages, net: Net, ann: LocalAnnotation, marking_bound: int,
-               cluster_cap: int, tol: float):
+               cluster_cap: int):
     """Yield (name, outcome) per stage in order, up to the first failure;
     each outcome's data holds the stage's wall time as ``seconds``."""
     for name, check in stages:
         start = time.perf_counter()
-        out = check(net, ann, marking_bound, cluster_cap, tol)
+        out = check(net, ann, marking_bound, cluster_cap)
         out = CheckOutcome(out.passed, out.reason,
                            {**out.data, "seconds": time.perf_counter() - start})
         yield name, out
@@ -541,8 +537,7 @@ def _verdict(stages, net, ann, *limits) -> CheckOutcome:
 
 def is_qpn(net: Net, ann: LocalAnnotation,
            marking_bound: int = DEFAULT_MARKING_BOUND,
-           cluster_cap: int = DEFAULT_CLUSTER_CAP,
-           tol: float = TOL_PSD) -> CheckOutcome:
+           cluster_cap: int = DEFAULT_CLUSTER_CAP) -> CheckOutcome:
     """Full certification of an annotated safe Petri net.
 
     Runs :data:`STAGES`: safety, signature validity, complete positivity
@@ -556,13 +551,12 @@ def is_qpn(net: Net, ann: LocalAnnotation,
     conditions on the net itself are equivalent to the unfolding-based
     definition.
     """
-    return _verdict(STAGES, net, ann, marking_bound, cluster_cap, tol)
+    return _verdict(STAGES, net, ann, marking_bound, cluster_cap)
 
 
 def is_local_qon(o: Net, ann: LocalAnnotation,
                  marking_bound: int = DEFAULT_MARKING_BOUND,
-                 cluster_cap: int = DEFAULT_CLUSTER_CAP,
-                 tol: float = TOL_PSD) -> CheckOutcome:
+                 cluster_cap: int = DEFAULT_CLUSTER_CAP) -> CheckOutcome:
     """is_qpn with the occurrence-net axioms as its first stage."""
     occurrence = ("occurrence", lambda net, ann, *_: is_occurrence_net(net))
-    return _verdict((occurrence,) + STAGES, o, ann, marking_bound, cluster_cap, tol)
+    return _verdict((occurrence,) + STAGES, o, ann, marking_bound, cluster_cap)

@@ -51,12 +51,11 @@ def _loaded(net, ann, *_):
     return CheckOutcome.ok()
 
 
-def _run_stages(stages, net, ann, args, cluster_cap, tol):
+def _run_stages(stages, net, ann, args, cluster_cap):
     """Run the stages on the loaded net, print one line per stage run and
     yield its (name, outcome)."""
     stages = [(name, _loaded if name == "signatures" else check) for name, check in stages]
-    for name, out in checker.run_stages(stages, net, ann, args.marking_bound,
-                                        cluster_cap, tol):
+    for name, out in checker.run_stages(stages, net, ann, args.marking_bound, cluster_cap):
         if name != "drop":
             _p(name, out)
         else:
@@ -77,8 +76,7 @@ def _exit_code(out) -> int:
 def cmd_validate(args) -> int:
     net, ann, _, _ = netfile.load_net(args.path)
     # safety, signatures, cptni: none reads the drop stage's limits
-    *_, (_, out) = _run_stages(checker.STAGES[:3], net, ann, args,
-                               checker.DEFAULT_CLUSTER_CAP, TOL_PSD)
+    *_, (_, out) = _run_stages(checker.STAGES[:3], net, ann, args, checker.DEFAULT_CLUSTER_CAP)
     return _exit_code(out)
 
 
@@ -89,8 +87,7 @@ def cmd_check(args) -> int:
     net, ann, _, _ = netfile.load_net(args.path)
     ran, reports = [], {}  # the drop and oracle reports, where they ran
     try:
-        for name, out in _run_stages(checker.STAGES, net, ann, args, args.cluster_cap,
-                                     args.tol_psd):
+        for name, out in _run_stages(checker.STAGES, net, ann, args, args.cluster_cap):
             ran.append((name, out))
         code = _exit_code(out)
         if name == "drop":
@@ -103,7 +100,7 @@ def cmd_check(args) -> int:
                 code = EXIT_CHECK_FAILED
             else:
                 reports["oracle"] = brute = checker.brute_force_global_drop(
-                    o, ann, cluster_cap=args.cluster_cap, tol=args.tol_psd)
+                    o, ann, cluster_cap=args.cluster_cap)
                 agree = brute.passed == report.passed
                 print(f"{'PASS' if agree else 'FAIL'} oracle agreement: "
                       f"{'yes' if agree else 'no'} (brute={brute.passed}, "
@@ -280,14 +277,6 @@ def non_negative_int(text) -> int:
     return n
 
 
-def non_negative_float(text) -> float:
-    """An option's tolerance: a finite float, never negative (else a usage error)."""
-    x = float(text)
-    if not 0 <= x < np.inf:
-        raise ValueError(text)
-    return x
-
-
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="qpn",
                                   description="verify quantum-annotated Petri nets")
@@ -309,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", help="write a JSON report here")
     common(p)
     # read only by the drop stage
-    p.add_argument("--tol-psd", type=non_negative_float, default=checker.TOL_PSD)
     p.add_argument("--cluster-cap", type=non_negative_int, default=checker.DEFAULT_CLUSTER_CAP)
     p.set_defaults(fn=cmd_check)
 

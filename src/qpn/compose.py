@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Channel, thread
+from .algebra import TOL_CHANNEL_EQ, Channel, thread
 from .annotation import LocalAnnotation, event_factors, space_dim, validate_signatures
-from .checker import TOL_DROP_EQ, _drop_recurrence, _embedded_effect, single_extension_drop
+from .checker import _drop_recurrence, _embedded_effect, single_extension_drop
 from .errors import (
     BoundExceeded,
     PolarityMismatch,
@@ -233,15 +233,16 @@ def drop_preserving_join(x: AnnotatedNet, spec: JoinSpec, force: bool = False,
 
 
 def check_join_preservation(before: AnnotatedNet, after: AnnotatedNet,
-                            spec: JoinSpec, tol: float = TOL_DROP_EQ) -> CheckOutcome:
+                            spec: JoinSpec) -> CheckOutcome:
     """Numerically compare drop structure across a join.
 
     At every reachable marking of the joined net, the drop effect of each
     cluster of enabled non-negative events, on its own pre-places, must
-    equal the drop computed in the original net from the pre-image family,
-    where each joined event stands for its positive member extended by the
-    identity on the negative member's pre-places.  A cluster's comparison
-    depends on its events only, so each distinct cluster is compared once.
+    equal the drop computed in the original net from the pre-image family
+    within TOL_CHANNEL_EQ, where each joined event stands for its positive
+    member extended by the identity on the negative member's pre-places.
+    A cluster's comparison depends on its events only, so each distinct
+    cluster is compared once.
     Also checks the marking correspondence, that race-freeness survived,
     and that every new transition is one the spec joins.
 
@@ -261,12 +262,12 @@ def check_join_preservation(before: AnnotatedNet, after: AnnotatedNet,
 
     @functools.cache
     def error(fam):
-        """max |d_after - d_before| on fam's pre-places, or None within tol."""
+        """max |d_after - d_before| on fam's pre-places, or None within tolerance."""
         local = frozenset().union(*map(after.net.pre, fam))
         d = single_extension_drop(after.net, after.ann, local, fam) \
             - _preimage_drop(before, local, fam, joined)
         err = float(np.max(np.abs(d)))
-        return err if err > tol * max(1, len(d)) else None
+        return err if err > TOL_CHANNEL_EQ * max(1, len(d)) else None
 
     inner = list(zip(flow_components(before.net), component_markings(before.net)))
     parts = component_clusters(after.net)

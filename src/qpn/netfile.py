@@ -181,7 +181,7 @@ def from_document(doc: dict):
         if "label" in entry:
             labels[tid] = entry["label"]
 
-    flow = []
+    flow, marked = {}, set()  # arc -> its index; the initial places
     known = dims.keys() | polarity.keys()
     for i, arc in enumerate(doc["flow"]):
         if not (isinstance(arc, list) and len(arc) == 2):
@@ -191,18 +191,23 @@ def from_document(doc: dict):
             _fail(f"flow[{i}]", f"arc ends must be strings, got {arc!r}")
         if a not in known or b not in known:
             _fail(f"flow[{i}]", f"unknown id in arc {arc}")
-        flow.append((a, b))
+        if (a, b) in flow:
+            _fail(f"flow[{i}]", f"duplicate arc {arc}")
+        flow[a, b] = i
     for i, p in enumerate(doc["initial_marking"]):
         if not isinstance(p, str):
             _fail(f"initial_marking[{i}]", f"place id must be a string, got {p!r}")
         if p not in dims:
             _fail(f"initial_marking[{i}]", f"unknown place {p!r}")
-    bad = [(arc, i) for i, arc in enumerate(flow) if (arc[0] in dims) == (arc[1] in dims)]
+        if p in marked:
+            _fail(f"initial_marking[{i}]", f"duplicate place {p!r}")
+        marked.add(p)
+    bad = [(arc, i) for arc, i in flow.items() if (arc[0] in dims) == (arc[1] in dims)]
     if bad:  # the least arc that joins two places or two transitions
         (a, b), i = min(bad)
         _fail(f"flow[{i}]", f"flow arc ({a}, {b}) is not bipartite")
 
-    net = Net(set(dims), set(polarity), flow, set(doc["initial_marking"]), polarity)
+    net = Net(set(dims), set(polarity), flow, marked, polarity)
     ann = LocalAnnotation(dims, channels, h)
     sig = validate_signatures(net, ann)
     if not sig:

@@ -169,28 +169,31 @@ def flow_components(net: Net) -> tuple:
 def _explore(net: Net, m0: Marking, transitions, bound: int, rest: frozenset) -> frozenset:
     """DFS closure of m0 under firing ``transitions``, each marking's
     enabled ones in sorted order, so an unsafe firing is always found by
-    the same search; it stops at the marking past ``bound``.  The places
-    ``rest`` of m0, which no transition touches, are stripped from each."""
+    the same search; it stops at the marking past ``bound``.  An unsafe
+    firing is named at its marking plus the places ``rest``, which no
+    transition touches."""
     ts = [(t, net.pre(t)) for t in net.sorted_transitions if t in transitions]
     seen = {m0}
     frontier = [m0]
     while frontier:
         m = frontier.pop()
         for t in (t for t, pre in ts if pre <= m):
-            m2 = fire(net, m, t)
+            try:
+                m2 = fire(net, m, t)
+            except SafetyViolation:  # fire again where ``rest`` is marked too, to raise there
+                fire(net, m | rest, t)
             if m2 not in seen:
                 seen.add(m2)
                 if len(seen) > bound:
                     return seen  # over the bound: raised on, never kept
                 frontier.append(m2)
-    return frozenset(m - rest for m in seen) if rest else frozenset(seen)
+    return frozenset(seen)
 
 
 def component_markings(net: Net, bound: int = DEFAULT_MARKING_BOUND) -> tuple:
     """The reachable markings of each flow component, explored once from
-    the net's m0 with its own transitions, the other components' places
-    stripped: the net's reachable markings are their product, which is
-    never enumerated.
+    its share of the net's m0 with its own transitions: the net's
+    reachable markings are their product, which is never enumerated.
 
     Components go in order.  The first unsafe firing is raised, named at
     the component's marking plus the others' part of m0, even past a
@@ -198,7 +201,7 @@ def component_markings(net: Net, bound: int = DEFAULT_MARKING_BOUND) -> tuple:
     of one component (a net with none has one marking).  A complete
     exploration is kept on the net."""
     m0 = net.initial_marking
-    parts = net._reachable or tuple(_explore(net, m0, ts, bound, m0 - ps)
+    parts = net._reachable or tuple(_explore(net, m0 & ps, ts, bound, m0 - ps)
                                     for ps, ts in flow_components(net))
     if max(map(len, parts), default=1) > bound:
         raise BoundExceeded(f"more than {bound} reachable markings")

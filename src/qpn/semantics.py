@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import (TOL_PSD, FactorPermutation, _check_total_dim, _kron, apply_leading,
-                      as_matrix, partial_trace)
+from .algebra import (TOL_CHANNEL_EQ, TOL_PSD, FactorPermutation, _check_total_dim, _kron,
+                      apply_leading, as_matrix, partial_trace)
 from .annotation import LocalAnnotation, event_factors, space_dim
 from .checker import _embedded_effect, single_extension_drop
 from .errors import DimensionMismatch, MissingEnvInput, NotAQpn, NotEnabled
@@ -68,12 +68,12 @@ def run_probability(o: OccurrenceNet, ann: LocalAnnotation, iv: MarkingInterval,
 
 
 def sub_probability_check(net: Net, ann: LocalAnnotation, m, cluster,
-                          rho=None, tol: float = TOL_PSD) -> CheckOutcome:
+                          rho=None) -> CheckOutcome:
     """Branch probabilities of a cluster sum to at most one.
 
-    For a clique the branch probabilities add up to exactly
-    1 - tr(drop * rho); for general clusters only the positivity of the
-    drop expectation (the halting residue) is asserted.  Both are read on
+    For a clique the branch probabilities add up to 1 - tr(drop * rho)
+    within TOL_CHANNEL_EQ; for general clusters only the drop expectation
+    (the halting residue) is asserted to be at least -TOL_PSD.  Both are read on
     the reduced state of the cluster's pre-places, by the sampler's step
     plan (built here, not kept); rho defaults to the maximally mixed state.
     """
@@ -96,11 +96,11 @@ def sub_probability_check(net: Net, ann: LocalAnnotation, m, cluster,
     clique = bool(cluster) and is_clique(net, cluster)  # a singleton is one
     d = single_extension_drop(net, ann, step.pre, cluster)
     residue = float(np.real(np.trace(d @ rho)))
-    if clique and abs((1.0 - residue) - total) > 1e-10 * max(1, dim):
+    if clique and abs((1.0 - residue) - total) > TOL_CHANNEL_EQ * max(1, dim):
         return CheckOutcome.fail(
             f"branch sum {total} != 1 - residue {1 - residue}",
             branches=branch, residue=residue)
-    if residue < -tol:
+    if residue < -TOL_PSD:
         return CheckOutcome.fail(f"negative halting residue {residue}",
                                  branches=branch, residue=residue)
     return CheckOutcome.ok(branches=branch, residue=residue, total=total)

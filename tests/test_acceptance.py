@@ -133,7 +133,7 @@ def test_criterion_3_cluster_factorization():
             if len(clusters) < 2:
                 continue
             a, b = sorted(clusters[0]), sorted(clusters[1])
-            out = cluster_factorization_check(o, ann, m, a, b, tol=1e-10)
+            out = cluster_factorization_check(o, ann, m, a, b)
             if not out:
                 _report("criterion-3 cluster factorization", False, out.reason)
             checked += 1

@@ -358,6 +358,22 @@ class TestSchemaDiagnostics:
         assert exc.value.location == location
         assert str(exc.value) == f"{location}: {message}"
 
+    @pytest.mark.parametrize("section, message", [
+        ("initial_marking", "duplicate place 'p0'"),
+        ("flow", "duplicate arc ['a', 'p1']"),
+    ])
+    def test_repeated_entries_are_located(self, tmp_path, capsys, section, message):
+        """A place marked twice or an arc listed twice is a located parse
+        error, as a repeated id is: a second token would make the net
+        unsafe, and a doubled arc is no arc of a safe net."""
+        doc = self._doc()
+        doc[section].append(doc[section][0])
+        path = tmp_path / "twice.json"
+        path.write_text(json.dumps(doc))
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {section}[{len(doc[section]) - 1}]: {message}\n")
+
     def test_invalid_json_file(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -481,10 +497,25 @@ class TestCli:
         ["sample", "x.json"], ["compose", "par", "a.json", "b.json", "--out", "c.json"]])
     @pytest.mark.parametrize("option", ["--tol-psd", "--cluster-cap"])
     def test_drop_limits_belong_to_check(self, command, option, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(command + [option, "0"])
-        assert exc.value.code == 2
-        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+        """Only `check` takes the drop stage's `--cluster-cap`; no command
+        takes `--tol-psd`, since the positivity tolerance is a constant."""
+        for argv in (command + [option, "0"], ["check", "x.json", "--tol-psd", "0"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+    def test_neutral_transition_with_a_signal_is_a_parse_error(self, tmp_path, capsys):
+        tc = two_phase_cycle()
+        path = tmp_path / "cycle.json"
+        save_net(path, tc.net, tc.ann)
+        doc = json.loads(path.read_text())
+        doc["transitions"][0]["h"] = 2
+        assert doc["transitions"][0]["id"] == "bwd"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr() == ("", "error: $: annotation does not fit the net: "
+                                           "neutral transition bwd has signal dimension 2 != 1\n")
 
     def test_trace_increasing_channel_fails_cptni(self, tmp_path, capsys):
         net = Net({"p", "q"}, {"t"}, {("p", "t"), ("t", "q")}, {"p"}, {"t": "0"})
@@ -757,6 +788,17 @@ class TestCli:
         assert main(["check", str(demo_path), "--oracle"]) == 0
         assert "PASS oracle" in capsys.readouterr().out
 
+    def test_oracle_disagreement_fails_the_check(self, demo_path, capsys, monkeypatch):
+        """An oracle whose verdict differs from the drop stage's fails
+        `check` with both verdicts named."""
+        failing = checker.DropReport({("p0",): ("general", {("b",): -1.0})},
+                                     [{("p0",): [("p0",)]}], {})
+        monkeypatch.setattr(checker, "brute_force_global_drop", lambda *_, **__: failing)
+        assert main(["check", str(demo_path), "--oracle"]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[-2].startswith("PASS drop")
+        assert out[-1] == "FAIL oracle agreement: no (brute=False, local=True)"
+
     def test_oracle_rejects_cyclic_net(self, tmp_path, capsys):
         tc = two_phase_cycle()
         path = tmp_path / "cycle.json"
@@ -804,6 +846,18 @@ class TestCli:
         net, _, _, _ = load_net(out)
         assert "p1*n1" in net.transitions and "p2*n2" in net.transitions
         assert main(["check", str(out)]) == 0
+
+    @pytest.mark.parametrize("pairs, line", [
+        ([["b", "a"]], "FAIL join-spec: b is not positive"),
+        ([["c", "b"]], "FAIL join-spec: b is not negative"),
+    ])
+    def test_compose_join_rejects_a_wrong_polarity(self, demo_path, tmp_path, capsys,
+                                                   pairs, line):
+        spec, out = tmp_path / "spec.json", tmp_path / "j.json"
+        spec.write_text(json.dumps({"pairs": pairs}))
+        assert main(["compose", "join", str(demo_path), str(spec), "--out", str(out)]) == 1
+        assert capsys.readouterr().out == line + "\n"
+        assert not out.exists()
 
     def test_compose_join_rejects_bad_spec(self, tmp_path, capsys):
         x = joinable_net(np.random.default_rng(0), True, True)
@@ -900,18 +954,16 @@ class TestCli:
         ["unfold", "--depth", "-1"], ["unfold", "--max-events", "-2"],
         ["sample", "--runs", "-3"], ["sample", "--max-steps", "-1"], ["sample", "--seed", "-1"],
         ["check", "--marking-bound", "-5"], ["prob", "--marking-bound", "-1"],
-        ["check", "--cluster-cap", "-1"], ["check", "--tol-psd", "-1"],
-        ["check", "--tol-psd", "nan"], ["check", "--tol-psd", "inf"]])
+        ["check", "--cluster-cap", "-1"]])
     def test_negative_counts_are_usage_errors(self, demo_path, capsys, argv):
-        """Counts are non-negative integers and --tol-psd a finite float
-        at least 0, checked when the command line is parsed."""
+        """Counts are non-negative integers, checked when the command line
+        is parsed."""
         with pytest.raises(SystemExit) as exc:
             main([argv[0], str(demo_path)] + argv[1:])
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        kind = "float" if argv[1] == "--tol-psd" else "int"
-        assert (f"argument {argv[1]}: invalid non_negative_{kind} value: '{argv[2]}'"
+        assert (f"argument {argv[1]}: invalid non_negative_int value: '{argv[2]}'"
                 in captured.err)
 
     @pytest.mark.parametrize("argv, message", [

@@ -11,6 +11,7 @@ from qpn.errors import (
     NotAConfiguration,
     NotEnabled,
     NotReachableFrom,
+    QpnError,
     SafetyViolation,
     Unreachable,
 )
@@ -47,6 +48,20 @@ def branching_occ():
         {("c0", "a"), ("a", "c1"), ("a", "c2"),
          ("c1", "b"), ("b", "c3"), ("c1", "c"), ("c", "c4")},
         {"c0"}, {"a": "0", "b": "0", "c": "0"})
+
+
+@pytest.mark.parametrize("places, transitions, flow, m0, polarity, message", [
+    ({"p", "t"}, {"t"}, set(), set(), {"t": "0"}, "place/transition ids overlap: ['t']"),
+    ({"p", "q"}, {"t"}, {("p", "t"), ("q", "p")}, set(), {"t": "0"},
+     "flow arc (q, p) is not bipartite"),
+    ({"p"}, {"t"}, set(), {"x"}, {"t": "0"}, "initial marking contains unknown places"),
+    ({"p"}, {"t", "u"}, set(), set(), {"t": "0"}, "missing polarity for transitions: ['u']"),
+    ({"p"}, {"t"}, set(), set(), {"t": "?"}, "bad polarity '?' on t"),
+], ids=["overlap", "not-bipartite", "unknown-initial", "missing-polarity", "bad-polarity"])
+def test_structural_errors(places, transitions, flow, m0, polarity, message):
+    with pytest.raises(QpnError) as exc:
+        Net(places, transitions, flow, m0, polarity)
+    assert str(exc.value) == message
 
 
 class TestTokenGame:
@@ -134,6 +149,12 @@ class TestOccurrenceNetAxioms:
         net = Net({"p", "q"}, {"t"}, {("p", "t"), ("t", "q")},
                   set(), {"t": "0"})
         assert not is_occurrence_net(net)
+
+    def test_event_with_empty_pre_set_rejected(self):
+        net = Net({"p", "q"}, {"t", "u"}, {("p", "t"), ("u", "q")}, {"p"},
+                  {"t": "0", "u": "0"})
+        out = is_occurrence_net(net)
+        assert out.reason == "not an occurrence net: event with empty pre-set: ['u']"
 
     def test_self_conflict_rejected(self):
         # d consumes the posts of two conflicting events

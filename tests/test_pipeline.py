@@ -107,7 +107,7 @@ def test_every_stage_that_ran_has_its_time():
     """run_stages puts each stage's wall time in its outcome as `seconds`,
     passing or failing; is_qpn's data carries the deciding stage's."""
     for an in (branching_demo(), racy_net()):
-        ran = list(run_stages(STAGES, an.net, an.ann, 10_000, 12, 1e-9))
+        ran = list(run_stages(STAGES, an.net, an.ann, 10_000, 12))
         assert all(isinstance(out.data["seconds"], float) and out.data["seconds"] >= 0
                    for _, out in ran)
         verdict = is_qpn(an.net, an.ann)

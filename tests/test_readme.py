@@ -1,19 +1,21 @@
 """The README's example session runs as printed, its report paragraph
-names the report's keys, and its sentence on counts names every numeric
-option."""
+names the report's keys, its sentence on counts names every numeric
+option, and its tolerance table lists every tolerance constant."""
 
 import argparse
+import ast
 import contextlib
 import io
 import json
 import re
 from pathlib import Path
 
-from qpn.cli import build_parser, main, non_negative_float, non_negative_int
+from qpn.cli import build_parser, main, non_negative_int
 from qpn.demo import branching_demo
 from qpn.netfile import save_net
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = README.parent / "src" / "qpn"
 
 
 def test_minimal_session_runs():
@@ -47,16 +49,34 @@ def test_report_paragraph_names_every_key(tmp_path):
 
 def test_counts_sentence_names_every_numeric_option():
     """Every option of every subcommand that takes a number is parsed by
-    `non_negative_int` or `non_negative_float`, never a bare `int` or
-    `float`, and is named in backticks in the README's sentence on counts."""
+    `non_negative_int`, never a bare `int` or `float`, and is named in
+    backticks in the README's sentence on counts."""
     sub, = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    numbers = (int, float, non_negative_int, non_negative_float)
+    numbers = (int, float, non_negative_int)
     numeric = {(command, action.option_strings[0]): action.type
                for command, parser in sub.choices.items() for action in parser._actions
                if action.type in numbers or type(action.default) in (int, float)}
     sentence = re.search(r"The counts (.*?) is a usage error", README.read_text(),
                          re.S).group(1)
     named = set(re.findall(r"`([^`]+)`", sentence))
-    assert ("sample", "--seed") in numeric and ("check", "--tol-psd") in numeric
+    assert ("sample", "--seed") in numeric and ("check", "--cluster-cap") in numeric
     assert {option for _, option in numeric} <= named
-    assert set(numeric.values()) == {non_negative_int, non_negative_float}
+    assert set(numeric.values()) == {non_negative_int}
+
+
+def test_tolerance_table_lists_every_tolerance_constant():
+    """The `Name` column of the README's tolerance table is exactly the
+    module-level `TOL_*` constants of the package, each with its value in
+    the `Value` column."""
+    constants = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name) and target.id.startswith("TOL_"):
+                        constants[f"{path.stem}.{target.id}"] = ast.literal_eval(node.value)
+    table = re.search(r"\* \*\*Tolerances\.\*\*\n\n(.*?)\n\n", README.read_text(),
+                      re.S).group(1)
+    rows = [re.split(r"\s*\|\s*", line.strip("| ")) for line in table.splitlines()[2:]]
+    assert sorted((name.strip("`"), float(value)) for name, value, *_ in rows) \
+        == sorted(constants.items())
