@@ -58,9 +58,10 @@ from .nets import (
     Net,
     OccurrenceNet,
     component_clusters,
+    component_witness,
+    flow_components,
     is_clique,
     is_occurrence_net,
-    least_witness,
     marking_of_configuration,
     race_free,
     verify_safety,
@@ -298,17 +299,18 @@ class DropReport:
     ``table`` maps a key (a sorted cluster, or the oracle's configuration)
     to (method, {family: min eigenvalue}); ``parts`` holds, per flow
     component of the net (or for the whole net as one part), {sorted
-    marking: the keys met there}, with every reachable marking present.  A
-    marking of the net is one per part and meets the union of their keys,
-    so the verdict reads the table, the counts and :meth:`to_dict` the
-    parts; the rows of :attr:`instances`, one :class:`DropInstanceResult`
-    per (marking of the net, family), walk their product when read.
+    marking: the keys met there}, with every reachable marking present,
+    and ``shares`` each part's share of m0 (none by default).  A marking of
+    the net is one per part and meets the union of their keys, so the
+    verdict reads the table, the counts and :meth:`to_dict` the parts; the
+    rows of :attr:`instances`, one per (marking of the net, family), walk
+    their product when read.
     """
 
     tol = TOL_PSD  # a family passes when its minimum eigenvalue is at least -tol
 
-    def __init__(self, table, parts, stats: dict):
-        self.table, self.parts, self.stats = table, parts, stats
+    def __init__(self, table, parts, stats: dict, shares=()):
+        self.table, self.parts, self.stats, self.shares = table, parts, stats, shares
 
     def _min_eigs(self):
         return (lo for _, fams in self.table.values() for lo in fams.values())
@@ -330,32 +332,27 @@ class DropReport:
         return sum(total // len(part) * len(self.table[key][1])
                    for part in self.parts for keys in part.values() for key in keys)
 
-    def _rows(self, m, keys):
-        """The instances at marking m of the families of the table's ``keys``."""
-        for key in keys:
-            method, fams = self.table[key]
-            yield from (DropInstanceResult((m, fam), method, lo, lo >= -self.tol)
-                        for fam, lo in fams.items())
-
     @functools.cached_property
     def instances(self) -> list:
         out = []
         for combo in itertools.product(*(part.items() for part in self.parts)):
             m = tuple(sorted(itertools.chain.from_iterable(k for k, _ in combo)))
-            out += [r for _, keys in combo for r in self._rows(m, keys)]
+            out += [DropInstanceResult((m, fam), method, lo, lo >= -self.tol)
+                    for _, keys in combo for method, fams in map(self.table.get, keys)
+                    for fam, lo in fams.items()]
         return sorted(out, key=lambda r: r.key)
 
     def first_failure(self):
-        """The first failing instance, or None: at the :func:`least_witness`
-        of the parts' failures, its least failing family."""
-        found = least_witness(self.parts, [
-            {m: min(bad) for m, keys in part.items()
-             if (bad := [(r.key[1], r) for r in self._rows(m, keys) if not r.passed])}
-            for part in self.parts])
-        if found is None:
+        """The failing instance of the worst family (the least min_eig, then
+        the least family), or None, at the :func:`component_witness` of the
+        markings whose keys hold it at that value."""
+        if self.passed:
             return None
-        m, (fam, r) = found
-        return DropInstanceResult((m, fam), r.method, r.min_eig, r.passed)
+        lo, fam = min((lo, fam) for _, fams in self.table.values() for fam, lo in fams.items())
+        hold = {key: method for key, (method, fams) in self.table.items() if fams.get(fam) == lo}
+        m, method = component_witness([{m: hold[k] for m, keys in part.items() for k in keys
+                                        if k in hold} for part in self.parts], self.shares)
+        return DropInstanceResult((m, fam), method, lo, False)
 
     def to_dict(self):
         """The report document, linear in the parts: the table in key
@@ -385,8 +382,8 @@ def check_local_drop(net: Net, ann: LocalAnnotation,
     at a marking of the net are those of its components' markings
     (:func:`component_clusters`), and each component is checked on its
     own.  A cluster over the cap is an error, raised at the
-    :func:`least_witness` of the parts' first such clusters once every
-    queued drop is solved, so a drop that is not Hermitian is raised first.
+    :func:`component_witness` of each marking's first such cluster once
+    every queued drop is solved, so a drop that is not Hermitian is first.
     """
     if not net.safety_verified:
         raise SafetyUnverified("run verify_safety before checking the drop condition")
@@ -416,7 +413,8 @@ def check_local_drop(net: Net, ann: LocalAnnotation,
         solve(n)
     over = [{m: big[0] for m, cls in part.items()
              if (big := [cl for cl in cls if len(cl) > cluster_cap])} for part in parts]
-    if found := least_witness(parts, over):
+    shares = [net.initial_marking & ps for ps, _ in flow_components(net)]
+    if found := component_witness(over, shares):
         m, cl = found
         raise BoundExceeded(f"cluster of {len(cl)} events at marking {list(m)} "
                             f"exceeds cap {cluster_cap}")
@@ -426,7 +424,7 @@ def check_local_drop(net: Net, ann: LocalAnnotation,
         "markings": total, "clusters": sum(n for n, _ in weighted),
         "clusters_evaluated": len(table),
         "clique_fast_paths": sum(n for n, cl in weighted if table[cl][0] == "clique"),
-        "eigen_solves": sum(calls), "eigen_calls": len(calls)})
+        "eigen_solves": sum(calls), "eigen_calls": len(calls)}, shares)
 
 
 def brute_force_global_drop(o: OccurrenceNet, ann: LocalAnnotation,

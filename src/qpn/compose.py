@@ -32,9 +32,9 @@ from .nets import (
     Net,
     component_clusters,
     component_markings,
+    component_witness,
     conflict_components,
     flow_components,
-    least_witness,
     race_free,
     verify_safety,
 )
@@ -249,8 +249,8 @@ def check_join_preservation(before: AnnotatedNet, after: AnnotatedNet,
     A join only merges flow components (splitting one fails), so a marking
     of a joined-net component was reachable before iff it lies on the
     original ones inside it and its share of each was.  Each component is
-    walked on its own (:func:`component_clusters`), and its failures are
-    named by :func:`least_witness`, as a walk over sorted markings would.
+    walked on its own (:func:`component_clusters`), and a failure is named
+    at the :func:`component_witness` of the unreachable or differing ones.
     """
     rf = race_free(after.net)
     if not rf:
@@ -270,20 +270,20 @@ def check_join_preservation(before: AnnotatedNet, after: AnnotatedNet,
         return err if err > TOL_CHANNEL_EQ * max(1, len(d)) else None
 
     inner = list(zip(flow_components(before.net), component_markings(before.net)))
-    parts = component_clusters(after.net)
     fails = []  # per part: {sorted marking: () if unreachable, else (cluster, error)}
-    for (places, _), part in zip(flow_components(after.net), parts):
-        shares = [(ps, ms) for (ps, _), ms in inner if ps & places]
-        if not (covered := frozenset().union(*(ps for ps, _ in shares))) <= places:
+    for (places, _), part in zip(flow_components(after.net), component_clusters(after.net)):
+        inside = [(ps, ms) for (ps, _), ms in inner if ps & places]
+        if not (covered := frozenset().union(*(ps for ps, _ in inside))) <= places:
             return CheckOutcome.fail(f"the join splits the component of {min(covered - places)}")
         fails.append(bad := {})
         for key, clusters in part.items():
             m = frozenset(key)
-            if not m <= covered or any(m & ps not in ms for ps, ms in shares):
-                bad[key] = ()  # sorts first: reachability is checked before drops
+            if not m <= covered or any(m & ps not in ms for ps, ms in inside):
+                bad[key] = ()  # reachability is checked before drops
             elif failed := [(fam, err) for fam in clusters if (err := error(fam)) is not None]:
                 bad[key] = failed[0]
-    if (found := least_witness(parts, fails)) is None:
+    shares = [after.net.initial_marking & ps for ps, _ in flow_components(after.net)]
+    if (found := component_witness(fails, shares)) is None:
         return CheckOutcome.ok()
     m, fail = found
     if not fail:

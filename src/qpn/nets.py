@@ -209,29 +209,18 @@ def component_markings(net: Net, bound: int = DEFAULT_MARKING_BOUND) -> tuple:
     return parts
 
 
-def least_witness(parts, bad):
-    """(the least sorted union of one marking per part in which some part's
-    marking is bad, the least bad value there), or None if none is bad.
-    ``parts`` hold sorted place tuples, no place in two, and bad[i] maps
-    part i's bad markings to comparable values.  The product is never
-    walked: with each part that has bad markings restricted to them in
-    turn, the union is built place by place.  It ends once every part keeps
-    a marking with no places left, and else takes the least next place any
-    kept marking offers.  (Each part's least marking will not do: (a) <
-    (a, c), but beside (d) they give (a, d) > (a, c, d).)"""
-    found = []
-    for i in (i for i, b in enumerate(bad) if b):
-        kept = [list(bad[i] if j == i else ms) for j, ms in enumerate(parts)]
-        at, union = [0] * len(parts), []  # places of the union in each part
-        while not all(any(len(m) == n for m in ms) for ms, n in zip(kept, at)):
-            x = min(m[n] for ms, n in zip(kept, at) for m in ms if len(m) > n)
-            for j, (ms, n) in enumerate(zip(kept, at)):
-                if offers := [m for m in ms if len(m) > n and m[n] == x]:
-                    kept[j], at[j] = offers, n + 1
-            union.append(x)
-        found.append((tuple(union), min(b[m] for b, ms, n in zip(bad, kept, at)
-                                        for m in ms if len(m) == n and m in b)))
-    return min(found, key=lambda f: f[0], default=None)
+def component_witness(bad, shares):
+    """(marking, value) of the first part with a bad marking, or None: its
+    least bad marking (as a sorted place tuple) joined with the other
+    parts' ``shares`` of m0, a reachable marking of the net, and its value
+    in ``bad``, one {marking: value} per part.  Safety names its first
+    unsafe firing beside the others' part of m0 too (:func:`_explore`)."""
+    for i, b in enumerate(bad):
+        if b:
+            m = min(b)
+            rest = (p for j, share in enumerate(shares) if j != i for p in share)
+            return tuple(sorted((*m, *rest))), b[m]
+    return None
 
 
 def verify_safety(net: Net, bound: int = DEFAULT_MARKING_BOUND) -> CheckOutcome:

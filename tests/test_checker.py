@@ -547,8 +547,8 @@ class TestBruteForceOracle:
     def test_table_reads_match_the_instances(self):
         """The verdict, the worst value, the counts and the first failure,
         read off the table, are those of the rows in ``instances``: the
-        first failing row in key order is the least configuration's least
-        failing family."""
+        first failure is the least family among the rows at the worst
+        value, at the least configuration that meets it there."""
         verdicts = []
         for seed in range(16):
             x = random_occurrence_annotated(np.random.default_rng(seed))
@@ -558,7 +558,8 @@ class TestBruteForceOracle:
             assert brute.passed == all(r.passed for r in rows)
             assert brute.worst == min((r.min_eig for r in rows), default=float("inf"))
             assert brute.instance_count() == len(rows) == brute.stats["families"]
-            assert brute.first_failure() == next((r for r in rows if not r.passed), None)
+            worst = [r for r in rows if r.min_eig == brute.worst and not r.passed]
+            assert brute.first_failure() == min(worst, key=lambda r: r.key[::-1], default=None)
             verdicts.append(brute.passed)
         assert any(verdicts) and not all(verdicts)
 

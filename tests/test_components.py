@@ -1,7 +1,7 @@
 """Flow components: `verify_safety`, `check_local_drop` and
 `check_join_preservation` work on each flow-connected component of a net,
-and every result equals the one computed on the product of the
-components' markings."""
+every result equals the one computed on the product of the components'
+markings, and every witness is the failing component's own."""
 
 import ast
 import itertools
@@ -16,6 +16,7 @@ from gen import (
     clique_net,
     joinable_net,
     product_markings,
+    random_join,
     random_occurrence_annotated,
     random_state_machine,
     unsafe_path,
@@ -47,7 +48,6 @@ from qpn.nets import (
     fire,
     flow_components,
     is_clique,
-    least_witness,
     marking_clusters,
     verify_safety,
 )
@@ -78,7 +78,7 @@ def explored_markings(net):
     return seen
 
 
-def product_drop(net, ann, cluster_cap=12, tol=1e-9):
+def product_drop(net, ann, tol=1e-9):
     """The drop check on the product: every cluster at every reachable
     marking of the whole net, each family by `single_extension_drop` on
     its pre-places; the instances in key order and the report's stats.
@@ -88,9 +88,6 @@ def product_drop(net, ann, cluster_cap=12, tol=1e-9):
     for m in sorted(explored_markings(net), key=sorted):
         for cluster in marking_clusters(net, m):
             cl = tuple(sorted(cluster))
-            if len(cl) > cluster_cap:
-                raise BoundExceeded(f"cluster of {len(cl)} events at marking {sorted(m)} "
-                                    f"exceeds cap {cluster_cap}")
             clusters += 1
             clique = len(cl) > 1 and is_clique(net, cl)
             cliques += clique
@@ -186,7 +183,9 @@ def test_component_drop_equals_the_product_check(parts):
     assert report.passed == all(r.passed for r in want)
     failures = [r for r in want if not r.passed]
     assert [r for r in report.instances if not r.passed] == failures
-    assert check_local_drop(net, an.ann).first_failure() == (failures[0] if failures else None)
+    _, witness = _own_drop_witness(net, an.ann)
+    assert check_local_drop(net, an.ann).first_failure() == witness
+    assert witness is None or witness in failures and witness.min_eig == report.worst
 
 
 def test_some_compositions_fail_and_some_pass():
@@ -195,64 +194,18 @@ def test_some_compositions_fail_and_some_pass():
     assert verdicts == {True, False}
 
 
-def test_cluster_cap_error_names_the_product_marking():
+def test_cluster_cap_error_names_the_first_components_marking():
+    """At cap 2 the clique's cluster of 3 is over the cap: the error is
+    the clique's own, at its marking beside the cycle's part of m0."""
     an = _compose([two_phase_cycle(), clique_net(None, 3)])
-    with pytest.raises(BoundExceeded) as want:
-        product_drop(an.net, an.ann, cluster_cap=2)
+    (ps, ts), = (c for c in flow_components(an.net) if "hub" in c[0])
+    verify_safety(part := _part(an.net, ps, ts))
+    with pytest.raises(BoundExceeded) as own:
+        check_local_drop(part, an.ann, cluster_cap=2)
     with pytest.raises(BoundExceeded) as got:
         check_local_drop(an.net, an.ann, cluster_cap=2)
-    assert str(got.value) == str(want.value)
+    assert str(got.value) == _beside(str(own.value), an.net.initial_marking - ps)
     assert "'hub'" in str(got.value) and "'s0'" in str(got.value)
-
-
-def product_witness(parts, bad):
-    """`least_witness` by walking the product: the least sorted union of
-    one marking per part with a bad one among them, the least bad value
-    there."""
-    best = None
-    for combo in itertools.product(*parts):
-        values = [b[m] for b, m in zip(bad, combo) if m in b]
-        union = tuple(sorted(itertools.chain.from_iterable(combo)))
-        if values and (best is None or union < best[0]):
-            best = union, min(values)
-    return best
-
-
-def _random_parts(rng):
-    """1-5 parts over a shuffled alphabet, each with 1-6 markings (the
-    empty one among them at times) of which some are bad."""
-    k = int(rng.integers(1, 6))
-    owner = rng.integers(0, k, size=10)
-    parts, bad = [], []
-    for j in range(k):
-        own = [chr(97 + i) for i in range(10) if owner[i] == j]
-        ms = {tuple(p for p in own if rng.random() < 0.5) for _ in range(rng.integers(1, 7))}
-        parts.append(sorted(ms, key=lambda m: rng.random()))
-        bad.append({m: int(rng.integers(0, 5)) for m in ms if rng.random() < 0.3})
-    return parts, bad
-
-
-def test_least_witness_equals_the_product_walk():
-    rng = np.random.default_rng(23)
-    witnessed = empty = not_least = 0
-    for _ in range(400):
-        parts, bad = _random_parts(rng)
-        got = least_witness(parts, bad)
-        assert got == product_witness(parts, bad)
-        if got is None:
-            continue
-        witnessed += 1
-        empty += any(() in ms for ms in parts)
-        chosen = [tuple(p for p in got[0] if any(p in m for m in ms)) for ms in parts]
-        not_least += any(b and min(b) != m for b, m in zip(bad, chosen))
-    assert witnessed >= 300 and empty >= 150 and not_least >= 150
-
-
-def test_least_witness_is_not_each_parts_least_marking():
-    """(a) < (a, c), yet beside (d) they give (a, d) > (a, c, d)."""
-    parts = [[("a",), ("a", "c")], [("d",)]]
-    assert least_witness(parts, [{("a",): 1, ("a", "c"): 2}, {}]) == (("a", "c", "d"), 2)
-    assert least_witness(parts, [{}, {}]) is None
 
 
 @pytest.fixture
@@ -274,13 +227,14 @@ def no_product(monkeypatch):
      "cluster of 3 events at marking ['g0p0', 'g1p0', 'hub', 'p0'] exceeds cap 2"),
     ([branching_demo(scaled=False), two_phase_cycle(),
       clique_net(None, 2, weights=[0.7, 0.6])], 1,
-     "drop: condition fails at marking ['hub', 'p0', 's0'] on ['k0', 'k1'] "
-     "(min eigenvalue -3.000e-01)",
-     "cluster of 2 events at marking ['hub', 'p0', 's0'] exceeds cap 1"),
+     "drop: condition fails at marking ['hub', 'p1', 'p2', 's0'] on ['b', 'c'] "
+     "(min eigenvalue -1.000e+00)",
+     "cluster of 2 events at marking ['hub', 'p1', 'p2', 's0'] exceeds cap 1"),
 ], ids=["clique-demo-machine", "demo-cycle-clique"])
 def test_witnesses_never_walk_the_product(no_product, parts, cap, reason, error):
-    """A failing verdict and a cluster over the cap on a composite name
-    the marking that walking the product names, with no product walked."""
+    """A failing verdict names the worst family and a cluster over the
+    cap its first component's, each at a marking of the net, with no
+    product walked."""
     an = _compose(parts)
     assert len(flow_components(an.net)) >= 3
     assert is_qpn(an.net, an.ann).reason == reason
@@ -467,3 +421,112 @@ def test_unsafe_witness_is_the_failing_components_own():
         not_first += i > 0
         beside += bool(rest)
     assert unsafe >= 30 and not_first >= 5 and beside >= 20
+
+
+def _beside(text, rest):
+    """``text`` with its first marking list joined with the places ``rest``."""
+    at = re.search(r"\[.*?\]", text)
+    m = sorted(set(ast.literal_eval(at.group())) | rest)
+    return f"{text[:at.start()]}{m}{text[at.end():]}"
+
+
+def _own_drop_witness(net, ann):
+    """(index, failure) of the component whose worst family is the net's:
+    each flow component, checked as a net of its own, names its failure,
+    here at its marking beside the other components' part of m0; the
+    least min_eig, then the least family, wins.  (None, None) if every
+    component passes."""
+    own = []
+    for i, (ps, ts) in enumerate(flow_components(net)):
+        verify_safety(part := _part(net, ps, ts))
+        if r := check_local_drop(part, ann).first_failure():
+            m = tuple(sorted(set(r.key[0]) | (net.initial_marking - ps)))
+            own.append((r.min_eig, r.key[1], i, DropInstanceResult((m, r.key[1]), r.method,
+                                                                   r.min_eig, False)))
+    return min(own, default=(None,) * 4)[2:]
+
+
+def test_every_witness_is_its_components_own(no_product):
+    """On random safe compositions, the drop failure, a cluster over the
+    cap and a forced join's failure are each the failing component's own,
+    checked as a net of its own, at its marking beside the other
+    components' part of m0; the drop failure is the worst family's, with
+    the report's worst eigenvalue in `is_qpn`'s reason."""
+    rng = np.random.default_rng(31)
+    makers = (lambda: random_state_machine(rng, max_dim=2),
+              lambda: clique_net(None, k := int(rng.integers(2, 4)),
+                                 weights=rng.uniform(0.2, 0.7, size=k)),
+              lambda: branching_demo(scaled=bool(rng.integers(2))), _two_clusters)
+    counts = dict.fromkeys(["drop", "drop_not_first", "drop_beside", "cap", "cap_not_first",
+                            "cap_beside", "join", "join_not_first"], 0)
+    for _ in range(60):
+        an = _compose([makers[rng.integers(4)]() for _ in range(rng.integers(2, 5))])
+        net, comps = an.net, flow_components(an.net)
+        rests = [net.initial_marking - ps for ps, _ in comps]
+        report = check_local_drop(net, an.ann)
+        i, want = _own_drop_witness(net, an.ann)
+        assert report.first_failure() == want
+        if want is not None:
+            assert want.min_eig == report.worst
+            assert is_qpn(net, an.ann).reason.endswith(f"(min eigenvalue {report.worst:.3e})")
+            counts["drop"] += 1
+            counts["drop_not_first"] += i > 0
+            counts["drop_beside"] += bool(rests[i])
+        cap, errors = int(rng.integers(1, 3)), []
+        for ps, ts in comps:
+            verify_safety(part := _part(net, ps, ts))
+            try:
+                check_local_drop(part, an.ann, cluster_cap=cap)
+            except BoundExceeded as exc:
+                errors.append(str(exc))
+            else:
+                errors.append(None)
+        if (i := next((i for i, e in enumerate(errors) if e), None)) is None:
+            check_local_drop(net, an.ann, cluster_cap=cap)
+            continue
+        with pytest.raises(BoundExceeded) as got:
+            check_local_drop(net, an.ann, cluster_cap=cap)
+        assert str(got.value) == _beside(errors[i], rests[i])
+        counts["cap"] += 1
+        counts["cap_not_first"] += i > 0
+        counts["cap_beside"] += bool(rests[i])
+    for _ in range(30):
+        pair, spec = random_join(rng, "uncarried")
+        own = check_join_preservation(pair, drop_preserving_join(pair, spec, force=True), spec)
+        x = _compose([random_state_machine(rng) for _ in range(rng.integers(1, 4))] + [pair])
+        y = drop_preserving_join(x, spec, force=True)
+        got = check_join_preservation(x, y, spec)
+        if own:
+            assert got
+            continue
+        assert got.reason == _beside(own.reason, y.net.initial_marking - pair.net.places)
+        counts["join"] += 1
+        counts["join_not_first"] += not flow_components(y.net)[0][0] & pair.net.places
+    assert counts["drop"] == counts["drop_beside"] >= 30 and counts["drop_not_first"] >= 15
+    assert counts["cap"] == counts["cap_beside"] >= 30 and counts["cap_not_first"] >= 8
+    assert counts["join"] >= 20 and counts["join_not_first"] >= 10
+
+
+def test_every_failing_drop_reason_carries_the_drop_lines_min_eig(tmp_path, capsys):
+    """On each net of `tests/gen.py` and each composition above that fails
+    the drop stage, the report's drop reason quotes the `FAIL drop`
+    line's min_eig."""
+    rng = np.random.default_rng(0)
+    nets = [_compose(parts) for parts in COMPOSITIONS]
+    nets += [random_occurrence_annotated(np.random.default_rng(s)) for s in range(20)]
+    nets += [random_state_machine(np.random.default_rng(s)) for s in range(20)]
+    nets += [random_join(np.random.default_rng(s))[0] for s in range(20)]
+    nets += [clique_net(None, 3, weights=rng.uniform(0.2, 0.7, size=3)) for _ in range(5)]
+    path, report = tmp_path / "net.json", tmp_path / "report.json"
+    failing = 0
+    for an in nets:
+        save_net(path, an.net, an.ann)
+        main(["check", str(path), "--report", str(report)])
+        line = capsys.readouterr().out.splitlines()[-1]
+        if line.startswith("FAIL drop"):
+            min_eig = float(line.split("min_eig=")[1].rstrip(")"))
+            stage = json.loads(report.read_text())["stages"][-1]
+            assert stage["name"] == "drop"
+            assert stage["reason"].endswith(f"(min eigenvalue {min_eig:.3e})"), stage
+            failing += 1
+    assert failing >= 35
