@@ -174,6 +174,9 @@ class Channel:
     dim_out: int
     kraus: tuple = field(default_factory=tuple)
     stack: np.ndarray = field(init=False, repr=False, compare=False)
+    # min-eig(I - effect), once `tni_min_eigenvalues` has solved it under
+    # TOL_HERM: a singleton family's drop on its pre-places
+    tni_min: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.kraus) == 0:
@@ -285,6 +288,50 @@ def effect(f: Channel) -> np.ndarray:
     """The effect operator sum_k K^dagger K; tr(f(rho)) = tr(effect . rho).
     Computed once per channel and read-only."""
     return f._effect
+
+
+def fill_effects(chans) -> None:
+    """Form the effect of each channel of ``chans`` that has none yet: per
+    Kraus stack shape, one batched product K_j^dagger K_j for each Kraus
+    index j, added from zero in Kraus order, bit for bit the loop of
+    ``Channel._effect`` (``sum`` over a Kraus axis is not: it may add in
+    another order).  One index at a time keeps the work space that of the
+    effects, however long the Kraus lists."""
+    groups = {}
+    for f in chans:
+        if "_effect" not in f.__dict__:
+            groups.setdefault(f.stack.shape, []).append(f)
+    for (k, _, d), group in groups.items():
+        s = np.array([f.stack for f in group])
+        sh = s.conj().swapaxes(-1, -2)
+        effs = np.zeros((len(group), d, d), dtype=complex)
+        for j in range(k):
+            effs += sh[:, j] @ s[:, j]
+        effs.flags.writeable = False
+        for f, e in zip(group, effs):
+            f.__dict__["_effect"] = e
+
+
+def tni_min_eigenvalues(chans) -> np.ndarray:
+    """min-eig(I - effect) of each channel, bit for bit :func:`is_cptni`'s
+    value (NaN where I - effect is not Hermitian within TOL_TNI_HERM), by
+    one batched solve per input dimension under the drop stage's guard,
+    TOL_HERM, whose values are kept as the channels' ``tni_min``; a second
+    solve under TOL_TNI_HERM takes the matrices that fail it."""
+    fill_effects(chans)
+    groups, lows = {}, np.empty(len(chans))
+    for i, f in enumerate(chans):
+        groups.setdefault(f.dim_in, []).append(i)
+    for d, idx in groups.items():
+        ops = np.eye(d, dtype=complex) - [effect(chans[i]) for i in idx]
+        lo = min_eigenvalues(ops)
+        for i, v in zip(idx, lo):
+            if v == v:
+                object.__setattr__(chans[i], "tni_min", float(v))
+        if (skewed := np.isnan(lo)).any():
+            lo[skewed] = min_eigenvalues(ops[skewed], TOL_TNI_HERM)
+        lows[idx] = lo
+    return lows
 
 
 def kraus_compose(g: Channel, f: Channel) -> Channel:

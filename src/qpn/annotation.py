@@ -14,10 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .algebra import (TOL_CHANNEL_EQ, TOL_PSD, TOL_TNI_HERM, Channel, effect,
-                      identity_deviation, is_cptni, min_eigenvalues, thread)
+from .algebra import (TOL_CHANNEL_EQ, TOL_PSD, Channel, identity_deviation, is_cptni,
+                      thread, tni_min_eigenvalues)
 from .nets import (
     NEGATIVE,
     POSITIVE,
@@ -106,13 +104,9 @@ def validate_signatures(net: Net, ann: LocalAnnotation) -> CheckOutcome:
 
 def annotation_is_cptni(net: Net, ann: LocalAnnotation) -> CheckOutcome:
     """Every local channel must be completely positive and trace non-increasing."""
-    ts, tni = sorted(net.transitions), {}
-    for d in {ann.channel(t).dim_in for t in ts}:  # I - effect: one solve per dimension
-        group = [t for t in ts if ann.channel(t).dim_in == d]
-        ops = np.eye(d, dtype=complex) - [effect(ann.channel(t)) for t in group]
-        tni.update(zip(group, min_eigenvalues(ops, TOL_TNI_HERM)))
-    for t in ts:
-        if not tni[t] >= -TOL_PSD:  # is_cptni's outcome, or its error on NaN
+    ts = sorted(net.transitions)
+    for t, lo in zip(ts, tni_min_eigenvalues([ann.channel(t) for t in ts])):
+        if not lo >= -TOL_PSD:  # is_cptni's outcome, or its error on NaN
             out = is_cptni(ann.channel(t))
             return CheckOutcome.fail(f"channel on {t}: {out.reason}",
                                      transition=t, **out.data)

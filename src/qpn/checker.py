@@ -375,8 +375,14 @@ def check_local_drop(net: Net, ann: LocalAnnotation,
     is evaluated once, every reported family on the union of its own
     pre-sets: on Q(m) its drop is that local effect ⊗ I, with the same
     spectrum.  Cliques report the whole clique (positivity on it implies it
-    on every sub-family, since branch effects are PSD); other clusters
-    report every sub-family.
+    on every sub-family, since branch effects are PSD), as the identity
+    minus its effects, last first, bit for bit the recurrence there; other
+    clusters report every sub-family, by :func:`_drop_recurrence`.  Each
+    effect is placed once per (event, support).  A singleton's drop is
+    I - effect, which the cptni stage solves: its value is the channel's
+    ``tni_min`` (solved by the same kernel if that stage did not run).
+    The other drops are solved in batches: ``eigen_solves`` matrices in
+    ``eigen_calls`` kernel calls.
 
     Events share pre-places only within a flow component, so the clusters
     at a marking of the net are those of its components' markings
@@ -396,15 +402,28 @@ def check_local_drop(net: Net, ann: LocalAnnotation,
         for (fams, fam, d), lo in zip(queued, min_eigenvalues([d for *_, d in queued])):
             fams[fam] = float(lo) if lo == lo else min_eigenvalue(d)  # NaN: it raises
 
+    place = functools.cache(lambda e, support: _embedded_effect(net, ann, support, e))
     parts = component_clusters(net, marking_bound)
     for cl in dict.fromkeys(cl for part in parts for cls in part.values() for cl in cls
                             if len(cl) <= cluster_cap):
         clique = len(cl) > 1 and is_clique(net, cl)
-        fams = dict.fromkeys([cl] if clique else [
-            fam for r in range(1, len(cl) + 1) for fam in itertools.combinations(cl, r)])
-        table[cl] = ("clique" if clique else "single", fams)
+        table[cl] = ("clique" if clique else "single", dict.fromkeys([cl] if clique else [
+            fam for r in range(1, len(cl) + 1) for fam in itertools.combinations(cl, r)]))
+    algebra.tni_min_eigenvalues([f for cl, (method, _) in table.items() if method == "single"
+                                 for f in map(ann.channel, cl) if f.tni_min is None])
+    for method, fams in table.values():
         for fam in fams:
-            drop = single_extension_drop(net, ann, frozenset().union(*map(net.pre, fam)), fam)
+            if len(fam) == 1 and ann.channel(fam[0]).tni_min is not None:
+                fams[fam] = ann.channel(fam[0]).tni_min
+                continue
+            support = frozenset().union(*map(net.pre, fam))
+            if method == "clique":
+                drop = np.eye(space_dim(ann, support), dtype=complex)
+                for e in reversed(fam):
+                    drop -= place(e, support)
+            else:
+                drop = _drop_recurrence(fam, net.pre, {e: place(e, support) for e in fam},
+                                        space_dim(ann, support))
             q = queues.setdefault(len(drop), [])
             q.append((fams, fam, drop))
             if (len(q) + 1) * drop.size > algebra.BATCH_ENTRIES:  # the next won't fit

@@ -77,6 +77,26 @@ def kraus_from_json(data):
     return a.astype(float, copy=False).view(complex)[..., 0]
 
 
+def _parsed_groups(entries) -> dict:
+    """{index: Kraus stack} for the transition entries whose Kraus lists
+    parse by one :func:`kraus_from_json` call and one finite check per
+    group of one shape (k, rows, cols).  Raises nothing: a group that
+    fails either, and an entry of no such shape, is left to the parse of
+    each entry in file order, which locates any fault."""
+    groups, out = {}, {}
+    for i, entry in enumerate(entries):
+        try:
+            kraus = entry["kraus"]
+            groups.setdefault((len(kraus), len(kraus[0]), len(kraus[0][0])), []).append(i)
+        except (TypeError, KeyError, IndexError):
+            pass
+    for (k, _, _), idx in groups.items():
+        a = kraus_from_json([m for i in idx for m in entries[i]["kraus"]])
+        if a is not None and np.isfinite(a).all():
+            out.update(zip(idx, a.reshape(len(idx), k, *a.shape[1:])))
+    return out
+
+
 def require_finite(a, loc):
     """Fail at the least entry of the array ``a`` that is not a finite
     float, if any, located by its indices under ``loc``."""
@@ -148,6 +168,7 @@ def from_document(doc: dict):
     polarity, channels, h = {}, {}, {}
     from .algebra import Channel
 
+    parsed = _parsed_groups(doc["transitions"])
     for i, entry in enumerate(doc["transitions"]):
         loc = f"transitions[{i}]"
         if not isinstance(entry, dict) or "id" not in entry:
@@ -169,7 +190,7 @@ def from_document(doc: dict):
         kraus = entry.get("kraus")
         if not isinstance(kraus, list) or not kraus:
             _fail(f"{loc}.kraus", "needs a nonempty list of matrices")
-        mats = kraus_from_json(kraus)
+        mats = parsed[i] if i in parsed else kraus_from_json(kraus)
         if mats is None:
             mats = [matrix_from_json(k, f"{loc}.kraus[{j}]") for j, k in enumerate(kraus)]
             shapes = {m.shape for m in mats}
@@ -177,7 +198,8 @@ def from_document(doc: dict):
                 _fail(f"{loc}.kraus", f"inconsistent matrix shapes {sorted(shapes)}")
         rows, cols = mats[0].shape
         channels[tid] = Channel(cols, rows, mats)
-        require_finite(channels[tid].stack, f"{loc}.kraus")
+        if i not in parsed:  # a group's stacks are found finite together
+            require_finite(channels[tid].stack, f"{loc}.kraus")
         if "label" in entry:
             labels[tid] = entry["label"]
 

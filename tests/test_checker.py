@@ -478,7 +478,7 @@ class TestLocalDrop:
         assert all(k == 1 or size <= budget for (k, _, _), size in zip(stacks, sizes))
         assert budget != default or max(sizes) == budget == 1 << 16
         assert report.stats["eigen_calls"] == len(stacks)
-        assert report.stats["eigen_solves"] == sum(k for k, _, _ in stacks) == 114
+        assert report.stats["eigen_solves"] == sum(k for k, _, _ in stacks) == 90
 
     def test_rows_are_built_only_when_read(self, monkeypatch):
         """The verdict, the worst value, the counts and the stats read the

@@ -82,8 +82,9 @@ def product_drop(net, ann, tol=1e-9):
     """The drop check on the product: every cluster at every reachable
     marking of the whole net, each family by `single_extension_drop` on
     its pre-places; the instances in key order and the report's stats.
-    Each distinct cluster's families are solved once, and no queue of the
-    local check fills in these nets: one kernel call per drop dimension."""
+    Each distinct cluster's families of two or more events are solved once
+    (a singleton's value is the cptni kernel's), and no queue of the local
+    check fills in these nets: one kernel call per such drop dimension."""
     instances, clusters, cliques, evaluated, dims = [], 0, 0, {}, set()
     for m in sorted(explored_markings(net), key=sorted):
         for cluster in marking_clusters(net, m):
@@ -93,11 +94,12 @@ def product_drop(net, ann, tol=1e-9):
             cliques += clique
             fams = [cl] if clique else [
                 fam for r in range(1, len(cl) + 1) for fam in itertools.combinations(cl, r)]
-            evaluated[cl] = len(fams)
+            evaluated[cl] = sum(len(fam) > 1 for fam in fams)
             for fam in fams:
                 drop = single_extension_drop(
                     net, ann, frozenset().union(*map(net.pre, fam)), fam)
-                dims.add(len(drop))
+                if len(fam) > 1:
+                    dims.add(len(drop))
                 lo = min_eigenvalue(drop)
                 instances.append(DropInstanceResult(
                     (tuple(sorted(m)), fam), "clique" if clique else "single", lo, lo >= -tol))

@@ -3,18 +3,32 @@
 - The loader parses a transition's Kraus list with one ``np.array`` call
   (`netfile.kraus_from_json`); the per-entry scan `matrix_from_json` is its
   fallback and its oracle, byte for byte, and keeps every located error.
+- The loader parses the Kraus lists of one shape together
+  (`netfile._parsed_groups`), and a group that does not parse leaves its
+  transitions to the per-transition parse, so no located error moves.
 - The drop recurrence subtracts E_v itself when v conflicts with the rest
   of its family; the general form multiplies E_v by d(∅) = I.
+- The effects are formed in one product per Kraus index and stack shape
+  (`algebra.fill_effects`), bit for bit the K†K loop of `Channel._effect`.
+  The drop stage reads a singleton family's value off the cptni kernel
+  (`Channel.tni_min`), builds a clique's drop by subtraction and places
+  each effect once per support; every value equals `min_eigenvalue` of
+  `single_extension_drop`, under ``float.hex``.
 - Obliviousness reads the Choi tensor by einsum (`identity_deviation`);
   `channels_close` reads the same deviation off d² `apply` calls.
 """
 
 import itertools
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qpn
 from gen import (
     clique_net,
     joinable_net,
@@ -24,11 +38,23 @@ from gen import (
     random_state_machine,
 )
 from qpn import algebra, checker
-from qpn.algebra import TOL_CHANNEL_EQ, Channel, channels_close, identity_deviation
-from qpn.annotation import LocalAnnotation, check_local_obliviousness
+from qpn.algebra import (
+    TOL_CHANNEL_EQ,
+    TOL_HERM,
+    TOL_TNI_HERM,
+    Channel,
+    channels_close,
+    effect,
+    fill_effects,
+    identity_deviation,
+    min_eigenvalue,
+)
+from qpn.annotation import LocalAnnotation, annotation_is_cptni, check_local_obliviousness
+from qpn.checker import check_local_drop, is_qpn, single_extension_drop
 from qpn.cli import main
+from qpn.compose import AnnotatedNet, parallel
 from qpn.demo import branching_demo, two_phase_cycle
-from qpn.errors import NetFileError
+from qpn.errors import DimensionMismatch, NetFileError
 from qpn.netfile import (
     from_document,
     kraus_from_json,
@@ -154,6 +180,27 @@ def _marking_and_flow(doc):
     doc["initial_marking"].append("zz")
 
 
+def _with_v(*mutations):
+    """A third transition v, p4 -v-> p5 (dims 2), with t's Kraus list, so
+    that t and v share a shape group; then ``mutations``."""
+    def put(doc):
+        doc["places"] += [{"id": "p4", "dim": 2}, {"id": "p5", "dim": 2}]
+        doc["transitions"].append(json.loads(json.dumps(doc["transitions"][0] | {"id": "v"})))
+        doc["flow"] += [["p4", "v"], ["v", "p5"]]
+        for mutate in mutations:
+            mutate(doc)
+    return put
+
+
+def _polarity_of_v(doc):
+    doc["transitions"][2]["polarity"] = "x"
+
+
+def _ragged_u(doc):
+    """u's Kraus list in the shape group of t and v, with a short row."""
+    doc["transitions"][1]["kraus"] = [[[[1, 0], [0, 0]], [[1, 0]]]]
+
+
 # (name, mutation of `_base_doc`, `qpn validate`'s exit code, its stderr);
 # the stderr texts, locations and codes are those of the per-entry loader
 # that the array parse falls back to.  Files that load say nothing on stderr.
@@ -192,6 +239,12 @@ MALFORMED = [
     ("least-arc-later", _flow(("t", "u"), ("p0", "p1")), 2,
      "flow[1]: flow arc (p0, p1) is not bipartite"),
     ("marking-before-arc", _marking_and_flow, 2, "initial_marking[2]: unknown place 'zz'"),
+    # a group that fails leaves its members to the per-transition parse, in file order
+    ("group-parses", _with_v(), 0, ""),
+    ("nan-before-later-polarity", _with_v(_entry([0.0, float("nan")]), _polarity_of_v), 2,
+     f"{T0}[0][0][0]: entry must be a finite float"),
+    ("ragged-in-a-parsing-group", _with_v(_ragged_u), 2,
+     "transitions[1].kraus[0][1]: row has 1 entries, expected 2"),
 ]
 
 
@@ -275,6 +328,158 @@ def test_check_local_drop_reads_the_same_eigenvalues_through_the_general_form(mo
                for r in checker.check_local_drop(an.net, an.ann).instances)
     monkeypatch.setattr(checker, "_drop_recurrence", _general_recurrence)
     assert fast == [report(an.net, an.ann) for _, an in GEN_NETS]
+
+
+# --------------------------------------------------------------------------
+# the drop stage's channel algebra
+
+
+def _path_cluster(tag="P", weight=0.3):
+    """Marked dim-2 places a, b, c and events x {a}, y {a, b}, z {b, c},
+    each the identity scaled by ``weight``: a cluster that is no clique."""
+    a, b, c = f"{tag}a", f"{tag}b", f"{tag}c"
+    pre = {f"{tag}x": (a,), f"{tag}y": (a, b), f"{tag}z": (b, c)}
+    dims, flow, chans = {a: 2, b: 2, c: 2}, set(), {}
+    for t, ps in pre.items():
+        dims[f"{t}o"] = 2 ** len(ps)
+        flow |= {(p, t) for p in ps} | {(t, f"{t}o")}
+        chans[t] = Channel.identity(2 ** len(ps)).scaled(weight)
+    net = Net(set(dims), set(pre), flow, {a, b, c}, dict.fromkeys(pre, "0"))
+    return AnnotatedNet(net, LocalAnnotation(dims, chans))
+
+
+def _composite(*parts):
+    acc = parts[0]
+    for part in parts[1:]:
+        acc, _ = parallel(acc, part)
+    verify_safety(acc.net)
+    return acc
+
+
+def composites():
+    """(name, AnnotatedNet): a clique beside a state machine, the path
+    cluster beside a clique, and two state machines beside a clique."""
+    rng = np.random.default_rng(9)
+    return [
+        ("K+SM", _composite(clique_net(rng, 4, weights=[0.3, 0.2, 0.25, 0.25]),
+                            random_state_machine(np.random.default_rng(2)))),
+        ("P+K", _composite(_path_cluster(), clique_net(rng, 3, weights=[0.5, 0.4, 0.3]))),
+        ("SM+SM+K", _composite(random_state_machine(np.random.default_rng(5)),
+                               random_state_machine(np.random.default_rng(6)),
+                               clique_net(rng, 5))),
+    ]
+
+
+DROP_NETS = GEN_NETS + composites()
+DROP_IDS = [name for name, _ in DROP_NETS]
+
+
+def _fresh(ann):
+    """``ann`` with a new channel per transition, nothing formed on it yet."""
+    return LocalAnnotation(ann.dims, {t: Channel(f.dim_in, f.dim_out, f.stack)
+                                      for t, f in ann.channels.items()}, ann.h)
+
+
+def _assert_effects_are_the_loop(chans):
+    fill_effects(chans)
+    for f in chans:
+        want = Channel._effect.func(f)  # the K†K loop, not its cached value
+        assert [x.hex() for x in effect(f).view(float).ravel()] == \
+            [x.hex() for x in want.view(float).ravel()]
+
+
+@pytest.mark.parametrize("name,an", DROP_NETS, ids=DROP_IDS)
+def test_batched_effects_equal_the_kraus_loop(name, an):
+    _assert_effects_are_the_loop(list(_fresh(an.ann).channels.values()))
+
+
+@pytest.mark.parametrize("k", [1, 4, 6])
+@pytest.mark.parametrize("din", [1, 3, 8])
+def test_batched_effects_equal_the_kraus_loop_on_random_stacks(k, din):
+    """On input dimension 1 and four Kraus operators or more, ``sum`` over
+    the Kraus axis adds in another order than the loop does; the batch
+    adds the operators one at a time."""
+    rng = np.random.default_rng(10 * k + din)
+    _assert_effects_are_the_loop([
+        Channel(din, dout, rng.normal(size=(k, dout, din)) + 1j * rng.normal(size=(k, dout, din)))
+        for dout in (1, 2, 3) for _ in range(8)])
+
+
+@pytest.mark.parametrize("name,an", DROP_NETS, ids=DROP_IDS)
+def test_table_values_equal_their_references(name, an):
+    """Every family's value is `min_eigenvalue` of `single_extension_drop`
+    on its support, and a singleton's is also that of I - E, which is the
+    channel's ``tni_min``."""
+    net, ann = an.net, _fresh(an.ann)
+    verify_safety(net)
+    for _, fams in check_local_drop(net, ann).table.values():
+        for fam, lo in fams.items():
+            support = frozenset().union(*map(net.pre, fam))
+            assert lo.hex() == min_eigenvalue(single_extension_drop(net, ann, support, fam)).hex()
+            if len(fam) == 1:
+                f = ann.channel(fam[0])
+                assert lo.hex() == f.tni_min.hex() == \
+                    min_eigenvalue(np.eye(f.dim_in) - effect(f)).hex()
+
+
+@pytest.mark.parametrize("name,an", DROP_NETS, ids=DROP_IDS)
+def test_the_drop_report_alone_is_the_one_inside_is_qpn(name, an):
+    """Called on its own, check_local_drop solves the singletons by the
+    cptni kernel: its table and stats are those of the drop stage."""
+    verify_safety(an.net)
+    alone = check_local_drop(an.net, _fresh(an.ann))
+    out = is_qpn(an.net, _fresh(an.ann))
+    if out.data["stage"] in ("drop", "all"):
+        assert alone.to_dict() == out.data["report"].to_dict()
+    else:
+        assert name == "racy"
+
+
+def _skewed_singleton(skew):
+    """Event e on a marked dim-2 place, whose effect is 0.5·I plus ``skew``
+    above the diagonal: I - E is that far from Hermitian."""
+    net = Net({"p", "q"}, {"e"}, {("p", "e"), ("e", "q")}, {"p"}, {"e": "0"})
+    verify_safety(net)
+    f = Channel.identity(2).scaled(0.5)
+    f.__dict__["_effect"] = effect(f) + np.triu(np.ones((2, 2)), 1) * skew
+    return net, LocalAnnotation({"p": 2, "q": 2}, {"e": f})
+
+
+@pytest.mark.parametrize("cptni_first", [False, True])
+def test_a_singleton_between_the_two_guards_still_raises(cptni_first):
+    """Skewed by 1e-8, I - E passes the cptni guard (TOL_TNI_HERM) but not
+    the drop's (TOL_HERM): its value is not kept, and the drop stage
+    raises as it did when it solved every singleton itself."""
+    assert TOL_HERM < 1e-8 < TOL_TNI_HERM
+    net, ann = _skewed_singleton(1e-8)
+    if cptni_first:
+        assert annotation_is_cptni(net, ann)
+    with pytest.raises(DimensionMismatch, match="not Hermitian"):
+        check_local_drop(net, ann)
+    assert ann.channel("e").tni_min is None
+    net, ann = _skewed_singleton(1e-10)  # within both: kept, and read
+    assert check_local_drop(net, ann).table[("e",)][1][("e",)] == ann.channel("e").tni_min
+
+
+def test_check_reports_do_not_depend_on_the_hash_seed(tmp_path):
+    """The shape groups and the placement memo key on ids and shapes: `qpn
+    check --report` prints and writes the same bytes under two hash seeds."""
+    src = str(pathlib.Path(qpn.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    for name, an in composites():
+        path, report = tmp_path / f"{name}.json", tmp_path / f"{name}-report.json"
+        save_net(path, an.net, an.ann)
+        seen = set()
+        for seed in ("0", "1"):
+            report.unlink(missing_ok=True)
+            run = subprocess.run([sys.executable, "-m", "qpn.cli", "check", str(path),
+                                  "--report", str(report)], capture_output=True, text=True,
+                                 env=env | {"PYTHONHASHSEED": seed})
+            seen.add((run.returncode, run.stdout, run.stderr, report.read_bytes()))
+        assert len(seen) == 1, name
+        (code, stdout, stderr, _), = seen
+        assert code in (0, 1) and "drop" in stdout and not stderr
 
 
 # --------------------------------------------------------------------------
