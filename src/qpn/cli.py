@@ -133,14 +133,13 @@ def cmd_unfold(args) -> int:
     if bp.exhausted:
         print(f"note: budget exhausted (depth={args.depth},"
               f" max_events={args.max_events})")
+    labels = dict(bp.label_place) | dict(bp.label_event)
     if args.out:
-        labels = dict(bp.label_place) | dict(bp.label_event)
         netfile.save_net(args.out, bp.occ, transfer_annotation(bp, ann),
                          {"unfolded_from": str(args.path),
                           "depth": args.depth}, labels)
         print(f"wrote {args.out}")
     if args.dot:
-        labels = dict(bp.label_place) | dict(bp.label_event)
         netfile.write_text(args.dot, to_dot(bp.occ, labels) + "\n")
         print(f"wrote {args.dot}")
     return EXIT_OK if out else EXIT_CHECK_FAILED

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import stat
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -327,11 +329,15 @@ def read_json(path):
 
 
 def write_text(path, text: str) -> None:
-    """Write ``text`` to the file at ``path``; a failed open or write raises
-    a NetFileError located at the path."""
+    """Write ``text`` over the file at ``path`` in place and trim a regular
+    file to the new length (no O_TRUNC: on ext4 a truncate to zero makes the
+    next rewrite wait for the last one's writeback).  A failed open or write
+    raises a NetFileError located at the path."""
     try:
-        with open(path, "w") as fh:
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
             fh.write(text)
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
     except OSError as exc:
         raise NetFileError(str(exc), location=str(path))
 

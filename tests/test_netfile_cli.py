@@ -36,6 +36,10 @@ from qpn.netfile import (
 )
 
 
+# An output path that is an existing directory.
+DIRECTORY = object()
+
+
 @pytest.fixture
 def demo_path(tmp_path):
     bd = branching_demo()
@@ -258,6 +262,49 @@ class TestWriter:
         monkeypatch.setattr(netfile, "matrix_to_json", counting)
         save_net(tmp_path / "prefix.json", bp.occ, ann)
         assert len(calls) == sum(len(an.ann.channel(t).kraus) for t in used)
+
+    def test_rewrite_is_in_place_and_trimmed(self, tmp_path):
+        """A shorter text over a longer file leaves exactly the new bytes,
+        in the same inode with the same mode."""
+        path = tmp_path / "out.txt"
+        path.write_text("x" * 5000)
+        path.chmod(0o640)
+        before = path.stat()
+        netfile.write_text(path, "short\n")
+        after = path.stat()
+        assert path.read_bytes() == b"short\n"
+        assert (after.st_ino, after.st_dev, after.st_mode) == (
+            before.st_ino, before.st_dev, before.st_mode)
+        netfile.write_text(path, "longer text\n")
+        assert path.read_bytes() == b"longer text\n"
+        assert path.stat().st_ino == before.st_ino
+
+    def test_rewrite_follows_a_symlink(self, tmp_path):
+        target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+        target.write_text("stale " * 100)
+        link.symlink_to(target)
+        netfile.write_text(link, "new\n")
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == b"new\n"
+
+    def test_no_write_truncates_on_open(self, demo_path, tmp_path, monkeypatch):
+        """Every output file is opened without O_TRUNC: on ext4 a truncate
+        to zero makes the next rewrite of the file wait for writeback."""
+        flags = []
+        real_open = os.open
+
+        def recording_open(path, flag, *args, **kwargs):
+            flags.append(flag)
+            return real_open(path, flag, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", recording_open)
+        out, dot, report = tmp_path / "prefix.json", tmp_path / "prefix.dot", tmp_path / "r.json"
+        for _ in range(2):
+            assert main(["unfold", str(demo_path), "--out", str(out), "--dot", str(dot)]) == 0
+            assert main(["check", str(demo_path), "--report", str(report)]) == 0
+            save_net(out, *load_net(demo_path))
+        assert len(flags) == 8
+        assert all(flag & os.O_TRUNC == 0 for flag in flags)
 
 
 class TestSchemaDiagnostics:
@@ -591,19 +638,32 @@ class TestCli:
         (["unfold"], "--out", "no-dir/prefix.json", None),
         (["unfold"], "--dot", "no-dir/prefix.dot", None),
         (["check"], "--report", "no-dir/report.json", None),
+        (["unfold"], "--out", "a-dir", DIRECTORY),
+        (["unfold"], "--dot", "a-dir", DIRECTORY),
+        (["check"], "--report", "a-dir", DIRECTORY),
     ], ids=["prob-rho-missing", "prob-rho-invalid", "prob-env-invalid", "prob-env-list",
             "sample-rho-missing", "unfold-out-no-dir", "unfold-dot-no-dir",
-            "check-report-no-dir"])
+            "check-report-no-dir", "unfold-out-is-dir", "unfold-dot-is-dir",
+            "check-report-is-dir"])
     def test_side_file_errors_exit_two(self, demo_path, tmp_path, capsys,
                                        argv, option, name, content):
         """Input side files and output paths are files too: an unreadable
         or malformed one gets a located error line and exit code 2."""
         side = tmp_path / name
-        if content is not None:
+        if content is DIRECTORY:
+            side.mkdir()
+        elif content is not None:
             side.write_text(content)
         assert main([argv[0], str(demo_path), *argv[1:], option, str(side)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {side}") and err.count("\n") == 1
+        if content is DIRECTORY:
+            assert err == f"error: {side}: [Errno 21] Is a directory: '{side}'\n"
+
+    def test_outputs_to_dev_null(self, demo_path):
+        """A non-regular output file is written but not trimmed."""
+        assert main(["unfold", str(demo_path), "--out", os.devnull, "--dot", os.devnull]) == 0
+        assert main(["check", str(demo_path), "--report", os.devnull]) == 0
 
     @pytest.mark.parametrize("env, message", [
         ({"a": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]], "zz": [[[1, 0]]]},

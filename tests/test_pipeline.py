@@ -2,6 +2,7 @@
 same stages in the same order and stop at the same first failure."""
 
 import importlib.util
+import json
 import pathlib
 import re
 import subprocess
@@ -150,6 +151,46 @@ def test_benchmark_prefixes_are_the_reference_text(tmp_path, perfbench_workloads
         prefix = pathlib.Path(out[2])
         netfile._write_json(reference, netfile.to_document(*netfile.load_net(prefix)))
         assert prefix.read_bytes() == reference.read_bytes(), op.label
+
+
+def test_rewrites_are_the_fresh_files(tmp_path, capsys, perfbench_workloads):
+    """Each file `unfold --out/--dot`, `compose par/join --out` and a failing
+    `check --report` write over a longer, then a shorter, stale file at the
+    same path is byte for byte the file they write to a fresh path."""
+    rng = np.random.default_rng(7)
+    inputs = {"ring": perfbench_workloads.ring(gen, rng),
+              "pair": parallel(random_state_machine(rng), random_state_machine(rng))[0],
+              "joinable": gen.joinable_net(np.random.default_rng(0), True, True),
+              "racy": racy_net(), "unscaled": branching_demo(scaled=False)}
+    i = {name: str(tmp_path / f"{name}.json") for name in inputs}
+    for name, an in inputs.items():
+        save_net(i[name], an.net, an.ann)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"pairs": [["p1", "n1"], ["p2", "n2"]]}))
+
+    def write_all(out):
+        for argv, code in [
+            (["unfold", i["ring"], "--depth", "12", "--out", f"{out}/ring.json",
+              "--dot", f"{out}/ring.dot"], 0),
+            (["unfold", i["pair"], "--depth", "8", "--out", f"{out}/pair.json",
+              "--dot", f"{out}/pair.dot"], 0),
+            (["compose", "par", i["ring"], i["pair"], "--out", f"{out}/par.json"], 0),
+            (["compose", "join", i["joinable"], str(spec), "--out", f"{out}/join.json"], 0),
+            (["check", i["racy"], "--report", f"{out}/racy.json"], 1),
+            (["check", i["unscaled"], "--report", f"{out}/unscaled.json"], 1),
+        ]:
+            assert main(argv) == code, argv
+        capsys.readouterr()
+        return {path.name: path.read_bytes() for path in pathlib.Path(out).iterdir()}
+
+    (tmp_path / "fresh").mkdir()
+    (tmp_path / "stale").mkdir()
+    fresh = write_all(tmp_path / "fresh")
+    assert len(fresh) == 8
+    for stale in (lambda text: b"#" * (len(text) + 4096), lambda text: b"{}\n"):
+        for name, text in fresh.items():
+            (tmp_path / "stale" / name).write_bytes(stale(text))
+        assert write_all(tmp_path / "stale") == fresh
 
 
 def test_sampled_runs_pass_the_benchmark_gate(tmp_path, perfbench_workloads):
