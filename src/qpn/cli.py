@@ -133,7 +133,7 @@ def cmd_unfold(args) -> int:
     if bp.exhausted:
         print(f"note: budget exhausted (depth={args.depth},"
               f" max_events={args.max_events})")
-    labels = dict(bp.label_place) | dict(bp.label_event)
+    labels = bp.label_place | bp.label_event
     if args.out:
         netfile.save_net(args.out, bp.occ, transfer_annotation(bp, ann),
                          {"unfolded_from": str(args.path),

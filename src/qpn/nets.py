@@ -494,6 +494,11 @@ def component_clusters(net: Net, bound: int = DEFAULT_MARKING_BOUND) -> list:
             for (_, ts), ms in zip(flow_components(net), component_markings(net, bound))]
 
 
+def _quoted(s: str) -> str:
+    """A DOT quoted string: each backslash doubled, each quote escaped."""
+    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def to_dot(net: Net, labels=None) -> str:
     """GraphViz export: circles for places, squares for transitions."""
     suffix = {NEGATIVE: "⊖", NEUTRAL: "0", POSITIVE: "⊕"}
@@ -501,11 +506,12 @@ def to_dot(net: Net, labels=None) -> str:
     for p in sorted(net.places):
         label = f"{p} : {labels[p]}" if labels and p in labels else p
         marked = ", penwidth=2" if p in net.initial_marking else ""
-        lines.append(f'  "{p}" [shape=circle, label="{label}"{marked}];')
+        lines.append(f'  {_quoted(p)} [shape=circle, label={_quoted(label)}{marked}];')
     for t in sorted(net.transitions):
         base = f"{t} : {labels[t]}" if labels and t in labels else t
-        lines.append(f'  "{t}" [shape=box, label="{base} {suffix[net.pol(t)]}"];')
+        label = f"{base} {suffix[net.pol(t)]}"
+        lines.append(f'  {_quoted(t)} [shape=box, label={_quoted(label)}];')
     for a, b in sorted(net.flow):
-        lines.append(f'  "{a}" -> "{b}";')
+        lines.append(f'  {_quoted(a)} -> {_quoted(b)};')
     lines.append("}")
     return "\n".join(lines)

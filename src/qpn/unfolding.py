@@ -46,6 +46,15 @@ class BranchingProcess:
     exhausted: bool  # True if the budget cut off possible extensions
 
 
+def _co_sets(pools, allowed, co):
+    """Tuples of one condition per pool mask, pairwise concurrent, where
+    ``co[i]`` is the mask of the conditions concurrent with condition i."""
+    first = bits(pools[0] & allowed)
+    if len(pools) == 1:
+        return [(i,) for i in first]
+    return [(i,) + rest for i in first for rest in _co_sets(pools[1:], allowed & co[i], co)]
+
+
 def unfold(net: Net, budget: UnfoldBudget = UnfoldBudget()) -> BranchingProcess:
     """Canonical prefix of the unfolding of a verified safe net.
 
@@ -68,71 +77,67 @@ def unfold(net: Net, budget: UnfoldBudget = UnfoldBudget()) -> BranchingProcess:
     if causeless:  # its events would have an empty pre-set
         raise QpnError(f"cannot unfold: transition {min(causeless)} has an empty pre-set")
 
-    conds, co = [], []  # condition ids and co-set masks, by bit position
-    at = {p: 0 for p in net.places}  # place -> mask of its conditions
-    label_place, label_event = {}, {}
-    order, flow, pre, post = [], [], {}, {}  # conditions' post-sets: lists until the end
-
-    def add_conditions(ids, places, made_by, base):
-        """Create the conditions ``ids`` on ``places``, produced by the
-        events ``made_by`` and concurrent with ``base`` and with one
-        another; returns their mask."""
-        first = len(conds)
-        mask = ((1 << len(ids)) - 1) << first
-        for i, (c, p) in enumerate(zip(ids, places), first):
-            conds.append(c)
-            co.append(base | mask & ~(1 << i))
-            label_place[c] = p
-            at[p] |= 1 << i
-            pre[c], post[c] = made_by, []
-        order.extend(ids)
-        return mask
-
-    def co_sets(pools, allowed):
-        """Tuples of one condition per pool mask, pairwise concurrent."""
-        first = bits(pools[0] & allowed)
-        if len(pools) == 1:
-            return [(i,) for i in first]
-        return [(i,) + rest for i in first for rest in co_sets(pools[1:], allowed & co[i])]
-
-    pre_places = {t: sorted(net.pre(t)) for t in net.transitions}
-    post_places = {t: sorted(net.post(t)) for t in net.transitions}
     marked = sorted(net.initial_marking)
     initial = [f"{p}." for p in marked]
-    new = add_conditions(initial, marked, frozenset(), 0)
+    new = (1 << len(initial)) - 1  # conditions of height h - 1
+    # condition ids and co-set masks by bit position; place -> mask of its conditions
+    conds, co = initial[:], [new ^ 1 << i for i in range(len(initial))]
+    at = dict.fromkeys(net.places, 0) | {p: 1 << i for i, p in enumerate(marked)}
+    label_place, label_event = dict(zip(initial, marked)), {}
+    # conditions' post-sets are lists until the end
+    pre, post = dict.fromkeys(initial, frozenset()), {c: [] for c in initial}
+    order, flow = initial[:], []
+    pre_places = {t: sorted(net.pre(t)) for t in net.transitions}
+    post_places = {t: sorted(net.post(t)) for t in net.transitions}
     older = 0  # conditions of height below h - 1
     for height in itertools.count(1):
         # the choices with a condition of height h - 1, each found once:
-        # the k-th pick is the first such condition
+        # the k-th pick is the first such condition, and one pre-place
+        # needs no search
         candidates = []
         for t, ps in pre_places.items():
+            if len(ps) == 1:
+                candidates += [(t, (conds[i],), (i,)) for i in bits(at[ps[0]] & new)]
+                continue
             pools = [at[p] for p in ps]
             for k, pool in enumerate(pools):
                 split = [m & older for m in pools[:k]] + [pool & new] + pools[k + 1:]
                 candidates += [(t, tuple(sorted([conds[i] for i in pick])), pick)
-                               for pick in co_sets(split, -1)]  # -1: every condition
+                               for pick in _co_sets(split, -1, co)]  # -1: every condition
         room = budget.max_events - len(label_event) if height <= budget.max_depth else 0
         exhausted = len(candidates) > room
+        if not room or not candidates:
+            break
         older, new = older | new, 0
         for t, pre_ids, pick in sorted(candidates)[:room]:
             e = f"{t}[{'|'.join(pre_ids)}]"
             label_event[e] = t
-            order.append(e)
             base = co[pick[0]]
             for i in pick[1:]:
                 base &= co[i]
-            ps = post_places[t]
-            post_ids = [f"{e}>{p}.{i}" for i, p in enumerate(ps)]
-            mask = add_conditions(post_ids, ps, frozenset((e,)), base)
-            for i in bits(base):
-                co[i] |= mask
+            # its post-conditions: concurrent with base and with one another
+            ps, first, made_by = post_places[t], len(conds), frozenset((e,))
+            post_ids = [f"{e}>{p}.{j}" for j, p in enumerate(ps)]
+            mask = ((1 << len(ps)) - 1) << first
+            for i, (c, p) in enumerate(zip(post_ids, ps), first):
+                co.append(base | mask ^ 1 << i)
+                label_place[c] = p
+                at[p] |= 1 << i
+                pre[c], post[c] = made_by, []
+            if base:
+                for i in bits(base):
+                    co[i] |= mask
             new |= mask
+            conds += post_ids
+            order.append(e)
+            order += post_ids
             pre[e], post[e] = frozenset(pre_ids), frozenset(post_ids)
             for c in pre_ids:
                 post[c].append(e)
-            flow += [(c, e) for c in pre_ids]
-            flow += [(e, c) for c in post_ids]
-        if exhausted or not candidates:
+                flow.append((c, e))
+            for c in post_ids:
+                flow.append((e, c))
+        if exhausted:
             break
 
     for c in conds:
@@ -149,30 +154,26 @@ def verify_branching_process(bp: BranchingProcess, net: Net) -> CheckOutcome:
     out = is_occurrence_net(bp.occ)
     if not out:
         return CheckOutcome.fail(f"underlying net: {out.reason}")
-    o = bp.occ
+    o, label_place, label_event = bp.occ, bp.label_place, bp.label_event
     # clause 1: labels preserve node kind and polarity; the least
     # offending condition, then the least offending event, is named
-    bad = [c for c in o.places if bp.label_place.get(c) not in net.places]
+    bad = [c for c in o.places if label_place.get(c) not in net.places]
     if bad:
         return CheckOutcome.fail(f"condition {min(bad)} not labeled by a place")
-    bad = []
-    for e in o.transitions:
-        t = bp.label_event.get(e)
+    for e in o.sorted_transitions:
+        t = label_event.get(e)
         if t not in net.transitions:
-            bad.append((e, "not labeled by a transition"))
-        elif o.pol(e) != net.pol(t):
-            bad.append((e, f"changes polarity of {t}"))
-    if bad:
-        e, why = min(bad)
-        return CheckOutcome.fail(f"event {e} {why}")
+            return CheckOutcome.fail(f"event {e} not labeled by a transition")
+        if o.polarity[e] != net.polarity[t]:
+            return CheckOutcome.fail(f"event {e} changes polarity of {t}")
     # clause 2: label restricted to pre/post-sets is a bijection; clause 4
     # (no duplicated transitions) is read in the same pass, but reported
     # after clause 3
     expected = {t: (sorted(net.pre(t)), sorted(net.post(t))) for t in net.transitions}
-    place_of = bp.label_place.__getitem__
+    place_of = label_place.__getitem__
     first, duplicate = {}, None  # (label, pre-set) -> its least event
-    for e in sorted(o.transitions):
-        t = bp.label_event[e]
+    for e in o.sorted_transitions:
+        t = label_event[e]
         got = sorted(map(place_of, o.pre(e))), sorted(map(place_of, o.post(e)))
         want = expected[t]
         if got != want:
@@ -183,7 +184,7 @@ def verify_branching_process(bp: BranchingProcess, net: Net) -> CheckOutcome:
         if f != e and duplicate is None:
             duplicate = f"{f} and {e} duplicate {t} on the same pre-set"
     # clause 3: minimal conditions biject onto the initial marking
-    labels = sorted(bp.label_place[c] for c in o.initial_marking)
+    labels = sorted(label_place[c] for c in o.initial_marking)
     if labels != sorted(net.initial_marking):
         return CheckOutcome.fail(
             f"minimal conditions map to {labels}, expected "
@@ -195,11 +196,11 @@ def verify_branching_process(bp: BranchingProcess, net: Net) -> CheckOutcome:
 
 def transfer_annotation(bp: BranchingProcess, ann: LocalAnnotation) -> LocalAnnotation:
     """Pull the annotation back along the labels of the branching process."""
-    dims = {c: ann.dim(bp.label_place[c]) for c in bp.occ.places}
-    channels = {e: ann.channel(bp.label_event[e]) for e in bp.occ.transitions}
-    h = {e: ann.h[bp.label_event[e]] for e in bp.occ.transitions
-         if bp.label_event[e] in ann.h}
-    return LocalAnnotation(dims, channels, h)
+    label_place, label_event, h = bp.label_place, bp.label_event, ann.h
+    dims = {c: ann.dims[label_place[c]] for c in bp.occ.places}
+    channels = {e: ann.channels[label_event[e]] for e in bp.occ.transitions}
+    return LocalAnnotation(dims, channels, {e: h[t] for e in bp.occ.transitions
+                                            if (t := label_event[e]) in h})
 
 
 def cluster_bijection_check(net: Net, bp: BranchingProcess) -> CheckOutcome:

@@ -1,4 +1,5 @@
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -436,3 +437,26 @@ def test_dot_export_mentions_every_node():
     dot = to_dot(o)
     for node in o.places | o.transitions:
         assert f'"{node}"' in dot
+
+
+def _dot_strings(line: str) -> tuple:
+    """The line with each DOT quoted string replaced by ``S``, and the
+    strings with their escapes undone."""
+    quoted = r'"((?:[^"\\]|\\.)*)"'
+    return re.sub(quoted, "S", line), [re.sub(r"\\(.)", r"\1", s)
+                                       for s in re.findall(quoted, line)]
+
+
+def test_dot_export_escapes_quotes_and_backslashes():
+    """A quote inside an id or label is escaped and a backslash doubled,
+    so a trailing backslash does not swallow the closing quote."""
+    net = Net({'a"b', "c\\"}, {"t\\"}, {('a"b', "t\\"), ("t\\", "c\\")}, {'a"b'},
+              {"t\\": "0"})
+    lines = to_dot(net, {'a"b': 'p"', "t\\": "u\\"}).splitlines()
+    assert [_dot_strings(line) for line in lines[2:-1]] == [
+        ("  S [shape=circle, label=S, penwidth=2];", ['a"b', 'a"b : p"']),
+        ("  S [shape=circle, label=S];", ["c\\", "c\\"]),
+        ("  S [shape=box, label=S];", ["t\\", "t\\ : u\\ 0"]),
+        ("  S -> S;", ['a"b', "t\\"]),
+        ("  S -> S;", ["t\\", "c\\"]),
+    ]

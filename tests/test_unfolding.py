@@ -1,3 +1,5 @@
+import gc
+import itertools
 import math
 
 import numpy as np
@@ -109,13 +111,25 @@ def _ring(n: int) -> Net:
     return net
 
 
+def _forks() -> Net:
+    """Two rival forks of a into b and c, and a join of b and c back into
+    a: a join's pick can meet a rival fork's condition, or one consumed
+    below the other."""
+    net = Net({"a", "b", "c"}, {"f", "g", "j"},
+              {("a", "f"), ("a", "g"), ("f", "b"), ("f", "c"), ("g", "b"), ("g", "c"),
+               ("b", "j"), ("c", "j"), ("j", "a")}, {"a"}, dict.fromkeys("fgj", "0"))
+    verify_safety(net)
+    return net
+
+
 def _pair(rng) -> Net:
     return parallel(random_state_machine(rng), random_state_machine(rng))[0].net
 
 
 def _oracle_nets():
-    """(name, net, depth): library nets, products of state machines, and
-    rings at depths below and above their length."""
+    """(name, net, depth): library nets, rival forks under a join,
+    products of state machines, and rings at depths below and above their
+    length."""
     rng = np.random.default_rng(21)
     for i in range(6):
         yield f"sm{i}", random_state_machine(rng).net, 4
@@ -126,6 +140,7 @@ def _oracle_nets():
     yield "racy", racy_net().net, 3
     yield "demo", branching_demo().net, 5
     yield "cycle", two_phase_cycle().net, 5
+    yield "forks", _forks(), 7
     for i in range(4):
         yield f"pair{i}", _pair(rng), 3
     for n in (5, 6, 7, 8):
@@ -254,6 +269,78 @@ class TestHandover:
                               net.polarity, _order=order,
                               _adjacency=(net._pre, net._post) if adjacency else None)
             assert str(exc.value) == "not an occurrence net: flow relation is cyclic"
+
+
+def _reference_unfold(net: Net, budget: UnfoldBudget):
+    """(label_place, label_event, flow, exhausted) of the prefix, by
+    definition and without masks.  At height h every tuple of conditions
+    on t's sorted pre-places is tried; it is kept when its highest
+    condition has height h - 1 and its conditions are pairwise concurrent:
+    neither below the other, and no two distinct events at or below them
+    share a pre-condition.  The kept ones are added in (label, pre-set)
+    order up to the event budget."""
+    label_place = {f"{p}.": p for p in net.initial_marking}
+    label_event, flow, pre = {}, set(), {}
+    height = dict.fromkeys(label_place, 0)
+    below = {c: frozenset() for c in label_place}  # node -> nodes strictly below it
+
+    def concurrent(a, b):
+        if a in below[b] or b in below[a]:
+            return False
+        events_a, events_b = (below[x] & label_event.keys() for x in (a, b))
+        return not any(x != y and pre[x] & pre[y] for x in events_a for y in events_b)
+
+    for h in itertools.count(1):
+        found = []
+        for t in sorted(net.transitions):
+            pools = [[c for c, p in label_place.items() if p == q] for q in sorted(net.pre(t))]
+            for pick in itertools.product(*pools):
+                if max(height[c] for c in pick) == h - 1 and all(
+                        concurrent(a, b) for a, b in itertools.combinations(pick, 2)):
+                    found.append((t, tuple(sorted(pick))))
+        room = budget.max_events - len(label_event) if h <= budget.max_depth else 0
+        exhausted = len(found) > room
+        for t, cs in sorted(found)[:room]:
+            e = f"{t}[{'|'.join(cs)}]"
+            label_event[e], pre[e], height[e] = t, set(cs), h
+            below[e] = frozenset(cs).union(*(below[c] for c in cs))
+            flow |= {(c, e) for c in cs}
+            for j, p in enumerate(sorted(net.post(t))):
+                c = f"{e}>{p}.{j}"
+                label_place[c], height[c], below[c] = p, h, below[e] | {e}
+                flow.add((e, c))
+        if exhausted or not found:
+            return label_place, label_event, flow, exhausted
+
+
+class TestReference:
+    """The mask unfolder against the prefix built by definition."""
+
+    @pytest.mark.parametrize("net, depth", [pytest.param(net, d, id=f"{name}-d{d}")
+                                            for name, net, d in _handover_nets()])
+    def test_unfold_is_the_prefix_by_definition(self, net, depth):
+        events = len(unfold(net, UnfoldBudget(depth)).label_event)
+        for cut in sorted({0, 1, 2, events // 2, max(events - 1, 0), events, 10_000}):
+            budget = UnfoldBudget(depth, cut)
+            bp = unfold(net, budget)
+            label_place, label_event, flow, exhausted = _reference_unfold(net, budget)
+            assert (bp.occ.places, bp.occ.transitions) == (label_place.keys(),
+                                                           label_event.keys()), cut
+            assert (bp.label_place, bp.label_event) == (label_place, label_event), cut
+            assert (bp.occ.flow, bp.exhausted) == (flow, exhausted), cut
+
+    def test_unfold_leaves_no_reference_cycle(self):
+        """What an unfold call drops is freed by reference counting: the
+        cyclic collector finds nothing."""
+        nets = [(net, d) for _, net, d in _handover_nets()]
+        gc.collect()
+        gc.disable()
+        try:
+            for net, depth in nets:
+                unfold(net, UnfoldBudget(depth))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestVerifyBranchingProcess:
