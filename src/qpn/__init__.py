@@ -20,12 +20,10 @@ from .checker import (
     DropReport,
     brute_force_global_drop,
     check_local_drop,
-    clique_drop,
     cluster_factorization_check,
     drop_effect,
     is_local_qon,
     is_qpn,
-    single_extension_drop,
 )
 from .compose import (
     AnnotatedNet,

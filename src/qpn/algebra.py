@@ -334,24 +334,6 @@ def tni_min_eigenvalues(chans) -> np.ndarray:
     return lows
 
 
-def kraus_compose(g: Channel, f: Channel) -> Channel:
-    """Sequential composition g after f, as the Kraus set {G_j K_i}."""
-    if f.dim_out != g.dim_in:
-        raise DimensionMismatch(
-            f"cannot compose: inner dims {f.dim_out} != {g.dim_in}"
-        )
-    ks = tuple(gj @ ki for gj in g.kraus for ki in f.kraus)
-    return Channel(f.dim_in, g.dim_out, ks)
-
-
-def kraus_tensor(f: Channel, g: Channel) -> Channel:
-    """Parallel composition, Kraus set {K_i x G_j}."""
-    _check_total_dim(f.dim_in * g.dim_in)
-    _check_total_dim(f.dim_out * g.dim_out)
-    ks = tuple(np.kron(ki, gj) for ki in f.kraus for gj in g.kraus)
-    return Channel(f.dim_in * g.dim_in, f.dim_out * g.dim_out, ks)
-
-
 def partial_trace(m, dims, traced) -> np.ndarray:
     """Partial trace over the selected factors; remaining order preserved."""
     m = as_matrix(m)

@@ -8,9 +8,11 @@ extensions it is one deletion-contraction recurrence on branch effects,
 which on a clique reduces to the identity minus their sum; the local check
 evaluates it once per distinct conflict cluster, each family on its own
 pre-places, and serves every reachable marking from that.  This module
-also holds the general evaluator and its inductive forms, the brute-force
-global oracle used to cross-validate the local check, and the top-level
-net verdicts.
+also holds the general evaluator, the brute-force global oracle used to
+cross-validate the local check, and the top-level net verdicts.  The
+inductive forms of the general evaluator (`drop_inductive`,
+`recursive_sum_check`, `expand_drop`) are test oracles in
+`tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from . import algebra
 from .algebra import (
     TOL_CHANNEL_EQ,
     TOL_PSD,
-    Channel,
     FactorPermutation,
     effect,
     embed_operator,
@@ -115,107 +116,6 @@ def drop_effect(gv: GlobalValuation, x, ys) -> np.ndarray:
             chan = gv.q(m, marking_of_configuration(o, y_union))
             total = total + (-1) ** r * effect(chan)
     return hermitize(total)
-
-
-def _compose_effect(chan: Channel, d_target: np.ndarray) -> np.ndarray:
-    """Effect of [tr_{H} ⊗ d] ∘ Φ, where d acts on the condition factors of
-    the output of Φ and H gathers its trailing signal factors, the rest of
-    Φ's output dimension."""
-    # Σ_k K†(d ⊗ I_H)K: the signal index of each K joins the Kraus index
-    ks = chan.stack
-    ks = ks.reshape(len(ks), -1, chan.dim_out // len(d_target), chan.dim_in).transpose(
-        0, 2, 1, 3).reshape(-1, len(d_target), chan.dim_in)
-    return (ks.conj().transpose(0, 2, 1) @ d_target @ ks).sum(0)
-
-
-def drop_inductive(gv: GlobalValuation, x, ys) -> np.ndarray:
-    """d[x; y1..yn] by peeling off the last extension.
-
-    d[x;] is the identity effect; otherwise the head family is evaluated
-    recursively and the tail contributes through the interval channel from
-    x to yn, with the drop of the shifted family taken at yn.  Unions that
-    fail to be configurations are incompatible with everything and are
-    dropped from the shifted family.
-    """
-    o = gv.net
-    x = frozenset(x)
-    ys = [frozenset(y) for y in ys]
-    _check_extensions(o, x, ys)
-    if not ys:
-        return np.eye(space_dim(gv.ann, marking_of_configuration(o, x)), dtype=complex)
-    head, yn = ys[:-1], ys[-1]
-    d_head = drop_inductive(gv, x, head)
-    shifted = [y | yn for y in head if o.is_configuration(y | yn)]
-    d_shift = drop_inductive(gv, yn, shifted)
-    chan = gv.q(marking_of_configuration(o, x), marking_of_configuration(o, yn))
-    return hermitize(d_head - _compose_effect(chan, d_shift))
-
-
-def recursive_sum_check(gv: GlobalValuation, x, ys_head, yn, yn_big) -> CheckOutcome:
-    """Identity, within TOL_CHANNEL_EQ, over a grown last extension yn ⊆ yn_big:
-
-    d[x; ys, yn_big] = d[x; ys, yn]
-                     + [tr ⊗ d[yn; ys∪yn, yn_big]] ∘ Q[x; yn].
-    """
-    o = gv.net
-    x, yn, yn_big = frozenset(x), frozenset(yn), frozenset(yn_big)
-    ys_head = [frozenset(y) for y in ys_head]
-    if not (x <= yn <= yn_big):
-        raise IncompatibleExtension("need x ⊆ yn ⊆ yn_big")
-    lhs = drop_effect(gv, x, ys_head + [yn_big])
-    first = drop_effect(gv, x, ys_head + [yn])
-    shifted = [y | yn for y in ys_head if o.is_configuration(y | yn)]
-    d_shift = drop_effect(gv, yn, shifted + [yn_big])
-    chan = gv.q(marking_of_configuration(o, x), marking_of_configuration(o, yn))
-    rhs = first + _compose_effect(chan, d_shift)
-    err = float(np.max(np.abs(lhs - rhs)))
-    if err > TOL_CHANNEL_EQ * max(1, lhs.shape[0]):
-        return CheckOutcome.fail(f"recursive-sum identity off by {err:.2e}", error=err)
-    return CheckOutcome.ok(error=err)
-
-
-def expand_drop(gv: GlobalValuation, x, ys):
-    """Evaluate d[x; y1..yn] by rewriting toward single-extension terms.
-
-    Each rewrite splits the largest extension through one of its minimal
-    added events; the product of extension sizes strictly decreases, which
-    is asserted, so the rewriting terminates.  Returns (effect, steps).
-    """
-    o = gv.net
-    x = frozenset(x)
-    ys = [frozenset(y) for y in ys]
-    _check_extensions(o, x, ys)
-    steps = 0
-
-    def weight(base, fam):
-        return math.prod(len(y - base) for y in fam)
-
-    def go(base, fam, w):
-        nonlocal steps
-        steps += 1
-        if any(y == base for y in fam):
-            dim = space_dim(gv.ann, marking_of_configuration(o, base))
-            return np.zeros((dim, dim), dtype=complex)
-        big = next((i for i, y in enumerate(fam) if len(y - base) > 1), None)
-        if big is None:
-            return drop_effect(gv, base, fam)
-        fam = fam[:big] + fam[big + 1:] + [fam[big]]
-        y_big = fam[-1]
-        e = min(e for e in y_big - base if not any(o.lt(f, e) for f in y_big - base))
-        y_small = base | {e}
-        head = fam[:-1]
-        left_fam = head + [y_small]
-        shifted = [y | y_small for y in head if o.is_configuration(y | y_small)]
-        right_fam = shifted + [y_big]
-        wl, wr = weight(base, left_fam), weight(y_small, right_fam)
-        assert wl < w and wr < w, "expansion weight failed to decrease"
-        left = go(base, left_fam, wl)
-        right = go(y_small, right_fam, wr)
-        chan = gv.q(marking_of_configuration(o, base),
-                    marking_of_configuration(o, y_small))
-        return left + _compose_effect(chan, right)
-
-    return hermitize(go(x, ys, weight(x, ys))), steps
 
 
 # --------------------------------------------------------------------------

@@ -7,8 +7,9 @@ fixed field order), so load -> save -> load is the identity and files
 diff cleanly.  Files are written with one line per top-level key and per
 entry of places, transitions, flow and initial_marking (`_layout`); any
 JSON layout loads.  `save_net` formats each line straight from the net;
-`_write_json` of `to_document` writes the same bytes through a document
-and is the writer's reference (and the writer of `--report` files).
+`_write_json`, the writer of `--report` files, writes the same bytes from
+the net's canonical document (`to_document` in `tests/oracles.py`) and is
+the writer's reference.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import json
 import math
 import os
 import stat
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -55,7 +57,7 @@ def matrix_from_json(data, loc):
         out = []
         for j, v in enumerate(row):
             if not (isinstance(v, list) and len(v) == 2
-                    and isinstance(v[0], (int, float)) and isinstance(v[1], (int, float))):
+                    and type(v[0]) in (int, float) and type(v[1]) in (int, float)):
                 _fail(f"{loc}[{i}][{j}]", "entry must be an [re, im] pair")
             try:
                 out.append(complex(v[0], v[1]))
@@ -68,13 +70,17 @@ def matrix_from_json(data, loc):
 def kraus_from_json(data):
     """The Kraus list ``data`` as one (k, rows, cols) complex array by a
     single ``np.array`` call, or None unless that gives an int or float
-    array of [re, im] pairs; the caller then scans ``data`` entry by entry
-    with :func:`matrix_from_json`, which locates any fault."""
+    array of [re, im] pairs and no entry is a boolean (numpy folds one
+    into a number; one C-level pass over the entries' types finds it);
+    the caller then scans ``data`` entry by entry with
+    :func:`matrix_from_json`, which locates any fault."""
     try:
         a = np.array(data)
     except (ValueError, OverflowError):  # ragged, or mixed matrix shapes
         return None
     if a.ndim != 4 or a.shape[-1] != 2 or a.dtype.kind not in "if":
+        return None
+    if bool in map(type, chain.from_iterable(chain.from_iterable(chain.from_iterable(data)))):
         return None
     return a.astype(float, copy=False).view(complex)[..., 0]
 
@@ -83,8 +89,9 @@ def _parsed_groups(entries) -> dict:
     """{index: Kraus stack} for the transition entries whose Kraus lists
     parse by one :func:`kraus_from_json` call and one finite check per
     group of one shape (k, rows, cols).  Raises nothing: a group that
-    fails either, and an entry of no such shape, is left to the parse of
-    each entry in file order, which locates any fault."""
+    fails either, and an entry of no such shape, is left to the scan of
+    each entry in file order (:func:`matrix_from_json`), which locates any
+    fault."""
     groups, out = {}, {}
     for i, entry in enumerate(entries):
         try:
@@ -106,34 +113,6 @@ def require_finite(a, loc):
     if not finite.all():
         least = np.argwhere(~finite)[0]
         _fail(loc + "".join(f"[{i}]" for i in least), "entry must be a finite float")
-
-
-def to_document(net: Net, ann: LocalAnnotation, metadata: dict | None = None,
-                labels: dict | None = None) -> dict:
-    """The canonical document of an annotated net."""
-    labels = labels or {}
-    places = []
-    for p in sorted(net.places):
-        entry = {"id": p, "dim": ann.dim(p)}
-        if p in labels:
-            entry["label"] = labels[p]
-        places.append(entry)
-    transitions = []
-    for t in sorted(net.transitions):
-        entry = {"id": t, "polarity": net.pol(t), "h": ann.signal_dim(t),
-                 "kraus": [matrix_to_json(k) for k in ann.channel(t).kraus]}
-        if t in labels:
-            entry["label"] = labels[t]
-        transitions.append(entry)
-    return {
-        "format": FORMAT,
-        "version": VERSION,
-        "metadata": dict(metadata or {}),
-        "places": places,
-        "transitions": transitions,
-        "flow": sorted([a, b] for a, b in net.flow),
-        "initial_marking": sorted(net.initial_marking),
-    }
 
 
 def from_document(doc: dict):
@@ -192,7 +171,7 @@ def from_document(doc: dict):
         kraus = entry.get("kraus")
         if not isinstance(kraus, list) or not kraus:
             _fail(f"{loc}.kraus", "needs a nonempty list of matrices")
-        mats = parsed[i] if i in parsed else kraus_from_json(kraus)
+        mats = parsed.get(i)
         if mats is None:
             mats = [matrix_from_json(k, f"{loc}.kraus[{j}]") for j, k in enumerate(kraus)]
             shapes = {m.shape for m in mats}
@@ -273,11 +252,11 @@ def _write_json(path, doc: dict, default=None) -> None:
 
 def save_net(path, net: Net, ann: LocalAnnotation, metadata=None, labels=None):
     """Write the net file of an annotated net: the bytes `_write_json`
-    writes for `to_document`, formatted line by line from the net.  Ids
-    (strings) take the encoder's string fast path once each, dimensions
-    are ints, and each distinct label and each distinct channel's Kraus
-    list is encoded once (the nodes of one label in an unfolded prefix
-    share them)."""
+    writes for its canonical document, formatted line by line from the
+    net.  Ids (strings) take the encoder's string fast path once each,
+    dimensions are ints, and each distinct label and each distinct
+    channel's Kraus list is encoded once (the nodes of one label in an
+    unfolded prefix share them)."""
     labels = labels or {}
     ident = {}  # node -> its encoded id
     tails, kraus = {}, {}  # id(label value or channel) -> its encoded text

@@ -4,7 +4,9 @@ The trace of an interval channel applied to an input state is the
 probability that the corresponding events all fire; trace non-increase
 makes this a sub-probability over runs.  `run_probability` computes it
 exactly; `sample_execution` is a Monte Carlo sampler whose branch
-frequencies converge to those values.
+frequencies converge to those values.  Both fire events by one rule,
+`_fire`; the tests replay sampled runs through it on the sorted marking
+space (`_fire_state` in `tests/oracles.py`).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .algebra import (TOL_CHANNEL_EQ, TOL_PSD, FactorPermutation, _check_total_d
 from .annotation import LocalAnnotation, event_factors, space_dim
 from .checker import _embedded_effect, single_extension_drop
 from .errors import DimensionMismatch, MissingEnvInput, NotAQpn, NotEnabled
-from .nets import NEGATIVE, MarkingInterval, Net, OccurrenceNet, fire, is_clique, marking_clusters
+from .nets import NEGATIVE, MarkingInterval, Net, OccurrenceNet, is_clique, marking_clusters
 from .outcome import CheckOutcome
 
 # Branches with probability below this are treated as impossible.
@@ -160,14 +162,6 @@ def _fire(net: Net, ann: LocalAnnotation, how, e, rho, env=None):
         rho = perm.permute(rho, two_sided=True)
     rho = apply_leading(ann.channel(e), rho)
     return rho if traced is None else partial_trace(rho, traced, [1])
-
-
-def _fire_state(net: Net, ann: LocalAnnotation, m, e, rho, env=None):
-    """`_fire` on the marking space Q(m) in its sorted factor order:
-    returns (new marking, new state on its sorted factors)."""
-    m2, how = fire(net, m, e), _firing(net, ann, tuple(sorted(m)), e)
-    rho = _fire(net, ann, how, e, rho, env)
-    return m2, _moved(how[2], tuple(sorted(m2)), rho, ann.dim)
 
 
 def _step(net: Net, ann: LocalAnnotation, order, cluster=None) -> _Step:

@@ -13,6 +13,7 @@ import pytest
 
 from gen import clique_net, joinable_net, random_occurrence_annotated, \
     random_state_machine
+from oracles import drop_inductive, recursive_sum_check
 from qpn.algebra import Channel, FactorPermutation, channels_close
 from qpn.annotation import GlobalValuation, LocalAnnotation, space_dim
 from qpn.checker import (
@@ -21,10 +22,8 @@ from qpn.checker import (
     clique_drop,
     cluster_factorization_check,
     drop_effect,
-    drop_inductive,
     is_local_qon,
     is_qpn,
-    recursive_sum_check,
     single_extension_drop,
 )
 from qpn.compose import AnnotatedNet, JoinSpec, check_join_preservation, \

@@ -20,13 +20,13 @@ from qpn.algebra import (
     hermitize,
     is_cptni,
     is_hermitian,
-    kraus_compose,
-    kraus_tensor,
     min_eigenvalue,
     min_eigenvalues,
     partial_trace,
     thread,
 )
+from gen import random_cptni
+from oracles import kraus_compose, kraus_tensor
 from qpn import algebra
 from qpn.errors import BadPermutation, BoundExceeded, DimensionMismatch, SignatureMismatch
 
@@ -293,6 +293,35 @@ class TestLeadingKernels:
         assert thread(["x", "z"], steps, ["z", "y"], dims.get).dim_out == 6
         with pytest.raises(SignatureMismatch):
             thread(["x", "z"], steps, ["x", "z"], dims.get)
+
+
+class TestThreadAgainstKrausAlgebra:
+    """`thread`, the firing rule behind interval channels and joins, held
+    to the Kraus algebra: steps on one wire compose, steps on disjoint
+    wires tensor, and another output order permutes the output factors."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_steps_on_one_wire_compose(self, seed):
+        r = np.random.default_rng(seed)
+        f, g = random_cptni(r, 2, 3), random_cptni(r, 3, 2)
+        dims = {"a": 2, "b": 3, "c": 2}
+        got = thread(["a"], [(f, ["a"], ["b"]), (g, ["b"], ["c"])], ["c"], dims.get)
+        assert channels_close(got, kraus_compose(g, f))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_steps_on_disjoint_wires_tensor(self, seed):
+        r = np.random.default_rng(seed)
+        f, g = random_cptni(r, 2, 3), random_cptni(r, 3, 2)
+        dims = {"a": 2, "a2": 3, "b": 3, "b2": 2}
+        steps = [(f, ["a"], ["a2"]), (g, ["b"], ["b2"])]
+        want = kraus_tensor(f, g)
+        assert channels_close(thread(["a", "b"], steps, ["a2", "b2"], dims.get), want)
+        # output b2 ⊗ a2: slot 0 carries factor 1 of a2 ⊗ b2, slot 1 factor 0
+        swap = FactorPermutation((3, 2), (1, 0)).matrix()
+        swapped = Channel(want.dim_in, want.dim_out, tuple(swap @ k for k in want.kraus))
+        got = thread(["a", "b"], steps, ["b2", "a2"], dims.get)
+        assert channels_close(got, swapped)
+        assert not channels_close(got, want)
 
 
 class TestCptni:

@@ -3,23 +3,21 @@ import itertools
 import numpy as np
 import pytest
 
+import oracles
 from gen import clique_net, random_cptni, random_occurrence_annotated
+from oracles import _compose_effect, drop_inductive, expand_drop, recursive_sum_check
 from qpn import algebra, checker, cli
 from qpn.algebra import Channel, effect, min_eigenvalue
 from qpn.annotation import GlobalValuation, LocalAnnotation
 from qpn.checker import (
-    _compose_effect,
     _embedded_effect,
     brute_force_global_drop,
     check_local_drop,
     clique_drop,
     cluster_factorization_check,
     drop_effect,
-    drop_inductive,
-    expand_drop,
     is_local_qon,
     is_qpn,
-    recursive_sum_check,
     single_extension_drop,
 )
 from qpn.demo import branching_demo, two_phase_cycle
@@ -249,8 +247,8 @@ class TestDropIdentities:
         # mutation: _compose_effect pulls back the identity instead of the
         # shifted drop, so drop_inductive and expand_drop go wrong, and the
         # identity that guards them fails
-        compose_effect = checker._compose_effect
-        monkeypatch.setattr(checker, "_compose_effect", lambda chan, d: compose_effect(
+        compose_effect = oracles._compose_effect
+        monkeypatch.setattr(oracles, "_compose_effect", lambda chan, d: compose_effect(
             chan, np.eye(d.shape[0], dtype=complex)))
         bd = branching_demo()
         o = as_occurrence_net(bd.net)
@@ -269,6 +267,26 @@ class TestDropIdentities:
             assert steps >= 1
             count += 1
         assert count >= 30
+
+    def test_expansion_of_deep_extensions_agrees(self):
+        """Extensions that each add two or more events, alone or beside
+        the others: every rewrite splits one, and its right-hand term, the
+        drop at the split event pulled back through Q[x; x + e], is not 0
+        (next to a one-event extension it may be, as that extension
+        equals the split point)."""
+        count, pulled = 0, 0
+        for gv, x, ys in self._instances(34):
+            deep = [y for y in ys if len(y - x) > 1]
+            for fam in [[y] for y in deep] + ([deep[:2]] if len(deep) > 1 else []):
+                d1 = drop_effect(gv, x, fam)
+                d2, steps = expand_drop(gv, x, fam)
+                assert np.allclose(d1, d2, atol=1e-9), (x, fam)
+                assert steps >= 3
+                added = fam[-1] - x  # the rewrite splits it at its least minimal event
+                e = min(e for e in added if not any(gv.net.lt(f, e) for f in added))
+                pulled += not np.allclose(d1, drop_effect(gv, x, fam[:-1] + [x | {e}]))
+                count += 1
+        assert count >= 10 and pulled >= 5
 
     @pytest.mark.parametrize("d_t, h", [(1, 1), (2, 1), (3, 2), (2, 4)])
     def test_composed_effect_matches_kron_by_identity(self, d_t, h):

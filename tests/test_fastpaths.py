@@ -1,11 +1,10 @@
 """The fast paths of `qpn check` against the slow code they replace.
 
-- The loader parses a transition's Kraus list with one ``np.array`` call
-  (`netfile.kraus_from_json`); the per-entry scan `matrix_from_json` is its
-  fallback and its oracle, byte for byte, and keeps every located error.
-- The loader parses the Kraus lists of one shape together
-  (`netfile._parsed_groups`), and a group that does not parse leaves its
-  transitions to the per-transition parse, so no located error moves.
+- The loader parses the Kraus lists of one shape together with one
+  ``np.array`` call (`netfile._parsed_groups` by `netfile.kraus_from_json`);
+  the per-entry scan `matrix_from_json` is its oracle, byte for byte, and a
+  group that does not parse leaves each of its transitions to the scan, so
+  no located error moves.
 - The drop recurrence subtracts E_v itself when v conflicts with the rest
   of its family; the general form multiplies E_v by d(∅) = I.
 - The effects are formed in one product per Kraus index and stack shape
@@ -37,7 +36,7 @@ from gen import (
     random_occurrence_annotated,
     random_state_machine,
 )
-from qpn import algebra, checker
+from qpn import algebra, checker, netfile
 from qpn.algebra import (
     TOL_CHANNEL_EQ,
     TOL_HERM,
@@ -113,7 +112,7 @@ def test_array_parse_equals_the_entry_scan(name, an, tmp_path):
     [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]],  # ints
     [[[[-0.0, 0.0], [0.5, -0.0]], [[0.0, -0.0], [-1e-300, 5e-324]]]],  # signed zeros, subnormals
     [[[[2 ** 62 + 1, -(2 ** 62) - 3]]]],  # ints rounded to float
-    [[[[True, 0.25]]]],  # a bool beside a float: a float array
+    [[[[1, 0.25]]]],  # an int beside a float: a float array
 ])
 def test_array_parse_rounds_like_the_entry_scan(kraus):
     fast = kraus_from_json(kraus)
@@ -122,6 +121,8 @@ def test_array_parse_rounds_like_the_entry_scan(kraus):
 
 @pytest.mark.parametrize("kraus", [
     [[[[True, False]]]],  # bools
+    [[[[True, 0.25]]]],  # a bool beside a float, which numpy folds into a float array
+    [[[[1, 0]], [[0, False]]]],  # a bool beside ints, folded into an int array
     [[[["1", 0]]]],  # a string
     [[[[None, 0]]]],  # null
     [[[[1, 0], [0, 0]], [[1, 0]]]],  # ragged rows
@@ -196,6 +197,10 @@ def _polarity_of_v(doc):
     doc["transitions"][2]["polarity"] = "x"
 
 
+def _bool_in_v(doc):
+    doc["transitions"][2]["kraus"][0][1][1] = [1.0, False]
+
+
 def _ragged_u(doc):
     """u's Kraus list in the shape group of t and v, with a short row."""
     doc["transitions"][1]["kraus"] = [[[[1, 0], [0, 0]], [[1, 0]]]]
@@ -206,8 +211,14 @@ def _ragged_u(doc):
 # that the array parse falls back to.  Files that load say nothing on stderr.
 T0 = "transitions[0].kraus"
 MALFORMED = [
-    ("bools", _kraus([[[[True, False], [False, False]], [[False, False], [True, False]]]]), 0, ""),
-    ("bool-beside-float", _entry([True, 0.0]), 0, ""),
+    ("bools", _kraus([[[[True, False], [False, False]], [[False, False], [True, False]]]]), 2,
+     f"{T0}[0][0][0]: entry must be an [re, im] pair"),
+    ("bool-beside-float", _entry([True, 0.0]), 2,
+     f"{T0}[0][0][0]: entry must be an [re, im] pair"),
+    ("bool-imaginary", _entry([0.5, True]), 2, f"{T0}[0][0][0]: entry must be an [re, im] pair"),
+    ("bool-least-entry", _kraus([[[[1, 0], [0, 0]], [[0, 0], [0, False]]],
+                                 [[[True, 0], [0, 0]], [[0, 0], [0, 0]]]]), 2,
+     f"{T0}[0][1][1]: entry must be an [re, im] pair"),
     ("ints", _kraus([[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]), 0, ""),
     ("signed-zeros", _entry([1.0, -0.0]), 0, ""),
     ("string", _entry(["1", 0]), 2, f"{T0}[0][0][0]: entry must be an [re, im] pair"),
@@ -245,6 +256,8 @@ MALFORMED = [
      f"{T0}[0][0][0]: entry must be a finite float"),
     ("ragged-in-a-parsing-group", _with_v(_ragged_u), 2,
      "transitions[1].kraus[0][1]: row has 1 entries, expected 2"),
+    ("bool-in-a-parsing-group", _with_v(_bool_in_v), 2,
+     "transitions[2].kraus[0][1][1]: entry must be an [re, im] pair"),
 ]
 
 
@@ -267,6 +280,21 @@ def test_malformed_files_keep_their_located_errors(name, mutate, code, stderr,
         _, ann, _, _ = from_document(doc)
         kraus = doc["transitions"][0]["kraus"]
         assert ann.channel("t").stack.tobytes() == _scanned(kraus).tobytes()
+
+
+def test_an_integer_past_int64_is_scanned_to_the_same_channels():
+    """An integer past int64 keeps its shape group from the array parse,
+    so each transition of the group goes to the entry scan: the channels
+    are those of the same file with the integer written as a float."""
+    doc = _base_doc()
+    _with_v(_entry([2 ** 64, 0.5]))(doc)
+    floats = json.loads(json.dumps(doc).replace(str(2 ** 64), repr(2.0 ** 64)))
+    assert list(netfile._parsed_groups(doc["transitions"])) == [1]  # u alone
+    assert list(netfile._parsed_groups(floats["transitions"])) == [0, 2, 1]
+    want = from_document(floats)[1]
+    for t in ("t", "u", "v"):
+        assert from_document(doc)[1].channel(t).stack.tobytes() == \
+            want.channel(t).stack.tobytes(), t
 
 
 # --------------------------------------------------------------------------

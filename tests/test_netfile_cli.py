@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oracles
 import qpn
 from gen import (
     clique_net,
@@ -17,6 +18,7 @@ from gen import (
     random_state_machine,
     unsafe_path,
 )
+from oracles import to_document
 from qpn import checker, cli, netfile
 from qpn.algebra import Channel, channels_close
 from qpn.annotation import LocalAnnotation
@@ -32,7 +34,6 @@ from qpn.netfile import (
     matrix_from_json,
     matrix_to_json,
     save_net,
-    to_document,
 )
 
 
@@ -227,7 +228,7 @@ class TestWriter:
 
         name, net, ann, meta, labels = _writer_cases()[1]
         expected = _reference_bytes(tmp_path, net, ann, meta, labels)
-        monkeypatch.setattr(netfile, "to_document", no_document)
+        monkeypatch.setattr(oracles, "to_document", no_document)
         save_net(tmp_path / "net.json", net, ann, meta, labels)
         assert (tmp_path / "net.json").read_bytes() == expected, name
 
@@ -715,6 +716,24 @@ class TestCli:
         assert main([argv[0], str(demo_path), *argv[1:], "--rho", str(side)]) == 2
         assert capsys.readouterr() == (
             "", f"error: {side}[1][0]: entry must be a finite float\n")
+
+    @pytest.mark.parametrize("option, content, at", [
+        ("--rho", [[[1, 0] if i == j == 0 else [0, 0] for j in range(4)] for i in range(4)],
+         "[0][0]"),
+        ("--env", {"a": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}, '["a"][0][0]'),
+    ], ids=["rho", "env"])
+    def test_boolean_state_entry_rejected(self, demo_path, tmp_path, capsys, option,
+                                          content, at):
+        """The pure state |0><0| with its 1 written as JSON true is no
+        state: a located error (exit 2), not the state it would read as."""
+        side = tmp_path / "side.json"
+        argv = ["prob", str(demo_path), "--from", "p0", "--to", "p2,p4", option, str(side)]
+        side.write_text(json.dumps(content))
+        assert main(argv) == 0
+        capsys.readouterr()
+        side.write_text(json.dumps(content).replace("[1, 0]", "[true, 0]", 1))
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {side}{at}: entry must be an [re, im] pair\n")
 
     @pytest.mark.parametrize("argv, option, content, message", [
         (["prob", "--from", "p0", "--to", "p2,p4"], "--rho", matrix_to_json(np.eye(2) / 2),

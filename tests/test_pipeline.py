@@ -3,6 +3,7 @@ same stages in the same order and stop at the same first failure."""
 
 import importlib.util
 import json
+import os
 import pathlib
 import re
 import subprocess
@@ -14,6 +15,8 @@ import numpy as np
 import pytest
 
 import gen
+import oracles
+import qpn
 from gen import (
     clique_net,
     product_markings,
@@ -149,7 +152,7 @@ def test_benchmark_prefixes_are_the_reference_text(tmp_path, perfbench_workloads
         out = op.run(0)
         assert op.check(out, op.expected), op.label
         prefix = pathlib.Path(out[2])
-        netfile._write_json(reference, netfile.to_document(*netfile.load_net(prefix)))
+        netfile._write_json(reference, oracles.to_document(*netfile.load_net(prefix)))
         assert prefix.read_bytes() == reference.read_bytes(), op.label
 
 
@@ -358,31 +361,78 @@ def test_check_explores_a_three_part_composition_once(tmp_path, monkeypatch):
     _explores_once(tmp_path, monkeypatch, three)
 
 
+def _traced_callables(tracing):
+    """{(module, name): the callable} for every name the benchmark's tracer
+    wraps, as `qpn` holds it now."""
+    out = {}
+    for mod_name, attr in tracing.TRACED:
+        mod = sys.modules[f"qpn.{mod_name}"]
+        if "." in attr or attr == "OccurrenceNet":
+            cls_name, meth = attr.split(".") if "." in attr else (attr, "__init__")
+            out[mod_name, attr] = vars(getattr(mod, cls_name))[meth]
+        else:
+            out[mod_name, attr] = getattr(mod, attr)
+    return out
+
+
 def test_benchmark_tracer_resolves_every_traced_name():
     """Every callable the benchmark's tracer wraps still exists in `qpn`,
     is replaced by `install` and put back by `uninstall`."""
     tracing = _load_perfbench("tracing")
-
-    def current():
-        out = {}
-        for mod_name, attr in tracing.TRACED:
-            mod = sys.modules[f"qpn.{mod_name}"]
-            if "." in attr or attr == "OccurrenceNet":
-                cls_name, meth = attr.split(".") if "." in attr else (attr, "__init__")
-                out[mod_name, attr] = vars(getattr(mod, cls_name))[meth]
-            else:
-                out[mod_name, attr] = getattr(mod, attr)
-        return out
-
-    before = current()
+    before = _traced_callables(tracing)
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        wrapped = current()
+        wrapped = _traced_callables(tracing)
     finally:
         tracer.uninstall()
     assert [k for k in before if wrapped[k] is before[k]] == []
-    assert current() == before
+    assert _traced_callables(tracing) == before
+
+
+def test_benchmark_traced_mode_counts_the_commands(tmp_path, capsys):
+    """The benchmark's traced mode (`perfbench/run.py --trace 1`) runs on
+    this checkout: under its `Tracer`, `qpn check` and `qpn unfold` on the
+    demo net count one `cli.main` each and one drop stage, and `uninstall`
+    puts back every wrapped callable."""
+    tracing = _load_perfbench("tracing")
+    before = _traced_callables(tracing)
+    path = tmp_path / "demo.json"
+    bd = branching_demo()
+    save_net(path, bd.net, bd.ann)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:  # through the module, whose main the tracer replaced
+        assert sys.modules["qpn.cli"].main(["check", str(path)]) == 0
+        assert sys.modules["qpn.cli"].main(["unfold", str(path), "--depth", "2"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    metrics = tracer.layer_metrics()
+    assert metrics["cli.main.calls"] == 2
+    assert metrics["checker.check_local_drop.calls"] == 1
+    assert _traced_callables(tracing) == before
+
+
+def test_the_library_loads_no_test_oracle():
+    """The references in `tests/oracles.py` are the tests' own: every
+    `qpn` module loads without that module, and none defines a name that
+    moved there."""
+    code = ("import importlib, pkgutil, sys, qpn\n"
+            "for m in pkgutil.iter_modules(qpn.__path__):\n"
+            "    importlib.import_module('qpn.' + m.name)\n"
+            "print('oracles' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(qpn.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
+    moved = {"checker": ["_compose_effect", "drop_inductive", "recursive_sum_check",
+                         "expand_drop"],
+             "algebra": ["kraus_compose", "kraus_tensor"], "netfile": ["to_document"],
+             "semantics": ["_fire_state"]}
+    assert [(mod, name) for mod, names in moved.items() for name in names
+            if hasattr(sys.modules[f"qpn.{mod}"], name)] == []
+    assert all(callable(getattr(oracles, name)) for names in moved.values() for name in names)
 
 
 def test_benchmark_selftest_passes():

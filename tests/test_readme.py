@@ -1,6 +1,7 @@
 """The README's example session runs as printed, its report paragraph
 names the report's keys, its sentence on counts names every numeric
-option, and its tolerance table lists every tolerance constant."""
+option, its tolerance table lists every tolerance constant, and it names
+every export of `qpn`."""
 
 import argparse
 import ast
@@ -80,3 +81,16 @@ def test_tolerance_table_lists_every_tolerance_constant():
     rows = [re.split(r"\s*\|\s*", line.strip("| ")) for line in table.splitlines()[2:]]
     assert sorted((name.strip("`"), float(value)) for name, value, *_ in rows) \
         == sorted(constants.items())
+
+
+def test_every_export_is_named():
+    """Every name that `qpn/__init__.py` imports, and so exports, is named
+    in backticks in the README, alone or in a dotted name
+    (`algebra.MAX_TOTAL_DIM`); fenced code blocks do not count."""
+    exported = {alias.name for node in ast.parse((SRC / "__init__.py").read_text()).body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    text = re.sub(r"```.*?```", "", README.read_text(), flags=re.S)
+    named = {word for span in re.findall(r"`([^`]+)`", text)
+             for word in re.findall(r"\w+", span)}
+    assert {"is_qpn", "load_net"} <= exported
+    assert sorted(exported - named) == []

@@ -6,6 +6,7 @@ import pytest
 
 from gen import (clique_net, joinable_net, random_cptni, random_density,
                  random_occurrence_annotated)
+from oracles import _fire_state
 from qpn import semantics
 from qpn.algebra import MAX_TOTAL_DIM, Channel, FactorPermutation, apply
 from qpn.annotation import GlobalValuation, LocalAnnotation, space_dim
@@ -22,7 +23,6 @@ from qpn.nets import (
     verify_safety,
 )
 from qpn.semantics import (
-    _fire_state,
     maximally_mixed_policy,
     run_probability,
     sample_execution,
