@@ -130,7 +130,7 @@ def cmd_unfold(args) -> int:
     bp = unfold(net, UnfoldBudget(args.depth, args.max_events))
     out = verify_branching_process(bp, net)
     _p("branching-process", out)
-    if bp.exhausted:
+    if bp.stopped_at is not None:
         print(f"note: budget exhausted (depth={args.depth},"
               f" max_events={args.max_events})")
     labels = bp.label_place | bp.label_event

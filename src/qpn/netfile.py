@@ -280,7 +280,7 @@ def save_net(path, net: Net, ann: LocalAnnotation, metadata=None, labels=None):
         ident[t] = encode_basestring_ascii(t)
         ch = ann.channels[t]
         if id(ch) not in kraus:
-            kraus[id(ch)] = _encode([matrix_to_json(k) for k in ch.kraus])
+            kraus[id(ch)] = _encode(matrix_to_json(ch.stack))
         transitions.append(
             f'{{"id": {ident[t]}, "polarity": {pol_text[net.polarity[t]]}, '
             f'"h": {ann.h.get(t, 1)}, "kraus": {kraus[id(ch)]}{tail(t)}')

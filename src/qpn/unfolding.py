@@ -42,8 +42,7 @@ class BranchingProcess:
     occ: OccurrenceNet
     label_place: dict
     label_event: dict
-    budget: UnfoldBudget
-    exhausted: bool  # True if the budget cut off possible extensions
+    stopped_at: int | None  # the height unfold's budget cut; None: nothing cut
 
 
 def _co_sets(pools, allowed, co):
@@ -59,8 +58,9 @@ def unfold(net: Net, budget: UnfoldBudget = UnfoldBudget()) -> BranchingProcess:
     """Canonical prefix of the unfolding of a verified safe net.
 
     Saturates all extensions of causal height ≤ max_depth, up to
-    max_events, one height at a time; each height's extensions are added
-    in sorted (label, pre-set) order, so the construction is deterministic.
+    max_events, one height at a time in sorted (label, pre-set) order,
+    so it is deterministic; ``stopped_at`` is the first height with more
+    extensions than room left (max_depth + 1 for depth), else ``None``.
 
     Conditions are bit positions in creation order, and ``co[i]`` is the
     mask of the conditions concurrent with condition i.  A pre-set choice
@@ -105,7 +105,7 @@ def unfold(net: Net, budget: UnfoldBudget = UnfoldBudget()) -> BranchingProcess:
                 candidates += [(t, tuple(sorted([conds[i] for i in pick])), pick)
                                for pick in _co_sets(split, -1, co)]  # -1: every condition
         room = budget.max_events - len(label_event) if height <= budget.max_depth else 0
-        exhausted = len(candidates) > room
+        stopped = len(candidates) > room
         if not room or not candidates:
             break
         older, new = older | new, 0
@@ -137,7 +137,7 @@ def unfold(net: Net, budget: UnfoldBudget = UnfoldBudget()) -> BranchingProcess:
                 flow.append((c, e))
             for c in post_ids:
                 flow.append((e, c))
-        if exhausted:
+        if stopped:
             break
 
     for c in conds:
@@ -146,7 +146,7 @@ def unfold(net: Net, budget: UnfoldBudget = UnfoldBudget()) -> BranchingProcess:
     occ = OccurrenceNet(conds, label_event.keys(), flow, initial, polarity,
                         _adjacency=(pre, post), _order=order)
     occ.safety_verified = True
-    return BranchingProcess(occ, label_place, label_event, budget, exhausted)
+    return BranchingProcess(occ, label_place, label_event, height if stopped else None)
 
 
 def verify_branching_process(bp: BranchingProcess, net: Net) -> CheckOutcome:
@@ -206,16 +206,16 @@ def transfer_annotation(bp: BranchingProcess, ann: LocalAnnotation) -> LocalAnno
 def cluster_bijection_check(net: Net, bp: BranchingProcess) -> CheckOutcome:
     """Conflict clusters agree between the net and its unfolded prefix.
 
-    At every configuration of the prefix whose frontier lies strictly
-    inside the depth budget, the clusters of enabled non-negative events,
-    quotiented by labels, must coincide with the clusters of the
-    corresponding net marking.  A pass counts the configurations
-    ``checked`` and those ``skipped`` at the budget.
+    At every configuration x of the prefix whose extensions all lie below
+    ``bp.stopped_at`` (max causal height(x) + 1 < it; all x when ``None``),
+    the clusters of enabled non-negative events, quotiented by labels,
+    must coincide with the clusters of the corresponding net marking.  A
+    pass counts the configurations ``checked`` and those ``skipped``.
     """
-    o = bp.occ
+    o, stop = bp.occ, bp.stopped_at
     configs = sorted(o.all_configurations(), key=lambda s: (len(s), sorted(s)))
-    inside = [x for x in configs  # a frontier at the budget may be truncated
-              if max(causal_heights(o, x).values(), default=0) < bp.budget.max_depth]
+    inside = [x for x in configs if stop is None
+              or max(causal_heights(o, x).values(), default=0) + 1 < stop]
     for x in inside:
         mb = marking_of_configuration(o, x)
         m = frozenset(bp.label_place[c] for c in mb)

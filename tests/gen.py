@@ -1,4 +1,5 @@
-"""Random instance generators shared by the test suite.
+"""Random instance generators shared by the test suite, and the loader
+of the benchmark's own generators.
 
 All generators take a numpy Generator so tests are reproducible from
 seeds.  Nets stay at desk scale: few events, small dimensions, clusters
@@ -9,8 +10,11 @@ same families.
 from __future__ import annotations
 
 import functools
+import importlib.util
 import itertools
 import operator
+import pathlib
+import sys
 
 import numpy as np
 
@@ -18,6 +22,20 @@ from qpn.algebra import Channel
 from qpn.annotation import LocalAnnotation
 from qpn.compose import AnnotatedNet, JoinSpec, parallel
 from qpn.nets import DEFAULT_MARKING_BOUND, Net, OccurrenceNet, component_markings, verify_safety
+
+
+def load_perfbench(name):
+    """A module of the benchmark (perfbench sits outside testpaths, so it
+    is loaded from its file)."""
+    path = pathlib.Path(__file__).parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
 
 
 def product_markings(net, bound: int = DEFAULT_MARKING_BOUND) -> frozenset:

@@ -262,7 +262,7 @@ class TestWriter:
 
         monkeypatch.setattr(netfile, "matrix_to_json", counting)
         save_net(tmp_path / "prefix.json", bp.occ, ann)
-        assert len(calls) == sum(len(an.ann.channel(t).kraus) for t in used)
+        assert len(calls) == len({id(an.ann.channel(t)) for t in used})
 
     def test_rewrite_is_in_place_and_trimmed(self, tmp_path):
         """A shorter text over a longer file leaves exactly the new bytes,
@@ -899,6 +899,19 @@ class TestCli:
         assert meta["depth"] == 3
         assert set(labels.values()) <= {"s0", "s1", "fwd", "bwd"}
         assert dot.read_text().startswith("digraph")
+
+    @pytest.mark.parametrize("max_events, note", [
+        ("100", []), ("1", ["note: budget exhausted (depth=8, max_events=1)"])])
+    def test_unfold_notes_the_budget_only_where_it_stopped(self, tmp_path, capsys,
+                                                           max_events, note):
+        """The demo's prefix is complete at depth 8: only the event budget
+        stops it there."""
+        bd = branching_demo()
+        path = tmp_path / "demo.json"
+        save_net(path, bd.net, bd.ann)
+        assert main(["unfold", str(path), "--depth", "8", "--max-events", max_events]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert [line for line in out if line.startswith("note:")] == note
 
     def test_compose_par(self, demo_path, tmp_path):
         tc = two_phase_cycle()

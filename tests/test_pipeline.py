@@ -1,7 +1,6 @@
 """One staged verdict: `is_qpn`, `qpn check` and `qpn validate` run the
 same stages in the same order and stop at the same first failure."""
 
-import importlib.util
 import json
 import os
 import pathlib
@@ -19,6 +18,7 @@ import oracles
 import qpn
 from gen import (
     clique_net,
+    load_perfbench,
     product_markings,
     racy_net,
     random_occurrence_annotated,
@@ -38,25 +38,11 @@ STAGE_NAMES = [name for name, _ in STAGES]
 STAGE_LINE = re.compile(r"^(PASS|FAIL) ([a-z-]+)(?::|$| \()")
 
 
-def _load_perfbench(name):
-    """A module of the benchmark (perfbench sits outside testpaths, so it
-    is loaded from its file)."""
-    path = pathlib.Path(__file__).parents[1] / "perfbench" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up here
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        del sys.modules[spec.name]
-    return module
-
-
 @pytest.fixture(scope="module")
 def perfbench_workloads():
     """The benchmark's workloads module, with its own parsers of `qpn`
     output."""
-    return _load_perfbench("workloads")
+    return load_perfbench("workloads")
 
 
 @pytest.fixture(scope="module")
@@ -378,7 +364,7 @@ def _traced_callables(tracing):
 def test_benchmark_tracer_resolves_every_traced_name():
     """Every callable the benchmark's tracer wraps still exists in `qpn`,
     is replaced by `install` and put back by `uninstall`."""
-    tracing = _load_perfbench("tracing")
+    tracing = load_perfbench("tracing")
     before = _traced_callables(tracing)
     tracer = tracing.Tracer()
     tracer.install()
@@ -395,7 +381,7 @@ def test_benchmark_traced_mode_counts_the_commands(tmp_path, capsys):
     this checkout: under its `Tracer`, `qpn check` and `qpn unfold` on the
     demo net count one `cli.main` each and one drop stage, and `uninstall`
     puts back every wrapped callable."""
-    tracing = _load_perfbench("tracing")
+    tracing = load_perfbench("tracing")
     before = _traced_callables(tracing)
     path = tmp_path / "demo.json"
     bd = branching_demo()

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+import gen
 from gen import (
     clique_net,
     joinable_net,
+    load_perfbench,
     racy_net,
     random_occurrence_annotated,
     product_markings,
@@ -18,6 +20,7 @@ from qpn.checker import is_local_qon, is_qpn
 from qpn.compose import parallel
 from qpn.demo import branching_demo, two_phase_cycle
 from qpn.errors import QpnError, SafetyUnverified
+from qpn.netfile import load_net
 from qpn.nets import (
     Net,
     OccurrenceNet,
@@ -50,7 +53,7 @@ class TestUnfold:
         bp = unfold(bd.net, UnfoldBudget(8, 100))
         assert len(bp.occ.transitions) == len(bd.net.transitions)
         assert len(bp.occ.places) == len(bd.net.places)
-        assert not bp.exhausted
+        assert bp.stopped_at is None
         assert sorted(bp.label_event.values()) == sorted(bd.net.transitions)
         assert verify_branching_process(bp, bd.net)
 
@@ -59,8 +62,8 @@ class TestUnfold:
         sizes = [len(unfold(tc.net, UnfoldBudget(d, 1000)).occ.transitions)
                  for d in (1, 2, 3, 4)]
         assert sizes == [1, 2, 3, 4]
-        assert all(unfold(tc.net, UnfoldBudget(d, 1000)).exhausted
-                   for d in (1, 2, 3, 4))
+        assert [unfold(tc.net, UnfoldBudget(d, 1000)).stopped_at
+                for d in (1, 2, 3, 4)] == [2, 3, 4, 5]
 
     def test_deterministic_ids(self):
         sm = random_state_machine(np.random.default_rng(2))
@@ -88,7 +91,7 @@ class TestUnfold:
         tc = two_phase_cycle()
         bp = unfold(tc.net, UnfoldBudget(50, 3))
         assert len(bp.occ.transitions) == 3
-        assert bp.exhausted
+        assert bp.stopped_at == 4
 
     def test_transition_without_pre_places_is_refused(self):
         """Its events would have no causes: unfolding names the least such
@@ -187,7 +190,8 @@ class TestOracle:
         for k in range(len(order) + 1):
             cut = unfold(net, UnfoldBudget(4, k))
             assert cut.occ.transitions == set(order[:k])
-            assert cut.exhausted == (k < len(order) or full.exhausted)
+            assert cut.stopped_at == (height[order[k]] if k < len(order)
+                                      else full.stopped_at)
 
 
 def _from_scratch(o: OccurrenceNet) -> OccurrenceNet:
@@ -272,13 +276,14 @@ class TestHandover:
 
 
 def _reference_unfold(net: Net, budget: UnfoldBudget):
-    """(label_place, label_event, flow, exhausted) of the prefix, by
+    """(label_place, label_event, flow, stopped_at) of the prefix, by
     definition and without masks.  At height h every tuple of conditions
     on t's sorted pre-places is tried; it is kept when its highest
     condition has height h - 1 and its conditions are pairwise concurrent:
     neither below the other, and no two distinct events at or below them
     share a pre-condition.  The kept ones are added in (label, pre-set)
-    order up to the event budget."""
+    order up to the event budget; the first height that does not fit is
+    where the budget stopped."""
     label_place = {f"{p}.": p for p in net.initial_marking}
     label_event, flow, pre = {}, set(), {}
     height = dict.fromkeys(label_place, 0)
@@ -299,7 +304,7 @@ def _reference_unfold(net: Net, budget: UnfoldBudget):
                         concurrent(a, b) for a, b in itertools.combinations(pick, 2)):
                     found.append((t, tuple(sorted(pick))))
         room = budget.max_events - len(label_event) if h <= budget.max_depth else 0
-        exhausted = len(found) > room
+        stopped = len(found) > room
         for t, cs in sorted(found)[:room]:
             e = f"{t}[{'|'.join(cs)}]"
             label_event[e], pre[e], height[e] = t, set(cs), h
@@ -309,8 +314,8 @@ def _reference_unfold(net: Net, budget: UnfoldBudget):
                 c = f"{e}>{p}.{j}"
                 label_place[c], height[c], below[c] = p, h, below[e] | {e}
                 flow.add((e, c))
-        if exhausted or not found:
-            return label_place, label_event, flow, exhausted
+        if stopped or not found:
+            return label_place, label_event, flow, h if stopped else None
 
 
 class TestReference:
@@ -323,11 +328,11 @@ class TestReference:
         for cut in sorted({0, 1, 2, events // 2, max(events - 1, 0), events, 10_000}):
             budget = UnfoldBudget(depth, cut)
             bp = unfold(net, budget)
-            label_place, label_event, flow, exhausted = _reference_unfold(net, budget)
+            label_place, label_event, flow, stopped_at = _reference_unfold(net, budget)
             assert (bp.occ.places, bp.occ.transitions) == (label_place.keys(),
                                                            label_event.keys()), cut
             assert (bp.label_place, bp.label_event) == (label_place, label_event), cut
-            assert (bp.occ.flow, bp.exhausted) == (flow, exhausted), cut
+            assert (bp.occ.flow, bp.stopped_at) == (flow, stopped_at), cut
 
     def test_unfold_leaves_no_reference_cycle(self):
         """What an unfold call drops is freed by reference counting: the
@@ -361,7 +366,7 @@ class TestVerifyBranchingProcess:
             dict(bp.label_place) | {"forged_out": bp.label_place[
                 next(iter(o.post(e_old)))]},
             dict(bp.label_event) | {dup: bp.label_event[e_old]},
-            bp.budget, False)
+            bp.stopped_at)
         out = verify_branching_process(forged, bd.net)
         assert not out
 
@@ -375,7 +380,7 @@ class TestVerifyBranchingProcess:
                   o.initial_marking | {"p0.2"}, o.polarity)
         forged = BranchingProcess(as_occurrence_net(net),
                                   dict(bp.label_place) | {"p0.2": "p0"},
-                                  bp.label_event, bp.budget, False)
+                                  bp.label_event, bp.stopped_at)
         out = verify_branching_process(forged, bd.net)
         assert not out
         assert out.reason == "minimal conditions map to ['p0', 'p0'], expected ['p0']"
@@ -396,7 +401,7 @@ class TestVerifyBranchingProcess:
         else:
             events = dict.fromkeys(events, "zz") | {"t0[g0p0.]": "t3"}  # t3 is negative
         out = verify_branching_process(
-            BranchingProcess(bp.occ, places, events, bp.budget, False), sm.net)
+            BranchingProcess(bp.occ, places, events, bp.stopped_at), sm.net)
         assert out.reason == reason
 
     @pytest.mark.parametrize("corrupt, reason", [
@@ -442,7 +447,7 @@ class TestVerifyBranchingProcess:
         net = Net(*parts)
         occ = net if corrupt == "cyclic" else as_occurrence_net(net)
         out = verify_branching_process(
-            BranchingProcess(occ, places, events, bp.budget, False), bd.net)
+            BranchingProcess(occ, places, events, bp.stopped_at), bd.net)
         assert not out and out.reason == reason
 
     def test_unfold_outputs_verify_on_random_nets(self):
@@ -498,7 +503,7 @@ class TestClusterBijection:
                      {(a, b) for a, b in o.flow if a not in gone and b not in gone},
                      o.initial_marking, {e: o.pol(e) for e in o.transitions - gone})
         bp2 = BranchingProcess(as_occurrence_net(pruned), bp.label_place,
-                               bp.label_event, bp.budget, False)
+                               bp.label_event, bp.stopped_at)
         out = cluster_bijection_check(bd.net, bp2)
         assert out.reason == ("clusters differ at marking ['p1', 'p2']: "
                               "net [['b', 'c']] vs unfolding [['b']]")
@@ -509,6 +514,64 @@ class TestClusterBijection:
             sm = random_state_machine(rng)
             bp = unfold(sm.net, UnfoldBudget(3, 500))
             assert cluster_bijection_check(sm.net, bp)
+
+    @pytest.mark.parametrize("make, cut, counts", [
+        (two_phase_cycle, 0, (0, 1)), (two_phase_cycle, 1, (1, 1)),
+        (two_phase_cycle, 2, (2, 1)), (two_phase_cycle, 3, (3, 1)),
+        (branching_demo, 1, (1, 1)), (branching_demo, 2, (1, 2)),
+    ])
+    def test_a_prefix_the_event_budget_stopped_passes(self, make, cut, counts):
+        """The event budget leaves height ``stopped_at`` partly unadded:
+        configurations whose extensions reach it are skipped, not read as
+        a missing cluster."""
+        net = make().net
+        out = cluster_bijection_check(net, unfold(net, UnfoldBudget(4, cut)))
+        assert out, out.reason
+        assert out.data == dict(zip(("checked", "skipped"), counts))
+
+    def test_a_prefix_nothing_stopped_is_checked_whole(self):
+        """The demo is two heights deep: its depth-2 prefix is complete,
+        so the configurations of height 2 are checked too."""
+        bd = branching_demo()
+        bp = unfold(bd.net, UnfoldBudget(2))
+        assert bp.stopped_at is None
+        assert cluster_bijection_check(bd.net, bp).data == {"checked": 4, "skipped": 0}
+
+    @pytest.mark.parametrize("net, depth", [pytest.param(net, d, id=f"{name}-d{d}")
+                                            for name, net, d in _oracle_nets()])
+    def test_every_event_cut_passes(self, net, depth):
+        _assert_every_event_cut_passes(net, depth)
+
+    def test_every_event_cut_of_the_benchmark_nets_passes(self, tmp_path):
+        wl = load_perfbench("workloads")
+        ops = wl.build_unfold(gen, 0, str(tmp_path)).ops
+        depths = wl.UNFOLD_RINGS + [d for *_, d in wl.UNFOLD_PAIRS]
+        assert len(depths) == len(ops)
+        for slot, depth in enumerate(depths):
+            net = load_net(tmp_path / f"unfold{slot}.json")[0]
+            verify_safety(net)
+            _assert_every_event_cut_passes(net, depth)
+
+
+def _assert_every_event_cut_passes(net: Net, depth: int):
+    """The uncut prefix at ``depth`` passes the cluster check, skipping
+    the configurations of height ``depth`` only if the depth budget
+    stopped it; at event cuts 0, 1, half, all but one, all and 10 000 the
+    prefix stops where the reference stops and passes too."""
+    full = unfold(net, UnfoldBudget(depth))
+    o = full.occ
+    tops = [max(causal_heights(o, x).values(), default=0) for x in o.all_configurations()]
+    assert full.stopped_at in (depth + 1, None)
+    inside = len(tops) if full.stopped_at is None else sum(t < depth for t in tops)
+    out = cluster_bijection_check(net, full)
+    assert out and out.data == {"checked": inside, "skipped": len(tops) - inside}
+    events = len(full.label_event)
+    for cut in sorted({0, 1, events // 2, max(events - 1, 0), events, 10_000}):
+        budget = UnfoldBudget(depth, cut)
+        bp = unfold(net, budget)
+        assert bp.stopped_at == _reference_unfold(net, budget)[3], cut
+        out = cluster_bijection_check(net, bp)
+        assert out, (cut, out.reason)
 
 
 class TestQpnEquivalence:
